@@ -11,10 +11,10 @@
 use nitro_bench::scaled;
 use nitro_core::{Mode, NitroSketch};
 use nitro_metrics::Table;
-use nitro_sketches::{CountMin, CountSketch, KarySketch, RowSketch};
+use nitro_sketches::{Checkpoint, CountMin, CountSketch, KarySketch, RowSketch};
 use nitro_switch::cost::Stage;
-use nitro_switch::daemon;
 use nitro_switch::ovs::{Measurement, OvsDatapath, VanillaMeasurement};
+use nitro_switch::{spawn_supervised, SupervisorConfig};
 use nitro_traffic::{take_records, CaidaLike};
 use std::time::Instant;
 
@@ -114,11 +114,11 @@ fn main() {
     // --- Fig 10(b): separate-thread — daemon busy fraction ---------------
     // Busy % = producer rate / standalone sketch rate: the share of a core
     // the daemon needs to keep up with the switching thread.
-    fn separate_thread_row<S: RowSketch + Clone + Send + 'static>(
+    fn separate_thread_row<S: RowSketch + Checkpoint + Clone + Send + 'static>(
         table: &mut Table,
         name: &str,
         keys: &[u64],
-        make: impl Fn() -> NitroSketch<S>,
+        make: impl Fn() -> NitroSketch<S> + Send + 'static,
     ) {
         // Standalone drain rate of the sketch alone.
         let mut solo = make();
@@ -128,8 +128,15 @@ fn main() {
         }
         let solo_mpps = keys.len() as f64 / t.elapsed().as_secs_f64() / 1e6;
 
-        // Through the ring with a live daemon.
-        let (mut tap, d) = daemon::spawn(make(), 1 << 22);
+        // Through the ring with a live daemon. The ring holds the whole
+        // trace, and no periodic checkpoint fits inside it, so the figure
+        // times the sketch thread rather than snapshot encoding.
+        let config = SupervisorConfig {
+            ring_capacity: 1 << 22,
+            checkpoint_every: u64::MAX,
+            ..Default::default()
+        };
+        let (mut tap, d) = spawn_supervised(make(), make, config);
         let t = Instant::now();
         for (i, &k) in keys.iter().enumerate() {
             tap.offer(k, i as u64 * 100);

@@ -19,10 +19,9 @@
 
 use super::proto::{AgentOutput, AgentSession};
 use super::reconnect::ReconnectPolicy;
-use super::wire::{encode_epoch_payload, Message, WireError};
+use super::wire::{encode_epoch_payload, EpochReport, Message, WireError};
 use super::ClusterError;
 use crate::clock::{Clock, SystemClock};
-use crate::control::EpochReport;
 use crate::pipeline::MergedView;
 use crate::store::{CheckpointSink, CheckpointStore, StoreConfig, StoreError};
 use nitro_hash::xxhash::xxh64_u64;

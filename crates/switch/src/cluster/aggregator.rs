@@ -739,8 +739,7 @@ mod tests {
     mod torn_tail {
         use super::*;
         use crate::cluster::proto::{decode_log_record, encode_frame_record, LogRecord};
-        use crate::cluster::wire::{decode_epoch_payload, encode_epoch_payload};
-        use crate::control::EpochReport;
+        use crate::cluster::wire::{decode_epoch_payload, encode_epoch_payload, EpochReport};
         use proptest::prelude::*;
         use std::collections::{BTreeMap, BTreeSet};
 

@@ -57,7 +57,7 @@ pub use proto::{
     ClusterView, ConnId, EpochStatus,
 };
 pub use reconnect::{ReconnectDecision, ReconnectPolicy};
-pub use wire::{Message, WireError};
+pub use wire::{EpochReport, Message, WireError};
 
 use crate::store::StoreError;
 use nitro_sketches::checkpoint::CheckpointError;

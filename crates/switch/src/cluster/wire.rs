@@ -25,8 +25,8 @@
 //! byte-identical to the frame it ships — backfill after a partition is a
 //! re-send of disk bytes, not a re-computation.
 
-use crate::control::EpochReport;
 use nitro_hash::xxhash::xxh64;
+use nitro_sketches::FlowKey;
 use std::fmt;
 use std::io::{self, Read, Write};
 
@@ -221,6 +221,10 @@ impl<'a> Cursor<'a> {
 
     fn u64(&mut self) -> Result<u64, WireError> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+    }
+
+    fn f64(&mut self) -> Result<f64, WireError> {
+        Ok(f64::from_bits(self.u64()?))
     }
 
     fn done(&self) -> Result<(), WireError> {
@@ -443,6 +447,95 @@ impl Message {
     }
 }
 
+/// One data-plane epoch's exported results (§6 "Control Plane Module":
+/// what the data plane hands the controller at the end of each epoch), in
+/// a compact self-contained little-endian format. A cluster epoch frame
+/// embeds one next to the full sketch checkpoint.
+#[derive(Clone, Debug, PartialEq)]
+pub struct EpochReport {
+    /// Which switch produced this (operator-assigned).
+    pub switch_id: u32,
+    /// Epoch sequence number.
+    pub epoch: u64,
+    /// Packets observed in the epoch.
+    pub packets: u64,
+    /// `(flow key, estimated packets)` for flows above the HH threshold.
+    pub heavy_hitters: Vec<(FlowKey, f64)>,
+    /// Entropy estimate in bits (NaN encoded as missing → use `f64::NAN`).
+    pub entropy_bits: f64,
+    /// Distinct-flow estimate.
+    pub distinct: f64,
+    /// L2-norm estimate.
+    pub l2: f64,
+    /// Resident bytes of the data-plane structure.
+    pub memory_bytes: u64,
+}
+
+const REPORT_MAGIC: u32 = 0x4E495452; // "NITR"
+
+/// Fixed part of a report: magic(4) + switch_id(4) + epoch(8) + packets(8)
+/// + entropy(8) + distinct(8) + l2(8) + memory_bytes(8) + hh count(4).
+const REPORT_FIXED: usize = 60;
+
+/// One heavy-hitter entry: key(8) + estimate(8).
+const REPORT_ENTRY: usize = 16;
+
+impl EpochReport {
+    /// Encode to the compact little-endian wire format.
+    pub fn to_bytes(&self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(REPORT_FIXED + self.heavy_hitters.len() * REPORT_ENTRY);
+        out.extend_from_slice(&REPORT_MAGIC.to_le_bytes());
+        out.extend_from_slice(&self.switch_id.to_le_bytes());
+        out.extend_from_slice(&self.epoch.to_le_bytes());
+        out.extend_from_slice(&self.packets.to_le_bytes());
+        out.extend_from_slice(&self.entropy_bits.to_le_bytes());
+        out.extend_from_slice(&self.distinct.to_le_bytes());
+        out.extend_from_slice(&self.l2.to_le_bytes());
+        out.extend_from_slice(&self.memory_bytes.to_le_bytes());
+        out.extend_from_slice(&(self.heavy_hitters.len() as u32).to_le_bytes());
+        for &(k, e) in &self.heavy_hitters {
+            out.extend_from_slice(&k.to_le_bytes());
+            out.extend_from_slice(&e.to_le_bytes());
+        }
+        out
+    }
+
+    /// Decode from the wire format. `data` must hold exactly one report.
+    pub fn from_bytes(data: &[u8]) -> Result<Self, WireError> {
+        let mut c = Cursor::new(data);
+        // Both parts are taken whole before any field is read, so a short
+        // buffer reports the length the report needs, not the first field
+        // that happens to be missing.
+        let mut fixed = Cursor::new(c.take(REPORT_FIXED)?);
+        if fixed.u32()? != REPORT_MAGIC {
+            return Err(WireError::BadMagic);
+        }
+        let switch_id = fixed.u32()?;
+        let epoch = fixed.u64()?;
+        let packets = fixed.u64()?;
+        let entropy_bits = fixed.f64()?;
+        let distinct = fixed.f64()?;
+        let l2 = fixed.f64()?;
+        let memory_bytes = fixed.u64()?;
+        let count = fixed.u32()? as usize;
+        let mut entries = Cursor::new(c.take(count * REPORT_ENTRY)?);
+        c.done()?;
+        let heavy_hitters = (0..count)
+            .map(|_| Ok((entries.u64()?, entries.f64()?)))
+            .collect::<Result<_, WireError>>()?;
+        Ok(Self {
+            switch_id,
+            epoch,
+            packets,
+            heavy_hitters,
+            entropy_bits,
+            distinct,
+            l2,
+            memory_bytes,
+        })
+    }
+}
+
 /// Bundle one epoch's [`EpochReport`] summary with the merged sketch
 /// checkpoint into the payload a node both persists and ships:
 /// `[report_len u32][report][snapshot_len u32][snapshot]`.
@@ -591,6 +684,52 @@ mod tests {
             Message::decode(&bytes),
             Err(WireError::Oversized { .. })
         ));
+    }
+
+    fn sample_report() -> EpochReport {
+        EpochReport {
+            switch_id: 3,
+            epoch: 7,
+            packets: 1_000_000,
+            heavy_hitters: vec![(0xDEAD, 5000.0), (0xBEEF, 2500.5)],
+            entropy_bits: 11.25,
+            distinct: 78_000.0,
+            l2: 12_345.6,
+            memory_bytes: 2 << 20,
+        }
+    }
+
+    #[test]
+    fn report_roundtrips() {
+        let r = sample_report();
+        let bytes = r.to_bytes();
+        assert_eq!(bytes.len(), REPORT_FIXED + 2 * REPORT_ENTRY);
+        assert_eq!(EpochReport::from_bytes(&bytes).unwrap(), r);
+    }
+
+    #[test]
+    fn report_rejects_garbage_with_typed_errors() {
+        assert_eq!(
+            EpochReport::from_bytes(&[0u8; 10]),
+            Err(WireError::Truncated { need: 60, got: 10 })
+        );
+        assert_eq!(
+            EpochReport::from_bytes(&[0u8; 100]),
+            Err(WireError::BadMagic)
+        );
+        let mut ok = sample_report().to_bytes();
+        ok.truncate(ok.len() - 1); // truncated HH list
+        assert!(matches!(
+            EpochReport::from_bytes(&ok),
+            Err(WireError::Truncated { .. })
+        ));
+    }
+
+    #[test]
+    fn report_with_empty_heavy_hitter_list_roundtrips() {
+        let mut r = sample_report();
+        r.heavy_hitters.clear();
+        assert_eq!(EpochReport::from_bytes(&r.to_bytes()).unwrap(), r);
     }
 
     #[test]

@@ -1034,7 +1034,7 @@ mod tests {
         .join()
         .unwrap_err();
         assert_eq!(
-            crate::daemon::panic_message(err.as_ref()).as_deref(),
+            crate::supervisor::panic_message(err.as_ref()).as_deref(),
             Some(INJECTED_PANIC_MSG)
         );
         assert_eq!(plan.fired(), 1);
@@ -1066,7 +1066,7 @@ mod tests {
         .join()
         .unwrap_err();
         assert_eq!(
-            crate::daemon::panic_message(err.as_ref()).as_deref(),
+            crate::supervisor::panic_message(err.as_ref()).as_deref(),
             Some(INJECTED_PANIC_MSG)
         );
         assert_eq!(plan.fired(), 1);

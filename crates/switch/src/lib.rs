@@ -13,17 +13,19 @@
 //!   the paper's "all-in-one" integration.
 //! - [`vpp`]: a VPP-style packet-processing graph with a measurement node.
 //! - [`bess`]: a BESS-style module pipeline.
-//! - [`spsc`] / [`daemon`]: the lock-free single-producer/single-consumer
-//!   ring and measurement thread of the "separate-thread" integration.
-//! - [`supervisor`]: the robustness layer over the daemon — panic
-//!   recovery with checkpoint/restore, stall watchdog, and
-//!   backpressure-driven sampling downshift.
+//! - [`spsc`] / [`supervisor`]: the lock-free single-producer/single-
+//!   consumer ring and the measurement thread of the "separate-thread"
+//!   integration, supervised — panic recovery with checkpoint/restore,
+//!   stall watchdog, and backpressure-driven sampling downshift.
 //! - [`store`]: the crash-consistent durable checkpoint log — CRC-framed
 //!   per-shard segments with atomic rotation, a generation-numbered fleet
 //!   manifest, and torn-tail-repairing recovery.
 //! - [`pipeline`] / [`shard`]: the RSS-style sharded multi-core pipeline —
 //!   a dispatcher hashes flow keys onto N supervised shards and an
 //!   epoch-merged query plane answers global queries over their union.
+//! - [`cluster`]: the control plane — per-epoch [`EpochReport`]s and full
+//!   sketch checkpoints sealed persist-before-publish on each node and
+//!   merged into network-wide views by a crash-recoverable aggregator.
 //! - [`replica`]: hot-standby replication — checkpoint deltas streamed
 //!   over an SPSC ring into warm shadow sketches, powering zero-downtime
 //!   failover (promotion) and online resharding in [`pipeline`].
@@ -45,9 +47,7 @@ pub mod classifier;
 pub mod clock;
 pub mod cluster;
 pub mod console;
-pub mod control;
 pub mod cost;
-pub mod daemon;
 pub mod emc;
 pub mod faults;
 pub mod five_tuple;
@@ -66,12 +66,10 @@ pub mod vpp;
 
 pub use clock::{Clock, Nanos, SimClock, SystemClock};
 pub use cluster::{
-    AggRecovery, Aggregator, AggregatorConfig, ClusterError, ClusterView, EpochStatus, NodeAgent,
-    NodeAgentConfig, ReconnectDecision, ReconnectPolicy, SealOutcome, WireError,
+    AggRecovery, Aggregator, AggregatorConfig, ClusterError, ClusterView, EpochReport, EpochStatus,
+    NodeAgent, NodeAgentConfig, ReconnectDecision, ReconnectPolicy, SealOutcome, WireError,
 };
-pub use control::{Collector, ControlLink, EpochReport};
 pub use cost::{CostModel, CostReport, Stage};
-pub use daemon::{DaemonError, MeasurementDaemon, MeasurementTap, Observation};
 pub use faults::net::{ChaosProxy, NetFaultPlan, NetMode};
 pub use faults::{
     DiskAction, DiskFaultPlan, FaultInjector, FaultStats, ThreadFaultPlan, TokenBucket,
@@ -88,12 +86,12 @@ pub use shard::{Shard, ShardStaleness};
 pub use sim::{
     ExploreReport, FaultEvent, FaultKind, Oracle, Schedule, SimConfig, SimReport, Violation,
 };
-pub use spsc::{RingParker, SpscBoxRing, SpscRing};
+pub use spsc::{SpscBoxRing, SpscRing};
 pub use store::{
     CheckpointSink, CheckpointStore, RecoveredFrame, RecoveryReport, ShardWriter, SinkHandle,
     StoreConfig, StoreError, STORE_VERSION,
 };
 pub use supervisor::{
-    spawn_supervised, CheckpointView, Recoverable, RestartDecision, RestartPolicy,
+    spawn_supervised, CheckpointView, Observation, Recoverable, RestartDecision, RestartPolicy,
     SupervisedDaemon, SupervisedTap, SupervisorConfig, SupervisorError,
 };

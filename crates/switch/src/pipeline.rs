@@ -86,16 +86,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-/// What joining one shard yields at degraded shutdown: its index, the
-/// last durable checkpoint captured from a failed shard (the merge
-/// fallback), and the join result — final measurement + health record, or
-/// the supervisor error that ended it.
-type ShardOutcome<M> = (
-    usize,
-    Option<Vec<u8>>,
-    Result<(M, DaemonHealth), SupervisorError>,
-);
-
 /// Tuning for [`spawn_sharded`].
 #[derive(Clone, Debug)]
 pub struct PipelineConfig {
@@ -213,6 +203,23 @@ impl From<StoreError> for PipelineError {
     fn from(source: StoreError) -> Self {
         PipelineError::Store(source)
     }
+}
+
+/// Tag a checkpoint/merge failure with the shard whose state it was.
+fn merge_error(shard: usize) -> impl Fn(CheckpointError) -> PipelineError {
+    move |source| PipelineError::Merge { shard, source }
+}
+
+/// `bytes` (one of shard `shard`'s checkpoints) restored into a clone of
+/// the blank `template`.
+fn restore_clone<S: RowSketch + Checkpoint + Clone>(
+    template: &NitroSketch<S>,
+    shard: usize,
+    bytes: &[u8],
+) -> Result<NitroSketch<S>, PipelineError> {
+    let mut m = template.clone();
+    m.restore(bytes).map_err(merge_error(shard))?;
+    Ok(m)
 }
 
 /// A pending dispatcher re-steer, applied by the producer at the next
@@ -443,6 +450,14 @@ impl<S: RowSketch> MergedView<S> {
     }
 }
 
+/// A freshly spawned fleet, index-aligned: dispatcher taps, shard handles,
+/// and each shard's warm standby when replication is on.
+type Fleet<S> = (
+    Vec<SupervisedTap>,
+    Vec<Shard<NitroSketch<S>>>,
+    Vec<Option<StandbyHandle<NitroSketch<S>>>>,
+);
+
 /// Everything needed to (re)spawn one shard: the measurement factory, the
 /// supervisor template, targeted fault plans, the durable store, and the
 /// replication knobs. Shared by initial spawn, promotion, and rescale.
@@ -510,8 +525,27 @@ where
         (tap, Shard::new(i, daemon), standby)
     }
 
-    fn breaker_threshold(&self) -> u32 {
-        self.replicate.as_ref().map_or(2, |r| r.breaker_threshold)
+    /// Spawn shard `i` around `measurements[i]`, all in sequence band
+    /// `band`.
+    fn spawn_fleet(&self, measurements: Vec<NitroSketch<S>>, band: u64) -> Fleet<S> {
+        let n = measurements.len();
+        let mut fleet = (
+            Vec::with_capacity(n),
+            Vec::with_capacity(n),
+            Vec::with_capacity(n),
+        );
+        for (i, m) in measurements.into_iter().enumerate() {
+            let (tap, shard, standby) = self.spawn(i, m, band);
+            fleet.0.push(tap);
+            fleet.1.push(shard);
+            fleet.2.push(standby);
+        }
+        fleet
+    }
+
+    fn breakers(&self, n: usize) -> Vec<CircuitBreaker> {
+        let threshold = self.replicate.as_ref().map_or(2, |r| r.breaker_threshold);
+        (0..n).map(|_| CircuitBreaker::new(threshold)).collect()
     }
 }
 
@@ -531,9 +565,27 @@ enum DrainMode {
     FoldDecoded,
 }
 
+impl DrainMode {
+    /// Fold a drained shard's sketch `from` (final, or restored from one
+    /// of its checkpoints) into `into` — the carryover, an epoch view, or
+    /// the shutdown merge.
+    fn fold<S: RowSketch + Checkpoint>(
+        self,
+        into: &mut NitroSketch<S>,
+        from: &NitroSketch<S>,
+    ) -> Result<(), CheckpointError> {
+        match self {
+            DrainMode::Discard => Ok(()),
+            DrainMode::MergeExact => into.try_merge_from(from),
+            DrainMode::FoldDecoded => into.fold_decoded_from(from).map(|_| ()),
+        }
+    }
+}
+
 /// A shard re-steered away from (replaced primary, rescaled-away worker,
 /// or rotated-away worker), still draining its ring until the producer
-/// acknowledges the route change.
+/// acknowledges the route change. At shutdown every live shard becomes one
+/// too: nothing offers to it any more and its traffic lives nowhere else.
 struct DrainingShard<S>
 where
     S: RowSketch + Checkpoint + Clone + Send + 'static,
@@ -548,7 +600,66 @@ where
     /// into. Captured at re-steer time: after a seed rotation the fleet
     /// template lives in a *different* hash space, and an old-seed
     /// checkpoint only restores into its own.
-    template: NitroSketch<S>,
+    template: Arc<NitroSketch<S>>,
+}
+
+impl<S> DrainingShard<S>
+where
+    S: RowSketch + Checkpoint + Clone + Send + 'static,
+{
+    /// Stop the shard (the drain is bounded — nothing offers to its ring
+    /// any more), join it, and fold its state into `into`: the final
+    /// sketch after a clean drain, or — when the restart budget is spent —
+    /// the last checkpoint, restored into the captured template.
+    ///
+    /// Returns the final health record — always, so the fleet accounting
+    /// survives a failed fold — and how the shard ended: `Ok(None)` clean,
+    /// `Ok(Some(_))` budget spent and served from its checkpoint, `Err`
+    /// when the supervisor thread itself panicked or the state would not
+    /// fold.
+    fn settle(
+        self,
+        into: &mut NitroSketch<S>,
+    ) -> (DaemonHealth, Result<Option<SupervisorError>, PipelineError>) {
+        let DrainingShard {
+            shard,
+            mode,
+            template,
+            ..
+        } = self;
+        let index = shard.index();
+        let telemetry = Arc::clone(shard.telemetry());
+        // Captured before the join consumes the handle.
+        let fallback = if mode != DrainMode::Discard && shard.is_failed() {
+            shard.latest_checkpoint().map(|v| v.bytes)
+        } else {
+            None
+        };
+        let joined = shard.finish();
+        // The daemon is joined: its cells are quiescent and this is the
+        // record `finish` itself reports.
+        let health = telemetry.health();
+        // What the shard leaves behind: its final sketch after a clean
+        // drain, its last checkpoint after a spent budget.
+        let left = match joined {
+            Ok((m, _)) => Ok((Some(m), None)),
+            Err(spent @ SupervisorError::RestartBudgetExhausted { .. }) => fallback
+                .map(|bytes| restore_clone(&template, index, &bytes))
+                .transpose()
+                .map(|m| (m, Some(spent))),
+            Err(source) => Err(PipelineError::Shard {
+                shard: index,
+                source,
+            }),
+        };
+        let outcome = left.and_then(|(m, spent)| {
+            if let Some(m) = m {
+                mode.fold(into, &m).map_err(merge_error(index))?;
+            }
+            Ok(spent)
+        });
+        (health, outcome)
+    }
 }
 
 /// The running fleet: N shards plus the epoch coordinator state.
@@ -571,7 +682,7 @@ where
     /// Final health records of retired daemons.
     retired: Vec<DaemonHealth>,
     /// Blank, geometry-defining instance snapshots are restored into.
-    template: NitroSketch<S>,
+    template: Arc<NitroSketch<S>>,
     epoch: u64,
     snapshot_timeout: Duration,
     spawner: ShardSpawner<S>,
@@ -823,9 +934,7 @@ where
             // primary persisted it).
             if let Some(frame) = store.newest_frame(shard) {
                 if (frame.generation, frame.seq) > (watermark.generation, watermark.seq) {
-                    shadow
-                        .restore(&frame.bytes)
-                        .map_err(|source| PipelineError::Merge { shard, source })?;
+                    shadow.restore(&frame.bytes).map_err(merge_error(shard))?;
                 }
             }
         }
@@ -834,17 +943,7 @@ where
         self.standbys[shard] = standby;
         let old = std::mem::replace(&mut self.shards[shard], new_shard);
         let version = self.router.publish(RouteUpdate::Replace { shard, tap });
-        // The replaced primary stops being shard `shard`'s live series the
-        // instant the new daemon takes the id; its counters keep
-        // accumulating into the fleet totals from the retired set while it
-        // drains.
-        self.spawner.registry.retire(old.telemetry());
-        self.draining.push(DrainingShard {
-            shard: old,
-            drain_after: version,
-            mode: DrainMode::Discard,
-            template: self.template.clone(),
-        });
+        self.start_draining(old, version, DrainMode::Discard, Arc::clone(&self.template));
         self.breakers[shard].reset();
         self.probes[shard] = (0, 0);
         self.promotions += 1;
@@ -886,42 +985,15 @@ where
         if let Some(store) = &self.spawner.store {
             store.resize(new_shards)?;
         }
-        let band = self.alloc_band();
-        let mut taps = Vec::with_capacity(new_shards);
-        let mut shards = Vec::with_capacity(new_shards);
-        let mut standbys = Vec::with_capacity(new_shards);
-        for i in 0..new_shards {
-            let (tap, shard, standby) = self.spawner.spawn(i, (self.spawner.factory)(i), band);
-            taps.push(tap);
-            shards.push(shard);
-            standbys.push(standby);
-        }
-        let old_shards = std::mem::replace(&mut self.shards, shards);
-        let old_standbys = std::mem::replace(&mut self.standbys, standbys);
-        self.probes = vec![(0, 0); new_shards];
-        self.breakers = (0..new_shards)
-            .map(|_| CircuitBreaker::new(self.spawner.breaker_threshold()))
-            .collect();
-        let version = self.router.publish(RouteUpdate::Resize { taps });
+        self.respawn_fleet(
+            new_shards,
+            DrainMode::MergeExact,
+            Arc::clone(&self.template),
+        );
         self.spawner.registry.record(Event::Rescale {
             from,
             to: new_shards as u32,
         });
-        for old in old_shards {
-            self.spawner.registry.retire(old.telemetry());
-            self.draining.push(DrainingShard {
-                shard: old,
-                drain_after: version,
-                mode: DrainMode::MergeExact,
-                template: self.template.clone(),
-            });
-        }
-        for standby in old_standbys.into_iter().flatten() {
-            // Old shadows are superseded by the drain-and-merge path.
-            let _ = standby.stop();
-        }
-        self.skew_trackers = vec![SkewTracker::default(); new_shards];
-        self.skew_tripped = vec![false; new_shards];
         Ok(())
     }
 
@@ -968,7 +1040,6 @@ where
                 "factory reproduces the old hash seeds",
             ));
         }
-        let band = self.alloc_band();
         // New spawns — shards, panic-rebuilds, and standby shadows alike —
         // must all come from the new-seed factory.
         self.spawner.factory = Arc::new(factory);
@@ -977,24 +1048,8 @@ where
         carry
             .fold_decoded_from(&self.carryover)
             .expect("geometry verified against the old template above");
-        let mut taps = Vec::with_capacity(n);
-        let mut shards = Vec::with_capacity(n);
-        let mut standbys = Vec::with_capacity(n);
-        for i in 0..n {
-            let (tap, shard, standby) = self.spawner.spawn(i, (self.spawner.factory)(i), band);
-            taps.push(tap);
-            shards.push(shard);
-            standbys.push(standby);
-        }
-        let old_shards = std::mem::replace(&mut self.shards, shards);
-        let old_standbys = std::mem::replace(&mut self.standbys, standbys);
-        self.probes = vec![(0, 0); n];
-        self.breakers = (0..n)
-            .map(|_| CircuitBreaker::new(self.spawner.breaker_threshold()))
-            .collect();
-        let version = self.router.publish(RouteUpdate::Resize { taps });
-        let old_template = std::mem::replace(&mut self.template, new_template);
         self.carryover = carry;
+        let old_template = std::mem::replace(&mut self.template, Arc::new(new_template));
         // A shard already draining (from an in-flight rescale) holds
         // old-seed state too; its bit-exact merge target no longer exists,
         // so it folds decoded like the rotated-away shards.
@@ -1003,29 +1058,69 @@ where
                 d.mode = DrainMode::FoldDecoded;
             }
         }
-        for old in old_shards {
-            self.spawner.registry.retire(old.telemetry());
-            self.draining.push(DrainingShard {
-                shard: old,
-                drain_after: version,
-                mode: DrainMode::FoldDecoded,
-                template: old_template.clone(),
-            });
-        }
-        for standby in old_standbys.into_iter().flatten() {
-            // Old shadows hold old-seed state; the drain-and-fold path
-            // supersedes them.
-            let _ = standby.stop();
-        }
-        // Fresh hash space: the detector starts over.
-        self.skew_trackers = vec![SkewTracker::default(); n];
-        self.skew_tripped = vec![false; n];
+        // Old shadows hold old-seed state too; the drain-and-fold path
+        // supersedes them, and the detector starts over in the fresh hash
+        // space.
+        let band = self.respawn_fleet(n, DrainMode::FoldDecoded, old_template);
         self.seed_rotations += 1;
         let duration_ns = started.elapsed().as_nanos() as u64;
         self.spawner
             .registry
             .record(Event::SeedRotation { band, duration_ns });
         Ok(())
+    }
+
+    /// Respawn the whole fleet as `n` blank shards (with fresh standbys
+    /// when replication is on) in a fresh sequence band and re-steer the
+    /// dispatcher to them at a packet boundary — the shared body of
+    /// [`ShardedPipeline::rescale`] and [`ShardedPipeline::rotate_seeds`].
+    /// Every old shard starts draining under `mode`, restoring into
+    /// `old_template`; the old standbys are superseded by that drain path
+    /// and stop. Per-shard probe, breaker, and skew state starts over.
+    /// Returns the band.
+    fn respawn_fleet(
+        &mut self,
+        n: usize,
+        mode: DrainMode,
+        old_template: Arc<NitroSketch<S>>,
+    ) -> u64 {
+        let band = self.alloc_band();
+        let blanks = (0..n).map(|i| (self.spawner.factory)(i)).collect();
+        let (taps, shards, standbys) = self.spawner.spawn_fleet(blanks, band);
+        let old_shards = std::mem::replace(&mut self.shards, shards);
+        let old_standbys = std::mem::replace(&mut self.standbys, standbys);
+        self.probes = vec![(0, 0); n];
+        self.breakers = self.spawner.breakers(n);
+        self.skew_trackers = vec![SkewTracker::default(); n];
+        self.skew_tripped = vec![false; n];
+        let version = self.router.publish(RouteUpdate::Resize { taps });
+        for old in old_shards {
+            self.start_draining(old, version, mode, Arc::clone(&old_template));
+        }
+        for standby in old_standbys.into_iter().flatten() {
+            let _ = standby.stop();
+        }
+        band
+    }
+
+    /// Move a re-steered-away shard to the draining list. It stops being
+    /// its id's live telemetry series the instant the replacement takes
+    /// the id; its counters keep accumulating into the fleet totals from
+    /// the retired set while it drains.
+    fn start_draining(
+        &mut self,
+        shard: Shard<NitroSketch<S>>,
+        drain_after: u64,
+        mode: DrainMode,
+        template: Arc<NitroSketch<S>>,
+    ) {
+        self.spawner.registry.retire(shard.telemetry());
+        self.draining.push(DrainingShard {
+            shard,
+            drain_after,
+            mode,
+            template,
+        });
     }
 
     /// Probe every live shard's health, feed the per-shard circuit
@@ -1062,93 +1157,23 @@ where
     /// rotated-away ones), and keep its health record.
     fn reap_draining(&mut self) -> Result<(), PipelineError> {
         let acked = self.router.acked();
-        let mut keep = Vec::new();
-        for d in std::mem::take(&mut self.draining) {
+        let mut pending = std::mem::take(&mut self.draining).into_iter();
+        while let Some(d) = pending.next() {
             if acked < d.drain_after {
-                keep.push(d);
+                self.draining.push(d);
                 continue;
             }
-            let DrainingShard {
-                shard,
-                mode,
-                template,
-                ..
-            } = d;
-            let index = shard.index();
-            let fallback = if mode != DrainMode::Discard && shard.is_failed() {
-                shard.latest_checkpoint().map(|v| v.bytes)
-            } else {
-                None
-            };
-            match shard.finish() {
-                Ok((m, health)) => {
-                    self.fold_into_carryover(index, mode, &m)?;
-                    self.retired.push(health);
-                }
-                Err(SupervisorError::RestartBudgetExhausted { health, .. }) => {
-                    // A failed shard that could not be promoted (no
-                    // standby): its last checkpoint is the best surviving
-                    // state — same degraded fallback `finish_degraded`
-                    // uses, applied mid-flight.
-                    if let Some(bytes) = fallback {
-                        let mut restored = template.clone();
-                        restored
-                            .restore(&bytes)
-                            .map_err(|source| PipelineError::Merge {
-                                shard: index,
-                                source,
-                            })?;
-                        self.fold_into_carryover(index, mode, &restored)?;
-                    }
-                    self.retired.push(health);
-                }
-                Err(source) => {
-                    return Err(PipelineError::Shard {
-                        shard: index,
-                        source,
-                    })
-                }
+            let (health, outcome) = d.settle(&mut self.carryover);
+            self.retired.push(health);
+            if let Err(e) = outcome {
+                // The shards not visited yet stay on the list: dropping
+                // them would detach their threads and lose their health
+                // records from the fleet accounting.
+                self.draining.extend(pending);
+                return Err(e);
             }
         }
-        self.draining = keep;
         Ok(())
-    }
-
-    /// Fold a drained shard's final (or checkpoint-restored) sketch into
-    /// the carryover according to its drain mode.
-    fn fold_into_carryover(
-        &mut self,
-        shard: usize,
-        mode: DrainMode,
-        m: &NitroSketch<S>,
-    ) -> Result<(), PipelineError> {
-        match mode {
-            DrainMode::Discard => Ok(()),
-            DrainMode::MergeExact => self.merge_into_carryover(shard, |c| c.try_merge_from(m)),
-            DrainMode::FoldDecoded => {
-                self.merge_into_carryover(shard, |c| c.fold_decoded_from(m).map(|_| ()))
-            }
-        }
-    }
-
-    fn restore_template(
-        &self,
-        shard: usize,
-        bytes: &[u8],
-    ) -> Result<NitroSketch<S>, PipelineError> {
-        let mut restored = self.template.clone();
-        restored
-            .restore(bytes)
-            .map_err(|source| PipelineError::Merge { shard, source })?;
-        Ok(restored)
-    }
-
-    fn merge_into_carryover(
-        &mut self,
-        shard: usize,
-        merge: impl FnOnce(&mut NitroSketch<S>) -> Result<(), CheckpointError>,
-    ) -> Result<(), PipelineError> {
-        merge(&mut self.carryover).map_err(|source| PipelineError::Merge { shard, source })
     }
 
     /// Rotate an epoch: promote any failed-or-tripped shard that has a
@@ -1162,7 +1187,7 @@ where
     pub fn epoch_view(&mut self) -> Result<MergedView<S>, PipelineError> {
         self.probe_and_promote()?;
         self.epoch += 1;
-        let mut merged = self.template.clone();
+        let mut merged = NitroSketch::clone(&self.template);
         merged
             .try_merge_from(&self.carryover)
             .expect("carryover is template-derived and always geometry-compatible");
@@ -1178,14 +1203,11 @@ where
                 });
             };
             let shard_id = self.shards[idx].index();
-            let restored = self.restore_template(shard_id, &bytes)?;
+            let restored = restore_clone(&self.template, shard_id, &bytes)?;
             self.observe_skew(idx, &restored);
             merged
                 .try_merge_from(&restored)
-                .map_err(|source| PipelineError::Merge {
-                    shard: shard_id,
-                    source,
-                })?;
+                .map_err(merge_error(shard_id))?;
             staleness.push(stale);
         }
         // Still-draining rescaled- or rotated-away shards own their
@@ -1200,22 +1222,10 @@ where
                 continue;
             };
             let index = d.shard.index();
-            let mut restored = d.template.clone();
-            restored
-                .restore(&bytes)
-                .map_err(|source| PipelineError::Merge {
-                    shard: index,
-                    source,
-                })?;
-            match d.mode {
-                DrainMode::Discard => unreachable!("filtered above"),
-                DrainMode::MergeExact => merged.try_merge_from(&restored).map(|_| 0),
-                DrainMode::FoldDecoded => merged.fold_decoded_from(&restored),
-            }
-            .map_err(|source| PipelineError::Merge {
-                shard: index,
-                source,
-            })?;
+            let restored = restore_clone(&d.template, index, &bytes)?;
+            d.mode
+                .fold(&mut merged, &restored)
+                .map_err(merge_error(index))?;
             staleness.push(stale);
         }
         // A tripped auto-rotate policy rotates *after* the view is built:
@@ -1268,76 +1278,14 @@ where
     /// Every shard is stopped even when one fails, so no worker thread
     /// outlives the error path. A draining *replaced* primary's spent
     /// restart budget is expected (that is why it was replaced) and folds
-    /// into the retired health records instead of erroring.
+    /// into the retired health records instead of erroring; a *live*
+    /// shard's spent budget is [`PipelineError::Shard`].
     pub fn finish(self) -> Result<(NitroSketch<S>, FleetHealth), PipelineError> {
-        let ShardedPipeline {
-            shards,
-            standbys,
-            draining,
-            carryover,
-            retired,
-            template,
-            ..
-        } = self;
-        // Stop and join every shard first: aborting on the first error
-        // would leave sibling workers spinning on rings nobody drains.
-        let results: Vec<(usize, Result<_, SupervisorError>)> = shards
-            .into_iter()
-            .map(|s| (s.index(), s.finish()))
-            .collect();
-        let drained: Vec<DrainedOutcome<S>> = draining.into_iter().map(drain_outcome).collect();
-        for standby in standbys.into_iter().flatten() {
-            let _ = standby.stop();
+        let (merged, fleet, spent) = self.shutdown()?;
+        match spent.into_iter().next() {
+            Some((shard, source)) => Err(PipelineError::Shard { shard, source }),
+            None => Ok((merged, fleet)),
         }
-        let mut merged = template.clone();
-        merged
-            .try_merge_from(&carryover)
-            .expect("carryover is template-derived and always geometry-compatible");
-        let mut fleet = FleetHealth::new();
-        for (index, result) in results {
-            let (m, health) = result.map_err(|source| PipelineError::Shard {
-                shard: index,
-                source,
-            })?;
-            merged
-                .try_merge_from(&m)
-                .map_err(|source| PipelineError::Merge {
-                    shard: index,
-                    source,
-                })?;
-            fleet.push(health);
-        }
-        for (index, mode, drain_template, fallback, result) in drained {
-            match result {
-                Ok((m, health)) => {
-                    fold_final(&mut merged, mode, &m, index)?;
-                    fleet.push_retired(health);
-                }
-                Err(SupervisorError::RestartBudgetExhausted { health, .. }) => {
-                    if let Some(bytes) = fallback {
-                        let mut restored = drain_template.clone();
-                        restored
-                            .restore(&bytes)
-                            .map_err(|source| PipelineError::Merge {
-                                shard: index,
-                                source,
-                            })?;
-                        fold_final(&mut merged, mode, &restored, index)?;
-                    }
-                    fleet.push_retired(health);
-                }
-                Err(source) => {
-                    return Err(PipelineError::Shard {
-                        shard: index,
-                        source,
-                    })
-                }
-            }
-        }
-        for h in retired {
-            fleet.push_retired(h);
-        }
-        Ok((merged, fleet))
     }
 
     /// Like [`ShardedPipeline::finish`], but a *live* shard whose restart
@@ -1351,6 +1299,19 @@ where
     pub fn finish_degraded(
         self,
     ) -> Result<(NitroSketch<S>, FleetHealth, Vec<usize>), PipelineError> {
+        let (merged, fleet, spent) = self.shutdown()?;
+        let degraded = spent.into_iter().map(|(shard, _)| shard).collect();
+        Ok((merged, fleet, degraded))
+    }
+
+    /// The one shutdown path: settle every live and draining shard into
+    /// the carryover-seeded merge. Returns the merge, the fleet health,
+    /// and each live shard that ended on a spent restart budget (served
+    /// from its last checkpoint) with the supervisor error that ended it.
+    #[allow(clippy::type_complexity)]
+    fn shutdown(
+        self,
+    ) -> Result<(NitroSketch<S>, FleetHealth, Vec<(usize, SupervisorError)>), PipelineError> {
         let ShardedPipeline {
             shards,
             standbys,
@@ -1360,151 +1321,50 @@ where
             template,
             ..
         } = self;
-        // Capture each failed shard's final checkpoint before consuming
-        // it; stop and join every shard regardless of its fate.
-        let results: Vec<ShardOutcome<NitroSketch<S>>> = shards
-            .into_iter()
-            .map(|s| {
-                let fallback = if s.is_failed() {
-                    s.latest_checkpoint().map(|v| v.bytes)
-                } else {
-                    None
-                };
-                (s.index(), fallback, s.finish())
-            })
-            .collect();
-        let drained: Vec<DrainedOutcome<S>> = draining.into_iter().map(drain_outcome).collect();
-        for standby in standbys.into_iter().flatten() {
-            let _ = standby.stop();
-        }
-        let mut merged = template.clone();
+        let mut merged = NitroSketch::clone(&template);
         merged
             .try_merge_from(&carryover)
             .expect("carryover is template-derived and always geometry-compatible");
         let mut fleet = FleetHealth::new();
-        let mut degraded = Vec::new();
-        for (index, fallback, result) in results {
-            match result {
-                Ok((m, health)) => {
-                    merged
-                        .try_merge_from(&m)
-                        .map_err(|source| PipelineError::Merge {
-                            shard: index,
-                            source,
-                        })?;
-                    fleet.push(health);
-                }
-                Err(SupervisorError::RestartBudgetExhausted { health, .. }) => {
-                    if let Some(bytes) = fallback {
-                        let mut restored = template.clone();
-                        restored
-                            .restore(&bytes)
-                            .map_err(|source| PipelineError::Merge {
-                                shard: index,
-                                source,
-                            })?;
-                        merged.try_merge_from(&restored).map_err(|source| {
-                            PipelineError::Merge {
-                                shard: index,
-                                source,
-                            }
-                        })?;
-                    }
-                    fleet.push(health);
-                    degraded.push(index);
-                }
-                Err(source) => {
-                    return Err(PipelineError::Shard {
-                        shard: index,
-                        source,
-                    })
-                }
+        let mut spent = Vec::new();
+        // Stop and join every shard before reporting anything: aborting on
+        // the first error would leave sibling workers spinning on rings
+        // nobody drains.
+        let mut first_error = None;
+        for shard in shards {
+            let index = shard.index();
+            let live = DrainingShard {
+                shard,
+                drain_after: 0,
+                mode: DrainMode::MergeExact,
+                template: Arc::clone(&template),
+            };
+            let (health, outcome) = live.settle(&mut merged);
+            fleet.push(health);
+            match outcome {
+                Ok(None) => {}
+                Ok(Some(source)) => spent.push((index, source)),
+                Err(e) => first_error = first_error.or(Some(e)),
             }
         }
-        for (index, mode, drain_template, fallback, result) in drained {
-            match result {
-                Ok((m, health)) => {
-                    fold_final(&mut merged, mode, &m, index)?;
-                    fleet.push_retired(health);
-                }
-                Err(SupervisorError::RestartBudgetExhausted { health, .. }) => {
-                    if let Some(bytes) = fallback {
-                        let mut restored = drain_template.clone();
-                        restored
-                            .restore(&bytes)
-                            .map_err(|source| PipelineError::Merge {
-                                shard: index,
-                                source,
-                            })?;
-                        fold_final(&mut merged, mode, &restored, index)?;
-                    }
-                    fleet.push_retired(health);
-                }
-                Err(source) => {
-                    return Err(PipelineError::Shard {
-                        shard: index,
-                        source,
-                    })
-                }
+        for d in draining {
+            let (health, outcome) = d.settle(&mut merged);
+            fleet.push_retired(health);
+            if let Err(e) = outcome {
+                first_error = first_error.or(Some(e));
             }
+        }
+        for standby in standbys.into_iter().flatten() {
+            let _ = standby.stop();
         }
         for h in retired {
             fleet.push_retired(h);
         }
-        Ok((merged, fleet, degraded))
+        match first_error {
+            Some(e) => Err(e),
+            None => Ok((merged, fleet, spent)),
+        }
     }
-}
-
-/// What one draining shard contributes at shutdown: its index, drain
-/// mode, restore template, degraded-fallback checkpoint, and join result.
-type DrainedOutcome<S> = (
-    usize,
-    DrainMode,
-    NitroSketch<S>,
-    Option<Vec<u8>>,
-    Result<(NitroSketch<S>, DaemonHealth), SupervisorError>,
-);
-
-/// Stop one draining shard, capturing everything the shutdown merge
-/// needs before the handle is consumed.
-fn drain_outcome<S>(d: DrainingShard<S>) -> DrainedOutcome<S>
-where
-    S: RowSketch + Checkpoint + Clone + Send + 'static,
-{
-    let fallback = if d.mode != DrainMode::Discard && d.shard.is_failed() {
-        d.shard.latest_checkpoint().map(|v| v.bytes)
-    } else {
-        None
-    };
-    (
-        d.shard.index(),
-        d.mode,
-        d.template,
-        fallback,
-        d.shard.finish(),
-    )
-}
-
-/// Fold one drained shard's final (or restored) sketch into the shutdown
-/// merge according to its drain mode.
-fn fold_final<S>(
-    merged: &mut NitroSketch<S>,
-    mode: DrainMode,
-    m: &NitroSketch<S>,
-    index: usize,
-) -> Result<(), PipelineError>
-where
-    S: RowSketch + Checkpoint + Clone + Send + 'static,
-{
-    match mode {
-        DrainMode::Discard => Ok(()),
-        DrainMode::MergeExact => merged.try_merge_from(m),
-        DrainMode::FoldDecoded => merged.fold_decoded_from(m).map(|_| ()),
-    }
-    .map_err(|source| PipelineError::Merge {
-        shard: index,
-        source,
-    })
 }
 
 /// Spawn a sharded measurement pipeline.
@@ -1564,29 +1424,18 @@ where
         replicate: config.replicate,
         registry: Arc::new(TelemetryRegistry::new()),
     };
-    let template = (spawner.factory)(0);
+    let template = Arc::new((spawner.factory)(0));
     let mut measurements = Vec::with_capacity(config.shards);
     for (i, recovered) in initial.into_iter().enumerate() {
         let mut m = (spawner.factory)(i);
         if let Some(bytes) = recovered {
-            m.restore(&bytes)
-                .map_err(|source| PipelineError::Merge { shard: i, source })?;
+            m.restore(&bytes).map_err(merge_error(i))?;
         }
         measurements.push(m);
     }
-    let mut taps = Vec::with_capacity(config.shards);
-    let mut shards = Vec::with_capacity(config.shards);
-    let mut standbys = Vec::with_capacity(config.shards);
-    for (i, m) in measurements.into_iter().enumerate() {
-        let (tap, shard, standby) = spawner.spawn(i, m, 0);
-        taps.push(tap);
-        shards.push(shard);
-        standbys.push(standby);
-    }
+    let (taps, shards, standbys) = spawner.spawn_fleet(measurements, 0);
     let router = Arc::new(Router::new());
-    let breakers = (0..config.shards)
-        .map(|_| CircuitBreaker::new(spawner.breaker_threshold()))
-        .collect();
+    let breakers = spawner.breakers(config.shards);
     Ok((
         ShardedTap {
             taps,
@@ -1600,7 +1449,7 @@ where
             probes: vec![(0, 0); config.shards],
             breakers,
             draining: Vec::new(),
-            carryover: template.clone(),
+            carryover: NitroSketch::clone(&template),
             retired: Vec::new(),
             template,
             epoch: 0,
@@ -1907,6 +1756,122 @@ mod tests {
         assert_eq!(fleet.total().offered, 24_000);
         assert_eq!(fleet.unaccounted(), 0, "identity must survive shard death");
         assert!(fleet.shards()[0].lost_in_crash > 0);
+    }
+
+    /// A fleet whose counters no timing can perturb, however starved its
+    /// workers are on a loaded single-core host: the ring holds a whole
+    /// test run, so nothing drops; no occupancy reaches the downshift
+    /// mark; no periodic checkpoint fits in the run; and the stall
+    /// watchdog stays quiet.
+    fn quiet(shards: usize) -> PipelineConfig {
+        PipelineConfig {
+            shards,
+            supervisor: SupervisorConfig {
+                ring_capacity: 1 << 16,
+                high_water: 2.0,
+                checkpoint_every: u64::MAX,
+                stall_timeout: Duration::from_secs(60),
+                ..Default::default()
+            },
+            ..Default::default()
+        }
+    }
+
+    #[test]
+    fn finish_and_finish_degraded_agree_on_a_healthy_fleet() {
+        let run = || {
+            let (mut tap, pipeline) = spawn_sharded(factory, quiet(3)).unwrap();
+            feed(&mut tap, (0..30_000u64).map(|i| i % 10));
+            drain(&mut tap, &pipeline, 30_000);
+            drop(tap);
+            pipeline
+        };
+        let (strict, strict_fleet) = run().finish().unwrap();
+        let (lenient, lenient_fleet, degraded) = run().finish_degraded().unwrap();
+        assert!(degraded.is_empty());
+        assert_eq!(strict.snapshot(), lenient.snapshot());
+        assert_eq!(strict_fleet.shards(), lenient_fleet.shards());
+        assert_eq!(strict_fleet.retired(), lenient_fleet.retired());
+        assert_eq!(strict_fleet.total().offered, 30_000);
+    }
+
+    #[test]
+    fn spent_budget_errors_finish_and_is_named_by_finish_degraded() {
+        use crate::faults::ThreadFaultPlan;
+        let run = || {
+            let plan = ThreadFaultPlan::new();
+            plan.panic_after(1_000);
+            let (mut tap, pipeline) = spawn_sharded(
+                factory,
+                PipelineConfig {
+                    shards: 2,
+                    supervisor: SupervisorConfig {
+                        checkpoint_every: 500,
+                        max_restarts: 0,
+                        ..Default::default()
+                    },
+                    fault_plans: vec![(1, plan)],
+                    ..Default::default()
+                },
+            )
+            .unwrap();
+            feed(&mut tap, (0..20_000u64).map(|i| i % 16));
+            let deadline = std::time::Instant::now() + Duration::from_secs(10);
+            while pipeline.failed_shards().is_empty() {
+                assert!(
+                    std::time::Instant::now() < deadline,
+                    "shard 1 never exhausted its budget"
+                );
+                std::thread::yield_now();
+            }
+            drop(tap);
+            pipeline
+        };
+        match run().finish() {
+            Err(PipelineError::Shard {
+                shard: 1,
+                source: SupervisorError::RestartBudgetExhausted { .. },
+            }) => {}
+            other => panic!("expected shard 1's spent budget, got {:?}", other.err()),
+        }
+        let (_, fleet, degraded) = run().finish_degraded().unwrap();
+        assert_eq!(degraded, vec![1]);
+        assert_eq!(fleet.total().offered, 20_000);
+        assert_eq!(fleet.unaccounted(), 0);
+    }
+
+    #[test]
+    fn reap_error_keeps_unvisited_shards_draining_and_accounted() {
+        // Old shard 1 lives in another seed space: its drain cannot fold.
+        let bad = |i: usize| {
+            NitroSketch::new(
+                CountMin::new(4, 2048, if i == 1 { 99 } else { 7 }),
+                Mode::Fixed { p: 1.0 },
+                100,
+            )
+        };
+        let (mut tap, mut pipeline) = spawn_sharded(bad, quiet(3)).unwrap();
+        feed(&mut tap, (0..30_000u64).map(|i| i % 10));
+        drain(&mut tap, &pipeline, 30_000);
+        // Shrink to shard 0 alone, so the new fleet is merge-compatible.
+        pipeline.rescale(1).unwrap();
+        feed(&mut tap, (0..5_000u64).map(|i| i % 10));
+        drain(&mut tap, &pipeline, 35_000);
+        match pipeline.epoch_view() {
+            Err(PipelineError::Merge { shard: 1, source }) => {
+                assert_eq!(source, CheckpointError::Mismatch("hash seeds"));
+            }
+            other => panic!("expected shard 1's merge error, got {:?}", other.err()),
+        }
+        // Old shard 2 was behind shard 1 on the draining list: it must
+        // still be there to be joined, and shard 1's record must not have
+        // vanished with its sketch.
+        drop(tap);
+        let (_, fleet, degraded) = pipeline.finish_degraded().unwrap();
+        assert!(degraded.is_empty());
+        assert_eq!(fleet.retired().len(), 3);
+        assert_eq!(fleet.total().offered, 35_000);
+        assert_eq!(fleet.unaccounted(), 0);
     }
 
     #[test]

@@ -36,9 +36,8 @@
 
 use crate::clock::{Clock, Nanos, SimClock};
 use crate::cluster::proto::{AgentOutput, AgentSession, AggEvent, AggOutput, AggregatorSession};
-use crate::cluster::wire::{encode_epoch_payload, Message};
+use crate::cluster::wire::{encode_epoch_payload, EpochReport, Message};
 use crate::cluster::ReconnectPolicy;
-use crate::control::EpochReport;
 use crate::store::{CheckpointSink, CheckpointStore, StoreConfig};
 use nitro_core::{Mode, NitroSketch};
 use nitro_hash::xxhash::xxh64_u64;

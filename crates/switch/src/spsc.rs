@@ -12,9 +12,7 @@
 
 use std::cell::{Cell, UnsafeCell};
 use std::mem::MaybeUninit;
-use std::sync::atomic::{fence, AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex};
-use std::time::Duration;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// A bounded wait-free SPSC ring for `Copy` items.
 ///
@@ -279,78 +277,6 @@ impl<T: Send> Drop for SpscBoxRing<T> {
     }
 }
 
-/// Wakes an idle ring consumer without burning the core it shares with the
-/// producer.
-///
-/// A spinning consumer is right while traffic flows — wake-up latency is
-/// one cache miss — but an *idle* measurement thread that spins forever
-/// steals whole scheduler quanta from the datapath. The parker lets the
-/// consumer block on a condvar once the ring has stayed empty, and gives
-/// the producer a one-atomic-load fast path to wake it: when nobody is
-/// parked, [`RingParker::notify`] is a fence plus a relaxed-cost load.
-///
-/// The park/notify race (producer pushes between the consumer's emptiness
-/// check and its sleep) is closed twice over: the consumer re-checks
-/// readiness *after* raising its parked flag (SeqCst fences order the flag
-/// against the ring indices on both sides), and every park carries a
-/// timeout, so even a wakeup lost to an exotic interleaving costs one
-/// bounded nap, never a hang.
-#[derive(Debug, Default)]
-pub struct RingParker {
-    /// Wake permit: set by `notify`, consumed by `park_timeout`.
-    permit: Mutex<bool>,
-    cv: Condvar,
-    /// True while a consumer is inside `park_timeout` (or about to be);
-    /// producers skip the mutex entirely while this is false.
-    parked: AtomicBool,
-}
-
-impl RingParker {
-    /// A parker with no consumer parked and no pending permit.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Consumer: sleep until [`RingParker::notify`] or `timeout`, unless
-    /// `ready` already holds. Call with `ready` re-checking the condition
-    /// the consumer is waiting on (ring non-empty, stop flag) — the check
-    /// runs after the parked flag is raised, which is what makes a
-    /// concurrent push impossible to sleep through.
-    pub fn park_timeout(&self, timeout: Duration, ready: impl FnOnce() -> bool) {
-        self.parked.store(true, Ordering::SeqCst);
-        fence(Ordering::SeqCst);
-        if ready() {
-            self.parked.store(false, Ordering::Relaxed);
-            return;
-        }
-        let mut permit = self.permit.lock().unwrap_or_else(|p| p.into_inner());
-        if !*permit {
-            let (guard, _) = self
-                .cv
-                .wait_timeout(permit, timeout)
-                .unwrap_or_else(|p| p.into_inner());
-            permit = guard;
-        }
-        *permit = false;
-        drop(permit);
-        self.parked.store(false, Ordering::Relaxed);
-    }
-
-    /// Producer: wake the consumer if it is parked. Call after publishing
-    /// work (a ring push) or state the consumer must observe (a stop
-    /// flag). No-op costing one fenced load while the consumer runs hot.
-    #[inline]
-    pub fn notify(&self) {
-        fence(Ordering::SeqCst);
-        if !self.parked.load(Ordering::SeqCst) {
-            return;
-        }
-        let mut permit = self.permit.lock().unwrap_or_else(|p| p.into_inner());
-        *permit = true;
-        self.cv.notify_one();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -599,68 +525,6 @@ mod tests {
         prod.join().unwrap();
         cons.join().unwrap();
         assert!(r.is_empty());
-    }
-
-    #[test]
-    fn parker_wakes_promptly_on_notify() {
-        use std::time::Instant;
-        let p = Arc::new(RingParker::new());
-        let waker = {
-            let p = Arc::clone(&p);
-            std::thread::spawn(move || {
-                std::thread::sleep(Duration::from_millis(5));
-                p.notify();
-            })
-        };
-        let started = Instant::now();
-        // A long timeout that the notify must cut short.
-        p.park_timeout(Duration::from_secs(5), || false);
-        assert!(
-            started.elapsed() < Duration::from_secs(2),
-            "park outlived the notify"
-        );
-        waker.join().unwrap();
-    }
-
-    #[test]
-    fn parker_skips_sleep_when_ready() {
-        use std::time::Instant;
-        let p = RingParker::new();
-        let started = Instant::now();
-        p.park_timeout(Duration::from_secs(5), || true);
-        assert!(
-            started.elapsed() < Duration::from_secs(2),
-            "ready() must bypass the sleep entirely"
-        );
-    }
-
-    #[test]
-    fn parker_timeout_bounds_a_lost_wakeup() {
-        use std::time::Instant;
-        let p = RingParker::new();
-        let started = Instant::now();
-        // Nobody will ever notify: the timeout is the only way out.
-        p.park_timeout(Duration::from_millis(10), || false);
-        assert!(
-            started.elapsed() < Duration::from_secs(5),
-            "timeout never fired"
-        );
-    }
-
-    #[test]
-    fn parker_notify_before_park_leaves_a_permit() {
-        use std::time::Instant;
-        let p = RingParker::new();
-        // Raise the parked flag so the notify takes the slow path and
-        // deposits a permit even though nobody is sleeping yet.
-        p.parked.store(true, Ordering::SeqCst);
-        p.notify();
-        let started = Instant::now();
-        p.park_timeout(Duration::from_secs(5), || false);
-        assert!(
-            started.elapsed() < Duration::from_secs(2),
-            "pre-deposited permit must satisfy the next park"
-        );
     }
 
     #[test]

@@ -1,12 +1,13 @@
 //! Supervised measurement daemon: panic recovery, checkpoint/restore, and
 //! backpressure-driven graceful degradation.
 //!
-//! The plain separate-thread daemon ([`crate::daemon`]) reproduces the
-//! paper's §6 integration but inherits its fragility: a panic in the sketch
-//! thread loses the whole measurement epoch, and a consumer that cannot
-//! keep up silently sheds load at the ring. Production software switches
-//! (the deployment target of §1) need the monitoring plane to degrade
-//! gracefully instead. This module wraps the consumer in a supervisor
+//! The paper's §6 separate-thread integration — the PMD thread pushes flow
+//! keys into a shared SPSC ring, a dedicated sketch thread drains it — is
+//! fragile as described: a panic in the sketch thread loses the whole
+//! measurement epoch, and a consumer that cannot keep up silently sheds
+//! load at the ring. Production software switches (the deployment target
+//! of §1) need the monitoring plane to degrade gracefully instead. This
+//! module is that integration, with the consumer wrapped in a supervisor
 //! thread that:
 //!
 //! 1. **Recovers from panics.** The worker thread runs the sketch; the
@@ -38,7 +39,6 @@
 //! is zero after a clean shutdown.
 
 use crate::clock::{Clock, SystemClock};
-use crate::daemon::{panic_message, Observation};
 use crate::faults::ThreadFaultPlan;
 use crate::ovs::Measurement;
 use crate::spsc::SpscRing;
@@ -53,6 +53,24 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+
+/// A queued observation: flow key + trace timestamp.
+#[derive(Clone, Copy, Debug)]
+pub struct Observation {
+    /// Flow key.
+    pub key: FlowKey,
+    /// Trace timestamp (ns).
+    pub ts_ns: u64,
+}
+
+/// Extract the human-readable message from a `JoinHandle::join` panic
+/// payload, when it is one of the two string types `panic!` produces.
+pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> Option<String> {
+    payload
+        .downcast_ref::<&'static str>()
+        .map(|s| s.to_string())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+}
 
 /// A measurement that can be checkpointed, restored, and downshifted —
 /// everything the supervisor needs for crash recovery and graceful
@@ -880,6 +898,11 @@ mod tests {
             small_nitro,
             SupervisorConfig {
                 checkpoint_every: 5_000,
+                // A clean run is one without backpressure: the ring holds
+                // the whole stream and the downshift mark is out of reach,
+                // however starved the worker is on a loaded host.
+                ring_capacity: 1 << 15,
+                high_water: 2.0,
                 ..Default::default()
             },
         );

@@ -6,7 +6,7 @@
 //! call and charging its wall time to its own cost bucket. The measurement
 //! node is placed "after the VPP IP stack … in a dedicated thread,
 //! minimizing the impact on other VPP plugins" (§6) — the dedicated-thread
-//! variant composes this graph with [`crate::daemon`].
+//! variant composes this graph with [`crate::supervisor`].
 
 use crate::cost::{CostReport, Stage};
 use crate::five_tuple::FiveTuple;

@@ -7,9 +7,9 @@
 
 use nitrosketch::core::{Mode, NitroSketch};
 use nitrosketch::prelude::*;
-use nitrosketch::switch::daemon;
 use nitrosketch::switch::nic::NicSim;
 use nitrosketch::switch::parse::parse_five_tuple;
+use nitrosketch::switch::{spawn_supervised, SupervisorConfig};
 use nitrosketch::traffic::take_records;
 
 fn main() {
@@ -20,18 +20,24 @@ fn main() {
     let truth = GroundTruth::from_records(&records);
 
     // The measurement daemon: Nitro Count Sketch, adaptive line-rate mode.
-    let nitro = NitroSketch::new(
-        CountSketch::new(5, 1 << 15, 21),
-        Mode::AlwaysLineRate {
-            ops_budget: 2_000_000.0,
-            epoch_ns: 10_000_000,
-        },
-        22,
-    )
-    .with_topk(64);
+    let nitro = || {
+        NitroSketch::new(
+            CountSketch::new(5, 1 << 15, 21),
+            Mode::AlwaysLineRate {
+                ops_budget: 2_000_000.0,
+                epoch_ns: 10_000_000,
+            },
+            22,
+        )
+        .with_topk(64)
+    };
     // The paper prevents drops "by using a very large buffer"; size the
     // ring to absorb the p=1 warm-up burst before adaptation kicks in.
-    let (mut tap, daemon) = daemon::spawn(nitro, 1 << 22);
+    let config = SupervisorConfig {
+        ring_capacity: 1 << 22,
+        ..Default::default()
+    };
+    let (mut tap, daemon) = spawn_supervised(nitro(), nitro, config);
 
     // The "switching thread": parse each frame, push the key to the ring.
     let mut nic = NicSim::new(&records);
@@ -54,7 +60,7 @@ fn main() {
     println!("ring drops      : {}", tap.dropped());
 
     // Tear down: the daemon drains the residue and hands the sketch back.
-    let nitro = daemon.finish().expect("daemon exited cleanly");
+    let (nitro, _health) = daemon.finish().expect("daemon exited cleanly");
     let s = nitro.stats();
     println!(
         "daemon          : {} observations, {} row updates (p ended at {})",

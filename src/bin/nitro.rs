@@ -22,8 +22,8 @@ use nitrosketch::switch::faults::FaultInjector;
 use nitrosketch::switch::nic::{NicSim, PacketRecord};
 use nitrosketch::switch::ovs::RunReport;
 use nitrosketch::switch::{
-    spawn_sharded, CheckpointStore, Collector, ControlLink, EpochReport, PipelineConfig,
-    ReplicaConfig, StoreConfig, SupervisorConfig, ThreadFaultPlan,
+    spawn_sharded, CheckpointStore, EpochReport, PipelineConfig, ReplicaConfig, StoreConfig,
+    SupervisorConfig, ThreadFaultPlan,
 };
 use nitrosketch::traffic::{pcap, take_records, UniformFlows};
 use std::collections::HashMap;
@@ -240,8 +240,6 @@ fn cmd_monitor(args: &Args) -> Result<(), String> {
     let p: f64 = args.get("p", 0.01)?;
     let wname: String = args.get("workload", "caida".to_string())?;
 
-    let mut link = ControlLink::gigabit();
-    let mut collector = Collector::new();
     let mut nitro = NitroSketch::new(
         CountSketch::with_memory(2 << 20, 5, seed),
         Mode::Fixed { p },
@@ -249,6 +247,8 @@ fn cmd_monitor(args: &Args) -> Result<(), String> {
     )
     .with_topk(256);
 
+    let mut report_bytes = 0;
+    let mut last_hh = Vec::new();
     for epoch in 0..epochs {
         let records = workload(&wname, seed + epoch, flows, epoch_packets)?;
         let mut dp_keys = Vec::new();
@@ -268,26 +268,24 @@ fn cmd_monitor(args: &Args) -> Result<(), String> {
             switch_id: 1,
             epoch,
             packets: epoch_packets as u64,
-            heavy_hitters: hh.clone(),
+            heavy_hitters: hh,
             entropy_bits: f64::NAN,
             distinct: f64::NAN,
             l2: nitro.inner().l2_estimate(),
             memory_bytes: nitro.memory_bytes() as u64,
         };
-        let (bytes, ns) = link.send(&report);
-        collector.ingest_bytes(&bytes).map_err(|e| e.to_string())?;
+        let bytes = report.to_bytes().len();
         println!(
-            "epoch {epoch}: {} heavy hitters, report {} B ({} ns on the control link)",
-            hh.len(),
-            bytes.len(),
-            ns
+            "epoch {epoch}: {} heavy hitters, report {bytes} B",
+            report.heavy_hitters.len()
         );
+        report_bytes += bytes;
+        last_hh = report.heavy_hitters;
         nitro.clear();
     }
-    let (bytes, reports) = link.totals();
-    println!("\ncontrol link: {reports} reports, {bytes} bytes total");
-    println!("network-wide top flows (controller view):");
-    for (k, e) in collector.network_heavy_hitters().iter().take(10) {
+    println!("\nexported: {epochs} reports, {report_bytes} bytes total");
+    println!("top flows of the last epoch:");
+    for (k, e) in last_hh.iter().take(10) {
         println!("  {k:>18x}  ~{e:.0} packets");
     }
     Ok(())

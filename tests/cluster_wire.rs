@@ -189,7 +189,8 @@ proptest! {
     }
 
     /// Truncating a report anywhere yields a typed `Truncated` with an
-    /// honest byte count.
+    /// honest byte count, and bytes past the last heavy-hitter entry are
+    /// refused the way every `Message` variant refuses them.
     #[test]
     fn truncated_reports_are_typed(
         ids in (prop::num::u64::ANY, prop::num::u64::ANY, prop::num::u64::ANY, prop::num::u64::ANY),
@@ -205,6 +206,12 @@ proptest! {
                 other => prop_assert!(false, "cut {cut}: expected Truncated, got {other:?}"),
             }
         }
+        let mut long = bytes.clone();
+        long.resize(bytes.len() + 1 + cut % 16, 0xA5);
+        prop_assert_eq!(
+            EpochReport::from_bytes(&long),
+            Err(WireError::Malformed("trailing payload bytes"))
+        );
     }
 
     /// The epoch payload (`report ++ snapshot`) round-trips with the

@@ -5,8 +5,8 @@
 use nitrosketch::core::{Mode, NitroSketch};
 use nitrosketch::prelude::*;
 use nitrosketch::switch::bess::BessPipeline;
-use nitrosketch::switch::daemon;
 use nitrosketch::switch::vpp::VppGraph;
+use nitrosketch::switch::{spawn_supervised, SupervisorConfig};
 use nitrosketch::traffic::take_records;
 
 fn nitro() -> NitroSketch<CountSketch> {
@@ -50,12 +50,17 @@ fn separate_thread_agrees_with_inline_at_p1() {
     inline_dp.run_trace(&records);
 
     // Separate thread through the SPSC ring.
-    let (mut tap, daemon) = daemon::spawn(nitro(), 1 << 20);
+    let config = SupervisorConfig {
+        ring_capacity: 1 << 20,
+        ..Default::default()
+    };
+    let (mut tap, daemon) = spawn_supervised(nitro(), nitro, config);
     for r in &records {
         tap.offer(r.tuple.flow_key(), r.ts_ns);
     }
     assert_eq!(tap.dropped(), 0);
-    let threaded = daemon.finish().unwrap();
+    let (threaded, health) = daemon.finish().unwrap();
+    assert_eq!(health.unaccounted(), 0);
 
     for &(k, _) in truth.top_k(20).iter() {
         assert_eq!(
