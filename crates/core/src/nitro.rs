@@ -68,6 +68,8 @@ pub struct NitroSketch<S: RowSketch> {
     row_buf: Vec<Vec<FlowKey>>,
     /// Keys sampled in the current batch (for deferred heap maintenance).
     sampled_keys: Vec<FlowKey>,
+    /// Rows selected for the packet in hand on the batched path.
+    rows_scratch: Vec<usize>,
 }
 
 impl<S: RowSketch> NitroSketch<S> {
@@ -92,6 +94,7 @@ impl<S: RowSketch> NitroSketch<S> {
             stats: NitroStats::default(),
             row_buf: (0..depth).map(|_| Vec::new()).collect(),
             sampled_keys: Vec::new(),
+            rows_scratch: Vec::with_capacity(depth),
             sketch,
             mode,
         }
@@ -225,7 +228,7 @@ impl<S: RowSketch> NitroSketch<S> {
             return 0;
         }
         self.sampled_keys.clear();
-        let mut rows_scratch: Vec<usize> = Vec::with_capacity(self.sketch.depth());
+        let mut rows_scratch = std::mem::take(&mut self.rows_scratch);
         let mut pinv_in_flight = self.pending_pinv;
 
         for &key in keys {
@@ -249,6 +252,7 @@ impl<S: RowSketch> NitroSketch<S> {
             self.sampled_keys.push(key);
         }
         self.flush_rows(pinv_in_flight, weight);
+        self.rows_scratch = rows_scratch;
 
         // Deferred heap maintenance: one estimate per sampled packet, after
         // the counters landed (same ordering as the paper's Fig. 7 step 4).
@@ -439,12 +443,16 @@ impl<S: RowSketch + Checkpoint> NitroSketch<S> {
     /// checkpointing. Restoring on a parameter-compatible instance resumes
     /// measurement with at most the traffic since the snapshot missing.
     pub fn snapshot(&self) -> Vec<u8> {
-        let inner = self.sketch.snapshot();
-        let topk_entries: Vec<(FlowKey, f64)> = self
-            .topk
-            .as_ref()
-            .map_or_else(Vec::new, |t| t.entries().collect());
-        let mut e = Encoder::new(NITRO_MAGIC, 80 + topk_entries.len() * 16 + inner.len());
+        let mut out = Vec::new();
+        self.snapshot_into(&mut out);
+        out
+    }
+
+    /// [`Self::snapshot`] appended to `out` — one pass over the counters
+    /// and, into a cleared recycled buffer, no allocation: the wrapped
+    /// sketch writes its blob in place behind a back-patched length.
+    pub fn snapshot_into(&self, out: &mut Vec<u8>) {
+        let mut e = Encoder::new(out, NITRO_MAGIC);
         let mode = self.mode.export();
         e.f64(mode.p).u8(mode.converged as u8).u64(mode.packets);
         e.u64(self.stats.packets)
@@ -454,12 +462,11 @@ impl<S: RowSketch + Checkpoint> NitroSketch<S> {
             .u64(self.stats.rejected)
             .u64(self.stats.downshifts);
         e.u8(self.topk.is_some() as u8);
-        e.u32(topk_entries.len() as u32);
-        for (k, est) in topk_entries {
+        e.u32(self.topk.as_ref().map_or(0, TopK::len) as u32);
+        for (k, est) in self.topk.iter().flat_map(TopK::entries) {
             e.u64(k).f64(est);
         }
-        e.bytes(&inner);
-        e.finish()
+        e.nested(|out| self.sketch.snapshot_into(out));
     }
 
     /// Restore a [`Self::snapshot`] into this instance. The receiver must
@@ -487,7 +494,12 @@ impl<S: RowSketch + Checkpoint> NitroSketch<S> {
             rejected: d.u64()?,
             downshifts: d.u64()?,
         };
+        // Checked before the first write: everything below the inner
+        // restore commits, and an error must leave `self` untouched.
         let had_topk = d.u8()? != 0;
+        if had_topk && self.topk.is_none() {
+            return Err(CheckpointError::Mismatch("top-k tracker"));
+        }
         // Bound the entry count by the bytes actually present before
         // reserving: a corrupt count must fail, not amplify into a
         // multi-gigabyte allocation.
@@ -497,8 +509,8 @@ impl<S: RowSketch + Checkpoint> NitroSketch<S> {
         for _ in 0..n_topk {
             topk_entries.push((d.u64()?, d.f64()?));
         }
-        // Inner sketch last: its restore validates compatibility, so a
-        // mismatched snapshot fails before we commit anything above.
+        // Inner sketch last: it decodes into the live counters, but only
+        // after its own checks passed — the last point this can fail.
         self.sketch.restore(d.bytes()?)?;
         self.mode.import(mode);
         self.stats = stats;
@@ -507,8 +519,6 @@ impl<S: RowSketch + Checkpoint> NitroSketch<S> {
             for (k, est) in topk_entries {
                 t.offer(k, est);
             }
-        } else if had_topk {
-            return Err(CheckpointError::Mismatch("top-k tracker"));
         }
         self.sampler.set_p(mode.p);
         let depth = self.sketch.depth() as u64;

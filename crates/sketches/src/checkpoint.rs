@@ -9,10 +9,9 @@
 //! supervisor uses; `CountMin`, `CountSketch` and `KarySketch` implement it
 //! in their own modules.
 //!
-//! The wire format follows the `control.rs` byte-codec conventions from
-//! `nitro-switch`: a little-endian, self-describing layout with a per-type
-//! magic word and explicit length checks — no external serialization
-//! dependency, every byte accounted for.
+//! The wire format is a little-endian, self-describing layout with a
+//! per-type magic word and explicit length checks — no external
+//! serialization dependency, every byte accounted for.
 //!
 //! A snapshot embeds the sketch geometry (depth, width, per-row hash
 //! seeds); [`Checkpoint::restore`] verifies them against the receiving
@@ -88,12 +87,24 @@ impl std::error::Error for CheckpointError {}
 /// disjoint streams equals the sketch of the concatenated stream
 /// (linearity).
 pub trait Checkpoint: Sized {
-    /// Serialize the full counter state to the checkpoint wire format.
-    fn snapshot(&self) -> Vec<u8>;
+    /// Append the full counter state to `out` in the checkpoint wire
+    /// format — the one definition of the format. Appending lets a wrapper
+    /// nest this blob inside its own ([`Encoder::nested`]); a caller
+    /// recycling a buffer clears it first and pays no allocation.
+    fn snapshot_into(&self, out: &mut Vec<u8>);
 
-    /// Load a snapshot into this instance. The receiver must have been
-    /// built with the same parameters (depth, width, seed); geometry and
-    /// hash seeds are verified before any state is touched.
+    /// [`Checkpoint::snapshot_into`] a fresh buffer.
+    fn snapshot(&self) -> Vec<u8> {
+        let mut out = Vec::new();
+        self.snapshot_into(&mut out);
+        out
+    }
+
+    /// Load a snapshot into this instance, decoding straight into its
+    /// existing counters. The receiver must have been built with the same
+    /// parameters (depth, width, seed); geometry, hash seeds and length are
+    /// verified before any state is touched, so an error leaves `self`
+    /// exactly as it was.
     fn restore(&mut self, bytes: &[u8]) -> Result<(), CheckpointError>;
 
     /// Fold another instance's counters into this one (linearity).
@@ -137,17 +148,34 @@ pub trait Checkpoint: Sized {
     }
 }
 
-/// Little-endian checkpoint encoder (the `control.rs` codec idiom).
-#[derive(Debug, Default)]
-pub struct Encoder {
-    buf: Vec<u8>,
+/// Values staged per [`extend_le`] block: 4 KB of bytes, L1-resident.
+const LE_BLOCK: usize = 512;
+
+/// Append `vs` as little-endian 8-byte words. Staging a block at a time
+/// makes the copy into `buf` one `extend_from_slice` per 4 KB instead of a
+/// capacity check per value — memcpy speed over a multi-megabyte arena.
+fn extend_le<T: Copy>(buf: &mut Vec<u8>, vs: &[T], to_le: impl Fn(T) -> [u8; 8]) {
+    buf.reserve(vs.len() * 8);
+    let mut block = [0u8; LE_BLOCK * 8];
+    for group in vs.chunks(LE_BLOCK) {
+        let bytes = &mut block[..group.len() * 8];
+        for (dst, &v) in bytes.chunks_exact_mut(8).zip(group) {
+            dst.copy_from_slice(&to_le(v));
+        }
+        buf.extend_from_slice(bytes);
+    }
 }
 
-impl Encoder {
-    /// Start a snapshot with a type magic word followed by the format
-    /// version byte ([`CHECKPOINT_VERSION`]).
-    pub fn new(magic: u32, capacity_hint: usize) -> Self {
-        let mut buf = Vec::with_capacity(9 + capacity_hint);
+/// Little-endian checkpoint encoder, appending to a caller-owned buffer.
+#[derive(Debug)]
+pub struct Encoder<'a> {
+    buf: &'a mut Vec<u8>,
+}
+
+impl<'a> Encoder<'a> {
+    /// Start a snapshot at the end of `buf` with a type magic word followed
+    /// by the format version byte ([`CHECKPOINT_VERSION`]).
+    pub fn new(buf: &'a mut Vec<u8>, magic: u32) -> Self {
         buf.extend_from_slice(&magic.to_le_bytes());
         buf.push(CHECKPOINT_VERSION);
         Self { buf }
@@ -179,30 +207,26 @@ impl Encoder {
 
     /// Append a u64 slice.
     pub fn u64s(&mut self, vs: &[u64]) -> &mut Self {
-        for &v in vs {
-            self.buf.extend_from_slice(&v.to_le_bytes());
-        }
+        extend_le(self.buf, vs, u64::to_le_bytes);
         self
     }
 
     /// Append an f64 slice.
     pub fn f64s(&mut self, vs: &[f64]) -> &mut Self {
-        for &v in vs {
-            self.buf.extend_from_slice(&v.to_le_bytes());
-        }
+        extend_le(self.buf, vs, f64::to_le_bytes);
         self
     }
 
-    /// Append a length-prefixed nested byte blob.
-    pub fn bytes(&mut self, vs: &[u8]) -> &mut Self {
-        self.u64(vs.len() as u64);
-        self.buf.extend_from_slice(vs);
+    /// Append a length-prefixed nested blob that `write` appends in place:
+    /// the u64 length is back-patched once the blob's size is known, so the
+    /// blob is never built in a buffer of its own and copied.
+    pub fn nested(&mut self, write: impl FnOnce(&mut Vec<u8>)) -> &mut Self {
+        let prefix = self.buf.len();
+        self.u64(0);
+        write(self.buf);
+        let len = (self.buf.len() - prefix - 8) as u64;
+        self.buf[prefix..prefix + 8].copy_from_slice(&len.to_le_bytes());
         self
-    }
-
-    /// Finish and take the buffer.
-    pub fn finish(self) -> Vec<u8> {
-        self.buf
     }
 }
 
@@ -287,12 +311,18 @@ impl<'a> Decoder<'a> {
         Ok((0..n).map(|_| self.u64().unwrap()).collect())
     }
 
-    /// Read `n` f64 values into `out` (checked to hold exactly `n`).
+    /// Fill `out` with the next `out.len()` f64 values. All or nothing:
+    /// the byte budget is checked before the first slot is written, so on
+    /// error `out` is untouched — in-place `restore` relies on this being
+    /// its last fallible step.
     pub fn f64s_into(&mut self, out: &mut [f64]) -> Result<(), CheckpointError> {
-        self.need(out.len() * 8)?;
-        for slot in out.iter_mut() {
-            *slot = self.f64().unwrap();
+        let total = out.len() * 8;
+        self.need(total)?;
+        let src = &self.data[self.at..self.at + total];
+        for (slot, word) in out.iter_mut().zip(src.chunks_exact(8)) {
+            *slot = f64::from_le_bytes(word.try_into().unwrap());
         }
+        self.at += total;
         Ok(())
     }
 
@@ -360,10 +390,12 @@ mod tests {
 
     #[test]
     fn encoder_decoder_roundtrip() {
-        let mut e = Encoder::new(0xABCD_1234, 0);
+        let mut buf = Vec::new();
+        let mut e = Encoder::new(&mut buf, 0xABCD_1234);
         e.u8(7).u32(42).u64(1 << 50).f64(-2.5);
-        e.u64s(&[1, 2, 3]).f64s(&[0.5, 1.5]).bytes(b"nested");
-        let buf = e.finish();
+        e.u64s(&[1, 2, 3])
+            .f64s(&[0.5, 1.5])
+            .nested(|out| out.extend_from_slice(b"nested"));
 
         let mut d = Decoder::new(&buf, 0xABCD_1234).unwrap();
         assert_eq!(d.u8().unwrap(), 7);
@@ -376,6 +408,22 @@ mod tests {
         assert_eq!(fs, [0.5, 1.5]);
         assert_eq!(d.bytes().unwrap(), b"nested");
         assert_eq!(d.remaining(), 0);
+    }
+
+    #[test]
+    fn slices_round_trip_across_staging_block_edges() {
+        for n in [0, 1, LE_BLOCK - 1, LE_BLOCK, LE_BLOCK + 1, 3 * LE_BLOCK + 7] {
+            let fs: Vec<f64> = (0..n).map(|i| i as f64 - 0.5).collect();
+            let us: Vec<u64> = (0..n as u64).map(|i| i.wrapping_mul(0x9E37_79B9)).collect();
+            let mut buf = Vec::new();
+            Encoder::new(&mut buf, 5).f64s(&fs).u64s(&us);
+            assert_eq!(buf.len(), 5 + 16 * n);
+            let mut d = Decoder::new(&buf, 5).unwrap();
+            let mut back = vec![f64::NAN; n];
+            d.f64s_into(&mut back).unwrap();
+            assert_eq!(back, fs, "n = {n}");
+            assert_eq!(d.u64s(n).unwrap(), us, "n = {n}");
+        }
     }
 
     #[test]
@@ -398,9 +446,8 @@ mod tests {
 
     #[test]
     fn current_version_accepted() {
-        let mut e = Encoder::new(7, 0);
-        e.u64(9);
-        let buf = e.finish();
+        let mut buf = Vec::new();
+        Encoder::new(&mut buf, 7).u64(9);
         assert_eq!(buf[4], CHECKPOINT_VERSION, "version byte follows magic");
         let mut d = Decoder::new(&buf, 7).unwrap();
         assert_eq!(d.u64().unwrap(), 9);
@@ -410,9 +457,8 @@ mod tests {
     fn oversized_length_prefixes_are_errors_not_allocations() {
         // A corrupt u64 length prefix near u64::MAX must neither allocate
         // nor overflow offset arithmetic.
-        let mut e = Encoder::new(3, 0);
-        e.u64(u64::MAX - 7);
-        let buf = e.finish();
+        let mut buf = Vec::new();
+        Encoder::new(&mut buf, 3).u64(u64::MAX - 7);
         let mut d = Decoder::new(&buf, 3).unwrap();
         assert!(matches!(d.bytes(), Err(CheckpointError::Truncated { .. })));
         let d2 = Decoder::new(&buf, 3).unwrap();
@@ -433,9 +479,8 @@ mod tests {
 
     #[test]
     fn peek_header_reads_magic_and_version_without_consuming() {
-        let mut e = Encoder::new(0xFEED_BEEF, 0);
-        e.u64(11);
-        let buf = e.finish();
+        let mut buf = Vec::new();
+        Encoder::new(&mut buf, 0xFEED_BEEF).u64(11);
         assert_eq!(
             Decoder::peek_header(&buf).unwrap(),
             (0xFEED_BEEF, CHECKPOINT_VERSION)
@@ -456,8 +501,8 @@ mod tests {
 
     #[test]
     fn bad_magic_rejected() {
-        let e = Encoder::new(1, 0);
-        let buf = e.finish();
+        let mut buf = Vec::new();
+        Encoder::new(&mut buf, 1);
         assert_eq!(
             Decoder::new(&buf, 2).unwrap_err(),
             CheckpointError::BadMagic
@@ -466,15 +511,13 @@ mod tests {
 
     #[test]
     fn truncation_reported_not_panicked() {
-        let mut e = Encoder::new(9, 0);
-        e.u64(5);
-        let buf = e.finish();
+        let mut buf = Vec::new();
+        Encoder::new(&mut buf, 9).u64(5);
         let mut d = Decoder::new(&buf[..8], 9).unwrap();
         assert!(matches!(d.u64(), Err(CheckpointError::Truncated { .. })));
         // NaN round-trips bit-exactly through the f64 codec.
-        let mut e = Encoder::new(9, 0);
-        e.f64(f64::NAN);
-        let buf = e.finish();
+        let mut buf = Vec::new();
+        Encoder::new(&mut buf, 9).f64(f64::NAN);
         let mut d = Decoder::new(&buf, 9).unwrap();
         assert!(d.f64().unwrap().is_nan());
     }

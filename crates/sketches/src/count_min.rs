@@ -31,6 +31,8 @@ pub struct CountMin {
     row_ss: Vec<f64>,
     /// Total weight inserted (the stream's L1), used by derived statistics.
     total: f64,
+    /// Hash scratch of [`RowSketch::update_row_batch`], kept across calls.
+    hashes: Vec<u64>,
 }
 
 impl CountMin {
@@ -48,6 +50,7 @@ impl CountMin {
             conservative: false,
             row_ss: vec![0.0; depth],
             total: 0.0,
+            hashes: Vec::new(),
         }
     }
 
@@ -184,10 +187,10 @@ impl RowSketch for CountMin {
     }
 
     fn update_row_batch(&mut self, row: usize, keys: &[FlowKey], delta: f64) {
-        let mut hashes = Vec::with_capacity(keys.len());
-        nitro_hash::batch::xxh64_u64_batch(keys, self.seeds[row], &mut hashes);
+        self.hashes.clear();
+        nitro_hash::batch::xxh64_u64_batch(keys, self.seeds[row], &mut self.hashes);
         let base = row * self.width;
-        for h in hashes {
+        for &h in &self.hashes {
             let i = base + reduce(h, self.width);
             let c = self.counters[i];
             self.counters[i] = c + delta;
@@ -246,17 +249,13 @@ impl RowSketch for CountMin {
 const CM_MAGIC: u32 = 0x434D_534B;
 
 impl crate::checkpoint::Checkpoint for CountMin {
-    fn snapshot(&self) -> Vec<u8> {
-        let mut e = crate::checkpoint::Encoder::new(
-            CM_MAGIC,
-            16 + self.seeds.len() * 8 + self.counters.len() * 8 + 16,
-        );
+    fn snapshot_into(&self, out: &mut Vec<u8>) {
+        let mut e = crate::checkpoint::Encoder::new(out, CM_MAGIC);
         e.u32(self.depth as u32).u32(self.width as u32);
         e.u64s(&self.seeds);
         e.u8(self.conservative as u8);
         e.f64(self.total);
         e.f64s(&self.counters);
-        e.finish()
     }
 
     fn restore(&mut self, bytes: &[u8]) -> Result<(), crate::checkpoint::CheckpointError> {
@@ -273,12 +272,11 @@ impl crate::checkpoint::Checkpoint for CountMin {
         }
         let conservative = d.u8()? != 0;
         let total = d.f64()?;
-        let mut counters = vec![0.0; self.depth * self.width];
-        d.f64s_into(&mut counters)?;
-        // All reads succeeded — commit, then recompute the derived Σ C².
+        // Last fallible step, and all-or-nothing: from here on we commit,
+        // then recompute the derived Σ C².
+        d.f64s_into(&mut self.counters)?;
         self.conservative = conservative;
         self.total = total;
-        self.counters = counters;
         for r in 0..self.depth {
             self.row_ss[r] = self.counters[r * self.width..(r + 1) * self.width]
                 .iter()

@@ -26,6 +26,8 @@ pub struct CountSketch {
     signs: Vec<SignHash>,
     /// Incrementally maintained Σ C² per row (O(1) convergence checks).
     row_ss: Vec<f64>,
+    /// Hash scratch of [`RowSketch::update_row_batch`], kept across calls.
+    hashes: Vec<u64>,
 }
 
 impl CountSketch {
@@ -50,6 +52,7 @@ impl CountSketch {
             seeds,
             signs,
             row_ss: vec![0.0; depth],
+            hashes: Vec::new(),
         }
     }
 
@@ -148,10 +151,10 @@ impl RowSketch for CountSketch {
     }
 
     fn update_row_batch(&mut self, row: usize, keys: &[FlowKey], delta: f64) {
-        let mut hashes = Vec::with_capacity(keys.len());
-        nitro_hash::batch::xxh64_u64_batch(keys, self.seeds[row], &mut hashes);
+        self.hashes.clear();
+        nitro_hash::batch::xxh64_u64_batch(keys, self.seeds[row], &mut self.hashes);
         let base = row * self.width;
-        for (h, &k) in hashes.into_iter().zip(keys) {
+        for (&h, &k) in self.hashes.iter().zip(keys) {
             let i = base + reduce(h, self.width);
             let c = self.counters[i];
             let d = delta * self.signs[row].sign_f64(k);
@@ -232,18 +235,14 @@ impl crate::traits::UnivLayer for CountSketch {
 const CS_MAGIC: u32 = 0x4353_534B;
 
 impl crate::checkpoint::Checkpoint for CountSketch {
-    fn snapshot(&self) -> Vec<u8> {
-        let mut e = crate::checkpoint::Encoder::new(
-            CS_MAGIC,
-            8 + self.seeds.len() * 8 + self.counters.len() * 8,
-        );
+    fn snapshot_into(&self, out: &mut Vec<u8>) {
+        let mut e = crate::checkpoint::Encoder::new(out, CS_MAGIC);
         e.u32(self.depth as u32).u32(self.width as u32);
         // Sign hashes derive from the same seed chain as the row seeds, so
         // seed equality implies sign-hash equality — no need to serialize
         // the sign functions themselves.
         e.u64s(&self.seeds);
         e.f64s(&self.counters);
-        e.finish()
     }
 
     fn restore(&mut self, bytes: &[u8]) -> Result<(), crate::checkpoint::CheckpointError> {
@@ -258,9 +257,8 @@ impl crate::checkpoint::Checkpoint for CountSketch {
         if d.u64s(self.depth)? != self.seeds {
             return Err(CheckpointError::Mismatch("hash seeds"));
         }
-        let mut counters = vec![0.0; self.depth * self.width];
-        d.f64s_into(&mut counters)?;
-        self.counters = counters;
+        // Last fallible step, and all-or-nothing: from here on we commit.
+        d.f64s_into(&mut self.counters)?;
         for r in 0..self.depth {
             self.row_ss[r] = self.counters[r * self.width..(r + 1) * self.width]
                 .iter()

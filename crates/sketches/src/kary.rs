@@ -26,6 +26,8 @@ pub struct KarySketch {
     row_sums: Vec<f64>,
     /// Incrementally maintained Σ C² per row (O(1) convergence checks).
     row_ss: Vec<f64>,
+    /// Hash scratch of [`RowSketch::update_row_batch`], kept across calls.
+    hashes: Vec<u64>,
 }
 
 impl KarySketch {
@@ -41,6 +43,7 @@ impl KarySketch {
             seeds: seq.derive_n(depth),
             row_sums: vec![0.0; depth],
             row_ss: vec![0.0; depth],
+            hashes: Vec::new(),
         }
     }
 
@@ -181,10 +184,10 @@ impl RowSketch for KarySketch {
     }
 
     fn update_row_batch(&mut self, row: usize, keys: &[FlowKey], delta: f64) {
-        let mut hashes = Vec::with_capacity(keys.len());
-        nitro_hash::batch::xxh64_u64_batch(keys, self.seeds[row], &mut hashes);
+        self.hashes.clear();
+        nitro_hash::batch::xxh64_u64_batch(keys, self.seeds[row], &mut self.hashes);
         let base = row * self.width;
-        for h in hashes {
+        for &h in &self.hashes {
             let i = base + reduce(h, self.width);
             let c = self.counters[i];
             self.counters[i] = c + delta;
@@ -239,15 +242,11 @@ impl RowSketch for KarySketch {
 const KA_MAGIC: u32 = 0x4B41_534B;
 
 impl crate::checkpoint::Checkpoint for KarySketch {
-    fn snapshot(&self) -> Vec<u8> {
-        let mut e = crate::checkpoint::Encoder::new(
-            KA_MAGIC,
-            8 + self.seeds.len() * 8 + self.counters.len() * 8,
-        );
+    fn snapshot_into(&self, out: &mut Vec<u8>) {
+        let mut e = crate::checkpoint::Encoder::new(out, KA_MAGIC);
         e.u32(self.depth as u32).u32(self.width as u32);
         e.u64s(&self.seeds);
         e.f64s(&self.counters);
-        e.finish()
     }
 
     fn restore(&mut self, bytes: &[u8]) -> Result<(), crate::checkpoint::CheckpointError> {
@@ -262,9 +261,8 @@ impl crate::checkpoint::Checkpoint for KarySketch {
         if d.u64s(self.depth)? != self.seeds {
             return Err(CheckpointError::Mismatch("hash seeds"));
         }
-        let mut counters = vec![0.0; self.depth * self.width];
-        d.f64s_into(&mut counters)?;
-        self.counters = counters;
+        // Last fallible step, and all-or-nothing: from here on we commit.
+        d.f64s_into(&mut self.counters)?;
         // Row sums and Σ C² are derived state — recompute by scan.
         for r in 0..self.depth {
             let row = &self.counters[r * self.width..(r + 1) * self.width];

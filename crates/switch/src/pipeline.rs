@@ -15,11 +15,11 @@
 //! answers global queries by merging per-shard state: at each epoch it
 //! snapshots every shard through the checkpoint codec (on-demand, so the
 //! staleness collapses to the in-flight batch), restores each snapshot
-//! into a blank template, and folds them with
-//! [`NitroSketch::try_merge_from`] into one global sketch — point, heavy-
-//! hitter, and L2 queries run on the merged view. Every view carries a
-//! per-shard [`ShardStaleness`] record; the sum of the per-shard bounds
-//! bounds the observations missing from the whole view.
+//! in place into one scratch sketch it keeps between views, and folds
+//! them with [`NitroSketch::try_merge_from`] into one global sketch —
+//! point, heavy-hitter, and L2 queries run on the merged view. Every view
+//! carries a per-shard [`ShardStaleness`] record; the sum of the per-shard
+//! bounds bounds the observations missing from the whole view.
 //!
 //! **Failover.** With [`PipelineConfig::replicate`] set, every shard
 //! streams its checkpoint deltas to a warm standby ([`crate::replica`]).
@@ -208,18 +208,6 @@ impl From<StoreError> for PipelineError {
 /// Tag a checkpoint/merge failure with the shard whose state it was.
 fn merge_error(shard: usize) -> impl Fn(CheckpointError) -> PipelineError {
     move |source| PipelineError::Merge { shard, source }
-}
-
-/// `bytes` (one of shard `shard`'s checkpoints) restored into a clone of
-/// the blank `template`.
-fn restore_clone<S: RowSketch + Checkpoint + Clone>(
-    template: &NitroSketch<S>,
-    shard: usize,
-    bytes: &[u8],
-) -> Result<NitroSketch<S>, PipelineError> {
-    let mut m = template.clone();
-    m.restore(bytes).map_err(merge_error(shard))?;
-    Ok(m)
 }
 
 /// A pending dispatcher re-steer, applied by the producer at the next
@@ -644,7 +632,10 @@ where
         let left = match joined {
             Ok((m, _)) => Ok((Some(m), None)),
             Err(spent @ SupervisorError::RestartBudgetExhausted { .. }) => fallback
-                .map(|bytes| restore_clone(&template, index, &bytes))
+                .map(|bytes| {
+                    let mut m = NitroSketch::clone(&template);
+                    m.restore(&bytes).map(|()| m).map_err(merge_error(index))
+                })
                 .transpose()
                 .map(|m| (m, Some(spent))),
             Err(source) => Err(PipelineError::Shard {
@@ -681,8 +672,14 @@ where
     carryover: NitroSketch<S>,
     /// Final health records of retired daemons.
     retired: Vec<DaemonHealth>,
-    /// Blank, geometry-defining instance snapshots are restored into.
+    /// Blank, geometry-defining instance of the live fleet's hash space.
     template: Arc<NitroSketch<S>>,
+    /// The sketch every live shard's snapshot is restored into, in place,
+    /// one after the other, on every epoch view: a template clone made on
+    /// first use and kept, so a view allocates no counter arena. Dropped
+    /// when the fleet is respawned (rescale, seed rotation) — the next
+    /// view clones the then-current template.
+    scratch: Option<NitroSketch<S>>,
     epoch: u64,
     snapshot_timeout: Duration,
     spawner: ShardSpawner<S>,
@@ -897,10 +894,10 @@ where
         let (store, report) = CheckpointStore::recover(dir, store_config)?;
         config.shards = store.num_shards();
         config.store = Some(store);
-        let initial: Vec<Option<Vec<u8>>> = report
+        let initial = report
             .recovered
             .iter()
-            .map(|r| r.as_ref().map(|f| f.bytes.clone()))
+            .map(|r| r.as_ref().map(|f| f.bytes.as_slice()))
             .collect();
         let (tap, pipeline) = spawn_with_initial(factory, config, initial)?;
         pipeline.spawner.registry.record(Event::RecoveryReport {
@@ -1085,6 +1082,7 @@ where
         old_template: Arc<NitroSketch<S>>,
     ) -> u64 {
         let band = self.alloc_band();
+        self.scratch = None;
         let blanks = (0..n).map(|i| (self.spawner.factory)(i)).collect();
         let (taps, shards, standbys) = self.spawner.spawn_fleet(blanks, band);
         let old_shards = std::mem::replace(&mut self.shards, shards);
@@ -1179,7 +1177,7 @@ where
     /// Rotate an epoch: promote any failed-or-tripped shard that has a
     /// standby, snapshot every live shard (on-demand, falling back to the
     /// latest periodic checkpoint for an unresponsive shard), restore each
-    /// into a blank template clone, and merge them — plus the carryover
+    /// in place into the scratch sketch, and merge them — plus the carryover
     /// and any still-draining rescaled-away shards — into one global
     /// sketch. The pipeline keeps running throughout — rotation never
     /// stalls a producer or a worker, and with replication enabled a view
@@ -1192,6 +1190,10 @@ where
             .try_merge_from(&self.carryover)
             .expect("carryover is template-derived and always geometry-compatible");
         let mut staleness = Vec::with_capacity(self.shards.len() + self.draining.len());
+        let mut scratch = self
+            .scratch
+            .take()
+            .unwrap_or_else(|| NitroSketch::clone(&self.template));
         for idx in 0..self.shards.len() {
             let Some((bytes, stale)) = self.shards[idx].epoch_snapshot(self.snapshot_timeout)
             else {
@@ -1203,13 +1205,14 @@ where
                 });
             };
             let shard_id = self.shards[idx].index();
-            let restored = restore_clone(&self.template, shard_id, &bytes)?;
-            self.observe_skew(idx, &restored);
+            scratch.restore(&bytes).map_err(merge_error(shard_id))?;
+            self.observe_skew(idx, &scratch);
             merged
-                .try_merge_from(&restored)
+                .try_merge_from(&scratch)
                 .map_err(merge_error(shard_id))?;
             staleness.push(stale);
         }
+        self.scratch = Some(scratch);
         // Still-draining rescaled- or rotated-away shards own their
         // traffic until reaped: snapshot and fold them too. (Replaced
         // primaries are skipped — the promoted standby already serves
@@ -1222,7 +1225,10 @@ where
                 continue;
             };
             let index = d.shard.index();
-            let restored = restore_clone(&d.template, index, &bytes)?;
+            // Its own template: after a rotation that is another hash
+            // space than the scratch sketch's.
+            let mut restored = NitroSketch::clone(&d.template);
+            restored.restore(&bytes).map_err(merge_error(index))?;
             d.mode
                 .fold(&mut merged, &restored)
                 .map_err(merge_error(index))?;
@@ -1399,7 +1405,7 @@ where
 fn spawn_with_initial<S, F>(
     factory: F,
     config: PipelineConfig,
-    initial: Vec<Option<Vec<u8>>>,
+    initial: Vec<Option<&[u8]>>,
 ) -> Result<(ShardedTap, ShardedPipeline<S>), PipelineError>
 where
     S: RowSketch + Checkpoint + Clone + Send + 'static,
@@ -1429,7 +1435,7 @@ where
     for (i, recovered) in initial.into_iter().enumerate() {
         let mut m = (spawner.factory)(i);
         if let Some(bytes) = recovered {
-            m.restore(&bytes).map_err(merge_error(i))?;
+            m.restore(bytes).map_err(merge_error(i))?;
         }
         measurements.push(m);
     }
@@ -1452,6 +1458,7 @@ where
             carryover: NitroSketch::clone(&template),
             retired: Vec::new(),
             template,
+            scratch: None,
             epoch: 0,
             snapshot_timeout: config.snapshot_timeout,
             spawner,

@@ -423,25 +423,36 @@ mod tests {
 
     #[test]
     fn full_delta_ring_counts_lag_and_next_delta_recovers() {
-        let (sink, standby) = spawn_standby(
-            small_nitro(),
-            0,
-            1,
-            0,
-            None,
-            &ReplicaConfig {
-                delta_ring: 2,
-                ..Default::default()
-            },
-        );
+        // The applier starts only after the flood, so how many frames the
+        // 2-slot ring drops is decided here, not by the scheduler.
+        let ring = Arc::new(SpscBoxRing::new(2));
+        let shared = Arc::new(ReplicaShared::default());
+        let sink = ReplicaSink {
+            durable: None,
+            ring: Arc::clone(&ring),
+            shared: Arc::clone(&shared),
+            shard: 0,
+            generation: 1,
+            seq_base: 0,
+        };
         let mut primary = small_nitro();
-        // Flood far past the ring capacity before the applier can drain.
         for seq in 1..=50u64 {
             primary.process(7, 1.0);
             sink.persist(seq, seq, &primary.snapshot()).unwrap();
         }
+        assert_eq!(
+            shared.lagged.load(Ordering::Relaxed),
+            48,
+            "a 2-slot ring holds the first two of 50 frames"
+        );
+        let standby = StandbyHandle {
+            handle: {
+                let shared = Arc::clone(&shared);
+                std::thread::spawn(move || run_applier(small_nitro(), 0, &ring, &shared))
+            },
+            shared,
+        };
         wait_for(|| standby.applied() >= 1, "at least one delta applied");
-        assert!(standby.lagged() > 0, "tiny ring must have dropped frames");
         // The next snapshot that lands refreshes the shadow regardless of
         // how many were dropped; retry until one clears the full ring.
         let mut seq = 50;

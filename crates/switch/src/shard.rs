@@ -104,7 +104,7 @@ impl<M: Recoverable + Send + 'static> Shard<M> {
     /// report the staleness either way. `None` never happens for shards
     /// spawned through the pipeline (a pristine checkpoint is stored at
     /// spawn), but the type is honest about the empty slot.
-    pub fn epoch_snapshot(&self, timeout: Duration) -> Option<(Vec<u8>, ShardStaleness)> {
+    pub fn epoch_snapshot(&self, timeout: Duration) -> Option<(Arc<Vec<u8>>, ShardStaleness)> {
         let view = self.daemon.checkpoint_now(timeout)?;
         let staleness = ShardStaleness {
             shard: self.index,

@@ -186,6 +186,21 @@ struct ShardLog {
     frames_in_active: u64,
     /// Id the active segment takes when sealed (monotonic per shard).
     next_segment: u64,
+    /// The frame being appended, assembled here under the shard's lock and
+    /// kept between appends: a multi-megabyte frame re-uses warm pages
+    /// instead of faulting in a fresh allocation per checkpoint.
+    frame: Vec<u8>,
+}
+
+impl ShardLog {
+    fn new(next_segment: u64) -> Mutex<Self> {
+        Mutex::new(Self {
+            file: None,
+            frames_in_active: 0,
+            next_segment,
+            frame: Vec::new(),
+        })
+    }
 }
 
 /// The append-only crash-consistent checkpoint log for one fleet.
@@ -287,18 +302,7 @@ impl CheckpointStore {
             appends: AtomicU64::new(0),
             persisted: AtomicU64::new(0),
             fault_plan: None,
-            logs: RwLock::new(
-                next_segments
-                    .into_iter()
-                    .map(|next_segment| {
-                        Mutex::new(ShardLog {
-                            file: None,
-                            frames_in_active: 0,
-                            next_segment,
-                        })
-                    })
-                    .collect(),
-            ),
+            logs: RwLock::new(next_segments.into_iter().map(ShardLog::new).collect()),
         }
     }
 
@@ -432,11 +436,7 @@ impl CheckpointStore {
         let mut logs = self.logs.write().unwrap_or_else(|p| p.into_inner());
         for i in logs.len()..new_shards {
             fs::create_dir_all(shard_dir(&self.dir, i))?;
-            logs.push(Mutex::new(ShardLog {
-                file: None,
-                frames_in_active: 0,
-                next_segment: 0,
-            }));
+            logs.push(ShardLog::new(0));
         }
         write_manifest(&self.dir, self.generation, new_shards)?;
         self.shards.store(new_shards, Ordering::Release);
@@ -458,10 +458,21 @@ impl CheckpointStore {
             .fault_plan
             .as_ref()
             .map_or(DiskAction::Pass, DiskFaultPlan::next_action);
-        if action == DiskAction::IoError {
-            return Err(io::Error::other("injected transient I/O error"));
+        match action {
+            DiskAction::IoError => {
+                return Err(io::Error::other("injected transient I/O error"));
+            }
+            // A torn write IS the crash instant, so the store freezes the
+            // moment the fault is drawn — not once the frame is assembled,
+            // which would let a sibling shard slip a whole frame in behind
+            // the "crash".
+            DiskAction::TornWrite => self.freeze(),
+            _ => {}
         }
-        let mut frame = encode_frame(shard, self.generation, seq, processed_at, payload);
+        let logs = self.logs.read().unwrap_or_else(|p| p.into_inner());
+        let mut log = logs[shard].lock().unwrap_or_else(|p| p.into_inner());
+        let ShardLog { file, frame, .. } = &mut *log;
+        encode_frame_into(frame, shard, self.generation, seq, processed_at, payload);
         match action {
             DiskAction::BitFlip => {
                 // Flip one payload bit, deterministically placed by the
@@ -473,30 +484,24 @@ impl CheckpointStore {
             }
             DiskAction::TornWrite => {
                 // Keep the header and roughly half the payload — the
-                // classic torn tail. The store freezes: a torn write IS
-                // the crash instant.
+                // classic torn tail.
                 frame.truncate(FRAME_HEADER + payload.len() / 2);
-                self.freeze();
             }
             _ => {}
         }
-        let logs = self.logs.read().unwrap_or_else(|p| p.into_inner());
-        let mut log = logs[shard].lock().unwrap_or_else(|p| p.into_inner());
         let sdir = shard_dir(&self.dir, shard);
-        if log.file.is_none() {
-            log.file = Some(
+        if file.is_none() {
+            *file = Some(
                 OpenOptions::new()
                     .append(true)
                     .create(true)
                     .open(sdir.join("active.log"))?,
             );
         }
-        {
-            let f = log.file.as_mut().unwrap();
-            f.write_all(&frame)?;
-            if self.cfg.fsync {
-                f.sync_data()?;
-            }
+        let f = file.as_mut().unwrap();
+        f.write_all(frame)?;
+        if self.cfg.fsync {
+            f.sync_data()?;
         }
         if action == DiskAction::TornWrite {
             return Err(io::Error::new(
@@ -639,9 +644,9 @@ fn sync_dir(dir: &Path) -> io::Result<()> {
     Ok(())
 }
 
-/// Encode one frame: header + payload + xxHash64 trailer. Shared with the
-/// replication layer, whose delta stream is this exact wire format — a
-/// standby applies the same bytes a recovery scan would return.
+/// Encode one frame into a fresh buffer. Shared with the replication
+/// layer, whose delta stream is this exact wire format — a standby applies
+/// the same bytes a recovery scan would return.
 pub(crate) fn encode_frame(
     shard: usize,
     generation: u64,
@@ -650,6 +655,21 @@ pub(crate) fn encode_frame(
     payload: &[u8],
 ) -> Vec<u8> {
     let mut buf = Vec::with_capacity(FRAME_HEADER + payload.len() + FRAME_TRAILER);
+    encode_frame_into(&mut buf, shard, generation, seq, processed_at, payload);
+    buf
+}
+
+/// The frame format: header + payload + xxHash64 trailer, replacing the
+/// contents of `buf`.
+fn encode_frame_into(
+    buf: &mut Vec<u8>,
+    shard: usize,
+    generation: u64,
+    seq: u64,
+    processed_at: u64,
+    payload: &[u8],
+) {
+    buf.clear();
     buf.extend_from_slice(&FRAME_MAGIC.to_le_bytes());
     buf.push(STORE_VERSION);
     buf.push(0); // reserved flags
@@ -660,9 +680,8 @@ pub(crate) fn encode_frame(
     buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
     debug_assert_eq!(buf.len(), FRAME_HEADER);
     buf.extend_from_slice(payload);
-    let crc = xxh64(&buf, CRC_SEED);
+    let crc = xxh64(buf, CRC_SEED);
     buf.extend_from_slice(&crc.to_le_bytes());
-    buf
 }
 
 /// Why a frame scan stopped.
@@ -1178,6 +1197,51 @@ mod tests {
         let (_, report) = CheckpointStore::recover(&dir, StoreConfig::default()).unwrap();
         assert_eq!(report.torn_tails_truncated, 1);
         assert_eq!(report.recovered[0].as_ref().unwrap().seq, 1);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn recycled_frame_buffer_writes_the_bytes_encode_frame_would() {
+        let dir = tmpdir("recycled");
+        let plan = DiskFaultPlan::new();
+        let cfg = StoreConfig {
+            rotate_after: 2,
+            keep_segments: 2,
+            fsync: false,
+        };
+        let store = CheckpointStore::create(&dir, 1, cfg)
+            .unwrap()
+            .with_fault_plan(plan.clone());
+        let w = store.writer(0);
+        // Long, longer, short, long: a stale tail left in the per-shard
+        // buffer by a longer frame must never reach the file.
+        let payloads = [
+            payload(1, 64),
+            payload(2, 200),
+            payload(3, 32),
+            payload(4, 100),
+        ];
+        let frame = |seq: u64| encode_frame(0, 1, seq, seq * 10, &payloads[seq as usize - 1]);
+        w.persist(1, 10, &payloads[0]).unwrap();
+        plan.bit_flip_after(0);
+        w.persist(2, 20, &payloads[1]).unwrap(); // second frame: seals seg-0
+        w.persist(3, 30, &payloads[2]).unwrap();
+        plan.torn_write_after(0);
+        assert!(w.persist(4, 40, &payloads[3]).is_err());
+
+        let mut flipped = frame(2);
+        flipped[FRAME_HEADER + (xxh64(&2u64.to_le_bytes(), 1) as usize) % 200] ^= 1 << 2;
+        let sdir = shard_dir(&dir, 0);
+        assert_eq!(
+            fs::read(sdir.join("seg-00000000.log")).unwrap(),
+            [frame(1), flipped].concat()
+        );
+        let mut torn = frame(4);
+        torn.truncate(FRAME_HEADER + 50);
+        assert_eq!(
+            fs::read(sdir.join("active.log")).unwrap(),
+            [frame(3), torn].concat()
+        );
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -18,8 +18,10 @@
 //!    checkpoint interval plus one in-flight batch.
 //! 2. **Checkpoints periodically.** Every `checkpoint_every` consumed
 //!    observations the worker serialises the measurement (via
-//!    [`Recoverable::checkpoint_bytes`], the byte codec from
-//!    `nitro_sketches::checkpoint`) into a shared slot.
+//!    [`Recoverable::checkpoint_into`], the byte codec from
+//!    `nitro_sketches::checkpoint`) into a spare buffer and swaps it with
+//!    the shared slot; the displaced buffer is the next spare, so the
+//!    steady state allocates nothing. Readers share the slot by refcount.
 //! 3. **Detects stalls.** A watchdog observes the consumed-observation
 //!    counter; if the ring is non-empty but consumption has not advanced
 //!    within `stall_timeout`, the supervisor bumps a generation counter
@@ -76,9 +78,10 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> Option<Stri
 /// everything the supervisor needs for crash recovery and graceful
 /// degradation.
 pub trait Recoverable: Measurement {
-    /// Serialise the full measurement state (geometry + counters) into a
-    /// self-describing byte checkpoint.
-    fn checkpoint_bytes(&self) -> Vec<u8>;
+    /// Serialise the full measurement state (geometry + counters) into
+    /// `out` as a self-describing byte checkpoint, replacing its contents
+    /// and reusing its allocation.
+    fn checkpoint_into(&self, out: &mut Vec<u8>);
 
     /// Replace this measurement's state with a checkpoint taken from a
     /// compatible instance. Must leave `self` untouched on error.
@@ -99,8 +102,9 @@ pub trait Recoverable: Measurement {
 }
 
 impl<S: RowSketch + Checkpoint> Recoverable for NitroSketch<S> {
-    fn checkpoint_bytes(&self) -> Vec<u8> {
-        self.snapshot()
+    fn checkpoint_into(&self, out: &mut Vec<u8>) {
+        out.clear();
+        self.snapshot_into(out);
     }
 
     fn restore_bytes(&mut self, bytes: &[u8]) -> Result<(), CheckpointError> {
@@ -297,7 +301,9 @@ struct Shared {
     /// `processed` at the moment the stored checkpoint was taken — the
     /// basis of the query plane's per-shard staleness bound.
     checkpoint_processed: AtomicU64,
-    checkpoint: Mutex<Option<Vec<u8>>>,
+    /// The latest checkpoint. Readers clone the `Arc`, never the bytes;
+    /// the worker swaps whole buffers in (see `store_checkpoint`).
+    checkpoint: Mutex<Option<Arc<Vec<u8>>>>,
     high_water: f64,
 }
 
@@ -325,8 +331,15 @@ impl Shared {
     /// comes first: a crash between the two steps loses only the
     /// in-memory copy, which recovery rebuilds from disk anyway. A sink
     /// error is counted by omission (`checkpoints - persisted`) and the
-    /// worker simply retries at its next checkpoint.
-    fn publish_checkpoint(&self, bytes: Vec<u8>, processed_at: u64, sink: Option<&SinkHandle>) {
+    /// worker simply retries at its next checkpoint. Returns the buffer
+    /// the slot held before, for the caller to encode its next checkpoint
+    /// into.
+    fn publish_checkpoint(
+        &self,
+        bytes: Vec<u8>,
+        processed_at: u64,
+        sink: Option<&SinkHandle>,
+    ) -> Vec<u8> {
         if let Some(sink) = sink {
             let seq = self.tel.checkpoints.get() + 1;
             let started = Instant::now();
@@ -342,21 +355,28 @@ impl Shared {
                 });
             }
         }
-        self.store_checkpoint(bytes, processed_at);
+        self.store_checkpoint(bytes, processed_at)
     }
 
-    fn store_checkpoint(&self, bytes: Vec<u8>, processed_at: u64) {
+    /// Swap `bytes` into the slot and hand back the displaced buffer —
+    /// unless a reader still holds it, in which case the reader keeps its
+    /// bytes unchanged and the caller gets a fresh, empty one.
+    fn store_checkpoint(&self, bytes: Vec<u8>, processed_at: u64) -> Vec<u8> {
         let mut slot = self
             .checkpoint
             .lock()
             .unwrap_or_else(|poisoned| poisoned.into_inner());
-        *slot = Some(bytes);
+        let displaced = slot.replace(Arc::new(bytes));
         self.checkpoint_processed
             .store(processed_at, Ordering::Release);
         self.tel.checkpoints.incr();
+        drop(slot);
+        displaced
+            .and_then(|shared| Arc::try_unwrap(shared).ok())
+            .unwrap_or_default()
     }
 
-    fn load_checkpoint(&self) -> Option<Vec<u8>> {
+    fn load_checkpoint(&self) -> Option<Arc<Vec<u8>>> {
         self.checkpoint
             .lock()
             .unwrap_or_else(|poisoned| poisoned.into_inner())
@@ -366,7 +386,7 @@ impl Shared {
     /// Load the stored checkpoint together with the `processed` count it
     /// was taken at (read under the same lock ordering: bytes first, then
     /// the release-published counter).
-    fn load_checkpoint_with_processed(&self) -> Option<(Vec<u8>, u64)> {
+    fn load_checkpoint_with_processed(&self) -> Option<(Arc<Vec<u8>>, u64)> {
         let slot = self
             .checkpoint
             .lock()
@@ -452,8 +472,10 @@ impl Measurement for SupervisedTap {
 /// the numbers the epoch-merged query plane needs to bound its staleness.
 #[derive(Clone, Debug)]
 pub struct CheckpointView {
-    /// The serialized measurement ([`Recoverable::checkpoint_bytes`]).
-    pub bytes: Vec<u8>,
+    /// The serialized measurement ([`Recoverable::checkpoint_into`]),
+    /// shared with the daemon's slot by refcount: holding a view copies
+    /// nothing and never blocks or is changed by the next checkpoint.
+    pub bytes: Arc<Vec<u8>>,
     /// Observations processed when this checkpoint was taken.
     pub processed_at: u64,
     /// Observations processed since the checkpoint — updates this view has
@@ -601,6 +623,9 @@ fn run_worker<M: Recoverable>(
     let mut buf = [Observation { key: 0, ts_ns: 0 }; 64];
     let mut idle_spins = 0u32;
     let mut since_checkpoint = 0u64;
+    // The buffer the next checkpoint is encoded into; every publish swaps
+    // it for the one the slot held, so two buffers circulate.
+    let mut spare = Vec::new();
     publish_gauges(&m, &shared.tel);
     loop {
         if shared.generation.load(Ordering::Acquire) != my_generation {
@@ -627,7 +652,8 @@ fn run_worker<M: Recoverable>(
             // On-demand epoch snapshot: serialize the current state so the
             // query plane's staleness collapses to the in-flight batch. One
             // checkpoint satisfies every request queued so far.
-            shared.publish_checkpoint(m.checkpoint_bytes(), shared.tel.processed.get(), sink);
+            m.checkpoint_into(&mut spare);
+            spare = shared.publish_checkpoint(spare, shared.tel.processed.get(), sink);
             shared.snapshot_acks.store(snap_requests, Ordering::Release);
         }
         let n = shared.ring.pop_batch(&mut buf);
@@ -665,7 +691,8 @@ fn run_worker<M: Recoverable>(
         since_checkpoint += n as u64;
         if since_checkpoint >= checkpoint_every {
             since_checkpoint = 0;
-            shared.publish_checkpoint(m.checkpoint_bytes(), shared.tel.processed.get(), sink);
+            m.checkpoint_into(&mut spare);
+            spare = shared.publish_checkpoint(spare, shared.tel.processed.get(), sink);
             publish_gauges(&m, &shared.tel);
             if let Some(plan) = plan {
                 // Fault-injection point for replication: the checkpoint
@@ -735,7 +762,9 @@ where
     // periodic checkpoint restores to "empty but correctly configured"
     // rather than to nothing — and with a sink, a process crash before the
     // first periodic checkpoint recovers the same way from disk.
-    shared.publish_checkpoint(measurement.checkpoint_bytes(), 0, config.sink.as_ref());
+    let mut pristine = Vec::new();
+    measurement.checkpoint_into(&mut pristine);
+    shared.publish_checkpoint(pristine, 0, config.sink.as_ref());
 
     let handle = {
         let shared = Arc::clone(&shared);
@@ -999,8 +1028,9 @@ mod tests {
             }
         }
         impl Recoverable for Molasses {
-            fn checkpoint_bytes(&self) -> Vec<u8> {
-                self.seen.to_le_bytes().to_vec()
+            fn checkpoint_into(&self, out: &mut Vec<u8>) {
+                out.clear();
+                out.extend_from_slice(&self.seen.to_le_bytes());
             }
             fn restore_bytes(&mut self, bytes: &[u8]) -> Result<(), CheckpointError> {
                 let mut raw = [0u8; 8];
@@ -1051,8 +1081,9 @@ mod tests {
             }
         }
         impl Recoverable for Gate {
-            fn checkpoint_bytes(&self) -> Vec<u8> {
-                self.seen.to_le_bytes().to_vec()
+            fn checkpoint_into(&self, out: &mut Vec<u8>) {
+                out.clear();
+                out.extend_from_slice(&self.seen.to_le_bytes());
             }
             fn restore_bytes(&mut self, bytes: &[u8]) -> Result<(), CheckpointError> {
                 let mut raw = [0u8; 8];
@@ -1273,6 +1304,113 @@ mod tests {
         assert!(
             records.windows(2).all(|w| w[0].1 <= w[1].1),
             "processed-at never goes backwards"
+        );
+    }
+
+    /// `(address after encoding, arrived without an allocation)` of every
+    /// buffer a [`Recycling`] checkpoint was encoded into.
+    type BufferLog = Arc<Mutex<Vec<(usize, bool)>>>;
+
+    /// Counts observations; its checkpoint is a page of bytes, and it logs
+    /// the buffer it was handed, so a test can see which allocations the
+    /// checkpoint path cycles through.
+    struct Recycling {
+        seen: u64,
+        buffers: BufferLog,
+    }
+    impl Measurement for Recycling {
+        fn on_packet(&mut self, _key: FlowKey, _ts: u64, _w: f64) {
+            self.seen += 1;
+        }
+    }
+    impl Recoverable for Recycling {
+        fn checkpoint_into(&self, out: &mut Vec<u8>) {
+            let fresh = out.capacity() == 0;
+            out.clear();
+            out.resize(4096, self.seen as u8);
+            let mut log = self.buffers.lock().unwrap();
+            log.push((out.as_ptr() as usize, fresh));
+        }
+        fn restore_bytes(&mut self, _bytes: &[u8]) -> Result<(), CheckpointError> {
+            Ok(())
+        }
+    }
+
+    /// A [`Recycling`] daemon checkpointing every 16 observations — with
+    /// 64-observation batches, at most every 16 + 63.
+    fn spawn_recycling() -> (SupervisedTap, SupervisedDaemon<Recycling>, BufferLog) {
+        let buffers = Arc::new(Mutex::new(Vec::new()));
+        let make = {
+            let buffers = Arc::clone(&buffers);
+            move || Recycling {
+                seen: 0,
+                buffers: Arc::clone(&buffers),
+            }
+        };
+        let (tap, daemon) = spawn_supervised(
+            make(),
+            make,
+            SupervisorConfig {
+                checkpoint_every: 16,
+                ring_capacity: 1 << 14,
+                high_water: 2.0,
+                ..Default::default()
+            },
+        );
+        (tap, daemon, buffers)
+    }
+
+    #[test]
+    fn periodic_checkpoints_cycle_two_buffers_when_nobody_reads() {
+        let (mut tap, daemon, buffers) = spawn_recycling();
+        offer_all(&mut tap, 0..8_000u64);
+        let (_, health) = daemon.finish().unwrap();
+        assert!(health.checkpoints >= 50, "too few checkpoints: {health}");
+        let log = buffers.lock().unwrap();
+        assert_eq!(log.len() as u64, health.checkpoints);
+        assert!(
+            log[2..].iter().all(|&(_, fresh)| !fresh),
+            "after the pristine and the first periodic checkpoint every buffer is a recycled one"
+        );
+        let mut distinct: Vec<usize> = log.iter().map(|&(at, _)| at).collect();
+        distinct.sort_unstable();
+        distinct.dedup();
+        assert_eq!(distinct.len(), 2, "slot and spare are the only buffers");
+    }
+
+    #[test]
+    fn a_held_view_is_neither_blocked_on_nor_overwritten() {
+        let (mut tap, daemon, buffers) = spawn_recycling();
+        offer_all(&mut tap, 0..200u64);
+        let wait_for_checkpoints = |n: u64| {
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while daemon.health().checkpoints < n {
+                assert!(Instant::now() < deadline, "worker stopped checkpointing");
+                std::thread::yield_now();
+            }
+        };
+        wait_for_checkpoints(2);
+        let held = daemon.latest_checkpoint().unwrap();
+        let seen_by_reader = held.bytes.to_vec();
+        // Three more publishes: with the reader holding the slot's buffer
+        // the worker must take a fresh one, not wait and not reuse it.
+        let before = daemon.health().checkpoints;
+        offer_all(&mut tap, 0..400u64);
+        wait_for_checkpoints(before + 3);
+        // Nothing left to process: no checkpoint is encoded after this,
+        // so `newer` below pins no buffer the log would see replaced.
+        while daemon.processed() < 600 {
+            std::thread::yield_now();
+        }
+        assert_eq!(*held.bytes, seen_by_reader, "a reader's bytes never change");
+        let newer = daemon.latest_checkpoint().unwrap();
+        assert!(newer.processed_at > held.processed_at);
+        assert!(!Arc::ptr_eq(&newer.bytes, &held.bytes));
+        assert_eq!(daemon.finish().unwrap().1.unaccounted(), 0);
+        let fresh = buffers.lock().unwrap().iter().filter(|b| b.1).count();
+        assert_eq!(
+            fresh, 3,
+            "one allocation replaces the one buffer the reader pins"
         );
     }
 
