@@ -92,6 +92,8 @@ pub struct ShardSnapshot {
     pub generation: u64,
     /// Sequence band of this instance.
     pub seq_band: u64,
+    /// Observations processed since the newest persisted checkpoint.
+    pub persist_lag: u64,
     /// Collision-skew load factor (`NaN` when `null`).
     pub skew_load: f64,
     /// Sign-bias skew (`NaN` when `null`).
@@ -270,6 +272,7 @@ fn shard(v: &Json) -> ShardSnapshot {
         failed: gb("failed"),
         generation: g("generation"),
         seq_band: g("seq_band"),
+        persist_lag: g("persist_lag"),
         skew_load: gf("skew_load"),
         sign_bias: gf("sign_bias"),
         delta: DeltaCounters {
@@ -495,6 +498,7 @@ mod tests {
         a.popped.add(990);
         a.processed.add(980);
         a.dropped.add(10);
+        a.persisted_at.set(900);
         a.ring_capacity.set(1 << 16);
         a.ring_occupancy.set_f64(0.25);
         a.backlog.set(123);
@@ -530,6 +534,7 @@ mod tests {
         assert_eq!(s0.health.lost_in_crash, 10, "popped - processed");
         assert_eq!(s0.ring_capacity, 1 << 16);
         assert_eq!(s0.backlog, 123);
+        assert_eq!(s0.persist_lag, 80, "processed 980, persisted at 900");
         assert_eq!(s0.ring_occupancy, 0.25);
         assert_eq!(s0.sampling_p, 0.5);
         assert_eq!(s0.mode_code, 1);

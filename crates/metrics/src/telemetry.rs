@@ -857,6 +857,9 @@ pub struct ShardTelemetry {
     pub generation: TelemetryCell,
     /// Sequence band this instance's frames are stamped into.
     pub seq_band: TelemetryCell,
+    /// `processed` when the newest persisted checkpoint was taken; the
+    /// base of [`ShardTelemetry::persist_lag`].
+    pub persisted_at: TelemetryCell,
     /// Collision-skew load factor from the last epoch view — `max |cell|`
     /// over balanced mean, minimized across rows (f64 bits; see
     /// `nitro_core::anomaly`). 0 until the first epoch view.
@@ -867,7 +870,8 @@ pub struct ShardTelemetry {
 
     /// Per-batch processing latency (pop → sketch-applied), nanoseconds.
     pub batch_ns: LatencyHistogram,
-    /// Durable checkpoint persist latency, nanoseconds.
+    /// Durable checkpoint persist latency, nanoseconds (timed on the
+    /// daemon's writer thread, off the sketch thread).
     pub persist_ns: LatencyHistogram,
     /// Standby delta-apply latency (decode + restore), nanoseconds.
     pub delta_apply_ns: LatencyHistogram,
@@ -909,6 +913,7 @@ impl ShardTelemetry {
             failed: TelemetryCell::default(),
             generation: TelemetryCell::default(),
             seq_band: TelemetryCell::default(),
+            persisted_at: TelemetryCell::default(),
             skew_load: TelemetryCell::default(),
             sign_bias: TelemetryCell::default(),
             batch_ns: LatencyHistogram::new(),
@@ -938,6 +943,14 @@ impl ShardTelemetry {
         self.mode_code.set(g.mode_code);
         self.converged.set(g.converged as u64);
         self.topk_len.set(g.topk_len);
+    }
+
+    /// Observations processed since the newest persisted checkpoint was
+    /// taken: what a process crash right now would lose, besides the
+    /// in-flight batch. Without a durable sink nothing is persisted and
+    /// this equals `processed`.
+    pub fn persist_lag(&self) -> u64 {
+        self.processed.get().saturating_sub(self.persisted_at.get())
     }
 
     /// The instant-readable [`DaemonHealth`] equivalent. Mid-flight this
@@ -1318,6 +1331,11 @@ impl TelemetryRegistry {
                 "nitro_seq_band",
                 "Sequence band this instance's frames are stamped into.",
                 |t| t.seq_band.get(),
+            ),
+            (
+                "nitro_persist_lag",
+                "Observations processed since the newest persisted checkpoint.",
+                |t| t.persist_lag(),
             ),
         ];
         for (name, help, get) in gauges {
@@ -1719,7 +1737,7 @@ fn json_shard(tel: &ShardTelemetry) -> String {
          \"gauges\":{{\"ring_occupancy\":{},\"ring_capacity\":{},\"backlog\":{},\
          \"sampling_p\":{},\"mode_code\":{},\"converged\":{},\"topk_len\":{},\
          \"breaker_open\":{},\"failed\":{},\"generation\":{},\"seq_band\":{},\
-         \"skew_load\":{},\"sign_bias\":{}}},\
+         \"persist_lag\":{},\"skew_load\":{},\"sign_bias\":{}}},\
          \"delta\":{{\"streamed\":{},\"lagged\":{},\"applied\":{},\"rejected\":{},\"stale\":{}}},\
          \"store\":{{\"frames\":{},\"bytes\":{}}},\
          \"batch_ns\":{},\"persist_ns\":{},\"delta_apply_ns\":{}}}",
@@ -1737,6 +1755,7 @@ fn json_shard(tel: &ShardTelemetry) -> String {
         tel.failed.get(),
         tel.generation.get(),
         tel.seq_band.get(),
+        tel.persist_lag(),
         json_f64(tel.skew_load.get_f64()),
         json_f64(tel.sign_bias.get_f64()),
         tel.delta_streamed.get(),

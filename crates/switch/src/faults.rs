@@ -10,7 +10,7 @@
 use crate::packet::Packet;
 use nitro_hash::Xoshiro256StarStar;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 /// Token-bucket rate limiter over packets.
 #[derive(Clone, Debug)]
@@ -236,12 +236,14 @@ impl ThreadFaultPlan {
         self.remaining.store(n, Ordering::Release);
     }
 
-    /// Arm: panic right after the worker publishes its `n`-th periodic
-    /// checkpoint from now (0-based). With replication enabled every
+    /// Arm: panic right after the worker's `n`-th periodic checkpoint from
+    /// now (0-based) is published. With replication enabled every
     /// published checkpoint is also a streamed delta, so this kills the
     /// primary mid-delta-stream: the frame is already in flight to the
-    /// standby but no further observation reaches the primary. Fires via
-    /// [`ThreadFaultPlan::check_checkpoint`], one-shot per arming.
+    /// standby. Without a sink no further observation reaches the primary;
+    /// with one, the batches it popped while the writer persisted the
+    /// checkpoint do. Fires via [`ThreadFaultPlan::check_checkpoint`],
+    /// one-shot per arming.
     pub fn promote_during_delta(&self, n: u64) {
         self.checkpoint_remaining.store(n, Ordering::Release);
     }
@@ -274,8 +276,9 @@ impl ThreadFaultPlan {
 
     /// Account one published checkpoint; panics when the armed
     /// [`promote_during_delta`](ThreadFaultPlan::promote_during_delta)
-    /// countdown crosses zero. Called by the supervised worker right after
-    /// each periodic checkpoint publish.
+    /// countdown crosses zero. Called by the supervised worker once each
+    /// periodic checkpoint is published: at once when it publishes inline,
+    /// at its first loop iteration after the writer published otherwise.
     pub fn check_checkpoint(&self) {
         let before = self.checkpoint_remaining.load(Ordering::Acquire);
         if before == u64::MAX {
@@ -308,6 +311,10 @@ pub enum DiskAction {
     /// Write the frame with one payload bit flipped — silent media
     /// corruption, detectable only by the frame checksum at recovery.
     BitFlip,
+    /// Hold the append until [`DiskFaultPlan::release`], then write the
+    /// frame normally — a disk that has stopped answering, without
+    /// depending on the real disk to be slow.
+    Block,
 }
 
 /// Disk-level fault plan for the durable checkpoint store: deterministic,
@@ -324,6 +331,8 @@ pub struct DiskFaultPlan {
     bit_flip_after: Arc<AtomicU64>,
     /// Faults fired so far (all kinds).
     fired: Arc<AtomicU64>,
+    /// The [`DiskAction::Block`] latch: `true` while appends are held.
+    blocked: Arc<(Mutex<bool>, Condvar)>,
 }
 
 impl DiskFaultPlan {
@@ -334,7 +343,41 @@ impl DiskFaultPlan {
             io_fail_after: Arc::new(AtomicU64::new(u64::MAX)),
             bit_flip_after: Arc::new(AtomicU64::new(u64::MAX)),
             fired: Arc::new(AtomicU64::new(0)),
+            blocked: Arc::default(),
         }
+    }
+
+    /// Close the latch: every append from now on is a
+    /// [`DiskAction::Block`] until [`DiskFaultPlan::release`].
+    pub fn block_appends(&self) {
+        *self.latch() = true;
+    }
+
+    /// Open the latch: held appends proceed and new ones pass.
+    pub fn release(&self) {
+        *self.latch() = false;
+        self.blocked.1.notify_all();
+    }
+
+    /// Wait until the latch is open (the store's side of a
+    /// [`DiskAction::Block`]).
+    pub(crate) fn wait_released(&self) {
+        let mut blocked = self.latch();
+        while *blocked {
+            blocked = self
+                .blocked
+                .1
+                .wait(blocked)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+
+    // A bool is valid after any update, so a poisoned lock is recoverable.
+    fn latch(&self) -> MutexGuard<'_, bool> {
+        self.blocked
+            .0
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Arm a torn write: the `n`-th append from now (0-based) writes only
@@ -359,11 +402,17 @@ impl DiskFaultPlan {
         self.fired.load(Ordering::Acquire)
     }
 
-    /// Account one append and decide its fate. Each armed countdown
-    /// decrements per call; a countdown crossing zero fires exactly once
-    /// and disarms. When several fire simultaneously the most destructive
-    /// wins (torn > io error > bit flip).
+    /// Account one append and decide its fate. While the latch is closed
+    /// every append is a [`DiskAction::Block`] and the countdowns stand
+    /// still. Otherwise each armed countdown decrements per call; a
+    /// countdown crossing zero fires exactly once and disarms. When several
+    /// fire simultaneously the most destructive wins (torn > io error >
+    /// bit flip).
     pub fn next_action(&self) -> DiskAction {
+        if *self.latch() {
+            self.fired.fetch_add(1, Ordering::AcqRel);
+            return DiskAction::Block;
+        }
         let mut action = DiskAction::Pass;
         // Tick in reverse priority so the strongest simultaneous fault
         // overwrites the weaker ones.
@@ -1096,6 +1145,25 @@ mod tests {
         assert_eq!(plan.next_action(), DiskAction::TornWrite);
         assert_eq!(plan.fired(), 3, "all three armed countdowns fired");
         assert_eq!(plan.next_action(), DiskAction::Pass);
+    }
+
+    #[test]
+    fn disk_block_latch_freezes_countdowns() {
+        // Holding and releasing a real append is pinned end to end by
+        // `supervisor::tests::blocked_disk_never_stops_measurement`.
+        let plan = DiskFaultPlan::new();
+        plan.torn_write_after(1);
+        plan.block_appends();
+        assert_eq!(plan.next_action(), DiskAction::Block);
+        assert_eq!(plan.next_action(), DiskAction::Block);
+        plan.release();
+        plan.wait_released(); // an open latch never waits
+        assert_eq!(plan.next_action(), DiskAction::Pass);
+        assert_eq!(
+            plan.next_action(),
+            DiskAction::TornWrite,
+            "blocked appends did not tick the countdown"
+        );
     }
 
     #[test]

@@ -111,8 +111,9 @@ pub struct PipelineConfig {
     /// Durable checkpoint store: when set, every shard's checkpoints are
     /// persisted to its per-shard segment log, and
     /// [`ShardedPipeline::recover_from`] can rebuild the fleet after full
-    /// process death with at most one checkpoint interval of loss per
-    /// shard. Must be sized for exactly `shards` shards.
+    /// process death, losing per shard at most its `persist_lag` plus one
+    /// batch (see [`ShardedPipeline::recover_from`]). Must be sized for
+    /// exactly `shards` shards.
     pub store: Option<Arc<CheckpointStore>>,
     /// Hot-standby replication: when set, every shard streams checkpoint
     /// deltas to a warm shadow sketch and the coordinator promotes the
@@ -877,8 +878,11 @@ where
     /// measurement, and spawns the fleet around the reopened store under a
     /// bumped generation. `config.shards` is overridden by the manifest's
     /// shard count; `config.store` by the reopened store. Per-shard loss
-    /// relative to the crashed process is bounded by one checkpoint
-    /// interval plus that shard's in-flight batch and undrained ring.
+    /// relative to the crashed process is what the shard had processed
+    /// since its newest persisted checkpoint — the `persist_lag` gauge:
+    /// at most `checkpoint_every` plus the updates made during one
+    /// in-flight persist — plus that shard's in-flight batch and undrained
+    /// ring.
     ///
     /// The returned [`RecoveryReport`] says what was repaired; health
     /// counters restart at zero for the new incarnation.
@@ -1669,6 +1673,13 @@ mod tests {
             persisted >= 3,
             "each shard persists at least its pristine state"
         );
+        // What the crash may cost each shard: everything processed since
+        // its newest persisted checkpoint, plus one in-flight batch.
+        let bound: u64 = pipeline
+            .shards()
+            .iter()
+            .map(|s| s.telemetry().persist_lag() + 64)
+            .sum();
         drop(tap);
         pipeline.simulate_crash();
 
@@ -1687,15 +1698,13 @@ mod tests {
         .unwrap();
         assert_eq!(report.shards, 3);
         assert_eq!(report.generation, 2);
-        // Per-shard loss ≤ one checkpoint interval + one in-flight batch;
         // Count-Min never undercounts, so the recovered totals bracket the
         // truth from below by exactly that bound.
         let view = recovered.epoch_view().unwrap();
         let total: f64 = (0..8u64).map(|f| view.estimate(f)).sum();
-        let bound = 3.0 * (1_000.0 + 64.0);
         assert!(
-            total >= 24_000.0 - bound,
-            "recovered total {total} lost more than one checkpoint interval per shard"
+            total >= 24_000.0 - bound as f64,
+            "recovered total {total} lost more than the unpersisted {bound}"
         );
         assert!(total <= 24_000.0, "Count-Min cannot overshoot offered here");
         // The recovered fleet is live: new traffic lands on the restored
@@ -1927,6 +1936,10 @@ mod tests {
             );
             std::thread::yield_now();
         }
+        // Without a store the replica sink is the persist: the standby
+        // holds the newest persisted checkpoint, so the dead primary's
+        // `persist_lag` is what the promotion may cost.
+        let delta_lag = pipeline.shards()[0].telemetry().persist_lag();
         // The rotation promotes the standby in-line: no degraded view.
         let view = pipeline.epoch_view().unwrap();
         assert_eq!(pipeline.promotions(), 1);
@@ -1953,14 +1966,14 @@ mod tests {
             !fleet.retired().is_empty(),
             "the replaced primary's record is retained"
         );
-        // The standby carried the state: estimates are within one delta
-        // interval (checkpoint_every + one batch) of the truth on the
-        // failed shard, exact elsewhere.
+        // The standby carried the state: estimates are within the dead
+        // primary's unstreamed updates of the truth on the failed shard,
+        // exact elsewhere.
         let total: f64 = (0..16u64).map(|f| merged.estimate(f)).sum();
         assert!(total <= 28_000.0);
         assert!(
-            total >= 28_000.0 - (500.0 + 64.0) - fleet.total().lost_in_crash as f64,
-            "promotion may cost at most one delta interval: {total}"
+            total >= 28_000.0 - delta_lag as f64 - fleet.total().lost_in_crash as f64,
+            "promotion may cost at most the {delta_lag} unstreamed updates: {total}"
         );
     }
 

@@ -7,10 +7,11 @@
 //! forever. *Distributed Recoverable Sketches* (PAPERS.md) observes that
 //! sketch state is small and linear enough to replicate continuously
 //! without weakening the error guarantee — a few hundred KB per shard buys
-//! a standby that is never more than one checkpoint interval behind.
+//! a standby that is never more than one checkpoint interval (plus one
+//! in-flight persist) behind.
 //!
-//! **Wire format.** Every periodic checkpoint the primary's worker
-//! publishes is also encoded as one `switch::store` CRC frame (magic,
+//! **Wire format.** Every periodic checkpoint the primary publishes
+//! (through its writer thread, which calls this sink) is also encoded as one `switch::store` CRC frame (magic,
 //! version, shard, generation, based sequence, processed-at, payload,
 //! xxHash64 trailer — `store::encode_frame`) and pushed onto a bounded
 //! SPSC ring of owned buffers ([`crate::spsc::SpscBoxRing`]). The standby

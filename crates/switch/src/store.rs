@@ -38,8 +38,9 @@
 //! **Recovery.** [`CheckpointStore::recover`] reads the manifest, scans
 //! each shard's segments oldest-to-newest, truncates any torn tail off the
 //! active segment, rejects corrupt or version-incompatible frames, and
-//! returns the newest valid frame per shard — at most one checkpoint
-//! interval behind the crashed process. The reopened store continues
+//! returns the newest valid frame per shard — behind the crashed process
+//! by that shard's `persist_lag` (one checkpoint interval plus the updates
+//! made during one in-flight persist). The reopened store continues
 //! appending under a bumped generation without clobbering surviving
 //! segments.
 
@@ -448,11 +449,9 @@ impl CheckpointStore {
     /// I/O failure).
     fn append(&self, shard: usize, seq: u64, processed_at: u64, payload: &[u8]) -> io::Result<()> {
         self.appends.fetch_add(1, Ordering::Relaxed);
+        let frozen = || io::Error::new(io::ErrorKind::BrokenPipe, "checkpoint store frozen");
         if self.is_frozen() {
-            return Err(io::Error::new(
-                io::ErrorKind::BrokenPipe,
-                "checkpoint store frozen",
-            ));
+            return Err(frozen());
         }
         let action = self
             .fault_plan
@@ -467,6 +466,16 @@ impl CheckpointStore {
             // which would let a sibling shard slip a whole frame in behind
             // the "crash".
             DiskAction::TornWrite => self.freeze(),
+            // Held outside the shard's lock, so readers of the log
+            // (`newest_frame`, `frames`) are not held with it.
+            DiskAction::Block => {
+                if let Some(plan) = &self.fault_plan {
+                    plan.wait_released();
+                }
+                if self.is_frozen() {
+                    return Err(frozen());
+                }
+            }
             _ => {}
         }
         let logs = self.logs.read().unwrap_or_else(|p| p.into_inner());

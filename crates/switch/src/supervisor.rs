@@ -14,14 +14,28 @@
 //!    supervisor polls its liveness and, on a panic, rebuilds a fresh
 //!    measurement from the caller's factory, restores the most recent
 //!    checkpoint, and re-attaches the *same* ring — the producer-side tap
-//!    never blocks and never reconnects. Recovery error is bounded by one
-//!    checkpoint interval plus one in-flight batch.
-//! 2. **Checkpoints periodically.** Every `checkpoint_every` consumed
-//!    observations the worker serialises the measurement (via
-//!    [`Recoverable::checkpoint_into`], the byte codec from
-//!    `nitro_sketches::checkpoint`) into a spare buffer and swaps it with
-//!    the shared slot; the displaced buffer is the next spare, so the
-//!    steady state allocates nothing. Readers share the slot by refcount.
+//!    never blocks and never reconnects. A panic in the durable sink (on
+//!    the writer thread, below) fails the worker incarnation whose
+//!    checkpoint it was persisting, and is recovered the same way.
+//!    Recovery error — after a panic, or a process crash that leaves only
+//!    what was persisted — is bounded by `checkpoint_every`, plus the
+//!    updates made during one in-flight persist, plus one in-flight
+//!    batch. (A persist that outlasts a
+//!    checkpoint interval stretches that interval to its own length; the
+//!    `persist_lag` gauge reports the live value.)
+//! 2. **Checkpoints periodically, persists off the sketch thread.** Every
+//!    `checkpoint_every` consumed observations the worker serialises the
+//!    measurement (via [`Recoverable::checkpoint_into`], the byte codec
+//!    from `nitro_sketches::checkpoint`) into a spare buffer. Without a
+//!    sink it swaps that buffer into the shared slot itself. With a sink,
+//!    it hands the buffer to the daemon's *writer* thread, which persists
+//!    it and only then publishes it; the worker never waits on the disk.
+//!    At most one checkpoint is in flight: one that comes due while the
+//!    writer is busy is deferred, and the next one taken covers everything
+//!    since, so a slow disk lowers the checkpoint rate instead of stopping
+//!    measurement. Displaced buffers come back as spares (three circulate
+//!    with a writer, two without), so the steady state allocates nothing.
+//!    Readers share the slot by refcount.
 //! 3. **Detects stalls.** A watchdog observes the consumed-observation
 //!    counter; if the ring is non-empty but consumption has not advanced
 //!    within `stall_timeout`, the supervisor bumps a generation counter
@@ -51,8 +65,9 @@ use nitro_metrics::DaemonHealth;
 use nitro_sketches::checkpoint::CheckpointError;
 use nitro_sketches::{Checkpoint, FlowKey, RowSketch};
 use std::fmt;
+use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -154,7 +169,10 @@ pub struct SupervisorConfig {
     pub max_backoff: Duration,
     /// Optional durable checkpoint sink (a [`crate::store::ShardWriter`]
     /// in production): every checkpoint the worker takes is persisted
-    /// through it before it is published in memory.
+    /// through it, on the daemon's writer thread, before it is published
+    /// in memory. A process crash then loses at most `checkpoint_every`,
+    /// plus the updates made during one in-flight persist, plus one
+    /// batch.
     pub sink: Option<SinkHandle>,
     /// Optional fault-injection plan armed into every worker incarnation
     /// (test hook; shares its one-shot trigger across incarnations).
@@ -294,21 +312,40 @@ struct Shared {
     /// whether or not a lower probability was available.
     downshift_requests: AtomicU64,
     downshift_acks: AtomicU64,
-    /// Coordinator-side on-demand snapshot requests; the worker stores a
-    /// fresh checkpoint and acknowledges via `snapshot_acks`.
+    /// Coordinator-side on-demand snapshot requests; the worker takes a
+    /// fresh checkpoint, and whoever publishes it acknowledges via
+    /// `snapshot_acks`.
     snapshot_requests: AtomicU64,
     snapshot_acks: AtomicU64,
     /// `processed` at the moment the stored checkpoint was taken — the
     /// basis of the query plane's per-shard staleness bound.
     checkpoint_processed: AtomicU64,
     /// The latest checkpoint. Readers clone the `Arc`, never the bytes;
-    /// the worker swaps whole buffers in (see `store_checkpoint`).
+    /// the publisher swaps whole buffers in (see `store_checkpoint`).
     checkpoint: Mutex<Option<Arc<Vec<u8>>>>,
+    /// The hand-off to the writer thread; `None` without a sink, when the
+    /// worker publishes inline.
+    writer: Option<Writer>,
     high_water: f64,
 }
 
+/// One checkpoint on its way to the slot.
+struct Job {
+    bytes: Vec<u8>,
+    /// Observations processed when `bytes` was encoded.
+    processed_at: u64,
+    /// `snapshot_requests` read before encoding: every on-demand request
+    /// up to this one is answered once the checkpoint is published.
+    answers: u64,
+}
+
 impl Shared {
-    fn new(ring_capacity: usize, high_water: f64, tel: Arc<ShardTelemetry>) -> Self {
+    fn new(
+        ring_capacity: usize,
+        high_water: f64,
+        tel: Arc<ShardTelemetry>,
+        writer: Option<Writer>,
+    ) -> Self {
         tel.ring_capacity.set(ring_capacity as u64);
         Self {
             ring: SpscRing::new(ring_capacity),
@@ -322,24 +359,32 @@ impl Shared {
             snapshot_acks: AtomicU64::new(0),
             checkpoint_processed: AtomicU64::new(0),
             checkpoint: Mutex::new(None),
+            writer,
             high_water,
         }
     }
 
+    /// Whether the worker may take a checkpoint now: always without a
+    /// writer, otherwise only while nothing is in flight.
+    fn writer_idle(&self) -> bool {
+        self.writer.as_ref().is_none_or(Writer::is_idle)
+    }
+
     /// Persist a checkpoint through the durable sink (when one is
-    /// configured), then publish it in the in-memory slot. Durability
-    /// comes first: a crash between the two steps loses only the
-    /// in-memory copy, which recovery rebuilds from disk anyway. A sink
-    /// error is counted by omission (`checkpoints - persisted`) and the
-    /// worker simply retries at its next checkpoint. Returns the buffer
-    /// the slot held before, for the caller to encode its next checkpoint
-    /// into.
-    fn publish_checkpoint(
-        &self,
-        bytes: Vec<u8>,
-        processed_at: u64,
-        sink: Option<&SinkHandle>,
-    ) -> Vec<u8> {
+    /// configured), then publish it in the in-memory slot, then
+    /// acknowledge the on-demand requests it answers. Durability comes
+    /// first: a crash between the steps loses only the in-memory copy,
+    /// which recovery rebuilds from disk anyway, and no reader or ack ever
+    /// sees bytes whose persist has not returned. A sink error is counted
+    /// by omission (`checkpoints - persisted`) and the next checkpoint
+    /// retries. Returns the buffer the slot held before, to encode a later
+    /// checkpoint into.
+    fn publish_checkpoint(&self, job: Job, sink: Option<&SinkHandle>) -> Vec<u8> {
+        let Job {
+            bytes,
+            processed_at,
+            answers,
+        } = job;
         if let Some(sink) = sink {
             let seq = self.tel.checkpoints.get() + 1;
             let started = Instant::now();
@@ -348,6 +393,7 @@ impl Shared {
                     .persist_ns
                     .record(started.elapsed().as_nanos() as u64);
                 self.tel.persisted.incr();
+                self.tel.persisted_at.set(processed_at);
                 self.tel.event(Event::CheckpointPersisted {
                     shard: self.tel.shard,
                     seq,
@@ -355,7 +401,9 @@ impl Shared {
                 });
             }
         }
-        self.store_checkpoint(bytes, processed_at)
+        let spare = self.store_checkpoint(bytes, processed_at);
+        self.snapshot_acks.fetch_max(answers, Ordering::AcqRel);
+        spare
     }
 
     /// Swap `bytes` into the slot and hand back the displaced buffer —
@@ -397,6 +445,121 @@ impl Shared {
 
     fn health(&self) -> DaemonHealth {
         self.tel.health()
+    }
+}
+
+/// The worker → writer hand-off of a daemon with a durable sink. The
+/// worker hands over a checkpoint only while the writer is idle, so at
+/// most one is in flight, and it never waits: a checkpoint that comes due
+/// while the writer is busy is simply taken later.
+struct Writer {
+    /// Set by [`Writer::hand_off`], cleared by [`Writer::done`] once the
+    /// checkpoint is published. The clearing `Release` store comes after
+    /// the writer stored the slot, the ack and the returned spare; the
+    /// worker's `Acquire` load in [`Writer::is_idle`] pairs with it.
+    busy: AtomicBool,
+    mailbox: Mutex<Mailbox>,
+    /// Signals a new job or stop to the writer, and the end of a job to
+    /// [`Writer::wait_idle`].
+    changed: Condvar,
+}
+
+#[derive(Default)]
+struct Mailbox {
+    /// The checkpoint handed over and not yet picked up by the writer.
+    job: Option<Job>,
+    /// The buffer the writer's last publish displaced from the slot: the
+    /// worker's next spare.
+    spare: Vec<u8>,
+    /// Set by [`SupervisedDaemon::finish`] once no worker can hand over
+    /// anything more.
+    stop: bool,
+    /// Message of a sink panic the supervisor has not handled yet.
+    sink_panic: Option<String>,
+}
+
+impl Writer {
+    fn new() -> Self {
+        Self {
+            busy: AtomicBool::new(false),
+            mailbox: Mutex::new(Mailbox::default()),
+            changed: Condvar::new(),
+        }
+    }
+
+    // Every mailbox update leaves it valid, so a poisoned lock is safe to
+    // recover.
+    fn mailbox(&self) -> MutexGuard<'_, Mailbox> {
+        self.mailbox.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn is_idle(&self) -> bool {
+        !self.busy.load(Ordering::Acquire)
+    }
+
+    /// Worker side, called only while idle: hand `job` to the writer and
+    /// take back the buffer its previous publish displaced.
+    fn hand_off(&self, job: Job) -> Vec<u8> {
+        let mut mailbox = self.mailbox();
+        mailbox.job = Some(job);
+        self.busy.store(true, Ordering::Release);
+        let spare = std::mem::take(&mut mailbox.spare);
+        drop(mailbox);
+        self.changed.notify_all();
+        spare
+    }
+
+    /// Writer side: the next checkpoint to persist, or `None` once stopped
+    /// with nothing left.
+    fn next_job(&self) -> Option<Job> {
+        let mut mailbox = self.mailbox();
+        loop {
+            if let Some(job) = mailbox.job.take() {
+                return Some(job);
+            }
+            if mailbox.stop {
+                return None;
+            }
+            mailbox = self
+                .changed
+                .wait(mailbox)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+
+    /// Writer side: the job is over — published, with the buffer it
+    /// displaced as `Ok`, or abandoned because the sink panicked, with the
+    /// panic's message as `Err`.
+    fn done(&self, outcome: Result<Vec<u8>, String>) {
+        let mut mailbox = self.mailbox();
+        match outcome {
+            Ok(spare) => mailbox.spare = spare,
+            Err(msg) => mailbox.sink_panic = Some(msg),
+        }
+        self.busy.store(false, Ordering::Release);
+        drop(mailbox);
+        self.changed.notify_all();
+    }
+
+    /// Supervisor side: the message of a sink panic since the last call.
+    fn take_panic(&self) -> Option<String> {
+        self.mailbox().sink_panic.take()
+    }
+
+    /// Block until the checkpoint in flight, if any, is published.
+    fn wait_idle(&self) {
+        let mut mailbox = self.mailbox();
+        while self.busy.load(Ordering::Acquire) {
+            mailbox = self
+                .changed
+                .wait(mailbox)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+
+    fn stop(&self) {
+        self.mailbox().stop = true;
+        self.changed.notify_all();
     }
 }
 
@@ -484,9 +647,10 @@ pub struct CheckpointView {
     pub lag: u64,
     /// Observations still queued in the ring at capture time.
     pub backlog: u64,
-    /// Whether the worker acknowledged the on-demand request in time. When
-    /// `false` the view is the latest *periodic* checkpoint (the worker
-    /// was crashed or mid-restart), bounded by one checkpoint interval.
+    /// Whether the on-demand request was answered in time. When `false`
+    /// the view is the latest *periodic* checkpoint (the worker was
+    /// crashed or mid-restart, or the sink had not returned from persisting
+    /// the answer), and `lag` says how far behind it is.
     pub fresh: bool,
     /// The daemon's restart budget is spent: no worker will ever update
     /// this state again. The view is the shard's final word — still
@@ -503,9 +667,11 @@ impl CheckpointView {
 }
 
 /// The running supervised daemon: owns the supervisor thread, which in
-/// turn owns the current worker incarnation.
+/// turn owns the current worker incarnation, and — with a sink — the
+/// writer thread that persists the worker's checkpoints.
 pub struct SupervisedDaemon<M: Recoverable + Send + 'static> {
     handle: JoinHandle<Result<M, (u64, Option<String>)>>,
+    writer: Option<JoinHandle<()>>,
     shared: Arc<Shared>,
 }
 
@@ -545,7 +711,8 @@ impl<M: Recoverable + Send + 'static> SupervisedDaemon<M> {
     }
 
     /// The most recent checkpoint without requesting a fresh one — stale
-    /// by up to one checkpoint interval plus the ring backlog. `None` only
+    /// by up to one checkpoint interval (with a sink, plus the updates made
+    /// during one in-flight persist) plus the ring backlog. `None` only
     /// before [`spawn_supervised`] stored the pristine snapshot (i.e.
     /// never, for a daemon obtained from that constructor).
     pub fn latest_checkpoint(&self) -> Option<CheckpointView> {
@@ -590,11 +757,23 @@ impl<M: Recoverable + Send + 'static> SupervisedDaemon<M> {
         Some(view)
     }
 
-    /// Signal stop, let the worker drain the ring, and return the final
-    /// measurement together with the run's health record.
+    /// Signal stop, let the worker drain the ring and the writer finish the
+    /// checkpoint it holds, and return the final measurement together with
+    /// the run's health record.
     pub fn finish(self) -> Result<(M, DaemonHealth), SupervisorError> {
         self.shared.stop.store(true, Ordering::Release);
-        match self.handle.join() {
+        let supervised = self.handle.join();
+        if let (Some(handle), Some(writer)) = (self.writer, &self.shared.writer) {
+            // The last worker has exited, so nothing more is handed over.
+            writer.stop();
+            if let Err(payload) = handle.join() {
+                let msg = panic_message(payload.as_ref()).unwrap_or_default();
+                return Err(SupervisorError::SupervisorPanicked(Some(format!(
+                    "checkpoint writer: {msg}"
+                ))));
+            }
+        }
+        match supervised {
             Ok(Ok(m)) => Ok((m, self.shared.health())),
             Ok(Err((restarts, last_panic))) => Err(SupervisorError::RestartBudgetExhausted {
                 restarts,
@@ -618,14 +797,15 @@ fn run_worker<M: Recoverable>(
     my_generation: u64,
     plan: Option<&ThreadFaultPlan>,
     checkpoint_every: u64,
-    sink: Option<&SinkHandle>,
 ) -> M {
     let mut buf = [Observation { key: 0, ts_ns: 0 }; 64];
     let mut idle_spins = 0u32;
     let mut since_checkpoint = 0u64;
-    // The buffer the next checkpoint is encoded into; every publish swaps
-    // it for the one the slot held, so two buffers circulate.
+    // The buffer the next checkpoint is encoded into; every publish hands
+    // back the one the slot held, so the steady state allocates nothing.
     let mut spare = Vec::new();
+    // A periodic checkpoint the writer has not published yet.
+    let mut unpublished = false;
     publish_gauges(&m, &shared.tel);
     loop {
         if shared.generation.load(Ordering::Acquire) != my_generation {
@@ -646,15 +826,40 @@ fn run_worker<M: Recoverable>(
             // request slot frees up instead of wedging.
             shared.downshift_acks.fetch_add(1, Ordering::Release);
         }
-        let snap_requests = shared.snapshot_requests.load(Ordering::Acquire);
-        let snap_acks = shared.snapshot_acks.load(Ordering::Acquire);
-        if snap_requests > snap_acks {
-            // On-demand epoch snapshot: serialize the current state so the
-            // query plane's staleness collapses to the in-flight batch. One
-            // checkpoint satisfies every request queued so far.
-            m.checkpoint_into(&mut spare);
-            spare = shared.publish_checkpoint(spare, shared.tel.processed.get(), sink);
-            shared.snapshot_acks.store(snap_requests, Ordering::Release);
+        if shared.writer_idle() {
+            if std::mem::take(&mut unpublished) {
+                if let Some(plan) = plan {
+                    // Fault-injection point for replication: the periodic
+                    // checkpoint (and, with a replica sink, its delta
+                    // frame) is published, so a panic here kills the
+                    // primary mid-delta-stream — the standby holds this
+                    // very delta. Inline, the primary dies without
+                    // processing another batch; with a writer, it dies
+                    // having processed the batches it popped while the
+                    // delta was persisting.
+                    plan.check_checkpoint();
+                }
+            }
+            // An on-demand epoch snapshot serializes the current state so
+            // the query plane's staleness collapses to the in-flight batch;
+            // it also satisfies a due periodic checkpoint, and one
+            // checkpoint answers every request queued so far.
+            let requested = shared.snapshot_requests.load(Ordering::Acquire)
+                > shared.snapshot_acks.load(Ordering::Acquire);
+            let due = since_checkpoint >= checkpoint_every;
+            if requested || due {
+                since_checkpoint = 0;
+                spare = take_checkpoint(&m, shared, spare);
+                if due {
+                    // Periodic, whether or not a request also asked for
+                    // it: the fault point sees every periodic checkpoint.
+                    publish_gauges(&m, &shared.tel);
+                    unpublished = true;
+                }
+                // Back to the top, which fires the fault point as soon as
+                // the checkpoint is published — at once when it is inline.
+                continue;
+            }
         }
         let n = shared.ring.pop_batch(&mut buf);
         if n == 0 {
@@ -689,23 +894,47 @@ fn run_worker<M: Recoverable>(
             .batch_ns
             .record(batch_started.elapsed().as_nanos() as u64);
         since_checkpoint += n as u64;
-        if since_checkpoint >= checkpoint_every {
-            since_checkpoint = 0;
-            m.checkpoint_into(&mut spare);
-            spare = shared.publish_checkpoint(spare, shared.tel.processed.get(), sink);
-            publish_gauges(&m, &shared.tel);
-            if let Some(plan) = plan {
-                // Fault-injection point for replication: the checkpoint
-                // (and, with a replica sink, the delta frame) is already
-                // published, so a panic here kills the primary
-                // mid-delta-stream — the standby holds this very delta
-                // while the primary dies before processing anything more.
-                plan.check_checkpoint();
-            }
-        }
     }
     publish_gauges(&m, &shared.tel);
     m
+}
+
+/// Encode `m` into `spare` and publish it: inline without a sink; with
+/// one, by handing it to the (idle) writer, which persists it first.
+/// Returns the buffer to encode a later checkpoint into.
+fn take_checkpoint<M: Recoverable>(m: &M, shared: &Shared, mut spare: Vec<u8>) -> Vec<u8> {
+    let answers = shared.snapshot_requests.load(Ordering::Acquire);
+    m.checkpoint_into(&mut spare);
+    let job = Job {
+        bytes: spare,
+        processed_at: shared.tel.processed.get(),
+        answers,
+    };
+    match &shared.writer {
+        Some(writer) => writer.hand_off(job),
+        None => shared.publish_checkpoint(job, None),
+    }
+}
+
+/// Writer thread body: persist and publish every checkpoint the worker
+/// hands over, until [`SupervisedDaemon::finish`] stops it. A panicking
+/// sink neither kills this thread nor leaves it busy: the checkpoint is
+/// dropped unpublished and the supervisor fails the worker incarnation
+/// that took it (see [`supervise`]).
+fn run_writer(shared: &Shared, sink: &SinkHandle) {
+    let writer = shared
+        .writer
+        .as_ref()
+        .expect("a writer thread runs only for a daemon with a sink");
+    while let Some(job) = writer.next_job() {
+        let published = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            shared.publish_checkpoint(job, Some(sink))
+        }));
+        writer.done(published.map_err(|payload| {
+            let msg = panic_message(payload.as_ref()).unwrap_or_default();
+            format!("checkpoint sink: {msg}")
+        }));
+    }
 }
 
 /// Push the measurement's controller gauges into the telemetry cells, when
@@ -757,15 +986,30 @@ where
         .telemetry
         .clone()
         .unwrap_or_else(|| Arc::new(ShardTelemetry::detached(0)));
-    let shared = Arc::new(Shared::new(config.ring_capacity, config.high_water, tel));
+    let writer = config.sink.as_ref().map(|_| Writer::new());
+    let shared = Arc::new(Shared::new(
+        config.ring_capacity,
+        config.high_water,
+        tel,
+        writer,
+    ));
     // Checkpoint the pristine state up front: a panic before the first
     // periodic checkpoint restores to "empty but correctly configured"
     // rather than to nothing — and with a sink, a process crash before the
     // first periodic checkpoint recovers the same way from disk.
     let mut pristine = Vec::new();
     measurement.checkpoint_into(&mut pristine);
-    shared.publish_checkpoint(pristine, 0, config.sink.as_ref());
+    let pristine = Job {
+        bytes: pristine,
+        processed_at: 0,
+        answers: 0,
+    };
+    shared.publish_checkpoint(pristine, config.sink.as_ref());
 
+    let writer = config.sink.clone().map(|sink| {
+        let shared = Arc::clone(&shared);
+        std::thread::spawn(move || run_writer(&shared, &sink))
+    });
     let handle = {
         let shared = Arc::clone(&shared);
         std::thread::spawn(move || supervise(measurement, factory, config, &shared))
@@ -776,7 +1020,11 @@ where
             shared: Arc::clone(&shared),
             offers: 0,
         },
-        SupervisedDaemon { handle, shared },
+        SupervisedDaemon {
+            handle,
+            writer,
+            shared,
+        },
     )
 }
 
@@ -802,74 +1050,98 @@ where
         let shared = Arc::clone(shared);
         let plan = config.fault_plan.clone();
         let checkpoint_every = config.checkpoint_every;
-        let sink = config.sink.clone();
         std::thread::spawn(move || {
-            run_worker(
-                m,
-                &shared,
-                generation,
-                plan.as_ref(),
-                checkpoint_every,
-                sink.as_ref(),
-            )
+            run_worker(m, &shared, generation, plan.as_ref(), checkpoint_every)
         })
     };
 
     let clock = Arc::clone(&config.clock);
+    // A worker incarnation died (its panic message, when it was a string):
+    // spawn its replacement from the latest checkpoint, or — budget spent —
+    // fail the daemon.
+    let mut restart = |last_panic: Option<String>| {
+        if let Some(writer) = &shared.writer {
+            // The dead worker's last checkpoint may still be persisting: a
+            // restart must restore that one, not its predecessor, and a
+            // promotion must find it streamed to the standby.
+            writer.wait_idle();
+        }
+        let restarts = shared.tel.restarts.add(1) + 1;
+        shared.tel.event(Event::Restart {
+            shard: shared.tel.shard,
+            restarts,
+        });
+        match policy.decide(restarts) {
+            RestartDecision::Fail => {
+                // Budget spent: no more workers. Mark the daemon failed so
+                // readers switch to serving the last checkpoint as
+                // degraded, then keep draining the ring — every
+                // observation the tap keeps offering must still get a fate
+                // (popped-but-never-processed = lost).
+                shared.failed.store(true, Ordering::Release);
+                shared.tel.failed.set(1);
+                drain_as_lost(shared);
+                return Err((restarts, last_panic));
+            }
+            RestartDecision::Backoff(wait) => {
+                // Exponential backoff: a crash-looping worker must not
+                // monopolise the core the datapath runs on.
+                clock.sleep(wait);
+            }
+        }
+        let mut replacement = factory();
+        if let Some(bytes) = shared.load_checkpoint() {
+            if replacement.restore_bytes(&bytes).is_ok() {
+                shared.tel.restores.incr();
+            }
+        }
+        // The dead worker is joined, so attaching the replacement to the
+        // same ring preserves the single-consumer discipline.
+        let generation = shared.generation.load(Ordering::Acquire);
+        Ok(spawn_worker(replacement, generation))
+    };
+
     let mut worker = spawn_worker(measurement, 0);
     let mut last_popped = 0u64;
     let mut last_progress = clock.now_ns();
     loop {
-        if worker.is_finished() {
-            match worker.join() {
-                Ok(m) => {
-                    if shared.stop.load(Ordering::Acquire) && shared.ring.is_empty() {
-                        return Ok(m);
+        let sink_panic = shared.writer.as_ref().and_then(Writer::take_panic);
+        if sink_panic.is_some() || worker.is_finished() {
+            let exit = match sink_panic {
+                // A sink that panics fails the worker incarnation whose
+                // checkpoint it was persisting, as it did when the worker
+                // persisted inline: retire that worker (it exits at its
+                // next loop iteration) and restart from the last
+                // published checkpoint.
+                Some(msg) => {
+                    shared.generation.fetch_add(1, Ordering::AcqRel);
+                    let _ = worker.join();
+                    Err(Some(msg))
+                }
+                None => worker
+                    .join()
+                    .map_err(|payload| panic_message(payload.as_ref())),
+            };
+            match exit {
+                Ok(m) if shared.stop.load(Ordering::Acquire) && shared.ring.is_empty() => {
+                    // The last checkpoint may still be persisting; a sink
+                    // panic there fails this incarnation like any other.
+                    let sink_panic = shared.writer.as_ref().and_then(|writer| {
+                        writer.wait_idle();
+                        writer.take_panic()
+                    });
+                    match sink_panic {
+                        None => return Ok(m),
+                        Some(msg) => worker = restart(Some(msg))?,
                     }
+                }
+                Ok(m) => {
                     // Cooperative stall exit: the measurement survived, so
                     // re-attach it directly under the current generation.
                     let generation = shared.generation.load(Ordering::Acquire);
                     worker = spawn_worker(m, generation);
                 }
-                Err(payload) => {
-                    let last_panic = panic_message(payload.as_ref());
-                    let restarts = shared.tel.restarts.add(1) + 1;
-                    shared.tel.event(Event::Restart {
-                        shard: shared.tel.shard,
-                        restarts,
-                    });
-                    match policy.decide(restarts) {
-                        RestartDecision::Fail => {
-                            // Budget spent: no more workers. Mark the
-                            // daemon failed so readers switch to serving
-                            // the last checkpoint as degraded, then keep
-                            // draining the ring — every observation the
-                            // tap keeps offering must still get a fate
-                            // (popped-but-never-processed = lost).
-                            shared.failed.store(true, Ordering::Release);
-                            shared.tel.failed.set(1);
-                            drain_as_lost(shared);
-                            return Err((restarts, last_panic));
-                        }
-                        RestartDecision::Backoff(wait) => {
-                            // Exponential backoff: a crash-looping worker
-                            // must not monopolise the core the datapath
-                            // runs on.
-                            clock.sleep(wait);
-                        }
-                    }
-                    let mut replacement = factory();
-                    if let Some(bytes) = shared.load_checkpoint() {
-                        if replacement.restore_bytes(&bytes).is_ok() {
-                            shared.tel.restores.incr();
-                        }
-                    }
-                    // The panicked worker is dead, so attaching the
-                    // replacement to the same ring preserves the
-                    // single-consumer discipline.
-                    let generation = shared.generation.load(Ordering::Acquire);
-                    worker = spawn_worker(replacement, generation);
-                }
+                Err(last_panic) => worker = restart(last_panic)?,
             }
             last_progress = clock.now_ns();
             last_popped = shared.tel.popped.get();
@@ -903,6 +1175,7 @@ where
 mod tests {
     use super::*;
     use crate::faults::INJECTED_PANIC_MSG;
+    use crate::store::CheckpointSink;
     use nitro_core::Mode;
     use nitro_sketches::CountMin;
 
@@ -1261,8 +1534,6 @@ mod tests {
 
     #[test]
     fn checkpoints_flow_through_the_durable_sink() {
-        use crate::store::{CheckpointSink, SinkHandle};
-
         struct Recording(Mutex<Vec<(u64, u64, usize)>>);
         impl CheckpointSink for Recording {
             fn persist(&self, seq: u64, processed_at: u64, bytes: &[u8]) -> std::io::Result<()> {
@@ -1412,6 +1683,375 @@ mod tests {
             fresh, 3,
             "one allocation replaces the one buffer the reader pins"
         );
+    }
+
+    /// A sink that acknowledges every checkpoint at once.
+    struct AlwaysOk;
+    impl CheckpointSink for AlwaysOk {
+        fn persist(&self, _seq: u64, _at: u64, _bytes: &[u8]) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    fn wait_until(what: &str, mut done: impl FnMut() -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while !done() {
+            assert!(Instant::now() < deadline, "timed out waiting: {what}");
+            std::thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn an_on_demand_checkpoint_restarts_the_periodic_countdown() {
+        // Inline (no sink) and through the writer: the same count.
+        for sink in [None, Some(SinkHandle(Arc::new(AlwaysOk)))] {
+            let with_writer = sink.is_some();
+            let (mut tap, daemon) = spawn_supervised(
+                small_nitro(),
+                small_nitro,
+                SupervisorConfig {
+                    checkpoint_every: 1_000,
+                    high_water: 2.0,
+                    sink,
+                    ..Default::default()
+                },
+            );
+            let mut offered = 0u64;
+            let mut offer_to = |tap: &mut SupervisedTap, total: u64| {
+                for i in offered..total {
+                    tap.offer(i % 8, i);
+                }
+                offered = total;
+                wait_until("the worker to catch up", || daemon.processed() == total);
+                // Whatever the worker handed over is published by now.
+                wait_until("the writer to go idle", || daemon.shared.writer_idle());
+            };
+            offer_to(&mut tap, 960);
+            let view = daemon.checkpoint_now(Duration::from_secs(30)).unwrap();
+            assert!(view.fresh && view.processed_at == 960);
+            assert_eq!(daemon.health().checkpoints, 2, "pristine + on demand");
+            // 960 since the on-demand one: nothing is due yet. (Counting
+            // from the pristine one, 1 920 would have been due at 1 000.)
+            offer_to(&mut tap, 1_920);
+            assert_eq!(
+                daemon.health().checkpoints,
+                2,
+                "a redundant periodic checkpoint followed the on-demand one (writer: {with_writer})"
+            );
+            offer_to(&mut tap, 2_000);
+            wait_until("the periodic checkpoint", || {
+                daemon.health().checkpoints == 3
+            });
+            let (_, health) = daemon.finish().unwrap();
+            assert_eq!(health.checkpoints, 3);
+            assert_eq!(health.unaccounted(), 0);
+        }
+    }
+
+    #[test]
+    fn blocked_disk_never_stops_measurement() {
+        use crate::faults::DiskFaultPlan;
+        use crate::pipeline::{spawn_sharded, PipelineConfig};
+        use crate::store::{CheckpointStore, StoreConfig};
+
+        let dir = std::env::temp_dir().join(format!(
+            "nitro-supervisor-blocked-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let plan = DiskFaultPlan::new();
+        let store = CheckpointStore::create(&dir, 1, StoreConfig::default())
+            .unwrap()
+            .with_fault_plan(plan.clone());
+        let snapshot_timeout = Duration::from_millis(100);
+        let (mut tap, mut pipeline) = spawn_sharded(
+            |_| small_nitro(),
+            PipelineConfig {
+                shards: 1,
+                supervisor: SupervisorConfig {
+                    checkpoint_every: 1_000,
+                    // The ring holds the whole stream: nothing is dropped.
+                    ring_capacity: 1 << 15,
+                    high_water: 2.0,
+                    ..Default::default()
+                },
+                snapshot_timeout,
+                store: Some(store),
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        let tel = Arc::clone(pipeline.shards()[0].telemetry());
+        assert_eq!(
+            tel.persisted.get(),
+            1,
+            "the pristine state persists at spawn"
+        );
+
+        // Twenty checkpoint intervals against a disk that never answers.
+        plan.block_appends();
+        let offered = 20_000u64;
+        for i in 0..offered {
+            tap.offer(i % 8, i);
+            if i % 512 == 0 {
+                std::thread::yield_now();
+            }
+        }
+        wait_until("the worker to process every offer", || {
+            pipeline.processed() == offered
+        });
+        let health = tel.health();
+        assert_eq!(health.stalls, 0, "a slow disk is not a stalled worker");
+        assert_eq!(health.persisted, 1, "nothing more became durable");
+        assert_eq!(health.checkpoints, 1, "nothing is published unpersisted");
+        assert_eq!(tel.persist_lag(), offered);
+
+        // The query plane answers on time, from the last durable state,
+        // and says how far behind that is.
+        let asked = Instant::now();
+        let view = pipeline.epoch_view().unwrap();
+        assert!(
+            asked.elapsed() < snapshot_timeout + Duration::from_secs(2),
+            "epoch view waited on the disk: {:?}",
+            asked.elapsed()
+        );
+        let stale = view.staleness()[0];
+        assert!(!stale.fresh);
+        assert_eq!(stale.processed_at, 0, "served from the pristine state");
+        assert!(stale.bound() >= tel.persist_lag());
+        assert_eq!(view.estimate(0), 0.0);
+
+        // Released, the held checkpoint lands, then the one answering the
+        // view's request covers everything.
+        plan.release();
+        wait_until("persist to catch up", || tel.persist_lag() == 0);
+        assert!(tel.persisted.get() >= 2);
+        let view = pipeline.epoch_view().unwrap();
+        let stale = view.staleness()[0];
+        assert!(stale.fresh);
+        assert_eq!(stale.bound(), 0);
+        assert_eq!(view.estimate(0), (offered / 8) as f64);
+        drop(tap);
+        let (_, fleet) = pipeline.finish().unwrap();
+        assert_eq!(fleet.unaccounted(), 0);
+        assert_eq!(fleet.total().stalls, 0);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn no_checkpoint_is_visible_before_its_persist_returned() {
+        /// Counts observations; every checkpoint carries a fresh serial.
+        struct Serial {
+            seen: u64,
+            encoded: AtomicU64,
+        }
+        impl Measurement for Serial {
+            fn on_packet(&mut self, _key: FlowKey, _ts: u64, _w: f64) {
+                self.seen += 1;
+            }
+        }
+        impl Recoverable for Serial {
+            fn checkpoint_into(&self, out: &mut Vec<u8>) {
+                out.clear();
+                let serial = self.encoded.fetch_add(1, Ordering::Relaxed) + 1;
+                out.extend_from_slice(&serial.to_le_bytes());
+                out.extend_from_slice(&self.seen.to_le_bytes());
+            }
+            fn restore_bytes(&mut self, _bytes: &[u8]) -> Result<(), CheckpointError> {
+                Ok(())
+            }
+        }
+        fn serial(bytes: &[u8]) -> u64 {
+            u64::from_le_bytes(bytes[..8].try_into().unwrap())
+        }
+        /// Records a checkpoint's serial as its persist returns, after a
+        /// pause that widens any window in which it could show early.
+        struct Durable(Mutex<std::collections::HashSet<u64>>);
+        impl CheckpointSink for Durable {
+            fn persist(&self, _seq: u64, _at: u64, bytes: &[u8]) -> std::io::Result<()> {
+                std::thread::sleep(Duration::from_micros(200));
+                self.0.lock().unwrap().insert(serial(bytes));
+                Ok(())
+            }
+        }
+
+        let durable = Arc::new(Durable(Mutex::new(Default::default())));
+        let blank = || Serial {
+            seen: 0,
+            encoded: AtomicU64::new(0),
+        };
+        let (mut tap, daemon) = spawn_supervised(
+            blank(),
+            blank,
+            SupervisorConfig {
+                checkpoint_every: 64,
+                high_water: 2.0,
+                sink: Some(SinkHandle(Arc::clone(&durable) as Arc<dyn CheckpointSink>)),
+                ..Default::default()
+            },
+        );
+        let is_durable =
+            |view: &CheckpointView| durable.0.lock().unwrap().contains(&serial(&view.bytes));
+        const OFFERS: u64 = 20_000;
+        let producer = std::thread::spawn(move || {
+            for i in 0..OFFERS {
+                tap.offer(i, i);
+                if i % 256 == 0 {
+                    std::thread::yield_now();
+                }
+            }
+        });
+        let mut answered = 0;
+        let drained = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            // The slot, polled without pause: sees every publish.
+            s.spawn(|| {
+                while !drained.load(Ordering::Acquire) {
+                    let latest = daemon.latest_checkpoint().unwrap();
+                    assert!(
+                        is_durable(&latest),
+                        "the slot showed an unpersisted checkpoint"
+                    );
+                    std::thread::yield_now();
+                }
+            });
+            // On-demand requests: an ack only ever follows the persist.
+            while !producer.is_finished() || daemon.health().unaccounted() != 0 {
+                let asked_at = daemon.processed();
+                let view = daemon.checkpoint_now(Duration::from_millis(20)).unwrap();
+                assert!(is_durable(&view), "a view showed an unpersisted checkpoint");
+                if view.fresh {
+                    assert!(view.processed_at >= asked_at, "acked with an older state");
+                    answered += 1;
+                }
+            }
+            drained.store(true, Ordering::Release);
+        });
+        producer.join().unwrap();
+        let (_, health) = daemon.finish().unwrap();
+        assert!(answered > 0, "no on-demand request was answered");
+        assert_eq!(health.persisted, health.checkpoints);
+        assert_eq!(health.unaccounted(), 0);
+    }
+
+    #[test]
+    fn a_panicking_sink_fails_the_worker_incarnation() {
+        /// Panics on its second persist: the first periodic checkpoint.
+        struct Exploding(AtomicU64);
+        impl CheckpointSink for Exploding {
+            fn persist(&self, _seq: u64, _at: u64, _bytes: &[u8]) -> std::io::Result<()> {
+                if self.0.fetch_add(1, Ordering::Relaxed) == 1 {
+                    panic!("sink exploded");
+                }
+                Ok(())
+            }
+        }
+
+        // A sink panic, then a worker panic: with a budget of one the
+        // second spends it, with a budget of eight the daemon recovers.
+        for max_restarts in [1, 8] {
+            let plan = ThreadFaultPlan::new();
+            let (mut tap, daemon) = spawn_supervised(
+                small_nitro(),
+                small_nitro,
+                SupervisorConfig {
+                    checkpoint_every: 1_000,
+                    high_water: 2.0,
+                    max_restarts,
+                    sink: Some(SinkHandle(Arc::new(Exploding(AtomicU64::new(0))))),
+                    fault_plan: Some(plan.clone()),
+                    ..Default::default()
+                },
+            );
+            offer_all(&mut tap, (0..1_500u64).map(|i| i % 8));
+            wait_until("the sink panic to restart the worker", || {
+                daemon.health().restores == 1
+            });
+            let health = daemon.health();
+            assert_eq!(health.restarts, 1, "restarted from the pristine state");
+            assert_eq!(health.persisted, 1);
+            assert_eq!(
+                health.checkpoints, 1,
+                "the panicked checkpoint is unpublished"
+            );
+
+            plan.panic_after(100);
+            offer_all(&mut tap, (0..500u64).map(|i| i % 8));
+            // A writer left busy by the sink panic would hang the worker
+            // panic's restart, and so this.
+            let (done, finished) = std::sync::mpsc::channel();
+            std::thread::spawn(move || done.send(daemon.finish()).unwrap());
+            let finished = finished
+                .recv_timeout(Duration::from_secs(60))
+                .expect("finish hung after a sink panic");
+            let health = match (max_restarts, finished) {
+                (8, Ok((_, health))) => {
+                    assert_eq!(health.restores, 2);
+                    health
+                }
+                (
+                    1,
+                    Err(SupervisorError::RestartBudgetExhausted {
+                        restarts,
+                        last_panic,
+                        health,
+                    }),
+                ) => {
+                    assert_eq!(restarts, 2);
+                    assert_eq!(last_panic.as_deref(), Some(INJECTED_PANIC_MSG));
+                    health
+                }
+                (_, Ok(_)) => panic!("budget {max_restarts}: finished cleanly"),
+                (_, Err(other)) => panic!("budget {max_restarts}: {other}"),
+            };
+            assert_eq!(plan.fired(), 1);
+            assert_eq!(health.restarts, 2, "the sink's panic and the worker's");
+            assert_eq!(health.offered, 2_000);
+            assert_eq!(health.unaccounted(), 0);
+            assert_eq!(health.persisted, health.checkpoints);
+        }
+    }
+
+    #[test]
+    fn a_sink_panic_alone_can_spend_the_budget() {
+        struct Exploding;
+        impl CheckpointSink for Exploding {
+            fn persist(&self, seq: u64, _at: u64, _bytes: &[u8]) -> std::io::Result<()> {
+                assert!(seq == 1, "sink exploded");
+                Ok(())
+            }
+        }
+        let (mut tap, daemon) = spawn_supervised(
+            small_nitro(),
+            small_nitro,
+            SupervisorConfig {
+                checkpoint_every: 1_000,
+                high_water: 2.0,
+                max_restarts: 0,
+                sink: Some(SinkHandle(Arc::new(Exploding))),
+                ..Default::default()
+            },
+        );
+        offer_all(&mut tap, (0..1_500u64).map(|i| i % 8));
+        wait_until("the daemon to fail", || daemon.is_failed());
+        let view = daemon.checkpoint_now(Duration::from_secs(1)).unwrap();
+        assert!(view.degraded && view.processed_at == 0);
+        match daemon.finish().unwrap_err() {
+            SupervisorError::RestartBudgetExhausted {
+                restarts,
+                last_panic,
+                health,
+            } => {
+                assert_eq!(restarts, 1);
+                assert_eq!(
+                    last_panic.as_deref(),
+                    Some("checkpoint sink: sink exploded")
+                );
+                assert_eq!(health.unaccounted(), 0);
+            }
+            other => panic!("unexpected error: {other}"),
+        }
     }
 
     #[test]

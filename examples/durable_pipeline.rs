@@ -9,7 +9,8 @@
 //! `ShardedPipeline::recover_from` then scans the segments, truncates any
 //! torn tail, restores every shard's newest valid frame, and the second
 //! incarnation finishes the stream on the recovered counters. The loss is
-//! bounded by one checkpoint interval + one in-flight batch per shard.
+//! bounded per shard by what it processed since its newest persisted
+//! checkpoint (its `persist_lag`) + one in-flight batch.
 //!
 //! Run with: `cargo run --release --example durable_pipeline`
 
@@ -71,6 +72,13 @@ fn main() {
         persisted,
         dir.display()
     );
+    // What the kill can cost: each shard's updates since its newest
+    // persisted checkpoint, plus one in-flight batch.
+    let unpersisted: u64 = pipeline
+        .shards()
+        .iter()
+        .map(|s| s.telemetry().persist_lag() + 64)
+        .sum();
     drop(tap);
     pipeline.simulate_crash();
     println!("incarnation 1: killed (all in-memory sketch state discarded)\n");
@@ -102,12 +110,11 @@ fn main() {
     assert_eq!(fleet.unaccounted(), 0, "every observation accounted for");
     println!("\n{fleet}");
 
-    // The crash cost at most one checkpoint interval + one batch per
-    // shard; everything else survived the process boundary on disk.
-    let bound = (SHARDS as u64 * (CHECKPOINT_EVERY + 64) + fleet.total().dropped) as f64;
+    // The crash cost at most the unpersisted updates; everything else
+    // survived the process boundary on disk.
+    let bound = (unpersisted + fleet.total().dropped) as f64;
     println!(
-        "crash-loss bound: {bound:.0} observations ({} shards × (interval {CHECKPOINT_EVERY} + batch 64) + drops)",
-        SHARDS
+        "crash-loss bound: {bound:.0} observations ({SHARDS} shards × (persist lag + batch 64) + drops)"
     );
     println!("{:>20} {:>10} {:>10} {:>8}", "flow", "true", "est", "err");
     let mut worst = 0.0f64;

@@ -80,6 +80,9 @@ fn main() {
         "shard 1 exhausted its restart budget (injected panic fired: {})",
         plan.fired()
     );
+    // The standby holds at least the dead primary's newest persisted
+    // checkpoint: what it processed after that is what promotion costs.
+    let unstreamed = pipeline.shards()[1].telemetry().persist_lag();
 
     let view = pipeline
         .epoch_view()
@@ -124,11 +127,10 @@ fn main() {
     );
     assert_eq!(fleet.len(), 3, "three live shards after the shrink");
 
-    // The promotion cost at most one delta interval + one batch of the
-    // victim's own updates; rescaling costs nothing (state is merged, not
-    // dropped). Everything else is ordinary sketch error.
-    let bound =
-        (CHECKPOINT_EVERY + 64 + fleet.total().dropped + fleet.total().lost_in_crash) as f64;
+    // The promotion cost at most the victim's unstreamed updates + one
+    // batch; rescaling costs nothing (state is merged, not dropped).
+    // Everything else is ordinary sketch error.
+    let bound = (unstreamed + 64 + fleet.total().dropped + fleet.total().lost_in_crash) as f64;
     println!("{:>20} {:>10} {:>10} {:>8}", "flow", "true", "est", "err");
     let mut worst = 0.0f64;
     for &(k, t) in truth.top_k(5).iter() {
