@@ -6,8 +6,8 @@
 //! Count-Sketch core that dominates UnivMon):
 //!
 //! 0. vanilla: d hashes + d updates + per-packet heap query/offer;
-//! 1. +batched hashing: the same full updates applied through the
-//!    lane-hashed `update_row_batch` path;
+//! 1. +batched updates: the same full updates applied row-at-a-time
+//!    through `update_row_batch`;
 //! 2. +counter-array sampling: per-row Bernoulli coin flips at p = 0.01
 //!    (Idea A alone — one PRNG draw per row per packet);
 //! 3. +geometric sampling: NitroSketch's skip schedule (Idea B), heap on
@@ -63,7 +63,7 @@ fn main() {
         }
     }
     let mpps = keys.len() as f64 / start.elapsed().as_secs_f64() / 1e6;
-    push(&mut table, "+ lane-batched hashing", mpps);
+    push(&mut table, "+ row-batched updates", mpps);
 
     // 2. + counter-array sampling via per-row coin flips (Idea A alone).
     let mut b = BernoulliRowSampling::new(sketch(7), P, 9).with_topk(1000);

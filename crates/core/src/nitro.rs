@@ -10,7 +10,7 @@
 use crate::mode::{Decision, Mode, ModeState};
 use nitro_hash::GeometricSampler;
 use nitro_sketches::checkpoint::{Decoder, Encoder};
-use nitro_sketches::{Checkpoint, CheckpointError, FlowKey, RowSketch, TopK};
+use nitro_sketches::{Checkpoint, CheckpointError, FlowKey, RowSketch, Slot, TopK};
 
 /// Operation counters — the reproduction's stand-in for VTune's per-function
 /// CPU shares (Table 2) and the basis of the cost model in `nitro-switch`.
@@ -53,8 +53,27 @@ pub struct NitroStats {
 #[derive(Clone, Debug)]
 pub struct NitroSketch<S: RowSketch> {
     sketch: S,
-    sampler: GeometricSampler,
+    sched: Schedule,
     mode: ModeState,
+    topk: Option<TopK>,
+    stats: NitroStats,
+    /// Slot table: `depth` slots per sampled packet of the burst in hand
+    /// (one packet's on the scalar path). Only scheduled rows' are filled
+    /// unless top-k is on, whose estimate reads them all.
+    slots: Vec<Slot>,
+    /// Per row, the ordinals (into `sampled_keys` and `slots`) of the
+    /// buffered packets scheduled for it: the batched path's staging
+    /// (Idea D), applied row by row at flush.
+    row_ords: Vec<Vec<u32>>,
+    /// Keys sampled in the current batch (for deferred heap maintenance).
+    sampled_keys: Vec<FlowKey>,
+}
+
+/// The geometric skip schedule over row-major `(packet, row)` slots
+/// (Algorithm 1): which packets are sampled, and which of their rows.
+#[derive(Clone, Debug)]
+struct Schedule {
+    sampler: GeometricSampler,
     /// Packets to pass untouched before the next sampled packet.
     skip: u64,
     /// Row scheduled for the next update.
@@ -62,14 +81,39 @@ pub struct NitroSketch<S: RowSketch> {
     /// `p⁻¹` captured when the pending skip was drawn, so updates stay
     /// unbiased across adaptive probability changes.
     pending_pinv: f64,
-    topk: Option<TopK>,
-    stats: NitroStats,
-    /// Per-row staging buffers for the batched path (Idea D).
-    row_buf: Vec<Vec<FlowKey>>,
-    /// Keys sampled in the current batch (for deferred heap maintenance).
-    sampled_keys: Vec<FlowKey>,
-    /// Rows selected for the packet in hand on the batched path.
-    rows_scratch: Vec<usize>,
+}
+
+impl Schedule {
+    /// Draw a fresh schedule. Algorithm 1 line 4: r ← −1, so the first
+    /// draw lands on slot g − 1 in row-major (packet, row) order.
+    fn restart(&mut self, depth: usize) {
+        let pos = self.sampler.next_skip() - 1;
+        self.skip = pos / depth as u64;
+        self.next_row = (pos % depth as u64) as usize;
+        self.pending_pinv = 1.0 / self.sampler.p();
+    }
+
+    /// Call `visit(row, p⁻¹)` for each row scheduled for the sampled packet
+    /// in hand, in increasing row order, and advance past the packet.
+    #[inline]
+    fn each_row(&mut self, depth: usize, mut visit: impl FnMut(usize, f64)) {
+        let depth = depth as u64;
+        loop {
+            visit(self.next_row, self.pending_pinv);
+            let g = self.sampler.next_skip();
+            self.pending_pinv = 1.0 / self.sampler.p();
+            let pos = self.next_row as u64 + g;
+            if pos < depth {
+                // Same packet, later row (Fig. 5's "skip three arrays,
+                // update Array 5").
+                self.next_row = pos as usize;
+            } else {
+                self.skip = pos / depth - 1;
+                self.next_row = (pos % depth) as usize;
+                break;
+            }
+        }
+    }
 }
 
 impl<S: RowSketch> NitroSketch<S> {
@@ -79,22 +123,20 @@ impl<S: RowSketch> NitroSketch<S> {
         let depth = sketch.depth();
         assert!(depth >= 1);
         let mode = ModeState::new(mode, depth);
-        let mut sampler = GeometricSampler::new(mode.p(), seed);
-        // Algorithm 1 line 4: r ← −1, so the first draw lands on slot
-        // g − 1 in row-major (packet, row) order.
-        let g0 = sampler.next_skip();
-        let pos = g0 - 1;
-        let pending_pinv = 1.0 / sampler.p();
+        let mut sched = Schedule {
+            sampler: GeometricSampler::new(mode.p(), seed),
+            skip: 0,
+            next_row: 0,
+            pending_pinv: 1.0,
+        };
+        sched.restart(depth);
         Self {
-            skip: pos / depth as u64,
-            next_row: (pos % depth as u64) as usize,
-            sampler,
-            pending_pinv,
+            sched,
             topk: None,
             stats: NitroStats::default(),
-            row_buf: (0..depth).map(|_| Vec::new()).collect(),
+            slots: vec![Slot::default(); depth],
+            row_ords: vec![Vec::new(); depth],
             sampled_keys: Vec::new(),
-            rows_scratch: Vec::with_capacity(depth),
             sketch,
             mode,
         }
@@ -124,7 +166,7 @@ impl<S: RowSketch> NitroSketch<S> {
         match d {
             Decision::None => {}
             Decision::Reconfigure => {
-                self.sampler.set_p(self.mode.p());
+                self.sched.sampler.set_p(self.mode.p());
             }
             Decision::CheckConvergence => {
                 let t = self
@@ -133,7 +175,7 @@ impl<S: RowSketch> NitroSketch<S> {
                     .expect("CheckConvergence only in AlwaysCorrect mode");
                 if self.sketch.l2_squared_estimate() > t {
                     let p = self.mode.mark_converged();
-                    self.sampler.set_p(p);
+                    self.sched.sampler.set_p(p);
                 }
             }
         }
@@ -147,66 +189,40 @@ impl<S: RowSketch> NitroSketch<S> {
         let d = self.mode.on_packet(ts_ns);
         self.handle_decision(d);
         self.stats.packets += 1;
-        if self.skip > 0 {
-            self.skip -= 1;
+        if self.sched.skip > 0 {
+            self.sched.skip -= 1;
             return false;
         }
-        self.apply_updates(key, weight);
+        // Each slot is computed once: for the update of a scheduled row and,
+        // with top-k on, for the estimate over all rows that follows.
+        let depth = self.sketch.depth();
+        let all_rows = self.topk.is_some();
+        // A burst may have left the table any length, empty included.
+        self.slots.resize(depth, Slot::default());
+        let slots = &mut self.slots[..];
+        if all_rows {
+            for (r, slot) in slots.iter_mut().enumerate() {
+                *slot = self.sketch.slot(r, key);
+            }
+        }
+        let (sketch, stats) = (&mut self.sketch, &mut self.stats);
+        self.sched.each_row(depth, |r, pinv| {
+            if !all_rows {
+                slots[r] = sketch.slot(r, key);
+            }
+            sketch.add_at(r, [slots[r]], weight * pinv);
+            stats.row_updates += 1;
+        });
         self.stats.sampled_packets += 1;
         if let Some(topk) = &mut self.topk {
-            let est = self.sketch.estimate_robust(key);
-            topk.offer(key, est);
+            topk.offer(key, self.sketch.estimate_at(slots));
             self.stats.heap_updates += 1;
         }
         true
     }
 
-    /// Apply all scheduled row updates for the current (sampled) packet and
-    /// advance the skip schedule past it.
-    fn apply_updates(&mut self, key: FlowKey, weight: f64) {
-        let depth = self.sketch.depth() as u64;
-        loop {
-            self.sketch
-                .update_row(self.next_row, key, weight * self.pending_pinv);
-            self.stats.row_updates += 1;
-            let g = self.sampler.next_skip();
-            self.pending_pinv = 1.0 / self.sampler.p();
-            let pos = self.next_row as u64 + g;
-            if pos < depth {
-                // Same packet, later row (Fig. 5's "skip three arrays,
-                // update Array 5").
-                self.next_row = pos as usize;
-            } else {
-                self.skip = pos / depth - 1;
-                self.next_row = (pos % depth) as usize;
-                break;
-            }
-        }
-    }
-
-    /// Select the scheduled row updates for the current packet *without*
-    /// touching the sketch; returns them into `out` as row indices.
-    fn select_rows(&mut self, out: &mut Vec<usize>) {
-        let depth = self.sketch.depth() as u64;
-        loop {
-            out.push(self.next_row);
-            let g = self.sampler.next_skip();
-            // Batched path requires a constant p across the batch (callers
-            // flush on reconfiguration), so pending_pinv is stable here.
-            self.pending_pinv = 1.0 / self.sampler.p();
-            let pos = self.next_row as u64 + g;
-            if pos < depth {
-                self.next_row = pos as usize;
-            } else {
-                self.skip = pos / depth - 1;
-                self.next_row = (pos % depth) as usize;
-                break;
-            }
-        }
-    }
-
-    /// Process a batch of packets with buffered, lane-hashed counter updates
-    /// — the paper's Idea D. Counter state is identical to calling
+    /// Process a batch of packets with buffered counter updates — the
+    /// paper's Idea D. Counter state is identical to calling
     /// [`Self::process`] per packet when `p` is constant over the batch
     /// (always true in `Fixed` mode; adaptive modes flush at boundaries).
     ///
@@ -227,57 +243,73 @@ impl<S: RowSketch> NitroSketch<S> {
             self.stats.rejected += keys.len() as u64;
             return 0;
         }
+        let depth = self.sketch.depth();
+        let all_rows = self.topk.is_some();
         self.sampled_keys.clear();
-        let mut rows_scratch = std::mem::take(&mut self.rows_scratch);
-        let mut pinv_in_flight = self.pending_pinv;
+        self.slots.clear();
+        // The batched path holds p constant between flushes (each decision
+        // flushes first), so one p⁻¹ covers everything buffered.
+        let mut pinv_in_flight = self.sched.pending_pinv;
 
         for &key in keys {
             let d = self.mode.on_packet(ts_ns);
             if d != Decision::None {
                 // p may change: flush what we buffered under the old p.
-                self.flush_rows(pinv_in_flight, weight);
+                self.flush_rows(pinv_in_flight * weight);
                 self.handle_decision(d);
-                pinv_in_flight = self.pending_pinv;
+                pinv_in_flight = self.sched.pending_pinv;
             }
             self.stats.packets += 1;
-            if self.skip > 0 {
-                self.skip -= 1;
+            if self.sched.skip > 0 {
+                self.sched.skip -= 1;
                 continue;
             }
-            rows_scratch.clear();
-            self.select_rows(&mut rows_scratch);
-            for &r in &rows_scratch {
-                self.row_buf[r].push(key);
-            }
+            let ord = self.sampled_keys.len() as u32;
             self.sampled_keys.push(key);
+            let base = self.slots.len();
+            self.slots.resize(base + depth, Slot::default());
+            let slots = &mut self.slots[base..];
+            if all_rows {
+                for (r, slot) in slots.iter_mut().enumerate() {
+                    *slot = self.sketch.slot(r, key);
+                }
+            }
+            let (sketch, row_ords) = (&self.sketch, &mut self.row_ords);
+            self.sched.each_row(depth, |r, _| {
+                if !all_rows {
+                    slots[r] = sketch.slot(r, key);
+                }
+                row_ords[r].push(ord);
+            });
         }
-        self.flush_rows(pinv_in_flight, weight);
-        self.rows_scratch = rows_scratch;
+        self.flush_rows(pinv_in_flight * weight);
 
         // Deferred heap maintenance: one estimate per sampled packet, after
-        // the counters landed (same ordering as the paper's Fig. 7 step 4).
+        // the counters landed (same ordering as the paper's Fig. 7 step 4),
+        // read through the slots the updates used.
         let sampled = self.sampled_keys.len();
         self.stats.sampled_packets += sampled as u64;
         if let Some(topk) = &mut self.topk {
-            for &key in &self.sampled_keys {
-                let est = self.sketch.estimate_robust(key);
-                topk.offer(key, est);
+            for (&key, slots) in self.sampled_keys.iter().zip(self.slots.chunks(depth)) {
+                topk.offer(key, self.sketch.estimate_at(slots));
                 self.stats.heap_updates += 1;
             }
         }
         sampled
     }
 
-    fn flush_rows(&mut self, pinv: f64, weight: f64) {
-        for r in 0..self.row_buf.len() {
-            if self.row_buf[r].is_empty() {
+    /// Apply the buffered updates row by row, each row's in packet order.
+    fn flush_rows(&mut self, delta: f64) {
+        let depth = self.sketch.depth();
+        for (r, ords) in self.row_ords.iter_mut().enumerate() {
+            if ords.is_empty() {
                 continue;
             }
-            let buf = std::mem::take(&mut self.row_buf[r]);
-            self.sketch.update_row_batch(r, &buf, weight * pinv);
-            self.stats.row_updates += buf.len() as u64;
-            self.row_buf[r] = buf;
-            self.row_buf[r].clear();
+            let slots = &self.slots;
+            let at = ords.iter().map(|&o| slots[o as usize * depth + r]);
+            self.sketch.add_at(r, at, delta);
+            self.stats.row_updates += ords.len() as u64;
+            ords.clear();
         }
     }
 
@@ -353,12 +385,7 @@ impl<S: RowSketch> NitroSketch<S> {
             t.clear();
         }
         self.stats = NitroStats::default();
-        let depth = self.sketch.depth() as u64;
-        let g0 = self.sampler.next_skip();
-        let pos = g0 - 1;
-        self.skip = pos / depth;
-        self.next_row = (pos % depth) as usize;
-        self.pending_pinv = 1.0 / self.sampler.p();
+        self.sched.restart(self.sketch.depth());
     }
 
     /// Resident bytes (sketch + heap).
@@ -371,7 +398,7 @@ impl<S: RowSketch> NitroSketch<S> {
     /// instead of dropping packets. Returns the new `p` if it changed.
     pub fn downshift(&mut self) -> Option<f64> {
         let new_p = self.mode.downshift()?;
-        self.sampler.set_p(new_p);
+        self.sched.sampler.set_p(new_p);
         self.stats.downshifts += 1;
         Some(new_p)
     }
@@ -520,13 +547,8 @@ impl<S: RowSketch + Checkpoint> NitroSketch<S> {
                 t.offer(k, est);
             }
         }
-        self.sampler.set_p(mode.p);
-        let depth = self.sketch.depth() as u64;
-        let g0 = self.sampler.next_skip();
-        let pos = g0 - 1;
-        self.skip = pos / depth;
-        self.next_row = (pos % depth) as usize;
-        self.pending_pinv = 1.0 / self.sampler.p();
+        self.sched.sampler.set_p(mode.p);
+        self.sched.restart(self.sketch.depth());
         Ok(())
     }
 
@@ -572,7 +594,7 @@ impl<S: RowSketch + Checkpoint> NitroSketch<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nitro_sketches::{CountMin, CountSketch, Sketch};
+    use nitro_sketches::{CountMin, CountSketch, KarySketch, Sketch};
     use std::collections::HashMap;
 
     fn skewed_stream(n: usize, flows: u64, seed: u64) -> Vec<u64> {
@@ -726,29 +748,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_matches_scalar_exactly_in_fixed_mode() {
-        let stream = skewed_stream(50_000, 800, 10);
-        let mut scalar =
-            NitroSketch::new(CountSketch::new(5, 2048, 17), Mode::Fixed { p: 0.05 }, 21);
-        let mut batched =
-            NitroSketch::new(CountSketch::new(5, 2048, 17), Mode::Fixed { p: 0.05 }, 21);
-        for &k in &stream {
-            scalar.process(k, 1.0);
-        }
-        for chunk in stream.chunks(32) {
-            batched.process_batch(chunk, 1.0);
-        }
-        for k in 0..800u64 {
-            assert_eq!(scalar.estimate(k), batched.estimate(k), "key {k}");
-        }
-        assert_eq!(scalar.stats().row_updates, batched.stats().row_updates);
-        assert_eq!(
-            scalar.stats().sampled_packets,
-            batched.stats().sampled_packets
-        );
-    }
-
-    #[test]
     fn works_with_count_min_too() {
         let stream = skewed_stream(200_000, 1000, 12);
         let truth = truth_of(&stream);
@@ -796,17 +795,36 @@ mod tests {
 
     #[test]
     fn non_finite_weights_rejected_before_counters() {
-        let mut nitro = NitroSketch::new(CountSketch::new(3, 256, 61), Mode::Fixed { p: 1.0 }, 62);
-        nitro.process(1, 5.0);
-        assert!(!nitro.process(1, f64::NAN));
-        assert!(!nitro.process(1, f64::INFINITY));
-        assert!(!nitro.process_ts(1, f64::NEG_INFINITY, 100));
-        assert_eq!(nitro.process_batch(&[1, 2, 3], f64::NAN), 0);
-        let s = nitro.stats();
-        assert_eq!(s.rejected, 6);
-        assert_eq!(s.packets, 1, "rejected packets never reach the mode");
-        assert_eq!(nitro.estimate(1), 5.0, "counters untouched by NaN");
-        assert!(nitro.inner().l2_squared_estimate().is_finite());
+        fn check<S: RowSketch + Sketch + Checkpoint + Clone>(sketch: S) {
+            let mut vanilla = sketch.clone();
+            let mut nitro = NitroSketch::new(sketch, Mode::Fixed { p: 1.0 }, 62).with_topk(4);
+            nitro.process(1, 5.0);
+            vanilla.update(1, 5.0);
+            let (counters, slots) = (nitro.inner().snapshot(), nitro.slots.clone());
+            assert!(!nitro.process(1, f64::NAN));
+            assert!(!nitro.process(1, f64::INFINITY));
+            assert!(!nitro.process_ts(1, f64::NEG_INFINITY, 100));
+            assert_eq!(nitro.process_batch(&[1, 2, 3], f64::NAN), 0);
+            let s = nitro.stats();
+            assert_eq!(s.rejected, 6);
+            assert_eq!(s.packets, 1, "rejected packets never reach the mode");
+            assert_eq!(nitro.slots, slots, "rejected packets compute no slot");
+            assert_eq!(nitro.inner().snapshot(), counters, "counters untouched");
+            assert!(nitro.inner().l2_squared_estimate().is_finite());
+            // An empty burst empties the slot table; the scalar path after
+            // it still updates every row.
+            assert_eq!(nitro.process_batch(&[], 1.0), 0);
+            assert!(nitro.process(1, 5.0));
+            vanilla.update(1, 5.0);
+            assert_eq!(nitro.estimate(1), vanilla.estimate_robust(1));
+            assert_eq!(
+                nitro.heavy_hitters(0.0),
+                vec![(1, vanilla.estimate_robust(1))]
+            );
+        }
+        check(CountMin::new(3, 256, 61));
+        check(CountSketch::new(3, 256, 61));
+        check(KarySketch::new(3, 256, 61));
     }
 
     #[test]

@@ -101,7 +101,7 @@ impl KeyHasher for MultiplyShift {
 pub const MERSENNE61: u64 = (1 << 61) - 1;
 
 #[inline(always)]
-fn mod_mersenne61(x: u128) -> u64 {
+pub(crate) fn mod_mersenne61(x: u128) -> u64 {
     // x mod (2^61 - 1): fold the high bits down twice (the first fold can
     // produce up to ~2^62), then one conditional subtract.
     let lo = (x & MERSENNE61 as u128) as u64;
@@ -115,7 +115,7 @@ fn mod_mersenne61(x: u128) -> u64 {
 }
 
 #[inline(always)]
-fn mul_mod_mersenne61(a: u64, b: u64) -> u64 {
+pub(crate) fn mul_mod_mersenne61(a: u64, b: u64) -> u64 {
     mod_mersenne61((a as u128) * (b as u128))
 }
 
@@ -203,6 +203,11 @@ impl PolyHash {
     /// The independence degree k of this instance.
     pub fn degree(&self) -> usize {
         self.coeffs.len()
+    }
+
+    /// The coefficients `a_0, …, a_{k-1}`.
+    pub(crate) fn coeffs(&self) -> &[u64] {
+        &self.coeffs
     }
 }
 

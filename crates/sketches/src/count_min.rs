@@ -11,7 +11,7 @@
 //!   Algorithm 1, which stays unbiased when rows are *sampled* (the minimum
 //!   would collapse to the unluckiest row under sampling).
 
-use crate::traits::{FlowKey, RowSketch, Sketch, COUNTER_BYTES};
+use crate::traits::{FlowKey, RowSketch, Sketch, Slot, COUNTER_BYTES};
 use nitro_hash::reduce;
 use nitro_hash::xxhash::xxh64_u64;
 
@@ -31,8 +31,6 @@ pub struct CountMin {
     row_ss: Vec<f64>,
     /// Total weight inserted (the stream's L1), used by derived statistics.
     total: f64,
-    /// Hash scratch of [`RowSketch::update_row_batch`], kept across calls.
-    hashes: Vec<u64>,
 }
 
 impl CountMin {
@@ -50,7 +48,6 @@ impl CountMin {
             conservative: false,
             row_ss: vec![0.0; depth],
             total: 0.0,
-            hashes: Vec::new(),
         }
     }
 
@@ -178,42 +175,29 @@ impl RowSketch for CountMin {
         self.width
     }
 
-    fn update_row(&mut self, row: usize, key: FlowKey, delta: f64) {
-        let i = self.index(row, key);
-        let c = self.counters[i];
-        self.counters[i] = c + delta;
-        self.row_ss[row] += 2.0 * c * delta + delta * delta;
-        self.total += delta / self.depth as f64;
+    #[inline(always)]
+    fn slot(&self, row: usize, key: FlowKey) -> Slot {
+        Slot {
+            index: self.index(row, key),
+            sign: 1.0,
+        }
     }
 
-    fn update_row_batch(&mut self, row: usize, keys: &[FlowKey], delta: f64) {
-        self.hashes.clear();
-        nitro_hash::batch::xxh64_u64_batch(keys, self.seeds[row], &mut self.hashes);
-        let base = row * self.width;
-        for &h in &self.hashes {
-            let i = base + reduce(h, self.width);
-            let c = self.counters[i];
-            self.counters[i] = c + delta;
+    #[inline]
+    fn add_at(&mut self, row: usize, slots: impl IntoIterator<Item = Slot>, delta: f64) {
+        let mut n = 0usize;
+        for s in slots {
+            let c = self.counters[s.index];
+            self.counters[s.index] = c + delta;
             self.row_ss[row] += 2.0 * c * delta + delta * delta;
+            n += 1;
         }
-        self.total += keys.len() as f64 * delta / self.depth as f64;
+        self.total += n as f64 * delta / self.depth as f64;
     }
 
-    fn estimate_robust(&self, key: FlowKey) -> f64 {
-        // Stack buffer for the common depths — this runs once per sampled
-        // packet on the heap-maintenance path.
-        let mut buf = [0.0f64; 16];
-        if self.depth <= 16 {
-            for (r, slot) in buf.iter_mut().enumerate().take(self.depth) {
-                *slot = self.counters[self.index(r, key)];
-            }
-            crate::median_in_place(&mut buf[..self.depth])
-        } else {
-            let mut vals: Vec<f64> = (0..self.depth)
-                .map(|r| self.counters[self.index(r, key)])
-                .collect();
-            crate::median_in_place(&mut vals)
-        }
+    #[inline]
+    fn estimate_at(&self, slots: &[Slot]) -> f64 {
+        crate::median_of(slots.iter().map(|s| self.counters[s.index]))
     }
 
     fn row_sum_squares(&self, row: usize) -> f64 {

@@ -11,7 +11,7 @@
 //! monitors to decide when sampling is statistically safe (Algorithm 1,
 //! line 14).
 
-use crate::traits::{FlowKey, RowSketch, Sketch, COUNTER_BYTES};
+use crate::traits::{FlowKey, RowSketch, Sketch, Slot, COUNTER_BYTES};
 use nitro_hash::reduce;
 use nitro_hash::sign::SignHash;
 use nitro_hash::xxhash::xxh64_u64;
@@ -26,8 +26,6 @@ pub struct CountSketch {
     signs: Vec<SignHash>,
     /// Incrementally maintained Σ C² per row (O(1) convergence checks).
     row_ss: Vec<f64>,
-    /// Hash scratch of [`RowSketch::update_row_batch`], kept across calls.
-    hashes: Vec<u64>,
 }
 
 impl CountSketch {
@@ -52,7 +50,6 @@ impl CountSketch {
             seeds,
             signs,
             row_ss: vec![0.0; depth],
-            hashes: Vec::new(),
         }
     }
 
@@ -73,11 +70,6 @@ impl CountSketch {
     pub fn with_memory(bytes: usize, depth: usize, seed: u64) -> Self {
         let width = (bytes / COUNTER_BYTES / depth).max(1);
         Self::new(depth, width, seed)
-    }
-
-    #[inline(always)]
-    fn index(&self, row: usize, key: FlowKey) -> usize {
-        row * self.width + reduce(xxh64_u64(key, self.seeds[row]), self.width)
     }
 
     /// The `(1 ± ε)` AMS estimate of the stream's L2 norm (not squared).
@@ -109,12 +101,7 @@ impl CountSketch {
 impl Sketch for CountSketch {
     fn update(&mut self, key: FlowKey, weight: f64) {
         for r in 0..self.depth {
-            let s = self.signs[r].sign_f64(key);
-            let i = self.index(r, key);
-            let c = self.counters[i];
-            let delta = weight * s;
-            self.counters[i] = c + delta;
-            self.row_ss[r] += 2.0 * c * delta + delta * delta;
+            self.update_row(r, key, weight);
         }
     }
 
@@ -141,43 +128,27 @@ impl RowSketch for CountSketch {
         self.width
     }
 
-    fn update_row(&mut self, row: usize, key: FlowKey, delta: f64) {
-        let s = self.signs[row].sign_f64(key);
-        let i = self.index(row, key);
-        let c = self.counters[i];
-        let d = delta * s;
-        self.counters[i] = c + d;
-        self.row_ss[row] += 2.0 * c * d + d * d;
+    #[inline(always)]
+    fn slot(&self, row: usize, key: FlowKey) -> Slot {
+        Slot {
+            index: row * self.width + reduce(xxh64_u64(key, self.seeds[row]), self.width),
+            sign: self.signs[row].sign_f64(key),
+        }
     }
 
-    fn update_row_batch(&mut self, row: usize, keys: &[FlowKey], delta: f64) {
-        self.hashes.clear();
-        nitro_hash::batch::xxh64_u64_batch(keys, self.seeds[row], &mut self.hashes);
-        let base = row * self.width;
-        for (&h, &k) in self.hashes.iter().zip(keys) {
-            let i = base + reduce(h, self.width);
-            let c = self.counters[i];
-            let d = delta * self.signs[row].sign_f64(k);
-            self.counters[i] = c + d;
+    #[inline]
+    fn add_at(&mut self, row: usize, slots: impl IntoIterator<Item = Slot>, delta: f64) {
+        for s in slots {
+            let c = self.counters[s.index];
+            let d = delta * s.sign;
+            self.counters[s.index] = c + d;
             self.row_ss[row] += 2.0 * c * d + d * d;
         }
     }
 
-    fn estimate_robust(&self, key: FlowKey) -> f64 {
-        // Stack buffer for the common depths — this runs once per sampled
-        // packet on the heap-maintenance path.
-        let mut buf = [0.0f64; 16];
-        if self.depth <= 16 {
-            for (r, slot) in buf.iter_mut().enumerate().take(self.depth) {
-                *slot = self.counters[self.index(r, key)] * self.signs[r].sign_f64(key);
-            }
-            crate::median_in_place(&mut buf[..self.depth])
-        } else {
-            let mut vals: Vec<f64> = (0..self.depth)
-                .map(|r| self.counters[self.index(r, key)] * self.signs[r].sign_f64(key))
-                .collect();
-            crate::median_in_place(&mut vals)
-        }
+    #[inline]
+    fn estimate_at(&self, slots: &[Slot]) -> f64 {
+        crate::median_of(slots.iter().map(|s| self.counters[s.index] * s.sign))
     }
 
     fn row_sum_squares(&self, row: usize) -> f64 {
@@ -348,7 +319,7 @@ mod tests {
             for k in 0..500u64 {
                 cs.update(k, 1.0);
             }
-            sum += cs.counters[cs.index(0, 42)] * cs.signs[0].sign_f64(42);
+            sum += cs.estimate_at(&[cs.slot(0, 42)]);
         }
         let mean = sum / trials as f64;
         assert!((mean - 1.0).abs() < 2.0, "mean {mean} should be ≈ 1");

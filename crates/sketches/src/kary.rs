@@ -10,7 +10,7 @@
 //! epochs' sketches (they are linear) and querying the difference yields
 //! per-flow traffic change estimates (see [`crate::change`]).
 
-use crate::traits::{FlowKey, RowSketch, Sketch, COUNTER_BYTES};
+use crate::traits::{FlowKey, RowSketch, Sketch, Slot, COUNTER_BYTES};
 use nitro_hash::reduce;
 use nitro_hash::xxhash::xxh64_u64;
 
@@ -26,8 +26,6 @@ pub struct KarySketch {
     row_sums: Vec<f64>,
     /// Incrementally maintained Σ C² per row (O(1) convergence checks).
     row_ss: Vec<f64>,
-    /// Hash scratch of [`RowSketch::update_row_batch`], kept across calls.
-    hashes: Vec<u64>,
 }
 
 impl KarySketch {
@@ -43,7 +41,6 @@ impl KarySketch {
             seeds: seq.derive_n(depth),
             row_sums: vec![0.0; depth],
             row_ss: vec![0.0; depth],
-            hashes: Vec::new(),
         }
     }
 
@@ -52,19 +49,6 @@ impl KarySketch {
     pub fn with_memory(bytes: usize, depth: usize, seed: u64) -> Self {
         let width = (bytes / COUNTER_BYTES / depth).max(2);
         Self::new(depth, width, seed)
-    }
-
-    #[inline(always)]
-    fn index(&self, row: usize, key: FlowKey) -> usize {
-        row * self.width + reduce(xxh64_u64(key, self.seeds[row]), self.width)
-    }
-
-    /// The unbiased estimate from a single row.
-    #[inline]
-    fn row_estimate(&self, row: usize, key: FlowKey) -> f64 {
-        let c = self.counters[self.index(row, key)];
-        let w = self.width as f64;
-        (c - self.row_sums[row] / w) / (1.0 - 1.0 / w)
     }
 
     /// Subtract another sketch (same dimensions and seeds) element-wise —
@@ -143,11 +127,7 @@ impl KarySketch {
 impl Sketch for KarySketch {
     fn update(&mut self, key: FlowKey, weight: f64) {
         for r in 0..self.depth {
-            let i = self.index(r, key);
-            let c = self.counters[i];
-            self.counters[i] = c + weight;
-            self.row_sums[r] += weight;
-            self.row_ss[r] += 2.0 * c * weight + weight * weight;
+            self.update_row(r, key, weight);
         }
     }
 
@@ -175,38 +155,37 @@ impl RowSketch for KarySketch {
         self.width
     }
 
-    fn update_row(&mut self, row: usize, key: FlowKey, delta: f64) {
-        let i = self.index(row, key);
-        let c = self.counters[i];
-        self.counters[i] = c + delta;
-        self.row_sums[row] += delta;
-        self.row_ss[row] += 2.0 * c * delta + delta * delta;
+    #[inline(always)]
+    fn slot(&self, row: usize, key: FlowKey) -> Slot {
+        Slot {
+            index: row * self.width + reduce(xxh64_u64(key, self.seeds[row]), self.width),
+            sign: 1.0,
+        }
     }
 
-    fn update_row_batch(&mut self, row: usize, keys: &[FlowKey], delta: f64) {
-        self.hashes.clear();
-        nitro_hash::batch::xxh64_u64_batch(keys, self.seeds[row], &mut self.hashes);
-        let base = row * self.width;
-        for &h in &self.hashes {
-            let i = base + reduce(h, self.width);
-            let c = self.counters[i];
-            self.counters[i] = c + delta;
+    #[inline]
+    fn add_at(&mut self, row: usize, slots: impl IntoIterator<Item = Slot>, delta: f64) {
+        let mut n = 0usize;
+        for s in slots {
+            let c = self.counters[s.index];
+            self.counters[s.index] = c + delta;
             self.row_ss[row] += 2.0 * c * delta + delta * delta;
+            n += 1;
         }
-        self.row_sums[row] += keys.len() as f64 * delta;
+        self.row_sums[row] += n as f64 * delta;
     }
 
-    fn estimate_robust(&self, key: FlowKey) -> f64 {
-        let mut buf = [0.0f64; 16];
-        if self.depth <= 16 {
-            for (r, slot) in buf.iter_mut().enumerate().take(self.depth) {
-                *slot = self.row_estimate(r, key);
-            }
-            crate::median_in_place(&mut buf[..self.depth])
-        } else {
-            let mut vals: Vec<f64> = (0..self.depth).map(|r| self.row_estimate(r, key)).collect();
-            crate::median_in_place(&mut vals)
-        }
+    /// Median over rows of the unbiased per-row estimate
+    /// `(C[r][h_r(x)] − S_r/w) / (1 − 1/w)`.
+    #[inline]
+    fn estimate_at(&self, slots: &[Slot]) -> f64 {
+        let w = self.width as f64;
+        crate::median_of(
+            slots
+                .iter()
+                .zip(&self.row_sums)
+                .map(|(s, &sum)| (self.counters[s.index] - sum / w) / (1.0 - 1.0 / w)),
+        )
     }
 
     fn row_sum_squares(&self, row: usize) -> f64 {

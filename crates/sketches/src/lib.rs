@@ -56,7 +56,7 @@ pub use linear_counting::LinearCounting;
 pub use misra_gries::MisraGries;
 pub use space_saving::SpaceSaving;
 pub use topk::TopK;
-pub use traits::{FlowKey, RowSketch, Sketch, UnivLayer, COUNTER_BYTES};
+pub use traits::{FlowKey, RowSketch, Sketch, Slot, UnivLayer, COUNTER_BYTES};
 pub use univmon::UnivMon;
 
 /// Median of a scratch slice (mutated in place). For even lengths returns
@@ -67,6 +67,26 @@ pub fn median_in_place(values: &mut [f64]) -> f64 {
     let mid = (values.len() - 1) / 2;
     let (_, m, _) = values.select_nth_unstable_by(mid, |a, b| a.total_cmp(b));
     *m
+}
+
+/// Run `f` over `items` gathered into a scratch slice: on the stack for up
+/// to 16 items (every per-packet use), on the heap beyond.
+pub(crate) fn on_stack<T: Copy + Default, R>(
+    items: impl ExactSizeIterator<Item = T>,
+    f: impl FnOnce(&mut [T]) -> R,
+) -> R {
+    let n = items.len();
+    if n > 16 {
+        return f(&mut items.collect::<Vec<T>>());
+    }
+    let mut buf = [T::default(); 16];
+    buf.iter_mut().zip(items).for_each(|(b, item)| *b = item);
+    f(&mut buf[..n])
+}
+
+/// Median of the per-row values an `estimate_at` yields.
+pub(crate) fn median_of(values: impl ExactSizeIterator<Item = f64>) -> f64 {
+    on_stack(values, median_in_place)
 }
 
 #[cfg(test)]

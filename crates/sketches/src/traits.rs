@@ -31,13 +31,28 @@ pub trait Sketch {
     fn memory_bytes(&self) -> usize;
 }
 
+/// Where a key lands in one row: the flat counter index (`r·w + h_r(key)`)
+/// and the sign `g_r(key)` (`±1.0`; always `+1.0` for unsigned sketches).
+///
+/// A slot is the whole hashing cost of a row update, so a packet computes
+/// each once for both [`RowSketch::add_at`] and [`RowSketch::estimate_at`].
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+pub struct Slot {
+    /// Index into the sketch's flat row-major counter array.
+    pub index: usize,
+    /// `g_r(key)`.
+    pub sign: f64,
+}
+
 /// The canonical multi-row counter-array structure NitroSketch accelerates
 /// (Fig. 1): `depth` rows of `width` counters, row `r` updated at position
 /// `h_r(key)` by `delta · g_r(key)`.
 ///
 /// Everything NitroSketch needs is expressed against this trait, so wrapping
 /// a new sketch requires only implementing it (the paper's "generality"
-/// claim, §4).
+/// claim, §4). A sketch states its index, sign and estimator once, in
+/// [`Self::slot`], [`Self::add_at`] and [`Self::estimate_at`]; the per-key
+/// operations are defaults over those.
 pub trait RowSketch {
     /// Number of counter rows (`d`, typically `O(log δ⁻¹)`).
     fn depth(&self) -> usize;
@@ -45,27 +60,40 @@ pub trait RowSketch {
     /// Counters per row (`w`).
     fn width(&self) -> usize;
 
-    /// Add `delta · g_r(key)` to `C[r][h_r(key)]`.
+    /// Where `key` lands in `row`.
+    fn slot(&self, row: usize, key: FlowKey) -> Slot;
+
+    /// Add `delta · slot.sign` at every slot of `slots` (all in `row`), in
+    /// order, keeping the row's Σ C² current; row-level running totals
+    /// advance once, by `n · delta` for `n` slots.
     ///
     /// `delta` is `weight` for vanilla operation and `weight · p⁻¹` under
     /// Nitro sampling, keeping every counter an unbiased estimator.
-    fn update_row(&mut self, row: usize, key: FlowKey, delta: f64);
+    fn add_at(&mut self, row: usize, slots: impl IntoIterator<Item = Slot>, delta: f64);
 
-    /// Apply many single-row updates at once (the buffered stage of Idea D).
-    ///
-    /// Implementations override this to hash `keys` in SIMD-width lanes
-    /// (see `nitro_hash::batch`); the default is the scalar loop, and both
-    /// must produce identical counter state.
+    /// The `Query` of Algorithm 1 (median across rows, with any per-row
+    /// correction) over one key's slots, `slots[r]` being its slot in row `r`.
+    fn estimate_at(&self, slots: &[Slot]) -> f64;
+
+    /// Add `delta · g_r(key)` to `C[r][h_r(key)]`.
+    fn update_row(&mut self, row: usize, key: FlowKey, delta: f64) {
+        let slot = self.slot(row, key);
+        self.add_at(row, [slot], delta);
+    }
+
+    /// [`Self::update_row`] for each of `keys` in turn.
     fn update_row_batch(&mut self, row: usize, keys: &[FlowKey], delta: f64) {
         for &k in keys {
             self.update_row(row, k, delta);
         }
     }
 
-    /// The sampling-robust estimator for this sketch — the `Query` of
-    /// Algorithm 1 (median across rows, with any sketch-specific
-    /// correction applied per row).
-    fn estimate_robust(&self, key: FlowKey) -> f64;
+    /// [`Self::estimate_at`] over `key`'s slots.
+    fn estimate_robust(&self, key: FlowKey) -> f64 {
+        crate::on_stack((0..self.depth()).map(|r| self.slot(r, key)), |slots| {
+            self.estimate_at(slots)
+        })
+    }
 
     /// Sum of squared counters in `row` — `Σ_y C²_{r,y}`, used by the
     /// AlwaysCorrect convergence test and the L2 estimator.
