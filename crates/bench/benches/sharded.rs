@@ -417,25 +417,6 @@ fn main() {
     ]);
     println!("{}", console.render());
 
-    // Machine-readable perf baseline for the per-PR trajectory the
-    // ROADMAP asks for: rewritten in the workspace root on every run of
-    // this bench, checked in alongside the code that moved the numbers.
-    let bench_json = format!(
-        "{{\n  \"bench\": \"telemetry\",\n  \"scale\": {},\n  \"cores\": {cores},\n  \
-         \"observations\": {n},\n  \"scrape_overhead\": {{\n    \"quiet_mpps\": {quiet_mpps:.3},\n    \
-         \"scraped_mpps\": {scraped_mpps:.3},\n    \"regression\": {regression:.4},\n    \
-         \"scrapes\": {scrapes}\n  }},\n  \"scrape_render_us\": {{\n    \
-         \"prometheus\": {render_prom_us:.2},\n    \"json\": {render_json_us:.2}\n  }},\n  \
-         \"console_us\": {{\n    \"parse\": {parse_us:.2},\n    \"cycle\": {cycle_us:.2},\n    \
-         \"shards\": 4,\n    \"doc_bytes\": {doc_bytes}\n  }}\n}}\n",
-        nitro_bench::scale(),
-    );
-    let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_telemetry.json");
-    match std::fs::write(out, &bench_json) {
-        Ok(()) => println!("wrote {out}"),
-        Err(e) => println!("could not write {out}: {e}"),
-    }
-
     // The scaling claim: 4 shards ≥ 2× the single-consumer daemon — only
     // meaningful when the host can actually run 4 consumers + 1 producer.
     if cores >= 5 {

@@ -12,6 +12,7 @@ pub mod errors;
 pub mod fleet;
 pub mod health;
 pub mod json;
+pub mod schema;
 pub mod scrape;
 pub mod table;
 pub mod telemetry;
@@ -21,8 +22,8 @@ pub use fleet::FleetHealth;
 pub use health::{CircuitBreaker, DaemonHealth};
 pub use json::{Json, JsonError};
 pub use scrape::{
-    parse_recording, read_recording, ClusterSnapshot, DeltaCounters, HistSummary, RecordedFrame,
-    ScrapeError, ScrapeRecorder, ScrapeSnapshot, ShardSnapshot,
+    parse_recording, read_recording, ClusterSnapshot, HistSummary, RecordedFrame, ScrapeError,
+    ScrapeRecorder, ScrapeSnapshot, ShardSnapshot,
 };
 pub use table::Table;
 pub use telemetry::{

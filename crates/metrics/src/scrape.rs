@@ -24,14 +24,17 @@
 
 use crate::health::DaemonHealth;
 use crate::json::{write_json_string, Json, JsonError};
-use crate::telemetry::{NodeWatermark, TelemetryRegistry};
+use crate::schema::{
+    read_json, read_members, section, Slot, CLUSTER_METRICS, NODE_METRICS, SHARD_METRICS,
+};
+use crate::telemetry::{NodeWatermark, TelemetryRegistry, HISTOGRAM_BUCKETS};
 use std::fmt;
 use std::fs::File;
 use std::io::{BufWriter, Read, Write};
 use std::path::Path;
 
 /// Summary of one latency histogram as rendered into a scrape document.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct HistSummary {
     /// Recorded values.
     pub count: u64,
@@ -43,24 +46,46 @@ pub struct HistSummary {
     pub p99: u64,
     /// Exact maximum.
     pub max: u64,
+    /// Per-bucket counts (bucket `i` holds `[2^i, 2^{i+1})`), which the
+    /// Prometheus page exports. A JSON scrape carries only the summary
+    /// above, so a parsed snapshot holds zeros here.
+    pub buckets: [u64; HISTOGRAM_BUCKETS],
 }
 
-/// Replica delta-stream counters of one shard.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct DeltaCounters {
-    /// Delta frames streamed toward the standby.
-    pub streamed: u64,
-    /// Delta frames dropped at a full delta ring.
-    pub lagged: u64,
-    /// Delta frames applied into the shadow.
-    pub applied: u64,
-    /// Delta frames rejected (framing, checksum, version, restore).
-    pub rejected: u64,
-    /// Delta frames skipped as stale.
-    pub stale: u64,
+impl HistSummary {
+    /// Cumulative counts of [`HistSummary::buckets`] up to the last
+    /// non-empty bucket, as `(upper_bound_exclusive, cumulative_count)`
+    /// pairs.
+    pub(crate) fn cumulative_buckets(&self) -> Vec<(u64, u64)> {
+        let Some(last) = self.buckets.iter().rposition(|&c| c > 0) else {
+            return Vec::new();
+        };
+        let mut cum = 0u64;
+        (0..=last)
+            .map(|i| {
+                cum += self.buckets[i];
+                (1u64 << (i + 1), cum)
+            })
+            .collect()
+    }
 }
 
-/// One shard instance as it appeared in a scrape document.
+impl Default for HistSummary {
+    fn default() -> Self {
+        Self {
+            count: 0,
+            sum: 0,
+            p50: 0,
+            p99: 0,
+            max: 0,
+            buckets: [0; HISTOGRAM_BUCKETS],
+        }
+    }
+}
+
+/// One shard instance as it appeared in a scrape document, or as
+/// [`crate::ShardTelemetry::snapshot`] read it off the live cells. Every
+/// field but the identity is one row of [`crate::schema::SHARD_METRICS`].
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct ShardSnapshot {
     /// Shard id (dispatcher index).
@@ -98,12 +123,20 @@ pub struct ShardSnapshot {
     pub skew_load: f64,
     /// Sign-bias skew (`NaN` when `null`).
     pub sign_bias: f64,
-    /// Replica delta counters.
-    pub delta: DeltaCounters,
+    /// Delta frames streamed toward the standby.
+    pub delta_streamed: u64,
+    /// Delta frames dropped at a full delta ring.
+    pub delta_lagged: u64,
+    /// Delta frames applied into the shadow.
+    pub delta_applied: u64,
+    /// Delta frames rejected (framing, checksum, version, restore).
+    pub delta_rejected: u64,
+    /// Delta frames skipped as stale.
+    pub delta_stale: u64,
     /// CRC frames appended to the durable log.
-    pub store_frames: u64,
+    pub frames_persisted: u64,
     /// Payload bytes appended to the durable log.
-    pub store_bytes: u64,
+    pub bytes_persisted: u64,
     /// Per-batch processing latency.
     pub batch_ns: HistSummary,
     /// Durable persist latency.
@@ -112,7 +145,8 @@ pub struct ShardSnapshot {
     pub delta_apply_ns: HistSummary,
 }
 
-/// The cluster section of a scrape, when an aggregator was live.
+/// The cluster section of a scrape, when an aggregator was live. Every
+/// field but `nodes` is one row of [`crate::schema::CLUSTER_METRICS`].
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct ClusterSnapshot {
     /// Nodes currently connected.
@@ -200,128 +234,36 @@ impl From<JsonError> for ScrapeError {
     }
 }
 
+/// An identity or journal count outside the metric tables.
 fn num_u64(v: &Json, key: &str) -> u64 {
     v.get(key).and_then(Json::as_u64).unwrap_or(0)
 }
 
-/// An f64 gauge: `null` (how the renderer writes non-finite values) reads
-/// back as `NaN`, a missing key as 0.
-fn num_f64(v: &Json, key: &str) -> f64 {
-    match v.get(key) {
-        Some(Json::Null) => f64::NAN,
-        Some(j) => j.as_f64().unwrap_or(0.0),
-        None => 0.0,
-    }
-}
-
-fn flag(v: &Json, key: &str) -> bool {
-    num_u64(v, key) != 0
-}
-
-fn hist(v: Option<&Json>) -> HistSummary {
-    match v {
-        Some(h) => HistSummary {
-            count: num_u64(h, "count"),
-            sum: num_u64(h, "sum"),
-            p50: num_u64(h, "p50"),
-            p99: num_u64(h, "p99"),
-            max: num_u64(h, "max"),
-        },
-        None => HistSummary::default(),
-    }
-}
-
-fn health(v: Option<&Json>) -> DaemonHealth {
-    let Some(h) = v else {
-        return DaemonHealth::default();
-    };
-    DaemonHealth {
-        offered: num_u64(h, "offered"),
-        processed: num_u64(h, "processed"),
-        dropped: num_u64(h, "dropped"),
-        lost_in_crash: num_u64(h, "lost_in_crash"),
-        restarts: num_u64(h, "restarts"),
-        stalls: num_u64(h, "stalls"),
-        checkpoints: num_u64(h, "checkpoints"),
-        persisted: num_u64(h, "persisted"),
-        restores: num_u64(h, "restores"),
-        downshifts: num_u64(h, "downshifts"),
-    }
-}
-
 fn shard(v: &Json) -> ShardSnapshot {
-    let gauges = v.get("gauges");
-    let g = |key: &str| gauges.map_or(0, |g| num_u64(g, key));
-    let gf = |key: &str| gauges.map_or(0.0, |g| num_f64(g, key));
-    let gb = |key: &str| gauges.is_some_and(|g| flag(g, key));
-    let delta = v.get("delta");
-    let d = |key: &str| delta.map_or(0, |d| num_u64(d, key));
-    let store = v.get("store");
-    ShardSnapshot {
+    let mut s = ShardSnapshot {
         shard: num_u64(v, "shard") as u32,
         inst: num_u64(v, "inst"),
-        health: health(v.get("health")),
-        ring_occupancy: gf("ring_occupancy"),
-        ring_capacity: g("ring_capacity"),
-        backlog: g("backlog"),
-        sampling_p: gf("sampling_p"),
-        mode_code: g("mode_code"),
-        converged: gb("converged"),
-        topk_len: g("topk_len"),
-        breaker_open: gb("breaker_open"),
-        failed: gb("failed"),
-        generation: g("generation"),
-        seq_band: g("seq_band"),
-        persist_lag: g("persist_lag"),
-        skew_load: gf("skew_load"),
-        sign_bias: gf("sign_bias"),
-        delta: DeltaCounters {
-            streamed: d("streamed"),
-            lagged: d("lagged"),
-            applied: d("applied"),
-            rejected: d("rejected"),
-            stale: d("stale"),
-        },
-        store_frames: store.map_or(0, |s| num_u64(s, "frames")),
-        store_bytes: store.map_or(0, |s| num_u64(s, "bytes")),
-        batch_ns: hist(v.get("batch_ns")),
-        persist_ns: hist(v.get("persist_ns")),
-        delta_apply_ns: hist(v.get("delta_apply_ns")),
-    }
+        ..ShardSnapshot::default()
+    };
+    read_json(v, SHARD_METRICS, &mut s);
+    s
+}
+
+fn node(v: &Json) -> NodeWatermark {
+    let mut n = NodeWatermark {
+        node: num_u64(v, "node") as u32,
+        ..NodeWatermark::default()
+    };
+    read_json(v, NODE_METRICS, &mut n);
+    n
 }
 
 fn cluster(v: &Json) -> ClusterSnapshot {
-    let nodes = v
-        .get("nodes")
-        .and_then(Json::as_arr)
-        .map(|items| {
-            items
-                .iter()
-                .map(|n| NodeWatermark {
-                    node: num_u64(n, "node") as u32,
-                    last_epoch: num_u64(n, "last_epoch"),
-                    connected: flag(n, "connected"),
-                })
-                .collect()
-        })
-        .unwrap_or_default();
-    ClusterSnapshot {
-        connected_nodes: num_u64(v, "connected_nodes"),
-        known_nodes: num_u64(v, "known_nodes"),
-        degraded_epochs: num_u64(v, "degraded_epochs"),
-        epochs_sealed: num_u64(v, "epochs_sealed"),
-        node_losses: num_u64(v, "node_losses"),
-        backfill_frames: num_u64(v, "backfill_frames"),
-        frames_received: num_u64(v, "frames_received"),
-        frames_rejected: num_u64(v, "frames_rejected"),
-        heartbeats: num_u64(v, "heartbeats"),
-        log_records: num_u64(v, "log_records"),
-        log_persist_failures: num_u64(v, "log_persist_failures"),
-        recovered_epochs: num_u64(v, "recovered_epochs"),
-        recovered_records: num_u64(v, "recovered_records"),
-        reconnect_backoffs: num_u64(v, "reconnect_backoffs"),
-        nodes,
-    }
+    let mut c = ClusterSnapshot::default();
+    read_json(v, CLUSTER_METRICS, &mut c);
+    let nodes = v.get("nodes").and_then(Json::as_arr).unwrap_or(&[]);
+    c.nodes = nodes.iter().map(node).collect();
+    c
 }
 
 impl ScrapeSnapshot {
@@ -335,7 +277,6 @@ impl ScrapeSnapshot {
         if !matches!(doc, Json::Obj(_)) {
             return Err(ScrapeError::Shape("document is not an object"));
         }
-        let events = doc.get("events");
         let shards = doc
             .get("shards")
             .and_then(Json::as_arr)
@@ -344,11 +285,21 @@ impl ScrapeSnapshot {
             .get("retired")
             .and_then(Json::as_arr)
             .ok_or(ScrapeError::Shape("missing retired array"))?;
+        let events = doc.get("events");
+        let mut promotion_ns = HistSummary::default();
+        Slot::Hist(&mut promotion_ns).read_json(doc.get("promotion_ns"));
+        // The fleet object is the shard table's health section.
+        let mut fleet = ShardSnapshot::default();
+        read_members(
+            doc.get("fleet"),
+            section(SHARD_METRICS, "health"),
+            &mut fleet,
+        );
         Ok(Self {
             events_recorded: events.map_or(0, |e| num_u64(e, "recorded")),
             events_dropped: events.map_or(0, |e| num_u64(e, "dropped")),
-            promotion_ns: hist(doc.get("promotion_ns")),
-            fleet: health(doc.get("fleet")),
+            promotion_ns,
+            fleet: fleet.health,
             cluster: doc.get("cluster").map(cluster),
             shards: shards.iter().map(shard).collect(),
             retired: retired.iter().map(shard).collect(),
@@ -489,111 +440,16 @@ pub fn parse_recording(text: &str) -> Result<Vec<RecordedFrame>, ScrapeError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::telemetry::{Event, MeasurementGauges};
-
-    fn populated_registry() -> TelemetryRegistry {
-        let reg = TelemetryRegistry::new();
-        let a = reg.register(0);
-        a.offered.add(1_000);
-        a.popped.add(990);
-        a.processed.add(980);
-        a.dropped.add(10);
-        a.persisted_at.set(900);
-        a.ring_capacity.set(1 << 16);
-        a.ring_occupancy.set_f64(0.25);
-        a.backlog.set(123);
-        a.publish_gauges(&MeasurementGauges {
-            sampling_p: 0.5,
-            mode_code: 1,
-            converged: true,
-            topk_len: 32,
-        });
-        a.batch_ns.record(512);
-        a.batch_ns.record(2048);
-        let b = reg.register(1);
-        b.offered.add(500);
-        b.processed.add(500);
-        b.sign_bias.set_f64(f64::NAN);
-        reg.record(Event::BreakerTrip { shard: 0, trips: 1 });
-        reg
-    }
-
-    #[test]
-    fn snapshot_parses_live_registry_render() {
-        let reg = populated_registry();
-        let snap = ScrapeSnapshot::parse(&reg.render_json()).expect("parse");
-        assert_eq!(snap.shards.len(), 2);
-        assert_eq!(snap.retired.len(), 0);
-        assert_eq!(snap.events_recorded, 1);
-        assert!(snap.cluster.is_none(), "no aggregator, no cluster section");
-        let s0 = &snap.shards[0];
-        assert_eq!(s0.shard, 0);
-        assert_eq!(s0.inst, 1);
-        assert_eq!(s0.health.offered, 1_000);
-        assert_eq!(s0.health.processed, 980);
-        assert_eq!(s0.health.lost_in_crash, 10, "popped - processed");
-        assert_eq!(s0.ring_capacity, 1 << 16);
-        assert_eq!(s0.backlog, 123);
-        assert_eq!(s0.persist_lag, 80, "processed 980, persisted at 900");
-        assert_eq!(s0.ring_occupancy, 0.25);
-        assert_eq!(s0.sampling_p, 0.5);
-        assert_eq!(s0.mode_code, 1);
-        assert!(s0.converged);
-        assert_eq!(s0.topk_len, 32);
-        assert_eq!(s0.batch_ns.count, 2);
-        assert_eq!(s0.batch_ns.max, 2048);
-        let s1 = &snap.shards[1];
-        assert!(s1.sign_bias.is_nan(), "null gauge reads back as NaN");
-        assert_eq!(snap.fleet.offered, 1_500);
-    }
-
-    #[test]
-    fn snapshot_parses_cluster_section_with_watermarks() {
-        let reg = populated_registry();
-        let c = reg.cluster();
-        c.connected_nodes.set(2);
-        c.known_nodes.set(3);
-        c.epochs_sealed.add(7);
-        c.publish_nodes(vec![
-            NodeWatermark {
-                node: 1,
-                last_epoch: 9,
-                connected: true,
-            },
-            NodeWatermark {
-                node: 2,
-                last_epoch: 7,
-                connected: false,
-            },
-        ]);
-        let snap = ScrapeSnapshot::parse(&reg.render_json()).expect("parse");
-        let cl = snap.cluster.expect("cluster section present");
-        assert_eq!(cl.connected_nodes, 2);
-        assert_eq!(cl.known_nodes, 3);
-        assert_eq!(cl.epochs_sealed, 7);
-        assert_eq!(
-            cl.nodes,
-            vec![
-                NodeWatermark {
-                    node: 1,
-                    last_epoch: 9,
-                    connected: true
-                },
-                NodeWatermark {
-                    node: 2,
-                    last_epoch: 7,
-                    connected: false
-                },
-            ]
-        );
-    }
+    use crate::telemetry::Event;
 
     #[test]
     fn recorder_round_trips_through_read_recording() {
         let dir = std::env::temp_dir().join(format!("nitro-scrape-rec-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("round_trip.ndjson");
-        let reg = populated_registry();
+        let reg = TelemetryRegistry::new();
+        reg.register(0).processed.add(980);
+        reg.record(Event::BreakerTrip { shard: 0, trips: 1 });
         {
             let mut rec = ScrapeRecorder::create(&path).expect("create");
             let events = rec.record_registry(1_000, &reg).expect("frame 0");
@@ -633,21 +489,5 @@ mod tests {
         }
         assert_eq!(parse_recording("\n\n").unwrap().len(), 0);
         assert_eq!(parse_recording(good).unwrap().len(), 1);
-    }
-
-    #[test]
-    fn snapshot_rejects_wrong_shapes() {
-        assert!(matches!(
-            ScrapeSnapshot::parse("[]"),
-            Err(ScrapeError::Shape("document is not an object"))
-        ));
-        assert!(matches!(
-            ScrapeSnapshot::parse("{\"shards\":3,\"retired\":[]}"),
-            Err(ScrapeError::Shape("missing shards array"))
-        ));
-        assert!(matches!(
-            ScrapeSnapshot::parse("not json at all"),
-            Err(ScrapeError::Json(_))
-        ));
     }
 }

@@ -424,6 +424,7 @@ fn merge_hist(a: HistSummary, b: HistSummary) -> HistSummary {
         p50: a.p50.max(b.p50),
         p99: a.p99.max(b.p99),
         max: a.max.max(b.max),
+        ..HistSummary::default()
     }
 }
 
