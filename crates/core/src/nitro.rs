@@ -10,7 +10,7 @@
 use crate::mode::{Decision, Mode, ModeState};
 use nitro_hash::GeometricSampler;
 use nitro_sketches::checkpoint::{Decoder, Encoder};
-use nitro_sketches::{Checkpoint, CheckpointError, FlowKey, RowSketch, Slot, TopK};
+use nitro_sketches::{Checkpoint, CheckpointError, DirtyLines, FlowKey, RowSketch, Slot, TopK};
 
 /// Operation counters — the reproduction's stand-in for VTune's per-function
 /// CPU shares (Table 2) and the basis of the cost model in `nitro-switch`.
@@ -479,7 +479,18 @@ impl<S: RowSketch + Checkpoint> NitroSketch<S> {
     /// and, into a cleared recycled buffer, no allocation: the wrapped
     /// sketch writes its blob in place behind a back-patched length.
     pub fn snapshot_into(&self, out: &mut Vec<u8>) {
-        let mut e = Encoder::new(out, NITRO_MAGIC);
+        let at = out.len();
+        self.write_image(out, at, None);
+    }
+
+    /// [`Checkpoint::write_image`] for the whole measurement: the head —
+    /// controller, statistics and heavy-key table, 16 KB at 1 024 tracked
+    /// keys — is re-encoded in place, and the wrapped sketch patches its counter
+    /// tail. When the head's length changed since the older image (the
+    /// top-k table grew or was cleared), the sketch finds its tail out of
+    /// place and writes every counter: the full encode.
+    pub fn write_image(&self, out: &mut Vec<u8>, at: usize, dirty: Option<&DirtyLines>) {
+        let mut e = Encoder::at(out, at, NITRO_MAGIC);
         let mode = self.mode.export();
         e.f64(mode.p).u8(mode.converged as u8).u64(mode.packets);
         e.u64(self.stats.packets)
@@ -493,7 +504,13 @@ impl<S: RowSketch + Checkpoint> NitroSketch<S> {
         for (k, est) in self.topk.iter().flat_map(TopK::entries) {
             e.u64(k).f64(est);
         }
-        e.nested(|out| self.sketch.snapshot_into(out));
+        e.nested(|out, at| self.sketch.write_image(out, at, dirty));
+    }
+
+    /// The wrapped sketch's [`Checkpoint::take_dirty`]: only its counters
+    /// are tracked, the head is always rewritten.
+    pub fn take_dirty(&mut self, into: &mut DirtyLines) {
+        self.sketch.take_dirty(into);
     }
 
     /// Restore a [`Self::snapshot`] into this instance. The receiver must

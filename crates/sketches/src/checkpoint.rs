@@ -87,11 +87,27 @@ impl std::error::Error for CheckpointError {}
 /// disjoint streams equals the sketch of the concatenated stream
 /// (linearity).
 pub trait Checkpoint: Sized {
-    /// Append the full counter state to `out` in the checkpoint wire
-    /// format — the one definition of the format. Appending lets a wrapper
-    /// nest this blob inside its own ([`Encoder::nested`]); a caller
-    /// recycling a buffer clears it first and pays no allocation.
-    fn snapshot_into(&self, out: &mut Vec<u8>);
+    /// Write the full state into `out` from byte `at` on, in the checkpoint
+    /// wire format — the one definition of the format. Afterwards
+    /// `out[at..]` is exactly [`Checkpoint::snapshot`]'s bytes.
+    ///
+    /// `out[at..]` is either empty (the snapshot is appended) or holds an
+    /// older snapshot of a same-geometry instance, which is overwritten in
+    /// place. With `dirty == Some(lines)` it must be *this* instance's
+    /// snapshot from before every counter line set in `lines` was last
+    /// written: the fixed header is rewritten and, of the counter tail
+    /// (which sits at a fixed offset), only those lines. With `None` every
+    /// line is written — a full encode is the same path with every line
+    /// dirty. Starting at `at` lets a wrapper nest this blob inside its own
+    /// ([`Encoder::nested`]).
+    fn write_image(&self, out: &mut Vec<u8>, at: usize, dirty: Option<&DirtyLines>);
+
+    /// Append the full state to `out`; a caller recycling a buffer clears
+    /// it first and pays no allocation.
+    fn snapshot_into(&self, out: &mut Vec<u8>) {
+        let at = out.len();
+        self.write_image(out, at, None);
+    }
 
     /// [`Checkpoint::snapshot_into`] a fresh buffer.
     fn snapshot(&self) -> Vec<u8> {
@@ -99,6 +115,16 @@ pub trait Checkpoint: Sized {
         self.snapshot_into(&mut out);
         out
     }
+
+    /// Move the set of counter lines written since the last call into
+    /// `into`, and start a new, empty set. Every counter write marks its
+    /// line — update, merge, restore and clear alike — so the sets taken
+    /// between two snapshots cover everything [`Checkpoint::write_image`]
+    /// has to copy to bring the older one up to date. Tracking starts at
+    /// the first call, which hands over every line: an instance that is
+    /// never checkpointed this way pays no more per write than a length
+    /// check.
+    fn take_dirty(&mut self, into: &mut DirtyLines);
 
     /// Load a snapshot into this instance, decoding straight into its
     /// existing counters. The receiver must have been built with the same
@@ -148,12 +174,124 @@ pub trait Checkpoint: Sized {
     }
 }
 
+/// Counters per dirty-tracking line: 64 bytes of `f64` counters.
+pub const LINE_COUNTERS: usize = 8;
+
+/// One bit per line of [`LINE_COUNTERS`] counters: the lines written since
+/// the set was last taken ([`Checkpoint::take_dirty`]). A 4 MB arena needs
+/// 8 KB of bits, small enough to stay in L1 beside the hot path's stores.
+/// The default set has no bits and tracks nothing: marking it is a no-op.
+///
+/// The line, not a wider block, is the unit because sampled updates
+/// scatter: a 10 000-packet interval at p = 0.1 writes 0.6 % of a 2 MiB
+/// Count Sketch's counters, which is 4.6 % of its lines but 31 % of its
+/// 64-counter blocks.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct DirtyLines {
+    words: Vec<u64>,
+    lines: usize,
+}
+
+impl DirtyLines {
+    /// An empty set sized for `counters` counters.
+    pub fn new(counters: usize) -> Self {
+        let lines = counters.div_ceil(LINE_COUNTERS);
+        Self {
+            words: vec![0; lines.div_ceil(64)],
+            lines,
+        }
+    }
+
+    /// Mark the line holding counter `index` (a no-op on a set that
+    /// tracks nothing).
+    #[inline(always)]
+    pub fn mark(&mut self, index: usize) {
+        let line = index / LINE_COUNTERS;
+        if let Some(word) = self.words.get_mut(line / 64) {
+            *word |= 1 << (line % 64);
+        }
+    }
+
+    /// Mark every line.
+    pub fn mark_all(&mut self) {
+        self.words.fill(!0);
+        if !self.lines.is_multiple_of(64) {
+            if let Some(last) = self.words.last_mut() {
+                *last = (1u64 << (self.lines % 64)) - 1;
+            }
+        }
+    }
+
+    /// Copy this set into `into` (reusing its allocation) and empty this
+    /// one. A set that tracked nothing hands over every line of `counters`
+    /// counters — it cannot tell which were written — and tracks from here
+    /// on.
+    pub fn take_into(&mut self, into: &mut DirtyLines, counters: usize) {
+        if self.words.is_empty() {
+            *self = DirtyLines::new(counters);
+            into.clone_from(self);
+            into.mark_all();
+        } else {
+            into.clone_from(self);
+            self.words.fill(0);
+        }
+    }
+
+    /// Add every line of `other`, a set over the same counters.
+    pub fn union(&mut self, other: &DirtyLines) {
+        debug_assert_eq!(self.lines, other.lines, "sets over different counters");
+        for (mine, theirs) in self.words.iter_mut().zip(&other.words) {
+            *mine |= theirs;
+        }
+    }
+
+    /// Lines marked.
+    pub fn count(&self) -> usize {
+        self.words.iter().map(|w| w.count_ones() as usize).sum()
+    }
+
+    /// Lines covered, marked or not.
+    pub fn lines(&self) -> usize {
+        self.lines
+    }
+
+    /// Call `f` with each maximal run of marked lines, as the counter index
+    /// range it covers (clipped to `counters`), in increasing order.
+    pub fn for_each_run(&self, counters: usize, mut f: impl FnMut(std::ops::Range<usize>)) {
+        let mut run: Option<std::ops::Range<usize>> = None;
+        for (w, &word) in self.words.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                let lo = bits.trailing_zeros() as usize;
+                let len = (bits >> lo).trailing_ones() as usize;
+                let end = lo + len;
+                bits = if end == 64 { 0 } else { bits & (!0 << end) };
+                let lines = w * 64 + lo..w * 64 + lo + len;
+                match &mut run {
+                    Some(r) if r.end == lines.start => r.end = lines.end,
+                    _ => {
+                        if let Some(r) = run.replace(lines) {
+                            f(r.start * LINE_COUNTERS..(r.end * LINE_COUNTERS).min(counters));
+                        }
+                    }
+                }
+            }
+        }
+        if let Some(r) = run {
+            f(r.start * LINE_COUNTERS..(r.end * LINE_COUNTERS).min(counters));
+        }
+    }
+}
+
 /// Values staged per [`extend_le`] block: 4 KB of bytes, L1-resident.
 const LE_BLOCK: usize = 512;
 
 /// Append `vs` as little-endian 8-byte words. Staging a block at a time
 /// makes the copy into `buf` one `extend_from_slice` per 4 KB instead of a
 /// capacity check per value — memcpy speed over a multi-megabyte arena.
+/// Kept out of line: inlined into the encoder, its staging loop ran about
+/// 10 % slower over a 4.2 MB arena.
+#[inline(never)]
 fn extend_le<T: Copy>(buf: &mut Vec<u8>, vs: &[T], to_le: impl Fn(T) -> [u8; 8]) {
     buf.reserve(vs.len() * 8);
     let mut block = [0u8; LE_BLOCK * 8];
@@ -166,66 +304,136 @@ fn extend_le<T: Copy>(buf: &mut Vec<u8>, vs: &[T], to_le: impl Fn(T) -> [u8; 8])
     }
 }
 
-/// Little-endian checkpoint encoder, appending to a caller-owned buffer.
+/// Overwrite `dst` with `vs` as little-endian 8-byte words.
+fn write_le<T: Copy>(dst: &mut [u8], vs: &[T], to_le: impl Fn(T) -> [u8; 8]) {
+    for (dst, &v) in dst.chunks_exact_mut(8).zip(vs) {
+        dst.copy_from_slice(&to_le(v));
+    }
+}
+
+/// Little-endian checkpoint encoder: a cursor into a caller-owned buffer
+/// that overwrites the bytes already there and appends past the end. An
+/// image's last field ([`Encoder::counters`] or [`Encoder::nested`]) ends
+/// the buffer, cutting off whatever an older, longer image left behind.
 #[derive(Debug)]
 pub struct Encoder<'a> {
     buf: &'a mut Vec<u8>,
+    at: usize,
 }
 
 impl<'a> Encoder<'a> {
     /// Start a snapshot at the end of `buf` with a type magic word followed
     /// by the format version byte ([`CHECKPOINT_VERSION`]).
     pub fn new(buf: &'a mut Vec<u8>, magic: u32) -> Self {
-        buf.extend_from_slice(&magic.to_le_bytes());
-        buf.push(CHECKPOINT_VERSION);
-        Self { buf }
+        let at = buf.len();
+        Self::at(buf, at, magic)
     }
 
-    /// Append one byte.
+    /// [`Encoder::new`], but starting at byte `at` of `buf`, over whatever
+    /// image lies there.
+    ///
+    /// # Panics
+    /// Panics when `at` is past the end of `buf`.
+    pub fn at(buf: &'a mut Vec<u8>, at: usize, magic: u32) -> Self {
+        assert!(at <= buf.len(), "encoder starts past the buffer's end");
+        let mut e = Self { buf, at };
+        e.put(&magic.to_le_bytes());
+        e.put(&[CHECKPOINT_VERSION]);
+        e
+    }
+
+    fn put(&mut self, bytes: &[u8]) {
+        let over = (self.buf.len() - self.at).min(bytes.len());
+        self.buf[self.at..self.at + over].copy_from_slice(&bytes[..over]);
+        self.buf.extend_from_slice(&bytes[over..]);
+        self.at += bytes.len();
+    }
+
+    fn words<T: Copy>(&mut self, vs: &[T], to_le: impl Fn(T) -> [u8; 8] + Copy) {
+        let over = ((self.buf.len() - self.at) / 8).min(vs.len());
+        write_le(
+            &mut self.buf[self.at..self.at + over * 8],
+            &vs[..over],
+            to_le,
+        );
+        if over < vs.len() {
+            self.buf.truncate(self.at + over * 8);
+            extend_le(self.buf, &vs[over..], to_le);
+        }
+        self.at += vs.len() * 8;
+    }
+
+    /// Write one byte.
     pub fn u8(&mut self, v: u8) -> &mut Self {
-        self.buf.push(v);
+        self.put(&[v]);
         self
     }
 
-    /// Append a u32.
+    /// Write a u32.
     pub fn u32(&mut self, v: u32) -> &mut Self {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        self.put(&v.to_le_bytes());
         self
     }
 
-    /// Append a u64.
+    /// Write a u64.
     pub fn u64(&mut self, v: u64) -> &mut Self {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        self.put(&v.to_le_bytes());
         self
     }
 
-    /// Append an f64.
+    /// Write an f64.
     pub fn f64(&mut self, v: f64) -> &mut Self {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        self.put(&v.to_le_bytes());
         self
     }
 
-    /// Append a u64 slice.
+    /// Write a u64 slice.
     pub fn u64s(&mut self, vs: &[u64]) -> &mut Self {
-        extend_le(self.buf, vs, u64::to_le_bytes);
+        self.words(vs, u64::to_le_bytes);
         self
     }
 
-    /// Append an f64 slice.
+    /// Write an f64 slice.
     pub fn f64s(&mut self, vs: &[f64]) -> &mut Self {
-        extend_le(self.buf, vs, f64::to_le_bytes);
+        self.words(vs, f64::to_le_bytes);
         self
     }
 
-    /// Append a length-prefixed nested blob that `write` appends in place:
-    /// the u64 length is back-patched once the blob's size is known, so the
-    /// blob is never built in a buffer of its own and copied.
-    pub fn nested(&mut self, write: impl FnOnce(&mut Vec<u8>)) -> &mut Self {
-        let prefix = self.buf.len();
+    /// Write a counter array as the image's last field, ending the buffer.
+    /// When exactly its length in bytes is left in the buffer, those bytes
+    /// are the same array in an older image, and `Some(dirty)` copies only
+    /// the lines it marks; otherwise (and with `None`) every counter is
+    /// written.
+    pub fn counters(&mut self, vs: &[f64], dirty: Option<&DirtyLines>) -> &mut Self {
+        match dirty {
+            Some(dirty) if self.buf.len() - self.at == vs.len() * 8 => {
+                let tail = &mut self.buf[self.at..];
+                dirty.for_each_run(vs.len(), |run| {
+                    let bytes = &mut tail[run.start * 8..run.end * 8];
+                    write_le(bytes, &vs[run], f64::to_le_bytes);
+                });
+                self.at += vs.len() * 8;
+            }
+            _ => {
+                self.f64s(vs);
+                self.buf.truncate(self.at);
+            }
+        }
+        self
+    }
+
+    /// Write a length-prefixed nested blob, the image's last field:
+    /// `write(buf, start)` writes it from `start` to the buffer's end, over
+    /// whatever is there. The u64 length is back-patched once the blob's
+    /// size is known, so the blob is never built in a buffer of its own and
+    /// copied.
+    pub fn nested(&mut self, write: impl FnOnce(&mut Vec<u8>, usize)) -> &mut Self {
+        let prefix = self.at;
         self.u64(0);
-        write(self.buf);
-        let len = (self.buf.len() - prefix - 8) as u64;
+        write(self.buf, self.at);
+        let len = (self.buf.len() - self.at) as u64;
         self.buf[prefix..prefix + 8].copy_from_slice(&len.to_le_bytes());
+        self.at = self.buf.len();
         self
     }
 }
@@ -395,7 +603,7 @@ mod tests {
         e.u8(7).u32(42).u64(1 << 50).f64(-2.5);
         e.u64s(&[1, 2, 3])
             .f64s(&[0.5, 1.5])
-            .nested(|out| out.extend_from_slice(b"nested"));
+            .nested(|out, _| out.extend_from_slice(b"nested"));
 
         let mut d = Decoder::new(&buf, 0xABCD_1234).unwrap();
         assert_eq!(d.u8().unwrap(), 7);
@@ -408,6 +616,71 @@ mod tests {
         assert_eq!(fs, [0.5, 1.5]);
         assert_eq!(d.bytes().unwrap(), b"nested");
         assert_eq!(d.remaining(), 0);
+    }
+
+    #[test]
+    fn dirty_runs_coalesce_across_words_and_clip_to_the_array() {
+        let counters = 130 * LINE_COUNTERS - 3;
+        let mut dirty = DirtyLines::new(counters);
+        assert_eq!((dirty.lines(), dirty.count()), (130, 0));
+        for index in [0, 7, 8, 63 * 8, 64 * 8 + 5, counters - 1] {
+            dirty.mark(index);
+        }
+        let mut runs = Vec::new();
+        dirty.for_each_run(counters, |run| runs.push(run));
+        assert_eq!(runs, [0..16, 504..520, counters - 5..counters]);
+        assert_eq!(dirty.count(), 5);
+
+        let mut taken = DirtyLines::default();
+        dirty.take_into(&mut taken, counters);
+        assert_eq!((taken.count(), dirty.count()), (5, 0));
+        dirty.mark_all();
+        assert_eq!(dirty.count(), 130);
+        runs.clear();
+        dirty.for_each_run(counters, |run| runs.push(run));
+        assert_eq!(runs, vec![0..counters]);
+        taken.union(&dirty);
+        assert_eq!(taken, dirty);
+
+        // The default set tracks nothing until first taken, and then hands
+        // over every line.
+        let mut untracked = DirtyLines::default();
+        untracked.mark(0);
+        untracked.mark_all();
+        untracked.take_into(&mut taken, counters);
+        assert_eq!(taken.count(), 130);
+        assert_eq!((untracked.lines(), untracked.count()), (130, 0));
+        untracked.mark(9);
+        assert_eq!(untracked.count(), 1);
+    }
+
+    #[test]
+    fn encoder_patches_an_older_image_to_the_full_encode() {
+        let old: Vec<f64> = (0..100).map(|i| i as f64).collect();
+        let mut new = old.clone();
+        let mut dirty = DirtyLines::new(new.len());
+        for i in [3, 40, 99] {
+            new[i] = -1.0;
+            dirty.mark(i);
+        }
+        let encode = |header: u64, vs: &[f64], out: &mut Vec<u8>, dirty: Option<&DirtyLines>| {
+            Encoder::at(out, 2, 9).u64(header).counters(vs, dirty);
+        };
+        let mut full = b"ab".to_vec();
+        encode(5, &new, &mut full, None);
+        let mut image = b"ab".to_vec();
+        encode(4, &old, &mut image, None);
+        encode(5, &new, &mut image, Some(&dirty));
+        assert_eq!(image, full, "patched in place");
+        // An older image of another length cannot be patched: its tail is
+        // rewritten whole, and the buffer ends where the image does.
+        for extra in [0, 3, 800] {
+            let mut image = b"ab".to_vec();
+            encode(4, &old[..old.len() - 1], &mut image, None);
+            image.extend(std::iter::repeat_n(7, extra));
+            encode(5, &new, &mut image, Some(&dirty));
+            assert_eq!(image, full, "{extra} extra bytes");
+        }
     }
 
     #[test]

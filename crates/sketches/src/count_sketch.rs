@@ -11,6 +11,7 @@
 //! monitors to decide when sampling is statistically safe (Algorithm 1,
 //! line 14).
 
+use crate::checkpoint::DirtyLines;
 use crate::traits::{FlowKey, RowSketch, Sketch, Slot, COUNTER_BYTES};
 use nitro_hash::reduce;
 use nitro_hash::sign::SignHash;
@@ -26,6 +27,9 @@ pub struct CountSketch {
     signs: Vec<SignHash>,
     /// Incrementally maintained Σ C² per row (O(1) convergence checks).
     row_ss: Vec<f64>,
+    /// Counter lines written since the last checkpoint took them (none
+    /// tracked before the first take).
+    dirty: DirtyLines,
 }
 
 impl CountSketch {
@@ -50,6 +54,7 @@ impl CountSketch {
             seeds,
             signs,
             row_ss: vec![0.0; depth],
+            dirty: DirtyLines::default(),
         }
     }
 
@@ -89,6 +94,7 @@ impl CountSketch {
         for (a, b) in self.counters.iter_mut().zip(&other.counters) {
             *a += b;
         }
+        self.dirty.mark_all();
         for r in 0..self.depth {
             self.row_ss[r] = self.counters[r * self.width..(r + 1) * self.width]
                 .iter()
@@ -112,6 +118,7 @@ impl Sketch for CountSketch {
     fn clear(&mut self) {
         self.counters.fill(0.0);
         self.row_ss.fill(0.0);
+        self.dirty.mark_all();
     }
 
     fn memory_bytes(&self) -> usize {
@@ -138,12 +145,17 @@ impl RowSketch for CountSketch {
 
     #[inline]
     fn add_at(&mut self, row: usize, slots: impl IntoIterator<Item = Slot>, delta: f64) {
+        // Σ C² in a register: the same sums in the same order, without a
+        // reload after every counter and dirty-bit store.
+        let mut ss = self.row_ss[row];
         for s in slots {
             let c = self.counters[s.index];
             let d = delta * s.sign;
             self.counters[s.index] = c + d;
-            self.row_ss[row] += 2.0 * c * d + d * d;
+            self.dirty.mark(s.index);
+            ss += 2.0 * c * d + d * d;
         }
+        self.row_ss[row] = ss;
     }
 
     #[inline]
@@ -206,14 +218,18 @@ impl crate::traits::UnivLayer for CountSketch {
 const CS_MAGIC: u32 = 0x4353_534B;
 
 impl crate::checkpoint::Checkpoint for CountSketch {
-    fn snapshot_into(&self, out: &mut Vec<u8>) {
-        let mut e = crate::checkpoint::Encoder::new(out, CS_MAGIC);
+    fn write_image(&self, out: &mut Vec<u8>, at: usize, dirty: Option<&DirtyLines>) {
+        let mut e = crate::checkpoint::Encoder::at(out, at, CS_MAGIC);
         e.u32(self.depth as u32).u32(self.width as u32);
         // Sign hashes derive from the same seed chain as the row seeds, so
         // seed equality implies sign-hash equality — no need to serialize
         // the sign functions themselves.
         e.u64s(&self.seeds);
-        e.f64s(&self.counters);
+        e.counters(&self.counters, dirty);
+    }
+
+    fn take_dirty(&mut self, into: &mut DirtyLines) {
+        self.dirty.take_into(into, self.counters.len());
     }
 
     fn restore(&mut self, bytes: &[u8]) -> Result<(), crate::checkpoint::CheckpointError> {
@@ -230,6 +246,7 @@ impl crate::checkpoint::Checkpoint for CountSketch {
         }
         // Last fallible step, and all-or-nothing: from here on we commit.
         d.f64s_into(&mut self.counters)?;
+        self.dirty.mark_all();
         for r in 0..self.depth {
             self.row_ss[r] = self.counters[r * self.width..(r + 1) * self.width]
                 .iter()

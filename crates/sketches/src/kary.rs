@@ -10,6 +10,7 @@
 //! epochs' sketches (they are linear) and querying the difference yields
 //! per-flow traffic change estimates (see [`crate::change`]).
 
+use crate::checkpoint::DirtyLines;
 use crate::traits::{FlowKey, RowSketch, Sketch, Slot, COUNTER_BYTES};
 use nitro_hash::reduce;
 use nitro_hash::xxhash::xxh64_u64;
@@ -26,6 +27,9 @@ pub struct KarySketch {
     row_sums: Vec<f64>,
     /// Incrementally maintained Σ C² per row (O(1) convergence checks).
     row_ss: Vec<f64>,
+    /// Counter lines written since the last checkpoint took them (none
+    /// tracked before the first take).
+    dirty: DirtyLines,
 }
 
 impl KarySketch {
@@ -41,6 +45,7 @@ impl KarySketch {
             seeds: seq.derive_n(depth),
             row_sums: vec![0.0; depth],
             row_ss: vec![0.0; depth],
+            dirty: DirtyLines::default(),
         }
     }
 
@@ -67,6 +72,7 @@ impl KarySketch {
         for (o, b) in out.counters.iter_mut().zip(&other.counters) {
             *o -= b;
         }
+        out.dirty.mark_all();
         for (o, b) in out.row_sums.iter_mut().zip(&other.row_sums) {
             *o -= b;
         }
@@ -93,6 +99,7 @@ impl KarySketch {
         for (a, b) in self.counters.iter_mut().zip(&other.counters) {
             *a += b;
         }
+        self.dirty.mark_all();
         for (a, b) in self.row_sums.iter_mut().zip(&other.row_sums) {
             *a += b;
         }
@@ -139,6 +146,7 @@ impl Sketch for KarySketch {
         self.counters.fill(0.0);
         self.row_sums.fill(0.0);
         self.row_ss.fill(0.0);
+        self.dirty.mark_all();
     }
 
     fn memory_bytes(&self) -> usize {
@@ -166,12 +174,17 @@ impl RowSketch for KarySketch {
     #[inline]
     fn add_at(&mut self, row: usize, slots: impl IntoIterator<Item = Slot>, delta: f64) {
         let mut n = 0usize;
+        // Σ C² in a register: the same sums in the same order, without a
+        // reload after every counter and dirty-bit store.
+        let mut ss = self.row_ss[row];
         for s in slots {
             let c = self.counters[s.index];
             self.counters[s.index] = c + delta;
-            self.row_ss[row] += 2.0 * c * delta + delta * delta;
+            self.dirty.mark(s.index);
+            ss += 2.0 * c * delta + delta * delta;
             n += 1;
         }
+        self.row_ss[row] = ss;
         self.row_sums[row] += n as f64 * delta;
     }
 
@@ -221,11 +234,15 @@ impl RowSketch for KarySketch {
 const KA_MAGIC: u32 = 0x4B41_534B;
 
 impl crate::checkpoint::Checkpoint for KarySketch {
-    fn snapshot_into(&self, out: &mut Vec<u8>) {
-        let mut e = crate::checkpoint::Encoder::new(out, KA_MAGIC);
+    fn write_image(&self, out: &mut Vec<u8>, at: usize, dirty: Option<&DirtyLines>) {
+        let mut e = crate::checkpoint::Encoder::at(out, at, KA_MAGIC);
         e.u32(self.depth as u32).u32(self.width as u32);
         e.u64s(&self.seeds);
-        e.f64s(&self.counters);
+        e.counters(&self.counters, dirty);
+    }
+
+    fn take_dirty(&mut self, into: &mut DirtyLines) {
+        self.dirty.take_into(into, self.counters.len());
     }
 
     fn restore(&mut self, bytes: &[u8]) -> Result<(), crate::checkpoint::CheckpointError> {
@@ -242,6 +259,7 @@ impl crate::checkpoint::Checkpoint for KarySketch {
         }
         // Last fallible step, and all-or-nothing: from here on we commit.
         d.f64s_into(&mut self.counters)?;
+        self.dirty.mark_all();
         // Row sums and Σ C² are derived state — recompute by scan.
         for r in 0..self.depth {
             let row = &self.counters[r * self.width..(r + 1) * self.width];

@@ -45,7 +45,7 @@ pub mod traits;
 pub mod univmon;
 
 pub use change::ChangeDetector;
-pub use checkpoint::{Checkpoint, CheckpointError, CHECKPOINT_VERSION};
+pub use checkpoint::{Checkpoint, CheckpointError, DirtyLines, CHECKPOINT_VERSION};
 pub use count_min::CountMin;
 pub use count_sketch::CountSketch;
 pub use fsd::FlowSizeArray;

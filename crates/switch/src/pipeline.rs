@@ -670,7 +670,10 @@ where
     draining: Vec<DrainingShard<S>>,
     /// Accumulated state of retired rescaled-away shards: merged into
     /// every view and into the final result, exactly once per shard.
-    carryover: NitroSketch<S>,
+    /// `None` until the first draining shard is reaped into it — merging
+    /// a pristine carryover would cost every view a full pass over the
+    /// counters for nothing.
+    carryover: Option<NitroSketch<S>>,
     /// Final health records of retired daemons.
     retired: Vec<DaemonHealth>,
     /// Blank, geometry-defining instance of the live fleet's hash space.
@@ -1045,11 +1048,13 @@ where
         // must all come from the new-seed factory.
         self.spawner.factory = Arc::new(factory);
         // Carry the old carryover's tracked keys into the new seed space.
-        let mut carry = new_template.clone();
-        carry
-            .fold_decoded_from(&self.carryover)
-            .expect("geometry verified against the old template above");
-        self.carryover = carry;
+        self.carryover = self.carryover.as_ref().map(|old| {
+            let mut carry = new_template.clone();
+            carry
+                .fold_decoded_from(old)
+                .expect("geometry verified against the old template above");
+            carry
+        });
         let old_template = std::mem::replace(&mut self.template, Arc::new(new_template));
         // A shard already draining (from an in-flight rescale) holds
         // old-seed state too; its bit-exact merge target no longer exists,
@@ -1165,7 +1170,11 @@ where
                 self.draining.push(d);
                 continue;
             }
-            let (health, outcome) = d.settle(&mut self.carryover);
+            let template = &self.template;
+            let carryover = self
+                .carryover
+                .get_or_insert_with(|| NitroSketch::clone(template));
+            let (health, outcome) = d.settle(carryover);
             self.retired.push(health);
             if let Err(e) = outcome {
                 // The shards not visited yet stay on the list: dropping
@@ -1190,9 +1199,11 @@ where
         self.probe_and_promote()?;
         self.epoch += 1;
         let mut merged = NitroSketch::clone(&self.template);
-        merged
-            .try_merge_from(&self.carryover)
-            .expect("carryover is template-derived and always geometry-compatible");
+        if let Some(carryover) = &self.carryover {
+            merged
+                .try_merge_from(carryover)
+                .expect("carryover is template-derived and always geometry-compatible");
+        }
         let mut staleness = Vec::with_capacity(self.shards.len() + self.draining.len());
         let mut scratch = self
             .scratch
@@ -1332,9 +1343,11 @@ where
             ..
         } = self;
         let mut merged = NitroSketch::clone(&template);
-        merged
-            .try_merge_from(&carryover)
-            .expect("carryover is template-derived and always geometry-compatible");
+        if let Some(carryover) = &carryover {
+            merged
+                .try_merge_from(carryover)
+                .expect("carryover is template-derived and always geometry-compatible");
+        }
         let mut fleet = FleetHealth::new();
         let mut spent = Vec::new();
         // Stop and join every shard before reporting anything: aborting on
@@ -1459,7 +1472,7 @@ where
             probes: vec![(0, 0); config.shards],
             breakers,
             draining: Vec::new(),
-            carryover: NitroSketch::clone(&template),
+            carryover: None,
             retired: Vec::new(),
             template,
             scratch: None,

@@ -1,10 +1,11 @@
 //! The checkpoint contract after the move to recycled buffers and in-place
 //! restore: the bytes are the ones the previous format wrote, encoding into
-//! a dirty buffer changes nothing, and a restore either takes the whole
-//! snapshot or leaves the receiver exactly as it was.
+//! a dirty buffer changes nothing, patching an older image with the lines
+//! written since gives the full encode, and a restore either takes the
+//! whole snapshot or leaves the receiver exactly as it was.
 
 use nitrosketch::core::{Mode, NitroSketch};
-use nitrosketch::sketches::checkpoint::{CheckpointError, CHECKPOINT_VERSION};
+use nitrosketch::sketches::checkpoint::{CheckpointError, DirtyLines, CHECKPOINT_VERSION};
 use nitrosketch::sketches::{Checkpoint, CountMin, CountSketch, KarySketch, RowSketch, Sketch};
 use nitrosketch::switch::{CheckpointStore, StoreConfig, STORE_VERSION};
 use proptest::prelude::*;
@@ -155,6 +156,135 @@ proptest! {
         check_restore_in_place(CountSketch::new(3, 8, 22), &stream, &dirt);
         check_restore_in_place(KarySketch::new(2, 16, 23), &stream, &dirt);
         check_restore_in_place(wrapper(), &stream, &dirt);
+    }
+}
+
+/// One step of a measurement's life between checkpoints.
+#[derive(Clone, Debug)]
+enum Op {
+    Process(u64, u32),
+    Batch(Vec<u64>, u32),
+    /// A vanilla update of the wrapped sketch (Count-Min's conservative
+    /// update path, here).
+    Vanilla(u64, u32),
+    /// Merge an instance fed these keys.
+    Merge(Vec<u64>),
+    /// Restore the snapshot of an instance fed these keys.
+    Restore(Vec<u64>),
+    Clear,
+    Downshift,
+    /// Checkpoint into the image this many checkpoints back, recycled
+    /// (0, or further back than the first image: a fresh buffer).
+    Checkpoint(usize),
+}
+
+/// Op sequences of up to 120 steps, weighted toward updates and
+/// checkpoints.
+struct Ops;
+
+impl Strategy for Ops {
+    type Value = Vec<Op>;
+    fn generate(&self, rng: &mut TestRng) -> Vec<Op> {
+        let keys = |rng: &mut TestRng| prop::collection::vec(0u64..300, 0..48).generate(rng);
+        let n = (1usize..120).generate(rng);
+        (0..n)
+            .map(|_| {
+                let (k, w) = (0u64..300, 1u32..4).generate(rng);
+                match rng.next_u64() % 22 {
+                    0..=7 => Op::Process(k, w),
+                    8..=10 => Op::Batch(keys(rng), w),
+                    11..=12 => Op::Vanilla(k, w),
+                    13 => Op::Merge(keys(rng)),
+                    14 => Op::Restore(keys(rng)),
+                    15 => Op::Clear,
+                    16 => Op::Downshift,
+                    _ => Op::Checkpoint((0usize..5).generate(rng)),
+                }
+            })
+            .collect()
+    }
+}
+
+/// Replay `ops` on `blank`, keeping every checkpoint image and the lines
+/// each checkpoint interval wrote. Each checkpoint patches a recycled older
+/// image with the union of the intervals since it, and must come out as
+/// `snapshot()`.
+fn check_patched_images<S>(blank: NitroSketch<S>, ops: &[Op])
+where
+    S: RowSketch + Sketch + Checkpoint + Clone,
+{
+    let fed = |keys: &[u64]| {
+        let mut other = blank.clone();
+        other.process_batch(keys, 1.0);
+        other
+    };
+    let mut m = blank.clone();
+    let mut images: Vec<Vec<u8>> = Vec::new();
+    // `intervals[i]`: the lines written between images i − 1 and i.
+    let mut intervals: Vec<DirtyLines> = Vec::new();
+    for op in ops {
+        match op {
+            Op::Process(k, w) => {
+                m.process(*k, *w as f64);
+            }
+            Op::Batch(ks, w) => {
+                m.process_batch(ks, *w as f64);
+            }
+            Op::Vanilla(k, w) => m.inner_mut().update(*k, *w as f64),
+            Op::Merge(ks) => m.merge_from(&fed(ks)),
+            Op::Restore(ks) => m.restore(&fed(ks).snapshot()).unwrap(),
+            Op::Clear => m.clear(),
+            Op::Downshift => {
+                m.downshift();
+            }
+            Op::Checkpoint(back) => {
+                let mut lines = DirtyLines::default();
+                m.take_dirty(&mut lines);
+                intervals.push(lines);
+                let n = images.len();
+                let mut image = Vec::new();
+                if (1..=n).contains(back) {
+                    image = images[n - back].clone();
+                    let mut since = intervals[n - back + 1].clone();
+                    for lines in &intervals[n - back + 2..] {
+                        since.union(lines);
+                    }
+                    m.write_image(&mut image, 0, Some(&since));
+                } else {
+                    m.write_image(&mut image, 0, None);
+                }
+                assert!(
+                    image == m.snapshot(),
+                    "image {n} patched from {back} back differs from a full encode"
+                );
+                images.push(image);
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn an_image_patched_with_the_lines_written_since_equals_snapshot(ops in Ops) {
+        // Widths that leave a partial last line, and top-k tables that grow
+        // and are cleared (the head changes length).
+        let mut cm = CountMin::new(3, 37, 31);
+        cm.set_conservative(true);
+        check_patched_images(
+            NitroSketch::new(cm, Mode::Fixed { p: 0.5 }, 32).with_topk(4),
+            &ops,
+        );
+        check_patched_images(
+            NitroSketch::new(CountSketch::new(3, 50, 33), Mode::Fixed { p: 1.0 }, 34)
+                .with_topk(4),
+            &ops,
+        );
+        check_patched_images(
+            NitroSketch::new(KarySketch::new(2, 64, 35), Mode::Fixed { p: 0.25 }, 36),
+            &ops,
+        );
     }
 }
 

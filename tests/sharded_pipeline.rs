@@ -273,3 +273,44 @@ fn epoch_views_are_monotone_and_staleness_bounded() {
     let (_, fleet) = pipeline.finish().expect("clean shutdown after rotations");
     assert_eq!(fleet.unaccounted(), 0);
 }
+
+/// Without a rescale or rotation there is no carryover to fold into a
+/// view: the view is the template plus the shards' snapshots, and its
+/// bytes are the ones merging a pristine carryover as well gives.
+#[test]
+fn a_view_without_a_rescale_is_the_merge_of_its_shards() {
+    let keys = zipf_stream(40_000, 43);
+    let (mut tap, mut pipeline) = spawn_sharded(
+        factory,
+        PipelineConfig {
+            shards: 2,
+            supervisor: SupervisorConfig {
+                ring_capacity: 1 << 16,
+                high_water: 2.0,
+                ..Default::default()
+            },
+            ..Default::default()
+        },
+    )
+    .expect("spawn");
+    offer_all(&mut tap, &keys);
+    while pipeline.processed() < keys.len() as u64 {
+        std::thread::yield_now();
+    }
+    let view = pipeline.epoch_view().expect("epoch view");
+
+    let mut expected = factory(0);
+    expected.try_merge_from(&factory(0)).unwrap();
+    for (shard, stale) in pipeline.shards().iter().zip(view.staleness()) {
+        assert!(stale.fresh, "shard {} answered late", stale.shard);
+        let latest = shard.latest_checkpoint().expect("a published checkpoint");
+        assert_eq!(latest.processed_at, stale.processed_at);
+        let mut restored = factory(0);
+        restored.restore(&latest.bytes).unwrap();
+        expected.try_merge_from(&restored).unwrap();
+    }
+    assert!(view.sketch().snapshot() == expected.snapshot());
+    drop(tap);
+    let (_, fleet) = pipeline.finish().expect("clean run");
+    assert_eq!(fleet.unaccounted(), 0);
+}

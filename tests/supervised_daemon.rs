@@ -1,14 +1,31 @@
 //! End-to-end tests of the supervised measurement daemon: crash recovery
 //! from checkpoints, and backpressure-driven graceful degradation.
 //!
-//! Both tests run the real separate-thread topology — a producer offering
+//! The tests run the real separate-thread topology — a producer offering
 //! observations through a [`SupervisedTap`] into the SPSC ring, a worker
-//! thread draining into a `NitroSketch` — with faults injected via the
-//! switch crate's own [`ThreadFaultPlan`] hook.
+//! thread draining into a measurement — with faults injected via the
+//! switch crate's own [`ThreadFaultPlan`] hook. The last ones pin down how
+//! checkpoint buffers circulate: which are recycled, how many images old a
+//! recycled one is, and that it is only ever patched from its own image.
 
 use nitrosketch::core::{Mode, NitroSketch};
 use nitrosketch::prelude::*;
-use nitrosketch::switch::{spawn_supervised, SupervisedTap, SupervisorConfig, ThreadFaultPlan};
+use nitrosketch::sketches::checkpoint::{CheckpointError, DirtyLines, LINE_COUNTERS};
+use nitrosketch::switch::{
+    spawn_supervised, CheckpointSink, Measurement, Recoverable, SinkHandle, SupervisedDaemon,
+    SupervisedTap, SupervisorConfig, ThreadFaultPlan,
+};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::time::{Duration, Instant};
+
+/// Each test's daemon wants a core of its own: run side by side on a
+/// two-core host, one starves another's worker into ring drops, which the
+/// crash-recovery test's fault countdown never sees. One test at a time.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 const HEAVY_FLOWS: u64 = 10;
 const STREAM_LEN: u64 = 500_000;
@@ -46,6 +63,7 @@ fn offer_stream(tap: &mut SupervisedTap, n: u64) {
 /// answer — with every observation's fate accounted.
 #[test]
 fn panic_recovery_restores_checkpoint_and_keeps_heavy_hitters() {
+    let _serial = serial();
     const CHECKPOINT_EVERY: u64 = 20_000;
     let fresh = || {
         NitroSketch::new(CountSketch::new(5, 8192, 71), Mode::Fixed { p: 1.0 }, 73).with_topk(64)
@@ -127,6 +145,7 @@ fn panic_recovery_restores_checkpoint_and_keeps_heavy_hitters() {
 /// drops are counted, never silent.
 #[test]
 fn sustained_overload_downshifts_sampling_and_accounts_every_drop() {
+    let _serial = serial();
     let fresh = || NitroSketch::new(CountSketch::new(4, 4096, 11), Mode::Fixed { p: 1.0 }, 13);
     let (mut tap, daemon) = spawn_supervised(
         fresh(),
@@ -177,4 +196,239 @@ fn sustained_overload_downshifts_sampling_and_accounts_every_drop() {
         "unaccounted observations: {health}"
     );
     assert_eq!(health.unaccounted(), 0);
+}
+
+/// `(address after encoding, arrived without an allocation)` of every
+/// buffer a [`Recycling`] checkpoint was encoded into.
+type BufferLog = Arc<Mutex<Vec<(usize, bool)>>>;
+
+/// Counts observations; its checkpoint is a page of bytes, and it logs
+/// the buffer it was handed, so a test can see which allocations the
+/// checkpoint path cycles through.
+struct Recycling {
+    seen: u64,
+    buffers: BufferLog,
+}
+impl Measurement for Recycling {
+    fn on_packet(&mut self, _key: FlowKey, _ts: u64, _w: f64) {
+        self.seen += 1;
+    }
+}
+impl Recoverable for Recycling {
+    fn checkpoint_into(&self, out: &mut Vec<u8>, _dirty: Option<&DirtyLines>) {
+        let fresh = out.capacity() == 0;
+        out.clear();
+        out.resize(4096, self.seen as u8);
+        let mut log = self.buffers.lock().unwrap();
+        log.push((out.as_ptr() as usize, fresh));
+    }
+    fn restore_bytes(&mut self, _bytes: &[u8]) -> Result<(), CheckpointError> {
+        Ok(())
+    }
+}
+
+fn offer_all(tap: &mut SupervisedTap, keys: impl Iterator<Item = u64>) {
+    for (i, k) in keys.enumerate() {
+        tap.offer(k, i as u64);
+        if i % 512 == 0 {
+            // Single-core host: give the worker air.
+            std::thread::yield_now();
+        }
+    }
+}
+
+/// A [`Recycling`] daemon checkpointing every 16 observations — with
+/// 64-observation batches, at most every 16 + 63.
+fn spawn_recycling() -> (SupervisedTap, SupervisedDaemon<Recycling>, BufferLog) {
+    let buffers = Arc::new(Mutex::new(Vec::new()));
+    let make = {
+        let buffers = Arc::clone(&buffers);
+        move || Recycling {
+            seen: 0,
+            buffers: Arc::clone(&buffers),
+        }
+    };
+    let (tap, daemon) = spawn_supervised(
+        make(),
+        make,
+        SupervisorConfig {
+            checkpoint_every: 16,
+            ring_capacity: 1 << 14,
+            high_water: 2.0,
+            ..Default::default()
+        },
+    );
+    (tap, daemon, buffers)
+}
+
+#[test]
+fn periodic_checkpoints_cycle_two_buffers_when_nobody_reads() {
+    let _serial = serial();
+    let (mut tap, daemon, buffers) = spawn_recycling();
+    offer_all(&mut tap, 0..8_000u64);
+    let (_, health) = daemon.finish().unwrap();
+    assert!(health.checkpoints >= 50, "too few checkpoints: {health}");
+    let log = buffers.lock().unwrap();
+    assert_eq!(log.len() as u64, health.checkpoints);
+    assert!(
+        log[2..].iter().all(|&(_, fresh)| !fresh),
+        "after the pristine and the first periodic checkpoint every buffer is a recycled one"
+    );
+    let mut distinct: Vec<usize> = log.iter().map(|&(at, _)| at).collect();
+    distinct.sort_unstable();
+    distinct.dedup();
+    assert_eq!(distinct.len(), 2, "slot and spare are the only buffers");
+}
+
+#[test]
+fn a_held_view_is_neither_blocked_on_nor_overwritten() {
+    let _serial = serial();
+    let (mut tap, daemon, buffers) = spawn_recycling();
+    offer_all(&mut tap, 0..200u64);
+    let wait_for_checkpoints = |n: u64| {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while daemon.health().checkpoints < n {
+            assert!(Instant::now() < deadline, "worker stopped checkpointing");
+            std::thread::yield_now();
+        }
+    };
+    wait_for_checkpoints(2);
+    let held = daemon.latest_checkpoint().unwrap();
+    let seen_by_reader = held.bytes.to_vec();
+    // Three more publishes: with the reader holding the slot's buffer
+    // the worker must take a fresh one, not wait and not reuse it.
+    let before = daemon.health().checkpoints;
+    offer_all(&mut tap, 0..400u64);
+    wait_for_checkpoints(before + 3);
+    // Nothing left to process: no checkpoint is encoded after this,
+    // so `newer` below pins no buffer the log would see replaced.
+    while daemon.processed() < 600 {
+        std::thread::yield_now();
+    }
+    assert_eq!(*held.bytes, seen_by_reader, "a reader's bytes never change");
+    let newer = daemon.latest_checkpoint().unwrap();
+    assert!(newer.processed_at > held.processed_at);
+    assert!(!Arc::ptr_eq(&newer.bytes, &held.bytes));
+    assert_eq!(daemon.finish().unwrap().1.unaccounted(), 0);
+    let fresh = buffers.lock().unwrap().iter().filter(|b| b.1).count();
+    assert_eq!(
+        fresh, 3,
+        "one allocation replaces the one buffer the reader pins"
+    );
+}
+
+/// Lines of a [`Generations`] measurement.
+const LINES: u64 = 64;
+
+/// `(image the buffer held, image written, lines it was told changed)` of
+/// every patched [`Generations`] checkpoint.
+type PatchLog = Arc<Mutex<Vec<(u64, u64, Vec<u64>)>>>;
+
+/// Its image is the number of checkpoint intervals closed so far, and the
+/// `k`-th interval writes exactly line `k mod LINES`. So every patched
+/// checkpoint shows which image its buffer held (the first word) and which
+/// intervals it was told to cover (the lines).
+struct Generations {
+    closed: u64,
+    patches: PatchLog,
+}
+impl Measurement for Generations {
+    fn on_packet(&mut self, _key: FlowKey, _ts: u64, _w: f64) {}
+}
+impl Recoverable for Generations {
+    fn checkpoint_into(&self, out: &mut Vec<u8>, dirty: Option<&DirtyLines>) {
+        if let Some(dirty) = dirty {
+            let held = u64::from_le_bytes(out[..8].try_into().unwrap());
+            let mut lines = Vec::new();
+            dirty.for_each_run(LINES as usize * LINE_COUNTERS, |run| {
+                lines.extend(
+                    run.step_by(LINE_COUNTERS)
+                        .map(|c| (c / LINE_COUNTERS) as u64),
+                );
+            });
+            self.patches
+                .lock()
+                .unwrap()
+                .push((held, self.closed, lines));
+        }
+        out.clear();
+        out.extend_from_slice(&self.closed.to_le_bytes());
+    }
+    fn take_dirty(&mut self, into: &mut DirtyLines) {
+        self.closed += 1;
+        *into = DirtyLines::new(LINES as usize * LINE_COUNTERS);
+        into.mark((self.closed % LINES) as usize * LINE_COUNTERS);
+    }
+    fn restore_bytes(&mut self, _bytes: &[u8]) -> Result<(), CheckpointError> {
+        Ok(())
+    }
+}
+
+/// A sink that acknowledges every checkpoint at once.
+struct AlwaysOk;
+impl CheckpointSink for AlwaysOk {
+    fn persist(&self, _seq: u64, _at: u64, _bytes: &[u8]) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+/// Inline, the spare a worker encodes into is the image before last; with
+/// a durable sink, the writer's publish hands back the one before that.
+/// Either way a recycled buffer is patched with exactly the intervals
+/// since the image it holds — never from another generation.
+#[test]
+fn a_recycled_buffer_is_patched_from_its_own_image() {
+    let _serial = serial();
+    for (sink, distance) in [(None, 2), (Some(SinkHandle(Arc::new(AlwaysOk))), 3)] {
+        let patches = PatchLog::default();
+        let make = {
+            let patches = Arc::clone(&patches);
+            move || Generations {
+                closed: 0,
+                patches: Arc::clone(&patches),
+            }
+        };
+        let (mut tap, daemon) = spawn_supervised(
+            make(),
+            make,
+            SupervisorConfig {
+                checkpoint_every: 16,
+                ring_capacity: 1 << 14,
+                high_water: 2.0,
+                sink,
+                ..Default::default()
+            },
+        );
+        // A worker never waits for the writer, so one that outruns it
+        // takes fewer checkpoints: offer a batch per checkpoint.
+        let deadline = Instant::now() + Duration::from_secs(30);
+        for step in 0..40u64 {
+            let published = daemon.health().checkpoints;
+            offer_all(&mut tap, step * 32..(step + 1) * 32);
+            while daemon.health().checkpoints == published {
+                assert!(Instant::now() < deadline, "worker stopped checkpointing");
+                std::thread::yield_now();
+            }
+        }
+        let (_, health) = daemon.finish().unwrap();
+        let patches = patches.lock().unwrap();
+        // Encoded in full: the pristine image, the first periodic one into
+        // a fresh buffer, and those into a buffer holding the pristine
+        // image (not this worker's) or nothing yet (the writer's first).
+        // A stall restart would start the worker's record afresh.
+        if health.stalls == 0 {
+            assert_eq!(
+                patches.len() as u64 + distance + 1,
+                health.checkpoints,
+                "every later checkpoint is patched: {health}"
+            );
+        }
+        assert!(!patches.is_empty(), "nothing was patched: {health}");
+        for (held, written, lines) in patches.iter() {
+            assert_eq!(written - held, distance, "patched {held} into {written}");
+            let mut since: Vec<u64> = (held + 1..=*written).map(|k| k % LINES).collect();
+            since.sort_unstable();
+            assert_eq!(lines, &since, "patched {held} into {written}");
+        }
+    }
 }
