@@ -19,7 +19,7 @@
 
 use super::proto::{AgentOutput, AgentSession};
 use super::reconnect::ReconnectPolicy;
-use super::wire::{encode_epoch_payload, EpochReport, Message};
+use super::wire::{encode_epoch_payload_into, EpochReport, Message};
 use super::ClusterError;
 use crate::clock::{Clock, SystemClock};
 use crate::pipeline::MergedView;
@@ -133,6 +133,9 @@ pub struct NodeAgent {
     /// Resolved aggregator addresses from the last explicit
     /// [`NodeAgent::connect`] — the redial target.
     target: Option<Vec<SocketAddr>>,
+    /// The epoch payload being sealed, recycled across seals: the report
+    /// and the sketch checkpoint are written straight into it.
+    payload: Vec<u8>,
 }
 
 impl NodeAgent {
@@ -172,6 +175,7 @@ impl NodeAgent {
             registry: cfg.registry,
             cluster,
             target: None,
+            payload: Vec::new(),
         })
     }
 
@@ -371,10 +375,12 @@ impl NodeAgent {
             l2: view.l2(),
             memory_bytes: sketch.memory_bytes() as u64,
         };
-        let payload = encode_epoch_payload(&report, &sketch.snapshot());
+        encode_epoch_payload_into(&mut self.payload, &report, |out| sketch.snapshot_into(out));
         let processed = report.packets;
-        self.store.writer(0).persist(epoch, processed, &payload)?;
-        let emitted = self.session.finish_seal(epoch, processed, &payload);
+        self.store
+            .writer(0)
+            .persist(epoch, processed, &self.payload)?;
+        let emitted = self.session.finish_seal(epoch, processed, &self.payload);
         let delivered = emitted && self.flush_sends();
         if delivered {
             self.session.note_sent(epoch);

@@ -37,7 +37,7 @@ use super::proto::{AggEvent, AggOutput, AggregatorSession};
 pub use super::proto::{AggRecovery, ClusterSketch, ClusterView, EpochStatus};
 use super::wire::Message;
 use super::ClusterError;
-use crate::clock::{Clock, SystemClock};
+use crate::clock::{Clock, Nanos, SystemClock};
 use crate::frame::FrameError;
 use crate::store::{CheckpointSink, CheckpointStore, StoreConfig, StoreError};
 use nitro_core::NitroSketch;
@@ -68,10 +68,13 @@ pub struct AggregatorConfig {
     /// so [`Aggregator::recover`] can rebuild the plane from disk.
     pub log_dir: Option<PathBuf>,
     /// Durability tuning for the aggregation log. Unlike the pipeline
-    /// store — where every frame is a full snapshot and history is mere
-    /// redundancy — aggregation-log records are *deltas* (one node-epoch
-    /// frame each), so retention must cover the whole epoch window being
-    /// served: the default keeps 64 sealed segments of 128 records.
+    /// store — where the newest frame holds the whole state and history is
+    /// mere redundancy — each aggregation-log record is one node-epoch
+    /// frame or membership change, and recovery replays them all, so
+    /// retention must cover the whole epoch window being served: the
+    /// default keeps 64 sealed segments of 128 records. (On disk a record
+    /// may be a delta frame against the record before it; every reader
+    /// gets the record back whole.)
     pub log_store: StoreConfig,
     /// Time source for the heartbeat monitor. [`SystemClock`] in
     /// production; tests substitute a `SimClock` to walk silence
@@ -137,28 +140,46 @@ struct AggShared<S: ClusterSketch> {
     /// set.
     log: Option<AggLog>,
     clock: Arc<dyn Clock>,
+    /// Clock time the session lock has been held for log appends, which
+    /// [`AggShared::now`] leaves out of every node's silence.
+    log_ns: AtomicU64,
 }
 
 impl<S: ClusterSketch> AggShared<S> {
     /// Run `f` against the session under its lock, then execute its
-    /// output queue: `Append`s reach the durable log, `Event`s become
-    /// telemetry, gauges refresh from session state, and the remaining
-    /// socket operations (`Send`/`Close`) are returned for the calling
-    /// connection handler to execute outside the lock.
+    /// output queue: `Append`s reach the durable log before the lock is
+    /// released (persist-before-serve: no reader sees state the log does
+    /// not hold yet), `Event`s become telemetry, gauges refresh from
+    /// session state, and the remaining socket operations (`Send`/`Close`)
+    /// are returned for the calling connection handler to execute outside
+    /// the lock.
     fn with_session<R>(
         &self,
         f: impl FnOnce(&mut AggregatorSession<S>) -> R,
     ) -> (R, Vec<AggOutput>) {
         let mut session = self.session.lock().unwrap_or_else(|p| p.into_inner());
         let r = f(&mut session);
-        let outs = session.drain();
+        let mut outs = Vec::new();
+        let mut log_start = None;
+        for out in session.drain() {
+            match out {
+                AggOutput::Append(record) => {
+                    log_start.get_or_insert_with(|| self.clock.now_ns());
+                    self.log_append(&record);
+                }
+                out => outs.push(out),
+            }
+        }
+        if let Some(start) = log_start {
+            let spent = self.clock.now_ns().saturating_sub(start);
+            self.log_ns.fetch_add(spent, Ordering::Relaxed);
+        }
         let (connected, known, degraded) = session.gauges();
         let watermarks = session.node_watermarks();
         drop(session);
         let mut ops = Vec::new();
         for out in outs {
             match out {
-                AggOutput::Append(record) => self.log_append(&record),
                 AggOutput::Event(ev) => self.record_event(ev),
                 op => ops.push(op),
             }
@@ -168,6 +189,19 @@ impl<S: ClusterSketch> AggShared<S> {
         self.cluster.degraded_epochs.set(degraded);
         self.cluster.publish_nodes(watermarks);
         (r, ops)
+    }
+
+    /// The session's time: the clock less the time spent appending to the
+    /// log under the session lock. A disk stall holds every connection's
+    /// messages behind that lock, so it must not count as the nodes'
+    /// silence; the price is that a node that really dies during a stall
+    /// is declared lost that much later. Read it only under the session
+    /// lock (inside a [`AggShared::with_session`] closure), where no append
+    /// is under way.
+    fn now(&self) -> Nanos {
+        self.clock
+            .now_ns()
+            .saturating_sub(self.log_ns.load(Ordering::Relaxed))
     }
 
     /// Map one session event onto the telemetry journal and counters.
@@ -244,8 +278,7 @@ fn handle_conn<S: ClusterSketch>(shared: Arc<AggShared<S>>, mut stream: TcpStrea
             match Message::decode(&buf) {
                 Ok((msg, used)) => {
                     buf.drain(..used);
-                    let now = shared.clock.now_ns();
-                    let ((), ops) = shared.with_session(|s| s.on_message(conn, msg, now));
+                    let ((), ops) = shared.with_session(|s| s.on_message(conn, msg, shared.now()));
                     for op in ops {
                         match op {
                             AggOutput::Send { msg, .. } => {
@@ -368,6 +401,7 @@ impl<S: ClusterSketch> Aggregator<S> {
             handlers: Mutex::new(Vec::new()),
             log,
             clock: Arc::clone(&cfg.clock),
+            log_ns: AtomicU64::new(0),
         });
         if let Some(r) = recovery {
             shared.registry.record(Event::AggregatorRecovered {
@@ -418,8 +452,7 @@ impl<S: ClusterSketch> Aggregator<S> {
                 if monitor_shared.shutdown.load(Ordering::Acquire) {
                     return;
                 }
-                let now = monitor_shared.clock.now_ns();
-                monitor_shared.with_session(|s| s.tick(now));
+                monitor_shared.with_session(|s| s.tick(monitor_shared.now()));
             })
             .expect("spawn aggregator monitor thread");
 
@@ -539,6 +572,7 @@ impl<S: ClusterSketch> Drop for Aggregator<S> {
 mod tests {
     use super::*;
     use crate::cluster::agent::{NodeAgent, NodeAgentConfig};
+    use crate::faults::DiskFaultPlan;
     use crate::pipeline::MergedView;
     use nitro_core::{Mode, NitroSketch};
     use nitro_sketches::checkpoint::Checkpoint;
@@ -877,6 +911,75 @@ mod tests {
                 let _ = std::fs::remove_dir_all(&dir);
             }
         }
+    }
+
+    #[test]
+    fn a_stalled_log_append_is_not_counted_as_the_nodes_silence() {
+        // The log stalls three heartbeat timeouts long while holding the
+        // session lock, so nothing either node sends is heard meanwhile.
+        let timeout = Duration::from_millis(800);
+        let log_dir = tmp_dir("stall-log");
+        let plan = DiskFaultPlan::new();
+        let cfg = AggregatorConfig {
+            heartbeat_timeout: timeout,
+            registry: Some(Arc::new(TelemetryRegistry::new())),
+            log_dir: Some(log_dir.clone()),
+            log_store: StoreConfig {
+                fsync: false,
+                ..AggregatorConfig::default().log_store
+            },
+            ..Default::default()
+        };
+        let log = AggLog {
+            store: CheckpointStore::create(&log_dir, 1, cfg.log_store.clone())
+                .unwrap()
+                .with_fault_plan(plan.clone()),
+            seq: AtomicU64::new(1),
+        };
+        let registry = Arc::clone(cfg.registry.as_ref().unwrap());
+        let session = AggregatorSession::new(template(), cfg.keep_epochs, timeout);
+        let agg = Aggregator::spawn_inner(("127.0.0.1", 0), cfg, session, Some(log), None).unwrap();
+        let fp = template().inner().fingerprint();
+        let mut agents = Vec::new();
+        for id in 0..2u32 {
+            let dir = tmp_dir(&format!("stall-agent{id}"));
+            let mut cfg = NodeAgentConfig::new(id, fp);
+            cfg.store.fsync = false;
+            let mut a = NodeAgent::open(&dir, cfg).unwrap();
+            a.connect(agg.local_addr()).unwrap();
+            agents.push((a, dir));
+        }
+        assert_eq!(agg.connected_nodes(), vec![0, 1]);
+
+        plan.block_appends();
+        let view = MergedView::from_sketch(1, template());
+        assert!(agents[0].0.seal_epoch(1, &view, 10.0).unwrap().delivered);
+        assert!(wait_until(Duration::from_secs(10), || plan.fired() > 0));
+        thread::sleep(timeout * 3);
+        plan.release();
+        // Both nodes stay quiet for two monitor ticks after the stall: a
+        // monitor counting the stall would declare them lost meanwhile.
+        thread::sleep(timeout / 2);
+        for _ in 0..8 {
+            for (a, _) in agents.iter_mut() {
+                assert!(a.heartbeat(0));
+            }
+            thread::sleep(timeout / 8);
+        }
+        assert!(wait_until(Duration::from_secs(5), || agg.latest_epoch() == 1));
+        let losses: Vec<_> = registry
+            .drain_events()
+            .into_iter()
+            .filter(|e| matches!(e.event, Event::NodeLoss { .. }))
+            .collect();
+        assert!(losses.is_empty(), "{losses:?}");
+        assert_eq!(agg.connected_nodes(), vec![0, 1]);
+        for (a, dir) in agents {
+            a.close();
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+        agg.shutdown();
+        let _ = std::fs::remove_dir_all(&log_dir);
     }
 
     #[test]

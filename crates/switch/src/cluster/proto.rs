@@ -24,7 +24,7 @@ use crate::frame::{FrameError, Reader};
 use crate::store::{decode_frame, RecoveredFrame};
 use nitro_core::NitroSketch;
 use nitro_metrics::NodeWatermark;
-use nitro_sketches::checkpoint::Checkpoint;
+use nitro_sketches::checkpoint::{Checkpoint, CheckpointError};
 use nitro_sketches::{FlowKey, RowSketch};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::time::Duration;
@@ -825,6 +825,9 @@ struct EpochRecord<S: RowSketch> {
 /// them behind one mutex, the simulator calls them from its event loop.
 pub struct AggregatorSession<S: ClusterSketch> {
     template: NitroSketch<S>,
+    /// The sketch each received frame is restored into before it is
+    /// merged, kept between frames instead of cloned from the template.
+    scratch: Option<NitroSketch<S>>,
     fingerprint: u64,
     keep_epochs: usize,
     /// Silence bound before a connected node is declared lost.
@@ -847,6 +850,7 @@ impl<S: ClusterSketch> AggregatorSession<S> {
         let fingerprint = template.inner().fingerprint();
         Self {
             template,
+            scratch: None,
             fingerprint,
             keep_epochs,
             heartbeat_timeout: heartbeat_timeout.as_nanos() as Nanos,
@@ -890,10 +894,10 @@ impl<S: ClusterSketch> AggregatorSession<S> {
                     if report.switch_id != node || report.epoch != epoch {
                         continue;
                     }
-                    let mut restored = session.template.clone();
-                    if restored.restore(snapshot).is_err() {
+                    if session.restore_scratch(snapshot).is_err() {
                         continue;
                     }
+                    let restored = session.scratch.as_ref().expect("restored above");
                     let template = &session.template;
                     let rec = session.epochs.entry(epoch).or_insert_with(|| EpochRecord {
                         merged: template.clone(),
@@ -906,7 +910,7 @@ impl<S: ClusterSketch> AggregatorSession<S> {
                     if rec.reporting.contains(&node) {
                         continue;
                     }
-                    if rec.merged.try_merge_from(&restored).is_err() {
+                    if rec.merged.try_merge_from(restored).is_err() {
                         continue;
                     }
                     rec.reporting.insert(node);
@@ -1192,8 +1196,7 @@ impl<S: ClusterSketch> AggregatorSession<S> {
         if report.switch_id != node || report.epoch != epoch {
             return Err(FrameError::Malformed("report identity != frame identity").into());
         }
-        let mut restored = self.template.clone();
-        restored.restore(snapshot)?;
+        self.restore_scratch(snapshot)?;
 
         // Persist-before-serve: the validated frame payload is appended to
         // the aggregation log before it can influence any answer. Frame
@@ -1223,7 +1226,8 @@ impl<S: ClusterSketch> AggregatorSession<S> {
             // node's counters.
             return Ok(());
         }
-        rec.merged.try_merge_from(&restored)?;
+        let restored = self.scratch.as_ref().expect("restored above");
+        rec.merged.try_merge_from(restored)?;
         rec.reporting.insert(node);
         rec.packets += report.packets;
         for &(k, e) in &report.heavy_hitters {
@@ -1263,6 +1267,14 @@ impl<S: ClusterSketch> AggregatorSession<S> {
         }
         self.evict_epochs();
         Ok(())
+    }
+
+    /// Restore `snapshot` into the scratch sketch, in place.
+    fn restore_scratch(&mut self, snapshot: &[u8]) -> Result<(), CheckpointError> {
+        let template = &self.template;
+        self.scratch
+            .get_or_insert_with(|| template.clone())
+            .restore(snapshot)
     }
 
     fn evict_epochs(&mut self) {

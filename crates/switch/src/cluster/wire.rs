@@ -55,7 +55,7 @@ impl Header for WireHeader {
         out.extend_from_slice(&[self.kind, 0, 0]);
     }
 
-    fn read(r: &mut Reader<'_>) -> Result<Self, FrameError> {
+    fn read(r: &mut Reader<'_>, _version: u8) -> Result<Self, FrameError> {
         let kind = r.u8()?;
         r.u16()?; // reserved
         Ok(Self { kind })
@@ -359,13 +359,30 @@ impl EpochReport {
 /// checkpoint into the payload a node both persists and ships:
 /// `[report_len u32][report][snapshot_len u32][snapshot]`.
 pub fn encode_epoch_payload(report: &EpochReport, snapshot: &[u8]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(
+        8 + REPORT_FIXED + report.heavy_hitters.len() * REPORT_ENTRY + snapshot.len(),
+    );
+    encode_epoch_payload_into(&mut out, report, |out| out.extend_from_slice(snapshot));
+    out
+}
+
+/// [`encode_epoch_payload`] into `out`, replacing its contents. `snapshot`
+/// appends the checkpoint in place, so a recycled buffer takes the whole
+/// payload without the image being built, and copied, on its own.
+pub(crate) fn encode_epoch_payload_into(
+    out: &mut Vec<u8>,
+    report: &EpochReport,
+    snapshot: impl FnOnce(&mut Vec<u8>),
+) {
     let r = report.to_bytes();
-    let mut out = Vec::with_capacity(8 + r.len() + snapshot.len());
+    out.clear();
     out.extend_from_slice(&(r.len() as u32).to_le_bytes());
     out.extend_from_slice(&r);
-    out.extend_from_slice(&(snapshot.len() as u32).to_le_bytes());
-    out.extend_from_slice(snapshot);
-    out
+    let len_at = out.len();
+    out.extend_from_slice(&[0; 4]);
+    snapshot(out);
+    let len = out.len() - len_at - 4;
+    out[len_at..len_at + 4].copy_from_slice(&(len as u32).to_le_bytes());
 }
 
 /// Inverse of [`encode_epoch_payload`]; the snapshot is returned borrowed

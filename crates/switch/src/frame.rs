@@ -122,11 +122,18 @@ pub trait Header: Sized {
     /// record has none, and its payload is empty.
     const SIZED: bool = true;
 
+    /// The version byte this header's frame is written under: the oldest
+    /// version whose readers decode it correctly.
+    fn version(&self) -> u8 {
+        Self::VERSION
+    }
+
     /// Append exactly [`Header::FIELDS`] bytes.
     fn write(&self, out: &mut Vec<u8>);
 
-    /// Read the fields back; `r` holds exactly [`Header::FIELDS`] bytes.
-    fn read(r: &mut Reader<'_>) -> Result<Self, FrameError>;
+    /// Read the fields back; `r` holds exactly [`Header::FIELDS`] bytes and
+    /// `version` is the frame's version byte (at most [`Header::VERSION`]).
+    fn read(r: &mut Reader<'_>, version: u8) -> Result<Self, FrameError>;
 }
 
 /// Bytes ahead of the payload: magic, version, fields and length.
@@ -140,7 +147,7 @@ pub const fn head_len<H: Header>() -> usize {
 pub fn encode_into<H: Header>(buf: &mut Vec<u8>, header: &H, payload: impl FnOnce(&mut Vec<u8>)) {
     buf.clear();
     buf.extend_from_slice(&H::MAGIC.to_le_bytes());
-    buf.push(H::VERSION);
+    buf.push(header.version());
     header.write(buf);
     debug_assert_eq!(buf.len(), 5 + H::FIELDS);
     let len_at = buf.len();
@@ -201,7 +208,7 @@ pub fn peek<H: Header>(data: &[u8]) -> Result<(H, usize), FrameError> {
             supported: H::VERSION,
         });
     }
-    let header = H::read(&mut Reader::new(r.take(H::FIELDS)?))?;
+    let header = H::read(&mut Reader::new(r.take(H::FIELDS)?), found)?;
     let len = if H::SIZED { r.u32()? } else { 0 };
     if len > MAX_PAYLOAD {
         return Err(FrameError::Oversized {
@@ -308,9 +315,14 @@ impl<'a> Reader<'a> {
         s
     }
 
+    /// Whether every byte was read.
+    pub fn is_empty(&self) -> bool {
+        self.at == self.data.len()
+    }
+
     /// Succeed only if every byte was read.
     pub fn done(&self) -> Result<(), FrameError> {
-        if self.at == self.data.len() {
+        if self.is_empty() {
             Ok(())
         } else {
             Err(FrameError::Malformed("trailing payload bytes"))

@@ -21,28 +21,47 @@
 //! ```
 //!
 //! **Frames.** Each checkpoint is one append-only [`crate::frame`]: a
-//! [`StoreHeader`] (shard, generation, sequence, processed-at count) and
-//! the payload (the `sketches::checkpoint` byte codec — itself
-//! versioned), checksummed by xxHash64. A frame is valid iff the header
+//! [`StoreHeader`] (shard, generation, sequence, processed-at count) and a
+//! payload, checksummed by xxHash64. A frame is valid iff the header
 //! parses, the length fits the file, and the checksum matches — torn
 //! writes, bit flips, and truncation are all caught by the same predicate.
 //! The manifest is a [`ManifestHeader`] frame of the same codec.
 //!
+//! **Keyframes and deltas.** A checkpoint payload (the
+//! `sketches::checkpoint` codec, or whatever a cluster log stores) is
+//! written as one of two frame kinds ([`LogHeader`]). A *keyframe* holds
+//! the payload itself, byte for byte a frame of the format before deltas.
+//! A *delta* holds only the 64-byte lines, aligned at the end of the
+//! payload, that differ from the previous frame of the same segment,
+//! whichever writer appended it. It is written under [`DELTA_VERSION`], so
+//! a build that reads only keyframes refuses it as a newer version instead
+//! of misreading it. An append writes a keyframe when it opens a segment,
+//! after an append that failed once it reached the file, and when a delta
+//! would be no smaller than the payload. So no frame is larger than the
+//! keyframe it replaces: a segment's replay reads no more bytes than a
+//! segment of keyframes would, and a corrupt byte at any offset of a
+//! segment ends it at a frame no older than it would have there.
+//!
 //! **Rotation.** After `rotate_after` frames the active segment is sealed
 //! by an atomic `rename(2)` to its numbered name and a directory fsync;
-//! sealed segments beyond `keep_segments` are deleted (every frame is a
-//! *full* snapshot, so only the newest valid frame matters). The manifest
-//! is replaced atomically (tmp write + fsync + rename) whenever the
-//! generation changes.
+//! sealed segments beyond `keep_segments` are deleted. Every segment opens
+//! with a keyframe, so deleting a whole one never strands a delta, and a
+//! log keeps `rotate_after × keep_segments` sealed frames whatever kind
+//! they are. The manifest is replaced atomically (tmp write + fsync +
+//! rename) whenever the generation changes.
 //!
 //! **Recovery.** [`CheckpointStore::recover`] reads the manifest, scans
-//! each shard's segments oldest-to-newest, truncates any torn tail off the
-//! active segment, rejects corrupt or version-incompatible frames, and
-//! returns the newest valid frame per shard — behind the crashed process
-//! by that shard's `persist_lag` (one checkpoint interval plus the updates
-//! made during one in-flight persist). The reopened store continues
-//! appending under a bumped generation without clobbering surviving
-//! segments.
+//! each shard's segments oldest-to-newest, replaying each segment's
+//! keyframe and deltas into full payloads, truncates any torn tail off the
+//! active segment, rejects corrupt or version-incompatible frames (a
+//! corrupt frame ends its segment at the last good payload, as it did when
+//! every frame was a keyframe), and returns the newest valid frame per
+//! shard — behind the crashed process by that shard's `persist_lag` (one
+//! checkpoint interval plus the updates made during one in-flight
+//! persist). The reopened store continues appending under a bumped
+//! generation without clobbering surviving segments. Every reader
+//! ([`CheckpointStore::recover`], [`CheckpointStore::newest_frame`],
+//! [`CheckpointStore::frames`]) returns full payloads.
 
 use crate::faults::{DiskAction, DiskFaultPlan};
 use crate::frame::{self, Frame, FrameError, Header, Reader};
@@ -51,19 +70,28 @@ use nitro_metrics::telemetry::ShardTelemetry;
 use std::fmt;
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Write as _};
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
-/// On-disk format version for frames and the manifest.
+/// On-disk format version of keyframes and the manifest.
 pub const STORE_VERSION: u8 = 1;
+/// Version byte of a delta frame. A reader of [`STORE_VERSION`] frames
+/// refuses it as a newer format instead of misreading its payload.
+pub const DELTA_VERSION: u8 = 2;
 /// Seed of the frame/manifest checksum hash.
 const CRC_SEED: u64 = 0x4E49_5452_4F53_4B45;
 /// Checkpoint frame bytes before the payload.
 const FRAME_HEADER: usize = frame::head_len::<StoreHeader>();
+/// The flags bit of a delta frame's header.
+const DELTA_FLAG: u8 = 1;
+/// Unit of the delta diff: payloads are compared in lines of this many
+/// bytes, counted from the end of the payload.
+const LINE: usize = 64;
 
-/// Header of a checkpoint frame ("NFRM"): the store's segment records,
-/// the replica's deltas and the cluster's epoch frames.
+/// Header of a checkpoint frame ("NFRM"): keyframes in the store's
+/// segment logs, the replica's stream and the cluster's epoch frames.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct StoreHeader {
     /// Shard (for an epoch frame: cluster node) the frame belongs to.
@@ -76,6 +104,27 @@ pub struct StoreHeader {
     pub processed_at: u64,
 }
 
+impl StoreHeader {
+    fn write_flagged(&self, flags: u8, out: &mut Vec<u8>) {
+        out.push(flags);
+        out.extend_from_slice(&self.shard.to_le_bytes());
+        out.extend_from_slice(&self.generation.to_le_bytes());
+        out.extend_from_slice(&self.seq.to_le_bytes());
+        out.extend_from_slice(&self.processed_at.to_le_bytes());
+    }
+
+    fn read_flagged(r: &mut Reader<'_>) -> Result<(u8, Self), FrameError> {
+        let flags = r.u8()?;
+        let header = Self {
+            shard: r.u16()?,
+            generation: r.u64()?,
+            seq: r.u64()?,
+            processed_at: r.u64()?,
+        };
+        Ok((flags, header))
+    }
+}
+
 impl Header for StoreHeader {
     const MAGIC: u32 = 0x4E46_524D; // "NFRM"
     const VERSION: u8 = STORE_VERSION;
@@ -84,21 +133,60 @@ impl Header for StoreHeader {
     const FIELDS: usize = 27;
 
     fn write(&self, out: &mut Vec<u8>) {
-        out.push(0);
-        out.extend_from_slice(&self.shard.to_le_bytes());
-        out.extend_from_slice(&self.generation.to_le_bytes());
-        out.extend_from_slice(&self.seq.to_le_bytes());
-        out.extend_from_slice(&self.processed_at.to_le_bytes());
+        self.write_flagged(0, out);
     }
 
-    fn read(r: &mut Reader<'_>) -> Result<Self, FrameError> {
-        r.u8()?; // reserved flags
-        Ok(Self {
-            shard: r.u16()?,
-            generation: r.u64()?,
-            seq: r.u64()?,
-            processed_at: r.u64()?,
-        })
+    fn read(r: &mut Reader<'_>, _version: u8) -> Result<Self, FrameError> {
+        Ok(Self::read_flagged(r)?.1)
+    }
+}
+
+/// Header of a frame in a segment log: an "NFRM" frame that is either a
+/// keyframe, whose payload is the checkpoint itself and whose bytes are a
+/// [`StoreHeader`] frame's, or a delta, whose payload holds the lines that
+/// differ from the previous frame of the same segment.
+///
+/// A delta is written under [`DELTA_VERSION`] with [`DELTA_FLAG`] set, so
+/// a build that reads only [`StoreHeader`] frames refuses it as a newer
+/// version. Version 2 adds exactly that one kind: a version-2 frame without
+/// the flag is a newer keyframe format than this build reads.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct LogHeader {
+    /// The checkpoint fields every frame carries.
+    pub frame: StoreHeader,
+    /// Whether the payload is a delta against the previous frame.
+    pub delta: bool,
+}
+
+impl Header for LogHeader {
+    const MAGIC: u32 = StoreHeader::MAGIC;
+    const VERSION: u8 = DELTA_VERSION;
+    const SEED: u64 = CRC_SEED;
+    const FIELDS: usize = StoreHeader::FIELDS;
+
+    fn version(&self) -> u8 {
+        if self.delta {
+            DELTA_VERSION
+        } else {
+            STORE_VERSION
+        }
+    }
+
+    fn write(&self, out: &mut Vec<u8>) {
+        let flags = if self.delta { DELTA_FLAG } else { 0 };
+        self.frame.write_flagged(flags, out);
+    }
+
+    fn read(r: &mut Reader<'_>, version: u8) -> Result<Self, FrameError> {
+        let (flags, frame) = StoreHeader::read_flagged(r)?;
+        let delta = version == DELTA_VERSION;
+        if delta && flags != DELTA_FLAG {
+            return Err(FrameError::Version {
+                found: version,
+                supported: STORE_VERSION,
+            });
+        }
+        Ok(Self { frame, delta })
     }
 }
 
@@ -123,7 +211,7 @@ impl Header for ManifestHeader {
         out.extend_from_slice(&self.shards.to_le_bytes());
     }
 
-    fn read(r: &mut Reader<'_>) -> Result<Self, FrameError> {
+    fn read(r: &mut Reader<'_>, _version: u8) -> Result<Self, FrameError> {
         Ok(Self {
             generation: r.u64()?,
             shards: r.u32()?,
@@ -180,9 +268,11 @@ pub struct StoreConfig {
     /// Frames appended to a segment before it is sealed and a fresh active
     /// segment starts.
     pub rotate_after: u64,
-    /// Sealed segments retained per shard (older ones are deleted —
-    /// every frame is a full snapshot, so history is redundancy, not
-    /// data).
+    /// Sealed segments retained per shard (older ones are deleted), each
+    /// of `rotate_after` frames whether they are keyframes or deltas.
+    /// Every segment opens with a keyframe and the newest frame holds the
+    /// whole state, so for a checkpoint log history is redundancy, not
+    /// data.
     pub keep_segments: usize,
     /// `fdatasync` each frame before acknowledging it durable. Turning
     /// this off trades the crash-consistency bound for throughput — only
@@ -243,6 +333,15 @@ struct ShardLog {
     /// kept between appends: a multi-megabyte frame re-uses warm pages
     /// instead of faulting in a fresh allocation per checkpoint.
     frame: Vec<u8>,
+    /// The payload of the active segment's newest frame: what the next
+    /// append diffs against. Meaningful only while `based` is set.
+    base: Vec<u8>,
+    /// Whether `base` is the newest payload durable in the active segment.
+    /// Cleared by a seal and by an append that failed after reaching the
+    /// file, so the next frame is a keyframe.
+    based: bool,
+    /// The byte runs of the payload being appended that differ from `base`.
+    runs: Vec<Range<usize>>,
 }
 
 impl ShardLog {
@@ -252,6 +351,9 @@ impl ShardLog {
             frames_in_active: 0,
             next_segment,
             frame: Vec::new(),
+            base: Vec::new(),
+            based: false,
+            runs: Vec::new(),
         })
     }
 }
@@ -452,9 +554,11 @@ impl CheckpointStore {
     }
 
     /// Every valid durable frame for `shard`, in append order (sealed
-    /// segments oldest-first, then the active log) — the cluster agent's
-    /// backfill source: a node that reconnects after a partition replays
-    /// the epochs the aggregator never saw straight out of this scan.
+    /// segments oldest-first, then the active log), each with its full
+    /// payload (deltas replayed onto their segment's keyframe) — the
+    /// cluster agent's backfill source: a node that reconnects after a
+    /// partition replays the epochs the aggregator never saw straight out
+    /// of this scan.
     /// Taken under the shard's append lock like
     /// [`CheckpointStore::newest_frame`]; torn or corrupt tails end a
     /// segment's contribution at its last valid frame.
@@ -496,10 +600,18 @@ impl CheckpointStore {
         Ok(())
     }
 
-    /// Append one checkpoint frame for `shard`. Returns an error when the
-    /// bytes did not become durable (frozen store, injected fault, or real
-    /// I/O failure).
-    fn append(&self, shard: usize, seq: u64, processed_at: u64, payload: &[u8]) -> io::Result<()> {
+    /// Append one checkpoint for `shard`: a delta against the segment's
+    /// previous frame when that is smaller than the payload, a keyframe
+    /// otherwise. Returns the
+    /// payload bytes appended, or an error when the frame did not become
+    /// durable (frozen store, injected fault, or real I/O failure).
+    fn append(
+        &self,
+        shard: usize,
+        seq: u64,
+        processed_at: u64,
+        payload: &[u8],
+    ) -> io::Result<usize> {
         self.appends.fetch_add(1, Ordering::Relaxed);
         let frozen = || io::Error::new(io::ErrorKind::BrokenPipe, "checkpoint store frozen");
         if self.is_frozen() {
@@ -533,28 +645,46 @@ impl CheckpointStore {
         let logs = self.logs.read().unwrap_or_else(|p| p.into_inner());
         let mut log = logs[shard].lock().unwrap_or_else(|p| p.into_inner());
         let ShardLog {
-            file, frame: buf, ..
+            file,
+            frame: buf,
+            base,
+            based,
+            runs,
+            ..
         } = &mut *log;
-        let header = StoreHeader {
-            shard: shard as u16,
-            generation: self.generation,
-            seq,
-            processed_at,
+        // The base is cleared here and set again only once this frame is
+        // durable, so an append that fails from here on leaves the next
+        // one a keyframe.
+        let delta = std::mem::take(based) && diff_lines(base, payload, runs);
+        let header = LogHeader {
+            frame: StoreHeader {
+                shard: shard as u16,
+                generation: self.generation,
+                seq,
+                processed_at,
+            },
+            delta,
         };
-        frame::encode_into(buf, &header, |out| out.extend_from_slice(payload));
+        frame::encode_into(buf, &header, |out| {
+            if delta {
+                encode_delta(out, base.len(), payload, runs);
+            } else {
+                out.extend_from_slice(payload);
+            }
+        });
+        let body = buf.len() - FRAME_HEADER - frame::TRAILER;
         match action {
             DiskAction::BitFlip => {
                 // Flip one payload bit, deterministically placed by the
                 // sequence number: silent corruption the checksum must
                 // catch at recovery, not at write time.
-                let at =
-                    FRAME_HEADER + (xxh64(&seq.to_le_bytes(), 1) as usize) % payload.len().max(1);
+                let at = FRAME_HEADER + (xxh64(&seq.to_le_bytes(), 1) as usize) % body.max(1);
                 buf[at] ^= 1 << (seq % 8);
             }
             DiskAction::TornWrite => {
                 // Keep the header and roughly half the payload — the
                 // classic torn tail.
-                buf.truncate(FRAME_HEADER + payload.len() / 2);
+                buf.truncate(FRAME_HEADER + body / 2);
             }
             _ => {}
         }
@@ -578,27 +708,40 @@ impl CheckpointStore {
                 "injected torn write (store frozen)",
             ));
         }
+        // The new base: patched in place where the runs are all that
+        // changed, copied whole where the length moved.
+        if delta && base.len() == payload.len() {
+            for r in runs.iter() {
+                base[r.clone()].copy_from_slice(&payload[r.clone()]);
+            }
+        } else {
+            base.clear();
+            base.extend_from_slice(payload);
+        }
+        log.based = true;
         log.frames_in_active += 1;
         self.persisted.fetch_add(1, Ordering::Relaxed);
         if log.frames_in_active >= self.cfg.rotate_after {
             self.seal(&mut log, &sdir)?;
         }
-        Ok(())
+        Ok(body)
     }
 
     /// Seal the active segment: atomic rename to its numbered name, fsync
     /// the directory so the rename is durable, GC old segments, and start
-    /// a fresh active file on the next append.
+    /// a fresh active file, opened by a keyframe, on the next append.
     fn seal(&self, log: &mut ShardLog, sdir: &Path) -> io::Result<()> {
         // The frames are already fsync'd; close before renaming.
         log.file = None;
+        log.based = false;
         let sealed = sdir.join(format!("seg-{:08}.log", log.next_segment));
         fs::rename(sdir.join("active.log"), &sealed)?;
         sync_dir(sdir)?;
         log.next_segment += 1;
         log.frames_in_active = 0;
-        // GC: every frame is a full snapshot, so sealed history beyond the
-        // configured redundancy is garbage.
+        // GC: every segment opens with a keyframe, so a whole segment is
+        // the unit of history; beyond the configured redundancy it is
+        // garbage.
         let mut ids = sealed_segment_ids(sdir)?;
         ids.sort_unstable();
         while ids.len() > self.cfg.keep_segments {
@@ -629,7 +772,8 @@ impl ShardWriter {
     }
 
     /// Attach a telemetry instance; every durably appended frame bumps
-    /// its `frames_persisted`/`bytes_persisted` counters.
+    /// its `frames_persisted` counter and adds its payload bytes (a delta
+    /// frame's, not the checkpoint's) to `bytes_persisted`.
     pub fn with_telemetry(mut self, telemetry: Arc<ShardTelemetry>) -> Self {
         self.telemetry = Some(telemetry);
         self
@@ -638,11 +782,12 @@ impl ShardWriter {
 
 impl CheckpointSink for ShardWriter {
     fn persist(&self, seq: u64, processed_at: u64, bytes: &[u8]) -> io::Result<()> {
-        self.store
+        let appended = self
+            .store
             .append(self.shard, self.seq_base + seq, processed_at, bytes)?;
         if let Some(tel) = &self.telemetry {
             tel.frames_persisted.incr();
-            tel.bytes_persisted.add(bytes.len() as u64);
+            tel.bytes_persisted.add(appended as u64);
         }
         Ok(())
     }
@@ -733,24 +878,137 @@ pub(crate) fn encode_frame(
 }
 
 /// Decode the frame for `shard` at the head of `data` — the inverse of
-/// [`encode_frame`], shared between segment scans, the standby applier
-/// and the cluster aggregator (which validate every frame with exactly
-/// the rules recovery uses).
+/// [`encode_frame`], shared between the standby applier and the cluster
+/// aggregator (which validate every frame with exactly the rules recovery
+/// uses). Only a segment log holds delta frames; here they are refused as
+/// a newer version.
 pub(crate) fn decode_frame(
     data: &[u8],
     shard: usize,
 ) -> Result<Frame<'_, StoreHeader>, FrameError> {
+    decode_addressed(data, shard, |h: &StoreHeader| h.shard)
+}
+
+/// Decode the frame at the head of `data`, refusing one addressed to a
+/// shard other than `shard`.
+fn decode_addressed<H: Header>(
+    data: &[u8],
+    shard: usize,
+    shard_of: impl Fn(&H) -> u16,
+) -> Result<Frame<'_, H>, FrameError> {
     // The header is checked before the length: a frame addressed to
     // another shard is corrupt, not torn, even when it is cut short.
-    if frame::peek::<StoreHeader>(data)?.0.shard as usize != shard {
+    if shard_of(&frame::peek::<H>(data)?.0) as usize != shard {
         return Err(FrameError::Malformed("frame addressed to another shard"));
     }
     frame::decode(data)
 }
 
+/// Fill `runs` with the byte runs of `image` that differ from `base`, and
+/// say whether a delta of them is smaller than `image`.
+///
+/// The two are compared in [`LINE`]-byte lines aligned at their ends: a
+/// checkpoint's counters are the tail of its image, so a head that
+/// changes length (a heavy-hitter table, an epoch report) shifts nothing
+/// after it. A line of `image` with no counterpart in `base` differs.
+/// Adjacent differing lines make one run. The size decides alone: a delta
+/// smaller than the image appends and replays faster at any density
+/// (DESIGN.md, "Delta frames", has the measurement).
+fn diff_lines(base: &[u8], image: &[u8], runs: &mut Vec<Range<usize>>) -> bool {
+    runs.clear();
+    let n = image.len();
+    // Image byte i lines up with base byte i + base.len() - n.
+    let fresh = n.saturating_sub(base.len());
+    let mut size = 8;
+    let mut at = 0;
+    let mut end = match n % LINE {
+        0 => LINE.min(n),
+        head => head,
+    };
+    while at < n {
+        let same = at >= fresh && {
+            let b = at + base.len() - n;
+            image[at..end] == base[b..b + end - at]
+        };
+        if !same {
+            match runs.last_mut() {
+                Some(run) if run.end == at => run.end = end,
+                _ => {
+                    runs.push(at..end);
+                    size += 8;
+                }
+            }
+            size += end - at;
+            if size >= n {
+                return false;
+            }
+        }
+        at = end;
+        end += LINE;
+    }
+    size < n
+}
+
+/// Append the payload of a delta frame: the image's length, its base's
+/// length, then each run of `image` as `at u32 · len u32 · bytes`. Bytes
+/// outside every run are the base's, aligned at the end.
+fn encode_delta(out: &mut Vec<u8>, base_len: usize, image: &[u8], runs: &[Range<usize>]) {
+    out.extend_from_slice(&(image.len() as u32).to_le_bytes());
+    out.extend_from_slice(&(base_len as u32).to_le_bytes());
+    for r in runs {
+        out.extend_from_slice(&(r.start as u32).to_le_bytes());
+        out.extend_from_slice(&(r.len() as u32).to_le_bytes());
+        out.extend_from_slice(&image[r.clone()]);
+    }
+}
+
+/// Turn `image`, the previous frame's payload, into the payload the delta
+/// `delta` encodes. A delta cut against another base, with runs out of
+/// order or out of bounds, or leaving bytes its base never had, is
+/// malformed.
+fn apply_delta(image: &mut Vec<u8>, delta: &[u8]) -> Result<(), FrameError> {
+    let mut r = Reader::new(delta);
+    let len = r.u32()? as usize;
+    let base_len = r.u32()? as usize;
+    if base_len != image.len() {
+        return Err(FrameError::Malformed("delta cut against another base"));
+    }
+    // Bytes the base lacks come from the runs, so they fit in the delta:
+    // a larger claim is refused before anything is allocated for it.
+    let fresh = len.saturating_sub(base_len);
+    if fresh > delta.len() {
+        return Err(FrameError::Malformed("delta leaves bytes its base lacks"));
+    }
+    // Realign the base at the end of the new length.
+    if len < base_len {
+        image.drain(..base_len - len);
+    } else {
+        image.splice(0..0, std::iter::repeat_n(0, fresh));
+    }
+    let mut done = 0;
+    while !r.is_empty() {
+        let at = r.u32()? as usize;
+        let n = r.u32()? as usize;
+        let bytes = r.take(n)?;
+        if at < done || at > len || n > len - at {
+            return Err(FrameError::Malformed("delta run out of order or bounds"));
+        }
+        if done < fresh && at != done {
+            return Err(FrameError::Malformed("delta leaves bytes its base lacks"));
+        }
+        image[at..at + n].copy_from_slice(bytes);
+        done = at + n;
+    }
+    if done < fresh {
+        return Err(FrameError::Malformed("delta leaves bytes its base lacks"));
+    }
+    Ok(())
+}
+
 /// Scan one segment file, pushing every valid frame for `shard` through
-/// `on_frame` in append order. Returns where and why the scan stopped
-/// short of the end of the file, if it did.
+/// `on_frame` in append order, with its payload replayed in full: a
+/// keyframe's as read, a delta's applied to the frame before it. Returns
+/// where and why the scan stopped short of the end of the file, if it did.
 fn scan_segment(
     path: &Path,
     shard: usize,
@@ -761,15 +1019,29 @@ fn scan_segment(
         Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
         Err(e) => return Err(e),
     };
+    // The payload of the frame just read: the next delta's base.
+    let mut image = Vec::new();
     let mut at = 0usize;
     while at < data.len() {
-        match decode_frame(&data[at..], shard) {
+        let replayed = decode_addressed(&data[at..], shard, |h: &LogHeader| h.frame.shard)
+            .and_then(|f| {
+                match (f.header.delta, at) {
+                    (false, _) => {
+                        image.clear();
+                        image.extend_from_slice(f.payload);
+                    }
+                    (true, 0) => return Err(FrameError::Malformed("segment opens with a delta")),
+                    (true, _) => apply_delta(&mut image, f.payload)?,
+                }
+                Ok(f)
+            });
+        match replayed {
             Ok(f) => {
                 on_frame(RecoveredFrame {
-                    generation: f.header.generation,
-                    seq: f.header.seq,
-                    processed_at: f.header.processed_at,
-                    bytes: f.payload.to_vec(),
+                    generation: f.header.frame.generation,
+                    seq: f.header.frame.seq,
+                    processed_at: f.header.frame.processed_at,
+                    bytes: image.clone(),
                 });
                 at += f.len;
             }
@@ -1239,6 +1511,165 @@ mod tests {
             fs::read(sdir.join("active.log")).unwrap(),
             [frame(3), torn].concat()
         );
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Frame lengths in the active log of shard 0, and whether each is a
+    /// delta.
+    fn active_frames(dir: &Path) -> Vec<(usize, bool)> {
+        let data = fs::read(shard_dir(dir, 0).join("active.log")).unwrap();
+        let mut at = 0;
+        let mut out = Vec::new();
+        while at < data.len() {
+            let f = frame::decode::<LogHeader>(&data[at..]).unwrap();
+            out.push((f.payload.len(), f.header.delta));
+            at += f.len;
+        }
+        out
+    }
+
+    #[test]
+    fn a_changed_line_is_appended_as_a_delta_aligned_at_the_end() {
+        let dir = tmpdir("delta");
+        let cfg = StoreConfig {
+            fsync: false,
+            ..StoreConfig::default()
+        };
+        let store = CheckpointStore::create(&dir, 1, cfg.clone()).unwrap();
+        let w = store.writer(0);
+        let tail = payload(7, 4096);
+        let image = |head: &[u8], poke: Option<usize>| {
+            let mut p = [head, &tail[..]].concat();
+            if let Some(at) = poke {
+                let at = p.len() - at;
+                p[at] ^= 0xFF;
+            }
+            p
+        };
+        let history = [
+            image(&[1; 10], None),
+            // One counter moves: one line.
+            image(&[1; 10], Some(100)),
+            // The head grows by 30 bytes: only the head's line changes.
+            image(&[2; 40], Some(100)),
+            // Everything moves: a delta would outgrow the payload, so a
+            // keyframe.
+            payload(9, 4136),
+        ];
+        for (seq, p) in history.iter().enumerate() {
+            w.persist(seq as u64 + 1, 0, p).unwrap();
+        }
+        assert_eq!(
+            active_frames(&dir),
+            vec![
+                (4106, false),
+                (8 + 8 + 64, true),
+                (8 + 8 + 40, true),
+                (4136, false)
+            ]
+        );
+        let read: Vec<_> = store.frames(0).into_iter().map(|f| f.bytes).collect();
+        assert_eq!(read, history);
+        drop(store);
+        let (_, report) = CheckpointStore::recover(&dir, cfg).unwrap();
+        assert!(report.is_pristine());
+        assert_eq!(report.recovered[0].as_ref().unwrap().bytes, history[3]);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_log_of_sparse_deltas_keeps_rotate_after_times_keep_segments_frames() {
+        let dir = tmpdir("retention");
+        let cfg = StoreConfig {
+            rotate_after: 4,
+            keep_segments: 3,
+            fsync: false,
+        };
+        let store = CheckpointStore::create(&dir, 1, cfg).unwrap();
+        let w = store.writer(0);
+        let mut p = vec![0u8; 64 * 40];
+        let mut history = Vec::new();
+        // One line moves per append: every frame after a segment's first
+        // is a small delta, and none of them seals a segment early.
+        for seq in 1..=30u64 {
+            p[(seq as usize % 40) * 64] = seq as u8;
+            w.persist(seq, 0, &p).unwrap();
+            history.push(p.clone());
+        }
+        for id in 4..7 {
+            let seg = fs::read(shard_dir(&dir, 0).join(format!("seg-{id:08}.log"))).unwrap();
+            assert_eq!(
+                seg.len(),
+                (FRAME_HEADER + frame::TRAILER) * 4 + p.len() + 3 * (8 + 8 + 64)
+            );
+        }
+        assert_eq!(
+            active_frames(&dir),
+            vec![(p.len(), false), (8 + 8 + 64, true)]
+        );
+        // 3 sealed segments of 4 frames, then the 2 in the active one.
+        let frames = store.frames(0);
+        assert_eq!(
+            frames.iter().map(|f| f.seq).collect::<Vec<_>>(),
+            (17..=30).collect::<Vec<_>>()
+        );
+        for f in &frames {
+            assert_eq!(f.bytes, history[f.seq as usize - 1]);
+        }
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_delta_replays_only_onto_the_base_it_was_cut_against() {
+        let base = payload(1, 1024);
+        // 44 bytes the base lacks, then the base with one byte changed.
+        let mut image = [&[9; 44][..], &base].concat();
+        image[500] ^= 1;
+        let mut runs = Vec::new();
+        assert!(diff_lines(&base, &image, &mut runs));
+        let mut delta = Vec::new();
+        encode_delta(&mut delta, base.len(), &image, &runs);
+        let mut replayed = base.clone();
+        apply_delta(&mut replayed, &delta).unwrap();
+        assert_eq!(replayed, image);
+        // Another base, or no bytes for the head the base lacks, is
+        // malformed rather than silently wrong.
+        let mut other = payload(1, 1000);
+        assert!(apply_delta(&mut other, &delta).is_err());
+        let mut headless = Vec::new();
+        encode_delta(&mut headless, base.len(), &image, &runs[1..]);
+        let mut replayed = base.clone();
+        assert!(apply_delta(&mut replayed, &headless).is_err());
+        // A length no run could fill is refused before it is allocated.
+        let mut huge = delta.clone();
+        huge[..4].copy_from_slice(&u32::MAX.to_le_bytes());
+        let mut replayed = base.clone();
+        assert!(apply_delta(&mut replayed, &huge).is_err());
+        assert_eq!(replayed, base);
+    }
+
+    #[test]
+    fn a_segment_that_opens_with_a_delta_is_corrupt() {
+        let dir = tmpdir("headless");
+        let cfg = StoreConfig {
+            fsync: false,
+            ..StoreConfig::default()
+        };
+        let store = CheckpointStore::create(&dir, 1, cfg.clone()).unwrap();
+        let w = store.writer(0);
+        let mut p = payload(5, 2048);
+        w.persist(1, 0, &p).unwrap();
+        p[7] ^= 1;
+        w.persist(2, 0, &p).unwrap();
+        drop(store);
+        let active = shard_dir(&dir, 0).join("active.log");
+        let data = fs::read(&active).unwrap();
+        let keyframe = FRAME_HEADER + 2048 + frame::TRAILER;
+        fs::write(&active, &data[keyframe..]).unwrap();
+        let (_, report) = CheckpointStore::recover(&dir, cfg).unwrap();
+        assert_eq!(report.corrupt_frames, 1);
+        assert!(report.recovered[0].is_none());
+        assert_eq!(fs::metadata(&active).unwrap().len(), 0);
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -18,6 +18,8 @@
 
 use nitrosketch::core::{Mode, NitroSketch};
 use nitrosketch::prelude::*;
+use nitrosketch::switch::frame;
+use nitrosketch::switch::store::LogHeader;
 use nitrosketch::switch::{
     CheckpointStore, DiskFaultPlan, PipelineConfig, RecoveryReport, ReplicaConfig, ShardedPipeline,
     ShardedTap, StoreConfig, SupervisorConfig, ThreadFaultPlan,
@@ -402,12 +404,22 @@ fn bit_flips_and_truncated_segments_are_rejected_by_recovery() {
     drop(tap);
     pipeline.simulate_crash();
 
-    // Vandalise the logs: flip one payload bit in shard 0's active log,
-    // chop 21 bytes off shard 1's. Shard 2 is left pristine.
+    // Vandalise the logs: flip one payload bit in the middle frame of
+    // shard 0's active log, chop 21 bytes off shard 1's. Shard 2 is left
+    // pristine. The middle frame is the one the log's middle byte falls in
+    // when every frame is a keyframe of one size; a delta log's frames
+    // differ in size, so the frame is picked by index, not by byte.
     let flip = dir.join("shard-0000/active.log");
     let mut data = std::fs::read(&flip).unwrap();
-    let mid = data.len() / 2;
-    data[mid] ^= 0x04;
+    let mut frames = Vec::new();
+    let mut at = 0;
+    while at < data.len() {
+        let len = frame::decode::<LogHeader>(&data[at..]).unwrap().len;
+        frames.push(at..at + len);
+        at += len;
+    }
+    let middle = &frames[frames.len() / 2];
+    data[(middle.start + middle.end) / 2] ^= 0x04;
     std::fs::write(&flip, &data).unwrap();
     let chop = dir.join("shard-0001/active.log");
     let len = std::fs::metadata(&chop).unwrap().len();

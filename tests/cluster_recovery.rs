@@ -553,3 +553,78 @@ fn recovered_aggregator_survives_reconnect_storm_without_double_merge() {
     agg.shutdown();
     let _ = std::fs::remove_dir_all(&log_dir);
 }
+
+fn copy_dir(from: &std::path::Path, to: &std::path::Path) {
+    std::fs::create_dir_all(to).unwrap();
+    for entry in std::fs::read_dir(from).unwrap() {
+        let entry = entry.unwrap();
+        let target = to.join(entry.file_name());
+        if entry.file_type().unwrap().is_dir() {
+            copy_dir(&entry.path(), &target);
+        } else {
+            std::fs::copy(entry.path(), target).unwrap();
+        }
+    }
+}
+
+/// Persist-before-serve, seen from outside: the instant an epoch reads
+/// Complete, the aggregation log already holds the records that made it
+/// so. A copy of the log taken at that instant recovers the epoch
+/// Complete.
+#[test]
+fn an_epoch_served_complete_is_already_in_the_aggregation_log() {
+    const SEALS: u64 = 6;
+    let log_dir = fresh_dir("pbs-log");
+    let cfg = AggregatorConfig {
+        heartbeat_timeout: Duration::from_millis(400),
+        log_dir: Some(log_dir.clone()),
+        ..Default::default()
+    };
+    let agg = Aggregator::spawn(template(), ("127.0.0.1", 0), cfg.clone()).expect("spawn");
+    let agent_dir = fresh_dir("pbs-agent");
+    let fingerprint = template().inner().fingerprint();
+    let mut agent =
+        NodeAgent::open(&agent_dir, NodeAgentConfig::new(0, fingerprint)).expect("agent");
+    agent.connect(agg.local_addr()).expect("connect");
+    let mut copies = Vec::new();
+    for epoch in 1..=SEALS {
+        let mut sketch = template();
+        for (i, k) in zipf_stream(2_000, epoch).into_iter().enumerate() {
+            sketch.process(k, (1 + i % 3) as f64);
+        }
+        let view = MergedView::from_sketch(epoch, sketch);
+        assert!(
+            agent
+                .seal_epoch(epoch, &view, 100.0)
+                .expect("seal")
+                .delivered
+        );
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !agg.epoch_status(epoch).is_complete() {
+            assert!(Instant::now() < deadline, "epoch {epoch} never completed");
+            std::thread::yield_now();
+        }
+        let copy = fresh_dir(&format!("pbs-copy-{epoch}"));
+        copy_dir(&log_dir, &copy);
+        copies.push((epoch, copy));
+    }
+    agent.close();
+    agg.shutdown();
+
+    let mut unlogged = Vec::new();
+    for (epoch, copy) in &copies {
+        let (recovered, _) =
+            Aggregator::recover(template(), ("127.0.0.1", 0), copy, cfg.clone()).expect("recover");
+        if !recovered.epoch_status(*epoch).is_complete() {
+            unlogged.push(*epoch);
+        }
+        recovered.shutdown();
+        let _ = std::fs::remove_dir_all(copy);
+    }
+    assert!(
+        unlogged.is_empty(),
+        "epochs served Complete before the log held them: {unlogged:?} of {SEALS}"
+    );
+    let _ = std::fs::remove_dir_all(&agent_dir);
+    let _ = std::fs::remove_dir_all(&log_dir);
+}
