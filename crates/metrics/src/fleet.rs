@@ -14,7 +14,7 @@ use crate::table::Table;
 ///
 /// Live shards are indexed by shard id; *retired* records preserve the
 /// counters of daemons that no longer run — failed primaries replaced by a
-/// promoted standby, or old shards drained away by an online rescale. Their
+/// promoted successor, or old shards drained away by an online rescale. Their
 /// observations already happened, so dropping them would break the fleet
 /// identity; [`FleetHealth::total`] sums live and retired alike.
 #[derive(Clone, Debug, Default)]

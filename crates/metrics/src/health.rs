@@ -122,7 +122,7 @@ impl std::fmt::Display for DaemonHealth {
 /// The failover coordinator probes each shard's health on every epoch and
 /// feeds the verdict into a breaker; `threshold` consecutive unhealthy
 /// probes latch the breaker *open*, which the coordinator treats as "stop
-/// routing to this primary, promote its standby". The breaker stays open
+/// routing to this primary, promote a successor". The breaker stays open
 /// until [`CircuitBreaker::reset`] — promotion is the only way to close
 /// it, so a flapping shard cannot oscillate traffic back and forth.
 #[derive(Clone, Debug)]

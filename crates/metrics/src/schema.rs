@@ -166,16 +166,6 @@ pub static SHARD_METRICS: &[Metric<ShardSnapshot>] = &[
       "Collision-skew load factor from the last epoch view."),
     m("nitro_sign_bias", FloatGauge, "gauges", "sign_bias", |s| F64(&mut s.sign_bias),
       "Sign-bias skew in [0, 1] (NaN for unsigned sketches)."),
-    m("nitro_delta_streamed_total", Counter, "delta", "streamed", |s| U64(&mut s.delta_streamed),
-      "Delta frames streamed toward the standby."),
-    m("nitro_delta_lagged_total", Counter, "delta", "lagged", |s| U64(&mut s.delta_lagged),
-      "Delta frames dropped at a full delta ring."),
-    m("nitro_delta_applied_total", Counter, "delta", "applied", |s| U64(&mut s.delta_applied),
-      "Delta frames applied into the shadow sketch."),
-    m("nitro_delta_rejected_total", Counter, "delta", "rejected", |s| U64(&mut s.delta_rejected),
-      "Delta frames rejected (framing, checksum, version, restore)."),
-    m("nitro_delta_stale_total", Counter, "delta", "stale", |s| U64(&mut s.delta_stale),
-      "Delta frames skipped as not newer than the watermark."),
     m("nitro_frames_persisted_total", Counter, "store", "frames",
       |s| U64(&mut s.frames_persisted),
       "CRC frames appended to the durable segment log."),
@@ -185,8 +175,6 @@ pub static SHARD_METRICS: &[Metric<ShardSnapshot>] = &[
       "Per-batch processing latency (pop to sketch-applied), nanoseconds."),
     m("nitro_persist_ns", Histogram, "", "persist_ns", |s| Hist(&mut s.persist_ns),
       "Durable checkpoint persist latency, nanoseconds."),
-    m("nitro_delta_apply_ns", Histogram, "", "delta_apply_ns", |s| Hist(&mut s.delta_apply_ns),
-      "Standby delta-apply latency, nanoseconds."),
 ];
 
 /// Every metric of a cluster aggregator (the scrape's `cluster` object).

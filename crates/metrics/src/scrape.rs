@@ -123,16 +123,6 @@ pub struct ShardSnapshot {
     pub skew_load: f64,
     /// Sign-bias skew (`NaN` when `null`).
     pub sign_bias: f64,
-    /// Delta frames streamed toward the standby.
-    pub delta_streamed: u64,
-    /// Delta frames dropped at a full delta ring.
-    pub delta_lagged: u64,
-    /// Delta frames applied into the shadow.
-    pub delta_applied: u64,
-    /// Delta frames rejected (framing, checksum, version, restore).
-    pub delta_rejected: u64,
-    /// Delta frames skipped as stale.
-    pub delta_stale: u64,
     /// CRC frames appended to the durable log.
     pub frames_persisted: u64,
     /// Payload bytes appended to the durable log.
@@ -141,8 +131,6 @@ pub struct ShardSnapshot {
     pub batch_ns: HistSummary,
     /// Durable persist latency.
     pub persist_ns: HistSummary,
-    /// Standby delta-apply latency.
-    pub delta_apply_ns: HistSummary,
 }
 
 /// The cluster section of a scrape, when an aggregator was live. Every

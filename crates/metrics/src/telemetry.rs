@@ -2,7 +2,7 @@
 //! latency histograms, a structured event journal, and dependency-free
 //! Prometheus/JSON exporters.
 //!
-//! The robustness stack (supervisor, durable store, replication) accounts
+//! The robustness stack (supervisor, durable store, failover) accounts
 //! every observation *after the fact* through [`crate::DaemonHealth`];
 //! this module makes the same numbers — plus live-only gauges like ring
 //! occupancy and the current sampling probability — readable **while the
@@ -264,13 +264,14 @@ pub enum Event {
         /// Lifetime trips of that breaker, including this one.
         trips: u64,
     },
-    /// A warm standby was promoted to primary.
+    /// A failed shard was promoted: a successor restored from its latest
+    /// checkpoint took over its flow slice.
     Promotion {
         /// Shard id.
         shard: u32,
         /// The fresh sequence band the promoted daemon writes into.
         band: u64,
-        /// Wall-clock duration of the promotion (stop standby → re-steer).
+        /// Wall-clock duration of the promotion (snapshot → re-steer).
         duration_ns: u64,
     },
     /// The fleet was resharded online.
@@ -795,8 +796,8 @@ pub struct MeasurementGauges {
 /// All live telemetry of one shard daemon instance: cache-line-padded
 /// relaxed counters mirroring every [`DaemonHealth`] field, live gauges,
 /// and per-shard latency histograms. Publishers are the tap, worker,
-/// supervisor, durable writer, and replica applier; readers are the
-/// exporters — no reader ever blocks a publisher.
+/// supervisor, and durable writer; readers are the exporters — no reader
+/// ever blocks a publisher.
 #[derive(Debug, Default)]
 pub struct ShardTelemetry {
     /// Shard id (dispatcher index).
@@ -832,16 +833,6 @@ pub struct ShardTelemetry {
     /// Sampling downshifts applied.
     pub downshifts: TelemetryCell,
 
-    /// Delta frames streamed toward this shard's standby.
-    pub delta_streamed: TelemetryCell,
-    /// Delta frames dropped at a full delta ring.
-    pub delta_lagged: TelemetryCell,
-    /// Delta frames applied into the shadow.
-    pub delta_applied: TelemetryCell,
-    /// Delta frames rejected (framing, checksum, version, restore).
-    pub delta_rejected: TelemetryCell,
-    /// Delta frames skipped as not newer than the watermark.
-    pub delta_stale: TelemetryCell,
     /// CRC frames appended to the durable segment log.
     pub frames_persisted: TelemetryCell,
     /// Payload bytes appended to the durable segment log.
@@ -885,8 +876,6 @@ pub struct ShardTelemetry {
     /// Durable checkpoint persist latency, nanoseconds (timed on the
     /// daemon's writer thread, off the sketch thread).
     pub persist_ns: LatencyHistogram,
-    /// Standby delta-apply latency (decode + restore), nanoseconds.
-    pub delta_apply_ns: LatencyHistogram,
 }
 
 impl ShardTelemetry {
@@ -972,16 +961,10 @@ impl ShardTelemetry {
             persist_lag: health.processed.saturating_sub(self.persisted_at.get()),
             skew_load: self.skew_load.get_f64(),
             sign_bias: self.sign_bias.get_f64(),
-            delta_streamed: self.delta_streamed.get(),
-            delta_lagged: self.delta_lagged.get(),
-            delta_applied: self.delta_applied.get(),
-            delta_rejected: self.delta_rejected.get(),
-            delta_stale: self.delta_stale.get(),
             frames_persisted: self.frames_persisted.get(),
             bytes_persisted: self.bytes_persisted.get(),
             batch_ns: self.batch_ns.summary(),
             persist_ns: self.persist_ns.summary(),
-            delta_apply_ns: self.delta_apply_ns.summary(),
             health,
         }
     }

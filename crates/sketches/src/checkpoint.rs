@@ -557,10 +557,10 @@ impl<'a> Decoder<'a> {
     }
 
     /// Read the `(magic, version)` header of a checkpoint blob without
-    /// committing to a sketch type. Replication and the durable store ship
-    /// snapshots as opaque payloads; a standby applier uses this to sanity-
-    /// check a frame (any known magic, supported version) before handing it
-    /// to `restore`, which then does the full typed validation.
+    /// committing to a sketch type. The durable store and the cluster wire
+    /// ship snapshots as opaque payloads; a reader can use this to sanity-
+    /// check one (any known magic, supported version) before handing it to
+    /// `restore`, which then does the full typed validation.
     pub fn peek_header(bytes: &[u8]) -> Result<(u32, u8), CheckpointError> {
         let mut d = Decoder { data: bytes, at: 0 };
         let magic = d.u32()?;

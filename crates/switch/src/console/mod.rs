@@ -2,7 +2,7 @@
 //!
 //! The paper's robustness story is *dynamic*: sampling probability
 //! downshifts under backpressure, convergence flips as traffic shifts,
-//! breakers trip, standbys promote. A point-in-time Prometheus scrape
+//! breakers trip, failed shards promote. A point-in-time Prometheus scrape
 //! cannot show any of that happening; this module renders the telemetry
 //! plane as a terminal dashboard that can:
 //!

@@ -202,8 +202,7 @@ pub struct ThreadFaultPlan {
     /// Published checkpoints remaining until the next injected panic —
     /// counted by [`ThreadFaultPlan::check_checkpoint`] on the worker's
     /// checkpoint path rather than per observation, so the kill lands
-    /// *right after* a delta frame was streamed to the standby
-    /// ("mid-delta-stream" from the replication protocol's view).
+    /// *right after* a periodic checkpoint was published.
     checkpoint_remaining: Arc<AtomicU64>,
     /// Panics fired so far.
     fired: Arc<AtomicU64>,
@@ -237,14 +236,13 @@ impl ThreadFaultPlan {
     }
 
     /// Arm: panic right after the worker's `n`-th periodic checkpoint from
-    /// now (0-based) is published. With replication enabled every
-    /// published checkpoint is also a streamed delta, so this kills the
-    /// primary mid-delta-stream: the frame is already in flight to the
-    /// standby. Without a sink no further observation reaches the primary;
-    /// with one, the batches it popped while the writer persisted the
-    /// checkpoint do. Fires via [`ThreadFaultPlan::check_checkpoint`],
+    /// now (0-based) is published — in the supervisor's slot, and with a
+    /// sink already persisted — so the state a promotion restores is as
+    /// fresh as it gets. Without a sink no further observation reaches the
+    /// primary; with one, the batches it popped while the writer persisted
+    /// the checkpoint do. Fires via [`ThreadFaultPlan::check_checkpoint`],
     /// one-shot per arming.
-    pub fn promote_during_delta(&self, n: u64) {
+    pub fn panic_after_checkpoints(&self, n: u64) {
         self.checkpoint_remaining.store(n, Ordering::Release);
     }
 
@@ -275,7 +273,7 @@ impl ThreadFaultPlan {
     }
 
     /// Account one published checkpoint; panics when the armed
-    /// [`promote_during_delta`](ThreadFaultPlan::promote_during_delta)
+    /// [`panic_after_checkpoints`](ThreadFaultPlan::panic_after_checkpoints)
     /// countdown crosses zero. Called by the supervised worker once each
     /// periodic checkpoint is published: at once when it publishes inline,
     /// at its first loop iteration after the writer published otherwise.
@@ -1101,10 +1099,10 @@ mod tests {
     }
 
     #[test]
-    fn promote_during_delta_fires_on_checkpoint_countdown() {
+    fn panic_after_checkpoints_fires_on_checkpoint_countdown() {
         let plan = ThreadFaultPlan::new();
         plan.check_checkpoint(); // disarmed: no panic
-        plan.promote_during_delta(2);
+        plan.panic_after_checkpoints(2);
         plan.check(u64::MAX - 1); // observation path stays disarmed
         let shared = plan.clone();
         let err = std::thread::spawn(move || {

@@ -25,13 +25,12 @@
 //!   manifest, and torn-tail-repairing recovery.
 //! - [`pipeline`] / [`shard`]: the RSS-style sharded multi-core pipeline —
 //!   a dispatcher hashes flow keys onto N supervised shards and an
-//!   epoch-merged query plane answers global queries over their union.
+//!   epoch-merged query plane answers global queries over their union;
+//!   with failover on, a failed shard is promoted from its own latest
+//!   checkpoint, and the fleet reshards online.
 //! - [`cluster`]: the control plane — per-epoch [`EpochReport`]s and full
 //!   sketch checkpoints sealed persist-before-publish on each node and
 //!   merged into network-wide views by a crash-recoverable aggregator.
-//! - [`replica`]: hot-standby replication — checkpoint deltas streamed
-//!   over an SPSC ring into warm shadow sketches, powering zero-downtime
-//!   failover (promotion) and online resharding in [`pipeline`].
 //! - [`console`]: the `nitro top` operator dashboard — an ANSI
 //!   diff-redraw framebuffer rendering live, replayed, or single-frame
 //!   views of the telemetry plane.
@@ -60,7 +59,6 @@ pub mod ovs;
 pub mod packet;
 pub mod parse;
 pub mod pipeline;
-pub mod replica;
 pub mod shard;
 pub mod sim;
 pub mod spsc;
@@ -86,12 +84,11 @@ pub use parse::{parse_five_tuple, ParseError};
 pub use pipeline::{
     spawn_sharded, MergedView, PipelineConfig, PipelineError, ShardedPipeline, ShardedTap,
 };
-pub use replica::{spawn_standby, ReplicaConfig, ReplicaSink, ReplicaWatermark, StandbyHandle};
 pub use shard::{Shard, ShardStaleness};
 pub use sim::{
     ExploreReport, FaultEvent, FaultKind, Oracle, Schedule, SimConfig, SimReport, Violation,
 };
-pub use spsc::{SpscBoxRing, SpscRing};
+pub use spsc::SpscRing;
 pub use store::{
     CheckpointSink, CheckpointStore, RecoveredFrame, RecoveryReport, ShardWriter, SinkHandle,
     StoreConfig, StoreError, STORE_VERSION,

@@ -21,16 +21,17 @@
 //! carries a per-shard [`ShardStaleness`] record; the sum of the per-shard
 //! bounds bounds the observations missing from the whole view.
 //!
-//! **Failover.** With [`PipelineConfig::replicate`] set, every shard
-//! streams its checkpoint deltas to a warm standby ([`crate::replica`]).
-//! When a shard's restart budget is spent — or its health probe trips the
-//! per-shard [`CircuitBreaker`] — the coordinator *promotes* the standby
-//! inside one epoch rotation: it replays the standby's delta gap from the
-//! durable store, spawns a fresh supervised daemon around the shadow
-//! sketch, and atomically re-steers the dispatcher's flow slice to the new
-//! ring. Queries keep answering with a bounded [`ShardStaleness`] instead
-//! of a degraded flag: promotion costs at most one delta interval of
-//! state, never availability.
+//! **Failover.** With [`PipelineConfig::failover`] set, when a shard's
+//! restart budget is spent — or its health probe trips the per-shard
+//! [`CircuitBreaker`] — the coordinator *promotes* the shard inside one
+//! epoch rotation: it restores a fresh factory-built sketch from the state
+//! an epoch view would merge for that shard (a failed daemon's last
+//! published checkpoint, which its supervisor already holds), spawns a
+//! supervised daemon around it, and atomically re-steers the dispatcher's
+//! flow slice to the new ring. Queries keep answering with a bounded
+//! [`ShardStaleness`] instead of a degraded flag: promotion costs at most
+//! one checkpoint interval of state, never availability, and nothing runs
+//! for it until a shard fails.
 //!
 //! **Online resharding.** [`ShardedPipeline::rescale`] rides the same
 //! re-steering machinery to grow or shrink the fleet while it runs: new
@@ -71,7 +72,6 @@
 
 use crate::faults::ThreadFaultPlan;
 use crate::ovs::Measurement;
-use crate::replica::{spawn_standby, ReplicaConfig, StandbyHandle};
 use crate::shard::{Shard, ShardStaleness};
 use crate::store::{CheckpointStore, RecoveryReport, SinkHandle, StoreConfig, StoreError};
 use crate::supervisor::{spawn_supervised, SupervisedTap, SupervisorConfig, SupervisorError};
@@ -115,11 +115,12 @@ pub struct PipelineConfig {
     /// batch (see [`ShardedPipeline::recover_from`]). Must be sized for
     /// exactly `shards` shards.
     pub store: Option<Arc<CheckpointStore>>,
-    /// Hot-standby replication: when set, every shard streams checkpoint
-    /// deltas to a warm shadow sketch and the coordinator promotes the
-    /// standby — instead of serving degraded — when the shard's restart
-    /// budget is spent or its circuit breaker trips.
-    pub replicate: Option<ReplicaConfig>,
+    /// Failover: when set, the coordinator promotes a shard whose restart
+    /// budget is spent or whose circuit breaker tripped — a successor
+    /// daemon restored from the shard's latest checkpoint takes over its
+    /// flow slice — instead of serving it degraded. Costs nothing until a
+    /// shard fails.
+    pub failover: bool,
     /// Collision-skew anomaly detection: when set, every epoch rotation
     /// measures each shard's per-row skew, publishes it to the shard's
     /// telemetry gauges, and journals an `AnomalousSkew` event once the
@@ -138,7 +139,7 @@ impl Default for PipelineConfig {
             snapshot_timeout: Duration::from_millis(250),
             fault_plans: Vec::new(),
             store: None,
-            replicate: None,
+            failover: false,
             skew_policy: None,
         }
     }
@@ -209,6 +210,13 @@ impl From<StoreError> for PipelineError {
 /// Tag a checkpoint/merge failure with the shard whose state it was.
 fn merge_error(shard: usize) -> impl Fn(CheckpointError) -> PipelineError {
     move |source| PipelineError::Merge { shard, source }
+}
+
+/// A live shard served no checkpoint. Unreachable for pipeline-spawned
+/// shards (a pristine checkpoint exists from spawn), but keep the error
+/// honest.
+fn missing_checkpoint(shard: usize) -> PipelineError {
+    merge_error(shard)(CheckpointError::Mismatch("missing checkpoint"))
 }
 
 /// A pending dispatcher re-steer, applied by the producer at the next
@@ -439,17 +447,18 @@ impl<S: RowSketch> MergedView<S> {
     }
 }
 
-/// A freshly spawned fleet, index-aligned: dispatcher taps, shard handles,
-/// and each shard's warm standby when replication is on.
-type Fleet<S> = (
-    Vec<SupervisedTap>,
-    Vec<Shard<NitroSketch<S>>>,
-    Vec<Option<StandbyHandle<NitroSketch<S>>>>,
-);
+/// A freshly spawned fleet, index-aligned: dispatcher taps and shard
+/// handles.
+type Fleet<S> = (Vec<SupervisedTap>, Vec<Shard<NitroSketch<S>>>);
+
+/// Consecutive unhealthy coordinator probes that trip a shard's circuit
+/// breaker and, with failover on, force a promotion before the restart
+/// budget is formally spent.
+const BREAKER_THRESHOLD: u32 = 2;
 
 /// Everything needed to (re)spawn one shard: the measurement factory, the
-/// supervisor template, targeted fault plans, the durable store, and the
-/// replication knobs. Shared by initial spawn, promotion, and rescale.
+/// supervisor template, targeted fault plans, and the durable store.
+/// Shared by initial spawn, promotion, and rescale.
 struct ShardSpawner<S>
 where
     S: RowSketch + Checkpoint + Clone + Send + 'static,
@@ -458,10 +467,9 @@ where
     supervisor: SupervisorConfig,
     fault_plans: Vec<(usize, ThreadFaultPlan)>,
     store: Option<Arc<CheckpointStore>>,
-    replicate: Option<ReplicaConfig>,
     /// The fleet's telemetry plane: every spawn registers a fresh live
     /// instance here, and every component of the shard (tap, worker,
-    /// supervisor, durable writer, replica applier) publishes into it.
+    /// supervisor, durable writer) publishes into it.
     registry: Arc<TelemetryRegistry>,
 }
 
@@ -469,80 +477,55 @@ impl<S> ShardSpawner<S>
 where
     S: RowSketch + Checkpoint + Clone + Send + 'static,
 {
-    /// Spawn shard `i` around `m`, stamping durable frames (and delta
-    /// frames) in sequence band `band`. Returns the tap, the shard handle,
-    /// and — when replication is on — the shard's warm standby.
-    #[allow(clippy::type_complexity)]
+    /// Spawn shard `i` around `m`, stamping durable frames in sequence
+    /// band `band`. Returns the tap and the shard handle.
     fn spawn(
         &self,
         i: usize,
         m: NitroSketch<S>,
         band: u64,
-    ) -> (
-        SupervisedTap,
-        Shard<NitroSketch<S>>,
-        Option<StandbyHandle<NitroSketch<S>>>,
-    ) {
+    ) -> (SupervisedTap, Shard<NitroSketch<S>>) {
         let mut sup = self.supervisor.clone();
         if let Some((_, plan)) = self.fault_plans.iter().rev().find(|(s, _)| *s == i) {
             sup.fault_plan = Some(plan.clone());
         }
         let tel = self.registry.register(i as u32);
-        let generation = self.store.as_ref().map_or(0, |s| s.generation());
-        tel.generation.set(generation);
+        tel.generation
+            .set(self.store.as_ref().map_or(0, |s| s.generation()));
         tel.seq_band.set(band);
         sup.telemetry = Some(Arc::clone(&tel));
-        let durable = self.store.as_ref().map(|store| {
+        sup.sink = self.store.as_ref().map(|store| {
             SinkHandle(Arc::new(
                 store.writer_from(i, band).with_telemetry(Arc::clone(&tel)),
             ))
         });
-        let mut standby = None;
-        sup.sink = match &self.replicate {
-            Some(rcfg) => {
-                let mut rcfg = rcfg.clone();
-                rcfg.telemetry = Some(Arc::clone(&tel));
-                let (sink, handle) =
-                    spawn_standby((self.factory)(i), i, generation, band, durable, &rcfg);
-                standby = Some(handle);
-                Some(sink)
-            }
-            None => durable,
-        };
         let f = Arc::clone(&self.factory);
         let (tap, daemon) = spawn_supervised(m, move || f(i), sup);
-        (tap, Shard::new(i, daemon), standby)
+        (tap, Shard::new(i, daemon))
     }
 
     /// Spawn shard `i` around `measurements[i]`, all in sequence band
     /// `band`.
     fn spawn_fleet(&self, measurements: Vec<NitroSketch<S>>, band: u64) -> Fleet<S> {
-        let n = measurements.len();
-        let mut fleet = (
-            Vec::with_capacity(n),
-            Vec::with_capacity(n),
-            Vec::with_capacity(n),
-        );
-        for (i, m) in measurements.into_iter().enumerate() {
-            let (tap, shard, standby) = self.spawn(i, m, band);
-            fleet.0.push(tap);
-            fleet.1.push(shard);
-            fleet.2.push(standby);
-        }
-        fleet
+        measurements
+            .into_iter()
+            .enumerate()
+            .map(|(i, m)| self.spawn(i, m, band))
+            .unzip()
     }
+}
 
-    fn breakers(&self, n: usize) -> Vec<CircuitBreaker> {
-        let threshold = self.replicate.as_ref().map_or(2, |r| r.breaker_threshold);
-        (0..n).map(|_| CircuitBreaker::new(threshold)).collect()
-    }
+fn breakers(n: usize) -> Vec<CircuitBreaker> {
+    (0..n)
+        .map(|_| CircuitBreaker::new(BREAKER_THRESHOLD))
+        .collect()
 }
 
 /// What happens to a draining shard's final sketch when it is reaped.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum DrainMode {
-    /// Replaced primary: the promoted standby already carries its state —
-    /// merging its final sketch as well would double-count.
+    /// Replaced primary: its promoted successor was restored from its
+    /// state — merging its final sketch as well would double-count.
     Discard,
     /// Rescaled-away shard: its traffic lives nowhere else, so its final
     /// sketch bit-merges exactly into the carryover.
@@ -660,8 +643,9 @@ where
     S: RowSketch + Checkpoint + Clone + Send + 'static,
 {
     shards: Vec<Shard<NitroSketch<S>>>,
-    /// Per-shard warm standbys (present iff replication is configured).
-    standbys: Vec<Option<StandbyHandle<NitroSketch<S>>>>,
+    /// Whether a failed or breaker-tripped shard is promoted (see
+    /// [`PipelineConfig::failover`]).
+    failover: bool,
     /// Per-shard health probe memory: last seen (restarts, stalls).
     probes: Vec<(u64, u64)>,
     /// Per-shard circuit breakers over consecutive unhealthy probes.
@@ -756,7 +740,7 @@ where
     }
 
     /// Shard ids whose restart budget is spent (served degraded — or
-    /// promoted away at the next epoch when replication is on).
+    /// promoted away at the next epoch when failover is on).
     pub fn failed_shards(&self) -> Vec<usize> {
         self.shards
             .iter()
@@ -765,7 +749,7 @@ where
             .collect()
     }
 
-    /// Standby promotions performed so far.
+    /// Promotions performed so far.
     pub fn promotions(&self) -> u64 {
         self.promotions
     }
@@ -834,11 +818,6 @@ where
         }
     }
 
-    /// True when shard `i` currently has a warm standby to fail over to.
-    pub fn has_standby(&self, shard: usize) -> bool {
-        self.standbys.get(shard).is_some_and(Option::is_some)
-    }
-
     fn alloc_band(&mut self) -> u64 {
         let band = self.next_band << 32;
         self.next_band += 1;
@@ -866,9 +845,6 @@ where
         }
         for d in self.draining {
             let _ = d.shard.finish();
-        }
-        for standby in self.standbys.into_iter().flatten() {
-            let _ = standby.stop();
         }
     }
 
@@ -915,36 +891,35 @@ where
         Ok((tap, pipeline, report))
     }
 
-    /// Promote shard `shard`'s warm standby to primary, re-steering the
-    /// dispatcher to the new daemon at a packet boundary.
+    /// Promote shard `shard`: spawn a successor daemon around the state an
+    /// epoch view would merge for the shard, and re-steer the dispatcher
+    /// to it at a packet boundary.
     ///
-    /// The standby stops and hands over its shadow sketch; any delta it
-    /// missed (dropped at a full delta ring) is replayed from the durable
-    /// store's newest frame; a fresh supervised daemon spawns around the
-    /// shadow in a new sequence band (so its frames shadow the old
-    /// primary's), and the old primary moves to the draining list, where
-    /// it keeps accounting every observation the producer sends it until
-    /// the route change is acknowledged. Returns `false` when the shard
-    /// has no standby to promote (replication off, or already consumed).
+    /// The state comes from the old primary itself
+    /// ([`Shard::epoch_snapshot`]): a failed primary serves its last
+    /// published checkpoint at once, a live one whose breaker tripped
+    /// answers on demand. No gap is replayed from the durable store: a
+    /// checkpoint reaches the supervisor's slot only after its persist
+    /// returned, and the supervisor waits out the persist in flight before
+    /// it marks a daemon failed, so no frame of a failed primary is newer
+    /// than its slot. The successor is restored from that checkpoint into
+    /// a fresh factory-built sketch and spawned in a new sequence band (so
+    /// its frames shadow the old primary's); the old primary moves to the
+    /// draining list, where it keeps accounting every observation the
+    /// producer sends it until the route change is acknowledged. Returns
+    /// `false` when failover is off.
     pub fn promote(&mut self, shard: usize) -> Result<bool, PipelineError> {
-        let Some(standby) = self.standbys[shard].take() else {
+        if !self.failover {
             return Ok(false);
-        };
-        let started = Instant::now();
-        let (mut shadow, watermark) = standby.stop();
-        if let Some(store) = &self.spawner.store {
-            // Gap replay: the durable log may hold a newer delta than the
-            // standby applied (e.g. the delta ring was full when the
-            // primary persisted it).
-            if let Some(frame) = store.newest_frame(shard) {
-                if (frame.generation, frame.seq) > (watermark.generation, watermark.seq) {
-                    shadow.restore(&frame.bytes).map_err(merge_error(shard))?;
-                }
-            }
         }
+        let started = Instant::now();
+        let (bytes, _) = self.shards[shard]
+            .epoch_snapshot(self.snapshot_timeout)
+            .ok_or_else(|| missing_checkpoint(shard))?;
+        let mut successor = (self.spawner.factory)(shard);
+        successor.restore(&bytes).map_err(merge_error(shard))?;
         let band = self.alloc_band();
-        let (tap, new_shard, standby) = self.spawner.spawn(shard, shadow, band);
-        self.standbys[shard] = standby;
+        let (tap, new_shard) = self.spawner.spawn(shard, successor, band);
         let old = std::mem::replace(&mut self.shards[shard], new_shard);
         let version = self.router.publish(RouteUpdate::Replace { shard, tap });
         self.start_draining(old, version, DrainMode::Discard, Arc::clone(&self.template));
@@ -963,11 +938,11 @@ where
 
     /// Grow or shrink the fleet to `new_shards` shards while it runs.
     ///
-    /// New shards spin up blank (with fresh standbys when replication is
-    /// on) in a new sequence band; the dispatcher swaps to the new tap
-    /// table at a packet boundary; every old shard moves to the draining
-    /// list and is reaped — its final sketch folded exactly once into the
-    /// retained carryover — once the producer acknowledges the new routes.
+    /// New shards spin up blank in a new sequence band; the dispatcher
+    /// swaps to the new tap table at a packet boundary; every old shard
+    /// moves to the draining list and is reaped — its final sketch folded
+    /// exactly once into the retained carryover — once the producer
+    /// acknowledges the new routes.
     /// Flow ownership migrates wholesale: a flow's pre-rescale packets
     /// live in the carryover, its post-rescale packets in its new shard,
     /// and the merged view sums the two — nothing dropped, nothing
@@ -982,8 +957,9 @@ where
         if new_shards == 0 {
             return Err(PipelineError::EmptyFleet);
         }
-        // Promote any failed primary first so its standby's state is not
-        // lost to the generic drain path.
+        // Promote any failed primary first: its successor keeps the state
+        // durable in its own band, where the drain path would fold it into
+        // the memory-only carryover.
         self.probe_and_promote()?;
         let from = self.shards.len() as u32;
         if let Some(store) = &self.spawner.store {
@@ -1009,9 +985,9 @@ where
     /// **different hash seeds**; both are checked before any thread is
     /// touched and a violation is rejected as a typed error with the old
     /// fleet untouched. The rotation then rides the rescale machinery:
-    /// fresh shards (and standbys) spin up blank in a new sequence band,
-    /// the dispatcher re-steers at a packet boundary, and the old shards
-    /// drain epoch-by-epoch. Counters cannot bit-merge across seed spaces,
+    /// fresh shards spin up blank in a new sequence band, the dispatcher
+    /// re-steers at a packet boundary, and the old shards drain
+    /// epoch-by-epoch. Counters cannot bit-merge across seed spaces,
     /// so state carries over at the *decoded* level: the old carryover's
     /// and each drained shard's tracked heavy keys re-insert into the new
     /// space at their robust estimates ([`NitroSketch::fold_decoded_from`])
@@ -1024,8 +1000,9 @@ where
     where
         F: Fn(usize) -> NitroSketch<S> + Send + Sync + 'static,
     {
-        // Promote any failed primary first so its standby's state is not
-        // lost to the generic drain path.
+        // Promote any failed primary first: its successor keeps the state
+        // durable in its own band, where the drain path would fold it into
+        // the memory-only carryover.
         self.probe_and_promote()?;
         let started = Instant::now();
         let n = self.shards.len();
@@ -1044,8 +1021,8 @@ where
                 "factory reproduces the old hash seeds",
             ));
         }
-        // New spawns — shards, panic-rebuilds, and standby shadows alike —
-        // must all come from the new-seed factory.
+        // New spawns — shards, panic-rebuilds, and promoted successors
+        // alike — must all come from the new-seed factory.
         self.spawner.factory = Arc::new(factory);
         // Carry the old carryover's tracked keys into the new seed space.
         self.carryover = self.carryover.as_ref().map(|old| {
@@ -1064,9 +1041,7 @@ where
                 d.mode = DrainMode::FoldDecoded;
             }
         }
-        // Old shadows hold old-seed state too; the drain-and-fold path
-        // supersedes them, and the detector starts over in the fresh hash
-        // space.
+        // The detector starts over in the fresh hash space.
         let band = self.respawn_fleet(n, DrainMode::FoldDecoded, old_template);
         self.seed_rotations += 1;
         let duration_ns = started.elapsed().as_nanos() as u64;
@@ -1076,14 +1051,12 @@ where
         Ok(())
     }
 
-    /// Respawn the whole fleet as `n` blank shards (with fresh standbys
-    /// when replication is on) in a fresh sequence band and re-steer the
-    /// dispatcher to them at a packet boundary — the shared body of
-    /// [`ShardedPipeline::rescale`] and [`ShardedPipeline::rotate_seeds`].
-    /// Every old shard starts draining under `mode`, restoring into
-    /// `old_template`; the old standbys are superseded by that drain path
-    /// and stop. Per-shard probe, breaker, and skew state starts over.
-    /// Returns the band.
+    /// Respawn the whole fleet as `n` blank shards in a fresh sequence
+    /// band and re-steer the dispatcher to them at a packet boundary — the
+    /// shared body of [`ShardedPipeline::rescale`] and
+    /// [`ShardedPipeline::rotate_seeds`]. Every old shard starts draining
+    /// under `mode`, restoring into `old_template`. Per-shard probe,
+    /// breaker, and skew state starts over. Returns the band.
     fn respawn_fleet(
         &mut self,
         n: usize,
@@ -1093,19 +1066,15 @@ where
         let band = self.alloc_band();
         self.scratch = None;
         let blanks = (0..n).map(|i| (self.spawner.factory)(i)).collect();
-        let (taps, shards, standbys) = self.spawner.spawn_fleet(blanks, band);
+        let (taps, shards) = self.spawner.spawn_fleet(blanks, band);
         let old_shards = std::mem::replace(&mut self.shards, shards);
-        let old_standbys = std::mem::replace(&mut self.standbys, standbys);
         self.probes = vec![(0, 0); n];
-        self.breakers = self.spawner.breakers(n);
+        self.breakers = breakers(n);
         self.skew_trackers = vec![SkewTracker::default(); n];
         self.skew_tripped = vec![false; n];
         let version = self.router.publish(RouteUpdate::Resize { taps });
         for old in old_shards {
             self.start_draining(old, version, mode, Arc::clone(&old_template));
-        }
-        for standby in old_standbys.into_iter().flatten() {
-            let _ = standby.stop();
         }
         band
     }
@@ -1187,14 +1156,14 @@ where
         Ok(())
     }
 
-    /// Rotate an epoch: promote any failed-or-tripped shard that has a
-    /// standby, snapshot every live shard (on-demand, falling back to the
+    /// Rotate an epoch: promote any failed-or-tripped shard when failover
+    /// is on, snapshot every live shard (on-demand, falling back to the
     /// latest periodic checkpoint for an unresponsive shard), restore each
     /// in place into the scratch sketch, and merge them — plus the carryover
     /// and any still-draining rescaled-away shards — into one global
     /// sketch. The pipeline keeps running throughout — rotation never
-    /// stalls a producer or a worker, and with replication enabled a view
-    /// is never served degraded: failover happens *inside* the rotation.
+    /// stalls a producer or a worker, and with failover enabled a view is
+    /// never served degraded: failover happens *inside* the rotation.
     pub fn epoch_view(&mut self) -> Result<MergedView<S>, PipelineError> {
         self.probe_and_promote()?;
         self.epoch += 1;
@@ -1210,16 +1179,10 @@ where
             .take()
             .unwrap_or_else(|| NitroSketch::clone(&self.template));
         for idx in 0..self.shards.len() {
-            let Some((bytes, stale)) = self.shards[idx].epoch_snapshot(self.snapshot_timeout)
-            else {
-                // Unreachable for pipeline-spawned shards (a pristine
-                // checkpoint exists from spawn), but keep the error honest.
-                return Err(PipelineError::Merge {
-                    shard: self.shards[idx].index(),
-                    source: CheckpointError::Mismatch("missing checkpoint"),
-                });
-            };
             let shard_id = self.shards[idx].index();
+            let (bytes, stale) = self.shards[idx]
+                .epoch_snapshot(self.snapshot_timeout)
+                .ok_or_else(|| missing_checkpoint(shard_id))?;
             scratch.restore(&bytes).map_err(merge_error(shard_id))?;
             self.observe_skew(idx, &scratch);
             merged
@@ -1230,7 +1193,7 @@ where
         self.scratch = Some(scratch);
         // Still-draining rescaled- or rotated-away shards own their
         // traffic until reaped: snapshot and fold them too. (Replaced
-        // primaries are skipped — the promoted standby already serves
+        // primaries are skipped — their promoted successors already serve
         // their state.)
         for d in &self.draining {
             if d.mode == DrainMode::Discard {
@@ -1312,7 +1275,7 @@ where
     /// Like [`ShardedPipeline::finish`], but a *live* shard whose restart
     /// budget is spent contributes its **last checkpoint** (restored into
     /// a template clone) instead of aborting the whole merge — the
-    /// no-replication fallback. Returns the merged sketch, the fleet
+    /// fallback when failover is off. Returns the merged sketch, the fleet
     /// health — whose accounting identity still holds, with the dead
     /// shard's unprocessed observations counted as dropped or lost — and
     /// the ids of the shards served degraded. Only a supervisor-thread
@@ -1335,7 +1298,6 @@ where
     ) -> Result<(NitroSketch<S>, FleetHealth, Vec<(usize, SupervisorError)>), PipelineError> {
         let ShardedPipeline {
             shards,
-            standbys,
             draining,
             carryover,
             retired,
@@ -1377,9 +1339,6 @@ where
                 first_error = first_error.or(Some(e));
             }
         }
-        for standby in standbys.into_iter().flatten() {
-            let _ = standby.stop();
-        }
         for h in retired {
             fleet.push_retired(h);
         }
@@ -1394,7 +1353,7 @@ where
 ///
 /// `factory(i)` builds shard *i*'s blank per-core measurement — and is
 /// also what the shard's supervisor calls to rebuild after a panic, and
-/// what replication clones into warm shadows. All instances **must wrap
+/// what a promotion restores a failed shard's checkpoint into. All instances **must wrap
 /// geometry- and seed-identical sketches** (clone one configured
 /// template, or construct with the same parameters); the per-shard
 /// *sampler* seed is free to differ. A violation is caught at merge time
@@ -1444,7 +1403,6 @@ where
         supervisor: config.supervisor,
         fault_plans: config.fault_plans,
         store: config.store,
-        replicate: config.replicate,
         registry: Arc::new(TelemetryRegistry::new()),
     };
     let template = Arc::new((spawner.factory)(0));
@@ -1456,9 +1414,8 @@ where
         }
         measurements.push(m);
     }
-    let (taps, shards, standbys) = spawner.spawn_fleet(measurements, 0);
+    let (taps, shards) = spawner.spawn_fleet(measurements, 0);
     let router = Arc::new(Router::new());
-    let breakers = spawner.breakers(config.shards);
     Ok((
         ShardedTap {
             taps,
@@ -1468,9 +1425,9 @@ where
         },
         ShardedPipeline {
             shards,
-            standbys,
+            failover: config.failover,
             probes: vec![(0, 0); config.shards],
-            breakers,
+            breakers: breakers(config.shards),
             draining: Vec::new(),
             carryover: None,
             retired: Vec::new(),
@@ -1935,7 +1892,7 @@ mod tests {
                     ..Default::default()
                 },
                 fault_plans: vec![(0, plan)],
-                replicate: Some(ReplicaConfig::default()),
+                failover: true,
                 ..Default::default()
             },
         )
@@ -1949,11 +1906,11 @@ mod tests {
             );
             std::thread::yield_now();
         }
-        // Without a store the replica sink is the persist: the standby
-        // holds the newest persisted checkpoint, so the dead primary's
-        // `persist_lag` is what the promotion may cost.
-        let delta_lag = pipeline.shards()[0].telemetry().persist_lag();
-        // The rotation promotes the standby in-line: no degraded view.
+        // The successor is restored from the dead primary's last published
+        // checkpoint, so what the primary processed after it (plus one
+        // batch) is what the promotion may cost.
+        let lag = pipeline.shards()[0].latest_checkpoint().unwrap().lag + 64;
+        // The rotation promotes the shard in-line: no degraded view.
         let view = pipeline.epoch_view().unwrap();
         assert_eq!(pipeline.promotions(), 1);
         assert!(
@@ -1962,11 +1919,7 @@ mod tests {
         );
         assert!(
             view.staleness().iter().all(|s| !s.degraded),
-            "replication must keep every view non-degraded"
-        );
-        assert!(
-            pipeline.has_standby(0),
-            "the promoted shard gets a fresh standby"
+            "failover must keep every view non-degraded"
         );
         // Traffic keeps flowing to the promoted daemon and stays accounted.
         feed(&mut tap, (0..8_000u64).map(|i| i % 16));
@@ -1979,14 +1932,14 @@ mod tests {
             !fleet.retired().is_empty(),
             "the replaced primary's record is retained"
         );
-        // The standby carried the state: estimates are within the dead
-        // primary's unstreamed updates of the truth on the failed shard,
-        // exact elsewhere.
+        // The checkpoint carried the state: estimates are within the dead
+        // primary's uncheckpointed updates of the truth on the failed
+        // shard, exact elsewhere.
         let total: f64 = (0..16u64).map(|f| merged.estimate(f)).sum();
         assert!(total <= 28_000.0);
         assert!(
-            total >= 28_000.0 - delta_lag as f64 - fleet.total().lost_in_crash as f64,
-            "promotion may cost at most the {delta_lag} unstreamed updates: {total}"
+            total >= 28_000.0 - lag as f64 - fleet.total().lost_in_crash as f64,
+            "promotion may cost at most the {lag} uncheckpointed updates: {total}"
         );
     }
 

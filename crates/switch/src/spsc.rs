@@ -174,109 +174,6 @@ impl<T: Copy> SpscRing<T> {
     }
 }
 
-/// A bounded SPSC ring for owned (non-`Copy`) items such as serialized
-/// checkpoint-delta frames (`Vec<u8>`).
-///
-/// [`SpscRing`] requires `T: Copy` so slots can be re-read without a drop
-/// obligation; replication streams whole byte buffers, so this variant
-/// stores each item behind a `Box` in an `AtomicPtr` slot. A null pointer
-/// marks an empty slot, which doubles as the synchronization handshake: the
-/// producer's release store of the pointer publishes the boxed payload, the
-/// consumer's acquire swap takes unique ownership back. Exactly one thread
-/// may push and exactly one (other) thread may pop, same discipline as
-/// [`SpscRing`].
-pub struct SpscBoxRing<T: Send> {
-    slots: Box<[std::sync::atomic::AtomicPtr<T>]>,
-    mask: usize,
-    /// Next slot the producer writes (producer-private).
-    head: Cell<usize>,
-    /// Next slot the consumer reads (consumer-private).
-    tail: Cell<usize>,
-    /// Queued-item count, for occupancy probes from either side.
-    len: AtomicUsize,
-}
-
-// SAFETY: slot hand-off is mediated entirely by the atomic pointer (release
-// publish / acquire take); `head` is touched only by the producer thread and
-// `tail` only by the consumer thread under the SPSC discipline.
-unsafe impl<T: Send> Sync for SpscBoxRing<T> {}
-unsafe impl<T: Send> Send for SpscBoxRing<T> {}
-
-impl<T: Send> SpscBoxRing<T> {
-    /// Create a ring with at least `capacity` slots (rounded up to a power
-    /// of two, minimum 2).
-    pub fn new(capacity: usize) -> Self {
-        use std::sync::atomic::AtomicPtr;
-        let cap = capacity.next_power_of_two().max(2);
-        let slots: Vec<AtomicPtr<T>> = (0..cap)
-            .map(|_| AtomicPtr::new(std::ptr::null_mut()))
-            .collect();
-        Self {
-            slots: slots.into_boxed_slice(),
-            mask: cap - 1,
-            head: Cell::new(0),
-            tail: Cell::new(0),
-            len: AtomicUsize::new(0),
-        }
-    }
-
-    /// Slots in the ring.
-    pub fn capacity(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Items currently queued (approximate under concurrency).
-    pub fn len(&self) -> usize {
-        self.len.load(Ordering::Acquire)
-    }
-
-    /// True when nothing is queued (approximate under concurrency).
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Producer: enqueue one item; returns it back when the ring is full so
-    /// the caller can count the lag without losing the payload.
-    pub fn push(&self, item: T) -> Result<(), T> {
-        let head = self.head.get();
-        let slot = &self.slots[head & self.mask];
-        if !slot.load(Ordering::Acquire).is_null() {
-            return Err(item); // consumer hasn't taken this slot yet
-        }
-        slot.store(Box::into_raw(Box::new(item)), Ordering::Release);
-        self.head.set(head.wrapping_add(1));
-        self.len.fetch_add(1, Ordering::AcqRel);
-        Ok(())
-    }
-
-    /// Consumer: dequeue one item.
-    pub fn pop(&self) -> Option<T> {
-        let tail = self.tail.get();
-        let slot = &self.slots[tail & self.mask];
-        let ptr = slot.swap(std::ptr::null_mut(), Ordering::Acquire);
-        if ptr.is_null() {
-            return None;
-        }
-        self.tail.set(tail.wrapping_add(1));
-        self.len.fetch_sub(1, Ordering::AcqRel);
-        // SAFETY: the pointer came from `Box::into_raw` in `push` and the
-        // swap above took unique ownership of it.
-        Some(*unsafe { Box::from_raw(ptr) })
-    }
-}
-
-impl<T: Send> Drop for SpscBoxRing<T> {
-    fn drop(&mut self) {
-        for slot in self.slots.iter() {
-            let ptr = slot.swap(std::ptr::null_mut(), Ordering::Acquire);
-            if !ptr.is_null() {
-                // SAFETY: leftover boxed item never taken by the consumer.
-                drop(unsafe { Box::from_raw(ptr) });
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -447,84 +344,6 @@ mod tests {
             cons.join().unwrap();
             assert!(r.is_empty(), "capacity {capacity}: residue left");
         }
-    }
-
-    #[test]
-    fn box_ring_fifo_and_full_detection() {
-        let r = SpscBoxRing::new(4);
-        for i in 0..4u64 {
-            assert!(r.push(vec![i]).is_ok());
-        }
-        assert_eq!(r.push(vec![99]), Err(vec![99]), "full ring returns item");
-        for i in 0..4u64 {
-            assert_eq!(r.pop(), Some(vec![i]));
-        }
-        assert_eq!(r.pop(), None);
-        assert!(r.is_empty());
-    }
-
-    #[test]
-    fn box_ring_drops_leftovers_without_leaking() {
-        // Rely on a drop-counting payload: leftover boxes must be freed by
-        // the ring's Drop impl.
-        use std::sync::atomic::AtomicUsize;
-        static DROPS: AtomicUsize = AtomicUsize::new(0);
-        struct Counted;
-        impl Drop for Counted {
-            fn drop(&mut self) {
-                DROPS.fetch_add(1, Ordering::SeqCst);
-            }
-        }
-        let r = SpscBoxRing::new(8);
-        for _ in 0..5 {
-            assert!(r.push(Counted).is_ok());
-        }
-        drop(r.pop()); // one popped and dropped by the consumer
-        drop(r); // four left inside the ring
-        assert_eq!(DROPS.load(Ordering::SeqCst), 5);
-    }
-
-    #[test]
-    fn box_ring_cross_thread_transfer() {
-        let r = Arc::new(SpscBoxRing::<Vec<u64>>::new(64));
-        let n = 100_000u64;
-        let prod = {
-            let r = Arc::clone(&r);
-            std::thread::spawn(move || {
-                let mut next = 0u64;
-                while next < n {
-                    let mut item = vec![next, next * 3];
-                    loop {
-                        match r.push(item) {
-                            Ok(()) => break,
-                            Err(back) => {
-                                item = back;
-                                std::thread::yield_now();
-                            }
-                        }
-                    }
-                    next += 1;
-                }
-            })
-        };
-        let cons = {
-            let r = Arc::clone(&r);
-            std::thread::spawn(move || {
-                let mut expect = 0u64;
-                while expect < n {
-                    match r.pop() {
-                        Some(v) => {
-                            assert_eq!(v, vec![expect, expect * 3], "out of order");
-                            expect += 1;
-                        }
-                        None => std::thread::yield_now(),
-                    }
-                }
-            })
-        };
-        prod.join().unwrap();
-        cons.join().unwrap();
-        assert!(r.is_empty());
     }
 
     #[test]

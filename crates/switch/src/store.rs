@@ -91,7 +91,7 @@ const DELTA_FLAG: u8 = 1;
 const LINE: usize = 64;
 
 /// Header of a checkpoint frame ("NFRM"): keyframes in the store's
-/// segment logs, the replica's stream and the cluster's epoch frames.
+/// segment logs and the cluster's epoch frames.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct StoreHeader {
     /// Shard (for an epoch frame: cluster node) the frame belongs to.
@@ -858,9 +858,9 @@ fn sync_dir(dir: &Path) -> io::Result<()> {
     Ok(())
 }
 
-/// Encode one frame into a fresh buffer. Shared with the replication
-/// layer, whose delta stream is this exact wire format — a standby applies
-/// the same bytes a recovery scan would return.
+/// Encode one keyframe into a fresh buffer. Shared with the cluster wire,
+/// whose epoch frames are this exact format — an aggregator validates the
+/// same bytes a recovery scan would return.
 pub(crate) fn encode_frame(
     shard: usize,
     generation: u64,
@@ -878,10 +878,9 @@ pub(crate) fn encode_frame(
 }
 
 /// Decode the frame for `shard` at the head of `data` — the inverse of
-/// [`encode_frame`], shared between the standby applier and the cluster
-/// aggregator (which validate every frame with exactly the rules recovery
-/// uses). Only a segment log holds delta frames; here they are refused as
-/// a newer version.
+/// [`encode_frame`], shared with the cluster aggregator (which validates
+/// every frame with exactly the rules recovery uses). Only a segment log
+/// holds delta frames; here they are refused as a newer version.
 pub(crate) fn decode_frame(
     data: &[u8],
     shard: usize,

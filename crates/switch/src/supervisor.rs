@@ -885,14 +885,13 @@ fn run_worker<M: Recoverable>(
         if shared.writer_idle() {
             if std::mem::take(&mut unpublished) {
                 if let Some(plan) = plan {
-                    // Fault-injection point for replication: the periodic
-                    // checkpoint (and, with a replica sink, its delta
-                    // frame) is published, so a panic here kills the
-                    // primary mid-delta-stream — the standby holds this
-                    // very delta. Inline, the primary dies without
+                    // Fault-injection point for failover: the periodic
+                    // checkpoint is published, so a panic here kills the
+                    // primary right after it — a promotion restores this
+                    // very checkpoint. Inline, the primary dies without
                     // processing another batch; with a writer, it dies
                     // having processed the batches it popped while the
-                    // delta was persisting.
+                    // checkpoint was persisting.
                     plan.check_checkpoint();
                 }
             }
@@ -1196,7 +1195,8 @@ where
         if let Some(writer) = &shared.writer {
             // The dead worker's last checkpoint may still be persisting: a
             // restart must restore that one, not its predecessor, and a
-            // promotion must find it streamed to the standby.
+            // failed daemon's slot must be no older than its newest durable
+            // frame, since a promotion restores from the slot alone.
             writer.wait_idle();
         }
         let restarts = shared.tel.restarts.add(1) + 1;

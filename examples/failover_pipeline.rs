@@ -1,24 +1,22 @@
-//! Zero-downtime failover and online resharding: hot-standby replication
-//! over the sharded pipeline.
+//! Zero-downtime failover and online resharding over the sharded
+//! pipeline.
 //!
-//! Every primary shard streams its periodic checkpoints as delta frames
-//! over an SPSC ring into a warm standby that continuously applies them
-//! into a shadow sketch. Mid-stream, an injected panic kills shard 1 with
-//! a zero-restart budget — the supervisor gives up on it — but the next
-//! epoch rotation *promotes* the standby in place: the tap re-steers that
-//! flow slice to the standby's ring, the standby replays any delta gap
-//! from the durable store, and the view is never degraded. Afterwards the
-//! fleet rescales online (4 → 6 → 3) while traffic keeps flowing, with
-//! the accounting identity `offered == processed + dropped + lost` intact
-//! across every transition.
+//! Every shard's supervisor keeps its latest checkpoint in memory (and,
+//! here, persists it first). Mid-stream, an injected panic kills shard 1
+//! with a zero-restart budget — the supervisor gives up on it — but the
+//! next epoch rotation *promotes* the shard in place: a successor daemon
+//! is restored from the dead primary's last checkpoint, the tap re-steers
+//! that flow slice to the successor's ring, and the view is never
+//! degraded. Afterwards the fleet rescales online (4 → 6 → 3) while
+//! traffic keeps flowing, with the accounting identity `offered ==
+//! processed + dropped + lost` intact across every transition.
 //!
 //! Run with: `cargo run --release --example failover_pipeline`
 
 use nitrosketch::core::{Mode, NitroSketch};
 use nitrosketch::prelude::*;
 use nitrosketch::switch::{
-    spawn_sharded, CheckpointStore, PipelineConfig, ReplicaConfig, StoreConfig, SupervisorConfig,
-    ThreadFaultPlan,
+    spawn_sharded, CheckpointStore, PipelineConfig, StoreConfig, SupervisorConfig, ThreadFaultPlan,
 };
 use nitrosketch::traffic::take_records;
 
@@ -42,7 +40,7 @@ fn main() {
     let _ = std::fs::remove_dir_all(&dir);
 
     // Shard 1 dies after ~60k of its own observations and its restart
-    // budget is zero: without a standby this shard would stay dead and
+    // budget is zero: without failover this shard would stay dead and
     // every epoch view would carry a degraded flag for it.
     let plan = ThreadFaultPlan::new();
     plan.panic_after(60_000);
@@ -60,11 +58,11 @@ fn main() {
             },
             store: Some(store),
             fault_plans: vec![(1, plan.clone())],
-            replicate: Some(ReplicaConfig::default()),
+            failover: true,
             ..Default::default()
         },
     )
-    .expect("spawn replicated fleet");
+    .expect("spawn fleet");
 
     // ── Phase 1: feed until the kill lands, then rotate an epoch. ──────
     let third = packets / 3;
@@ -80,15 +78,18 @@ fn main() {
         "shard 1 exhausted its restart budget (injected panic fired: {})",
         plan.fired()
     );
-    // The standby holds at least the dead primary's newest persisted
-    // checkpoint: what it processed after that is what promotion costs.
-    let unstreamed = pipeline.shards()[1].telemetry().persist_lag();
+    // The successor is restored from the dead primary's last checkpoint:
+    // what the primary processed after it is what promotion costs.
+    let uncheckpointed = pipeline.shards()[1]
+        .latest_checkpoint()
+        .expect("a pipeline shard always holds a checkpoint")
+        .lag;
 
     let view = pipeline
         .epoch_view()
-        .expect("rotation promotes the standby");
+        .expect("rotation promotes the failed shard");
     println!(
-        "epoch {}: standby promoted in-line (promotions = {}), \
+        "epoch {}: shard 1 promoted in-line (promotions = {}), \
          degraded shards in view: {}",
         view.epoch(),
         pipeline.promotions(),
@@ -96,7 +97,7 @@ fn main() {
     );
     assert!(
         view.staleness().iter().all(|s| !s.degraded),
-        "replication must yield zero degraded epochs"
+        "failover must yield zero degraded epochs"
     );
     assert!(pipeline.failed_shards().is_empty());
 
@@ -117,7 +118,7 @@ fn main() {
     drop(tap);
     let (merged, fleet) = pipeline
         .finish()
-        .expect("replicated fleet finishes the strict path: no degraded merge");
+        .expect("the fleet finishes the strict path: no degraded merge");
     println!("\n{fleet}");
     assert_eq!(fleet.total().offered, packets as u64);
     assert_eq!(
@@ -127,10 +128,10 @@ fn main() {
     );
     assert_eq!(fleet.len(), 3, "three live shards after the shrink");
 
-    // The promotion cost at most the victim's unstreamed updates + one
+    // The promotion cost at most the victim's uncheckpointed updates + one
     // batch; rescaling costs nothing (state is merged, not dropped).
     // Everything else is ordinary sketch error.
-    let bound = (unstreamed + 64 + fleet.total().dropped + fleet.total().lost_in_crash) as f64;
+    let bound = (uncheckpointed + 64 + fleet.total().dropped + fleet.total().lost_in_crash) as f64;
     println!("{:>20} {:>10} {:>10} {:>8}", "flow", "true", "est", "err");
     let mut worst = 0.0f64;
     for &(k, t) in truth.top_k(5).iter() {

@@ -1,12 +1,12 @@
 //! Live telemetry plane under chaos: a scrape thread polls the fleet's
 //! Prometheus endpoint every 100 ms while fault injection kills a shard
-//! and the coordinator promotes its warm standby — with the event journal
-//! narrating the whole failover afterwards.
+//! and the coordinator promotes it from its last checkpoint — with the
+//! event journal narrating the whole failover afterwards.
 //!
 //! The pipeline is instrumented end to end: the tap publishes ring
 //! occupancy, the workers publish batch latencies and sampling gauges,
-//! the durable writer publishes persist latencies, the replica applier
-//! publishes delta counters, and the coordinator stamps promotion events.
+//! the durable writer publishes persist latencies and frame counts, and
+//! the coordinator stamps promotion events.
 //! All of it is lock-free — the scrape loop below never blocks a worker.
 //!
 //! Every scrape is also appended to an NDJSON recording through
@@ -21,8 +21,7 @@ use nitrosketch::metrics::scrape::{read_recording, ScrapeRecorder};
 use nitrosketch::metrics::SequencedEvent;
 use nitrosketch::prelude::*;
 use nitrosketch::switch::{
-    spawn_sharded, CheckpointStore, PipelineConfig, ReplicaConfig, StoreConfig, SupervisorConfig,
-    ThreadFaultPlan,
+    spawn_sharded, CheckpointStore, PipelineConfig, StoreConfig, SupervisorConfig, ThreadFaultPlan,
 };
 use nitrosketch::traffic::take_records;
 use std::time::{Duration, Instant};
@@ -61,7 +60,7 @@ fn main() {
             },
             store: Some(store),
             fault_plans: vec![(VICTIM, plan)],
-            replicate: Some(ReplicaConfig::default()),
+            failover: true,
             ..Default::default()
         },
     )
@@ -129,7 +128,7 @@ fn main() {
     }
     pipeline
         .epoch_view()
-        .expect("rotation promotes the standby");
+        .expect("rotation promotes the failed shard");
     assert_eq!(pipeline.promotions(), 1, "exactly one promotion expected");
     // One closing frame so the recording ends on the promoted fleet —
     // this is the frame `nitro top --once --replay` renders.

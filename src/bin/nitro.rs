@@ -22,8 +22,8 @@ use nitrosketch::switch::faults::FaultInjector;
 use nitrosketch::switch::nic::{NicSim, PacketRecord};
 use nitrosketch::switch::ovs::RunReport;
 use nitrosketch::switch::{
-    spawn_sharded, CheckpointStore, EpochReport, PipelineConfig, ReplicaConfig, StoreConfig,
-    SupervisorConfig, ThreadFaultPlan,
+    spawn_sharded, CheckpointStore, EpochReport, PipelineConfig, StoreConfig, SupervisorConfig,
+    ThreadFaultPlan,
 };
 use nitrosketch::traffic::{pcap, take_records, UniformFlows};
 use std::collections::HashMap;
@@ -343,11 +343,11 @@ fn cmd_top(args: &Args) -> Result<(), String> {
             ..Default::default()
         },
         store: Some(store),
-        replicate: Some(ReplicaConfig::default()),
+        failover: true,
         ..Default::default()
     };
     if chaos {
-        // Arm a mid-run panic on one shard; with a standby warm the
+        // Arm a mid-run panic on one shard; with failover on the
         // coordinator promotes it and the console shows the failover.
         config.supervisor.max_restarts = 0;
         let plan = ThreadFaultPlan::new();
@@ -431,8 +431,8 @@ fn cmd_top(args: &Args) -> Result<(), String> {
     let mut out = std::io::stdout();
     let live = run_live(
         || {
-            // Coordinator duty: a failed shard with a warm standby is
-            // promoted at the next epoch rotation — drive one so the
+            // Coordinator duty: a failed shard is promoted at the next
+            // epoch rotation — drive one so the
             // console shows the failover instead of a dead row.
             if !pipeline.failed_shards().is_empty() {
                 let _ = pipeline.epoch_view();

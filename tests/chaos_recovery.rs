@@ -21,8 +21,8 @@ use nitrosketch::prelude::*;
 use nitrosketch::switch::frame;
 use nitrosketch::switch::store::LogHeader;
 use nitrosketch::switch::{
-    CheckpointStore, DiskFaultPlan, PipelineConfig, RecoveryReport, ReplicaConfig, ShardedPipeline,
-    ShardedTap, StoreConfig, SupervisorConfig, ThreadFaultPlan,
+    CheckpointStore, DiskFaultPlan, PipelineConfig, RecoveryReport, ShardedPipeline, ShardedTap,
+    StoreConfig, SupervisorConfig, ThreadFaultPlan,
 };
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -552,7 +552,7 @@ fn truth_heaviest(keys: &[u64]) -> u64 {
     GroundTruth::from_keys(keys.iter().copied()).top_k(1)[0].0
 }
 
-/// Drain variant for replicated fleets: keeps applying pending route
+/// Drain variant for failover fleets: keeps applying pending route
 /// updates on the producer side so a promotion or rescale can complete
 /// while we wait for the accounting identity to close.
 fn drain_synced(tap: &mut ShardedTap, pipeline: &ShardedPipeline<CountSketch>) {
@@ -571,15 +571,15 @@ fn drain_synced(tap: &mut ShardedTap, pipeline: &ShardedPipeline<CountSketch>) {
     }
 }
 
-/// The replication acceptance run: with hot standbys enabled, a seeded
-/// kill that exhausts a primary's restart budget yields **zero** degraded
-/// epochs — the coordinator promotes the standby inside the rotation and
-/// every view answers within the sketch ε plus one delta interval — and
+/// The failover acceptance run: with failover enabled, a seeded kill that
+/// exhausts a primary's restart budget yields **zero** degraded epochs —
+/// the coordinator promotes the shard inside the rotation and every view
+/// answers within the sketch ε plus one checkpoint interval — and
 /// the fleet identity `offered == processed + dropped + lost` holds
 /// across both the promotion and a rescale(3 → 5 → 2) sequence.
 #[test]
 fn replication_yields_zero_degraded_epochs_across_promotion_and_rescale() {
-    let dir = store_dir("replica");
+    let dir = store_dir("failover");
     let keys = zipf_stream(150_000, 2025);
     let plan = ThreadFaultPlan::new();
     plan.panic_after(5_000);
@@ -587,7 +587,7 @@ fn replication_yields_zero_degraded_epochs_across_promotion_and_rescale() {
     let mut cfg = pipe_config(Some(store));
     cfg.supervisor.max_restarts = 0; // the scheduled panic spends the budget
     cfg.fault_plans = vec![(0, plan.clone())];
-    cfg.replicate = Some(ReplicaConfig::default());
+    cfg.failover = true;
     let (mut tap, mut pipeline) = nitrosketch::switch::spawn_sharded(factory, cfg).expect("spawn");
 
     // Phase 1: the kill lands inside this window and shard 0's budget is
@@ -602,24 +602,24 @@ fn replication_yields_zero_degraded_epochs_across_promotion_and_rescale() {
         std::thread::yield_now();
     }
     assert_eq!(plan.fired(), 1);
-    // The standby holds at least the dead primary's newest persisted
-    // checkpoint (streamed, or replayed from the store).
+    // The successor restores the dead primary's last checkpoint, which is
+    // no older than its newest persisted one.
     let promotion_loss = (exposure(&pipeline)[0].1 + BATCH) as f64;
 
-    // The rotation promotes the warm standby in-line: the view over a
-    // formally dead shard is *not* degraded, and the estimates are within
-    // ε plus the state the standby had not yet seen.
+    // The rotation promotes the shard in-line: the view over a formally
+    // dead shard is *not* degraded, and the estimates are within ε plus
+    // the state the checkpoint had not yet seen.
     let view = pipeline
         .epoch_view()
         .expect("promotion inside the rotation");
-    assert_eq!(pipeline.promotions(), 1, "the standby was promoted");
+    assert_eq!(pipeline.promotions(), 1, "the failed shard was promoted");
     assert!(
         pipeline.failed_shards().is_empty(),
         "no failed shard remains"
     );
     assert!(
         view.staleness().iter().all(|s| !s.degraded),
-        "zero degraded epochs with replication enabled"
+        "zero degraded epochs with failover enabled"
     );
     drain_synced(&mut tap, &pipeline);
     let h = pipeline.fleet_health();
@@ -656,7 +656,7 @@ fn replication_yields_zero_degraded_epochs_across_promotion_and_rescale() {
     drop(tap);
     let (merged, fleet) = pipeline
         .finish()
-        .expect("replicated fleet finishes the strict path");
+        .expect("the failover fleet finishes the strict path");
     assert_eq!(
         fleet.total().offered,
         keys.len() as u64,
@@ -682,22 +682,21 @@ fn replication_yields_zero_degraded_epochs_across_promotion_and_rescale() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// Satellite: kill the primary *mid-delta-stream* — immediately after a
-/// periodic checkpoint publish, i.e. the instant the delta frame left for
-/// the standby — and verify the promoted standby's estimates stay within
-/// the theory ε plus the updates the primary made after that delta was
-/// taken. No durable store: the standby's shadow is the only surviving
+/// Kill the primary immediately after a periodic checkpoint publish and
+/// verify the promoted successor's estimates stay within the theory ε
+/// plus the updates the primary made after that checkpoint was taken. No
+/// durable store: the supervisor's in-memory slot is the only surviving
 /// state.
 #[test]
-fn promotion_during_delta_stream_keeps_standby_within_one_interval() {
+fn promotion_after_a_checkpoint_panic_loses_at_most_the_lag() {
     let keys = zipf_stream(100_000, 31337);
     let plan = ThreadFaultPlan::new();
-    // Die right after the 3rd periodic delta streams to the standby.
-    plan.promote_during_delta(2);
+    // Die right after the 3rd periodic checkpoint is published.
+    plan.panic_after_checkpoints(2);
     let mut cfg = pipe_config(None);
     cfg.supervisor.max_restarts = 0;
     cfg.fault_plans = vec![(1, plan.clone())];
-    cfg.replicate = Some(ReplicaConfig::default());
+    cfg.failover = true;
     let (mut tap, mut pipeline) = nitrosketch::switch::spawn_sharded(factory, cfg).expect("spawn");
 
     offer_all(&mut tap, &keys);
@@ -705,14 +704,19 @@ fn promotion_during_delta_stream_keeps_standby_within_one_interval() {
     while pipeline.failed_shards().is_empty() {
         assert!(
             std::time::Instant::now() < deadline,
-            "shard 1 never died mid-delta-stream"
+            "shard 1 never died after a checkpoint"
         );
         std::thread::yield_now();
     }
-    assert_eq!(plan.fired(), 1, "the delta-synchronised kill fired once");
-    // Without a store the replica sink is the persist, so shard 1's lag
-    // is exactly what its standby has not seen.
-    let promotion_loss = (exposure(&pipeline)[1].1 + BATCH) as f64;
+    assert_eq!(
+        plan.fired(),
+        1,
+        "the checkpoint-synchronised kill fired once"
+    );
+    // Without a store nothing is persisted, so `persist_lag` would be all
+    // of `processed`: the bound is the lag behind the checkpoint the
+    // successor restores.
+    let promotion_loss = (pipeline.shards()[1].latest_checkpoint().unwrap().lag + BATCH) as f64;
 
     let view = pipeline
         .epoch_view()
@@ -720,7 +724,7 @@ fn promotion_during_delta_stream_keeps_standby_within_one_interval() {
     assert_eq!(pipeline.promotions(), 1);
     assert!(
         view.staleness().iter().all(|s| !s.degraded),
-        "the standby serves the dead shard's slice non-degraded"
+        "the successor serves the dead shard's slice non-degraded"
     );
 
     drain_synced(&mut tap, &pipeline);
@@ -732,13 +736,148 @@ fn promotion_during_delta_stream_keeps_standby_within_one_interval() {
         0,
         "identity across the promotion: {fleet}"
     );
-    // The delta the standby applied covered everything up to the kill
-    // except what the primary processed while it was being streamed; that
-    // is all the promotion may cost on top of the accounted drops/losses.
+    // The checkpoint the successor restored covered everything up to the
+    // kill except what the primary processed after it was taken; that is
+    // all the promotion may cost on top of the accounted drops/losses.
     let allowed = promotion_loss + (fleet.total().dropped + fleet.total().lost_in_crash) as f64;
     assert_within_bounds(
         &merged,
         &GroundTruth::from_keys(keys.iter().copied()),
         allowed,
     );
+}
+
+/// Keys at the end of a chunk offered after shard 0's kill is armed: the
+/// shard dies on its first batch of them, and what it would have counted
+/// of the rest is charged to `lost_in_crash`.
+const KILL_TAIL: usize = 1_500;
+
+/// Offer `keys` and let the fleet absorb all but their last `KILL_TAIL`,
+/// then re-arm shard 0's one-shot `plan`, offer the tail, wait for the
+/// shard to spend its budget, and let the next rotation promote it.
+/// Returns what the promotion may cost: the dead primary's lag behind the
+/// checkpoint its successor restores, plus one batch.
+fn kill_and_promote(
+    tap: &mut ShardedTap,
+    pipeline: &mut ShardedPipeline<CountSketch>,
+    plan: &ThreadFaultPlan,
+    keys: &[u64],
+) -> u64 {
+    let (body, tail) = keys.split_at(keys.len() - KILL_TAIL);
+    offer_all(tap, body);
+    drain_synced(tap, pipeline);
+    let fired = plan.fired();
+    plan.panic_after(1);
+    offer_all(tap, tail);
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+    while pipeline.failed_shards().is_empty() {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "shard 0 never exhausted its budget"
+        );
+        std::thread::yield_now();
+    }
+    assert_eq!(plan.fired(), fired + 1);
+    let cost = pipeline.shards()[0].latest_checkpoint().unwrap().lag + BATCH;
+    let promotions = pipeline.promotions();
+    let view = pipeline
+        .epoch_view()
+        .expect("promotion inside the rotation");
+    assert_eq!(pipeline.promotions(), promotions + 1);
+    assert!(
+        view.staleness().iter().all(|s| !s.degraded),
+        "the successor serves the dead shard's slice non-degraded"
+    );
+    cost
+}
+
+/// Fail shard 0 twice, promoting it each time, and check the fleet's
+/// estimates against the truth of `keys` within ε plus both promotions'
+/// costs, `carried` (losses before this fleet's incarnation) and this
+/// fleet's accounted drops and crash losses.
+fn fail_over_twice(
+    mut tap: ShardedTap,
+    mut pipeline: ShardedPipeline<CountSketch>,
+    plan: &ThreadFaultPlan,
+    keys: &[u64],
+    from: usize,
+    carried: u64,
+) {
+    let rest = &keys[from..];
+    let half = rest.len() / 2;
+    let mut loss = carried;
+    loss += kill_and_promote(&mut tap, &mut pipeline, plan, &rest[..half]);
+    loss += kill_and_promote(&mut tap, &mut pipeline, plan, &rest[half..]);
+    assert_eq!(pipeline.promotions(), 2, "one promotion per failure");
+    drain_synced(&mut tap, &pipeline);
+    drop(tap);
+    let (merged, fleet) = pipeline
+        .finish()
+        .expect("a twice-promoted fleet finishes the strict path");
+    assert_eq!(
+        fleet.unaccounted(),
+        0,
+        "identity across both promotions: {fleet}"
+    );
+    assert_eq!(fleet.retired().len(), 2, "both replaced primaries retired");
+    let allowed = loss + fleet.total().dropped + fleet.total().lost_in_crash;
+    assert_within_bounds(
+        &merged,
+        &GroundTruth::from_keys(keys.iter().copied()),
+        allowed as f64,
+    );
+}
+
+/// A promoted shard is a full primary: it fails over again from its own
+/// checkpoint slot, and with a store its frames land in its new sequence
+/// band, where crash recovery finds them.
+#[test]
+fn a_promoted_shard_fails_over_again_and_is_durable_in_its_band() {
+    let keys = zipf_stream(120_000, 777);
+    let config = |store| {
+        let mut cfg = pipe_config(store);
+        cfg.supervisor.max_restarts = 0;
+        cfg.failover = true;
+        cfg
+    };
+
+    // Without a store: two promotions of the same shard.
+    let plan = ThreadFaultPlan::new();
+    let mut cfg = config(None);
+    cfg.fault_plans = vec![(0, plan.clone())];
+    let (tap, pipeline) = nitrosketch::switch::spawn_sharded(factory, cfg).expect("spawn");
+    fail_over_twice(tap, pipeline, &plan, &keys, 0, 0);
+
+    // With a store: promote once, crash, and recover shard 0 from the
+    // successor's band; the recovered fleet then fails over twice more.
+    let dir = store_dir("promoted-durable");
+    let plan = ThreadFaultPlan::new();
+    let store = CheckpointStore::create(&dir, SHARDS, StoreConfig::default()).unwrap();
+    let mut cfg = config(Some(store));
+    cfg.fault_plans = vec![(0, plan.clone())];
+    let (mut tap, mut pipeline) = nitrosketch::switch::spawn_sharded(factory, cfg).expect("spawn");
+    let cut = keys.len() / 3;
+    let mut carried = kill_and_promote(&mut tap, &mut pipeline, &plan, &keys[..cut]);
+    drain_synced(&mut tap, &pipeline);
+    let h = pipeline.fleet_health();
+    carried += h.total().dropped + h.total().lost_in_crash;
+    let exposed = exposure(&pipeline);
+    drop(tap);
+    pipeline.simulate_crash();
+
+    let mut cfg = config(None);
+    cfg.fault_plans = vec![(0, plan.clone())];
+    let (tap, pipeline, report) =
+        ShardedPipeline::recover_from(&dir, factory, StoreConfig::default(), cfg).unwrap();
+    let frame = report.recovered[0]
+        .as_ref()
+        .expect("shard 0 had durable state");
+    assert_eq!(
+        frame.seq >> 32,
+        1,
+        "shard 0 recovers from its successor's band, not the dead primary's"
+    );
+    carried += assert_recovered_within_lag(&exposed, &report) as u64;
+    fail_over_twice(tap, pipeline, &plan, &keys, cut, carried);
+    std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -27,9 +27,11 @@ use nitrosketch::switch::{
     PipelineConfig, ShardedPipeline, ShardedTap, StoreConfig, SupervisorConfig,
 };
 use nitrosketch::traffic::GroundTruth;
-use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+mod common;
+use common::{drain, fresh_dir, offer_all, pump, wait_complete, zipf_stream};
 
 const NODES: usize = 3;
 const SHARDS: usize = 2;
@@ -81,54 +83,6 @@ fn pipe_config(store: Option<Arc<CheckpointStore>>) -> PipelineConfig {
     }
 }
 
-fn fresh_dir(tag: &str) -> PathBuf {
-    let d = std::env::temp_dir().join(format!("nitro-cluster-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&d);
-    d
-}
-
-fn zipf_stream(n: usize, seed: u64) -> Vec<u64> {
-    let mut z = nitrosketch::traffic::zipf::Zipf::new(20_000, 1.2, seed);
-    (0..n).map(|_| z.sample()).collect()
-}
-
-/// Send a liveness heartbeat on every live agent. The harness threads
-/// this through all long-running phases: the test drives its agents from
-/// one thread, so any stretch of silence longer than the (deliberately
-/// tiny) heartbeat timeout would otherwise read as node death.
-fn pump(agents: &mut [Option<NodeAgent>]) {
-    for a in agents.iter_mut().flatten() {
-        a.heartbeat(0);
-    }
-}
-
-fn offer_all(tap: &mut ShardedTap, keys: &[u64], agents: &mut [Option<NodeAgent>]) {
-    for (i, &k) in keys.iter().enumerate() {
-        tap.offer(k, i as u64);
-        if i % 512 == 0 {
-            std::thread::yield_now();
-        }
-        if i % 4096 == 0 {
-            pump(agents);
-        }
-    }
-}
-
-/// Wait until the accounting identity closes: every offered observation
-/// is processed, dropped, or charged to a crash.
-fn drain(pipeline: &ShardedPipeline<CountMin>, agents: &mut [Option<NodeAgent>]) {
-    let deadline = Instant::now() + Duration::from_secs(60);
-    while pipeline.fleet_health().unaccounted() != 0 {
-        assert!(
-            Instant::now() < deadline,
-            "fleet failed to drain: {}",
-            pipeline.fleet_health()
-        );
-        pump(agents);
-        std::thread::yield_now();
-    }
-}
-
 /// An epoch view in which every shard answered its on-demand snapshot. A
 /// shard whose writer is still persisting (an fsync can stall for seconds
 /// on a busy disk) misses the pipeline's snapshot timeout; the view then
@@ -151,23 +105,6 @@ fn fresh_view(
             pipeline.fleet_health()
         );
         pump(agents);
-    }
-}
-
-/// Poll until the aggregator marks `epoch` complete, pumping heartbeats
-/// on every live agent so no node is falsely declared lost while we wait.
-fn wait_complete(agg: &Aggregator<CountMin>, agents: &mut [Option<NodeAgent>], epoch: u64) {
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while !agg.epoch_status(epoch).is_complete() {
-        assert!(
-            Instant::now() < deadline,
-            "epoch {epoch} never completed; status {:?}",
-            agg.epoch_status(epoch)
-        );
-        for a in agents.iter_mut().flatten() {
-            a.heartbeat(0);
-        }
-        std::thread::sleep(Duration::from_millis(5));
     }
 }
 

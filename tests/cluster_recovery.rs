@@ -31,9 +31,11 @@ use nitrosketch::switch::{
     SupervisorConfig,
 };
 use nitrosketch::traffic::GroundTruth;
-use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+mod common;
+use common::{drain, fresh_dir, offer_all, pump, wait_complete, zipf_stream};
 
 const NODES: usize = 3;
 const SHARDS: usize = 2;
@@ -71,63 +73,6 @@ fn pipe_config(store: Option<Arc<CheckpointStore>>) -> PipelineConfig {
         },
         store,
         ..Default::default()
-    }
-}
-
-fn fresh_dir(tag: &str) -> PathBuf {
-    let d = std::env::temp_dir().join(format!("nitro-aggrec-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&d);
-    d
-}
-
-fn zipf_stream(n: usize, seed: u64) -> Vec<u64> {
-    let mut z = nitrosketch::traffic::zipf::Zipf::new(20_000, 1.2, seed);
-    (0..n).map(|_| z.sample()).collect()
-}
-
-/// Heartbeat every agent: keeps live nodes off the loss list AND walks
-/// disconnected agents through their redial schedule.
-fn pump(agents: &mut [NodeAgent]) {
-    for a in agents.iter_mut() {
-        a.heartbeat(0);
-    }
-}
-
-fn offer_all(tap: &mut ShardedTap, keys: &[u64], agents: &mut [NodeAgent]) {
-    for (i, &k) in keys.iter().enumerate() {
-        tap.offer(k, i as u64);
-        if i % 512 == 0 {
-            std::thread::yield_now();
-        }
-        if i % 4096 == 0 {
-            pump(agents);
-        }
-    }
-}
-
-fn drain(pipeline: &ShardedPipeline<CountMin>, agents: &mut [NodeAgent]) {
-    let deadline = Instant::now() + Duration::from_secs(60);
-    while pipeline.fleet_health().unaccounted() != 0 {
-        assert!(
-            Instant::now() < deadline,
-            "fleet failed to drain: {}",
-            pipeline.fleet_health()
-        );
-        pump(agents);
-        std::thread::yield_now();
-    }
-}
-
-fn wait_complete(agg: &Aggregator<CountMin>, agents: &mut [NodeAgent], epoch: u64) {
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while !agg.epoch_status(epoch).is_complete() {
-        assert!(
-            Instant::now() < deadline,
-            "epoch {epoch} never completed; status {:?}",
-            agg.epoch_status(epoch)
-        );
-        pump(agents);
-        std::thread::sleep(Duration::from_millis(5));
     }
 }
 
