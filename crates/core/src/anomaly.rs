@@ -26,7 +26,7 @@
 //! Both are scale-free, so one threshold works across epochs and traffic
 //! volumes.
 
-use nitro_sketches::RowSketch;
+use nitro_sketches::{RowSketch, RowTotals};
 
 /// Per-row skew measurements.
 #[derive(Clone, Copy, Debug)]
@@ -51,12 +51,25 @@ pub struct SkewEstimate {
 impl SkewEstimate {
     /// Measure skew on a sketch — one O(w) scan per row.
     pub fn measure<S: RowSketch>(sketch: &S) -> Self {
-        let width = sketch.width() as f64;
-        let rows = (0..sketch.depth())
-            .map(|row| {
-                let max_abs = sketch.row_max_abs(row);
-                let abs_total = sketch.row_abs_total(row);
-                let signed_total = sketch.row_signed_total(row);
+        let totals: Vec<RowTotals> = (0..sketch.depth())
+            .map(|row| RowTotals::of(sketch, row))
+            .collect();
+        Self::from_totals(sketch.width(), &totals)
+    }
+
+    /// Skew from each row's totals — [`RowTotals::of`] a sketch of width
+    /// `width`, or `Checkpoint::image_totals` of an image of one.
+    pub fn from_totals(width: usize, totals: &[RowTotals]) -> Self {
+        let width = width as f64;
+        let rows = totals
+            .iter()
+            .enumerate()
+            .map(|(row, t)| {
+                let RowTotals {
+                    max_abs,
+                    abs_total,
+                    signed_total,
+                } = *t;
                 let load_factor = if abs_total.is_nan() || max_abs.is_nan() {
                     f64::NAN
                 } else if abs_total <= 0.0 {

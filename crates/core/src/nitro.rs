@@ -513,12 +513,11 @@ impl<S: RowSketch + Checkpoint> NitroSketch<S> {
         self.sketch.take_dirty(into);
     }
 
-    /// Restore a [`Self::snapshot`] into this instance. The receiver must
-    /// wrap a parameter-compatible sketch (the inner restore verifies
-    /// geometry and seeds). The skip schedule is redrawn under the restored
-    /// `p` — the schedule is sampling state, not measurement state, so a
-    /// fresh draw preserves unbiasedness.
-    pub fn restore(&mut self, bytes: &[u8]) -> Result<(), CheckpointError> {
+    /// An image's head checked against this instance: sampling
+    /// probability in range, and a heavy-key table only where this
+    /// instance tracks one. The wrapped sketch's blob is left to its own
+    /// checks.
+    fn open_image<'a>(&self, bytes: &'a [u8]) -> Result<Image<'a>, CheckpointError> {
         let mut d = Decoder::new(bytes, NITRO_MAGIC)?;
         let mode = crate::mode::ModeCheckpoint {
             p: d.f64()?,
@@ -538,35 +537,89 @@ impl<S: RowSketch + Checkpoint> NitroSketch<S> {
             rejected: d.u64()?,
             downshifts: d.u64()?,
         };
-        // Checked before the first write: everything below the inner
-        // restore commits, and an error must leave `self` untouched.
         let had_topk = d.u8()? != 0;
         if had_topk && self.topk.is_none() {
             return Err(CheckpointError::Mismatch("top-k tracker"));
         }
-        // Bound the entry count by the bytes actually present before
-        // reserving: a corrupt count must fail, not amplify into a
-        // multi-gigabyte allocation.
+        // Bound the entry count by the bytes actually present: a corrupt
+        // count must fail, not read past the table.
         let n_raw = d.u32()? as usize;
-        let n_topk = d.counted(n_raw, 16)?;
-        let mut topk_entries = Vec::with_capacity(n_topk);
-        for _ in 0..n_topk {
-            topk_entries.push((d.u64()?, d.f64()?));
-        }
+        let tracked = d.slice(d.counted(n_raw, 16)? * 16)?;
+        Ok(Image {
+            mode,
+            stats,
+            tracked,
+            sketch: d.bytes()?,
+        })
+    }
+
+    /// Restore a [`Self::snapshot`] into this instance. The receiver must
+    /// wrap a parameter-compatible sketch (the inner restore verifies
+    /// geometry and seeds). The skip schedule is redrawn under the restored
+    /// `p` — the schedule is sampling state, not measurement state, so a
+    /// fresh draw preserves unbiasedness.
+    pub fn restore(&mut self, bytes: &[u8]) -> Result<(), CheckpointError> {
+        let image = self.open_image(bytes)?;
         // Inner sketch last: it decodes into the live counters, but only
         // after its own checks passed — the last point this can fail.
-        self.sketch.restore(d.bytes()?)?;
-        self.mode.import(mode);
-        self.stats = stats;
+        self.sketch.restore(image.sketch)?;
+        self.mode.import(image.mode);
+        self.stats = image.stats;
         if let Some(t) = &mut self.topk {
             t.clear();
-            for (k, est) in topk_entries {
-                t.offer(k, est);
-            }
+            image.offer_to(t);
         }
-        self.sched.sampler.set_p(mode.p);
+        self.sched.sampler.set_p(image.mode.p);
         self.sched.restart(self.sketch.depth());
         Ok(())
+    }
+
+    /// Fold a [`Self::snapshot`] into this measurement in one pass over
+    /// the counters: bit for bit what restoring it into a blank copy of
+    /// `self` and [`Self::try_merge_from`] that copy give. The mode and
+    /// the skip schedule stay this instance's, the statistics add, and the
+    /// image's tracked keys are offered under the merged estimates, in
+    /// the order the copy's tracker would hold them — the stored order,
+    /// for any table a tracker wrote. Checked like [`Self::restore`], all
+    /// or nothing.
+    pub fn merge_image(&mut self, bytes: &[u8]) -> Result<(), CheckpointError> {
+        let image = self.open_image(bytes)?;
+        self.sketch.merge_image(image.sketch)?;
+        self.add_stats(&image.stats);
+        if let Some(mine) = &mut self.topk {
+            // The copy's tracker, rebuilt from the stored table, fixes
+            // the order: the stored one for a table a tracker wrote,
+            // another for one that is no heap or repeats a key.
+            let mut copy = TopK::new(mine.capacity());
+            image.offer_to(&mut copy);
+            for (k, _) in copy.entries() {
+                mine.offer(k, self.sketch.estimate_robust(k));
+            }
+        }
+        Ok(())
+    }
+
+    /// Every check [`Self::merge_image`] and [`Self::restore`] make of
+    /// `bytes`, without touching `self`.
+    pub fn check_image(&self, bytes: &[u8]) -> Result<(), CheckpointError> {
+        let image = self.open_image(bytes)?;
+        self.sketch.check_image(image.sketch)
+    }
+
+    /// The collision skew of the sketch `bytes` restores to, read off the
+    /// image in one pass over its counters (nothing restored): what
+    /// [`Self::skew`] measures on the restored copy. Checked like
+    /// [`Self::check_image`].
+    pub fn image_skew(
+        &self,
+        bytes: &[u8],
+    ) -> Result<crate::anomaly::SkewEstimate, CheckpointError> {
+        let image = self.open_image(bytes)?;
+        let totals = self.sketch.image_totals(image.sketch)?;
+        Ok(crate::anomaly::SkewEstimate::from_totals(
+            self.sketch.width(),
+            &totals,
+        ))
     }
 
     /// Fold another instance's measurement into this one, verifying merge
@@ -592,18 +645,43 @@ impl<S: RowSketch + Checkpoint> NitroSketch<S> {
     /// statically known.
     pub fn merge_from(&mut self, other: &Self) {
         self.sketch.merge_from(&other.sketch);
-        self.stats.packets += other.stats.packets;
-        self.stats.sampled_packets += other.stats.sampled_packets;
-        self.stats.row_updates += other.stats.row_updates;
-        self.stats.heap_updates += other.stats.heap_updates;
-        self.stats.rejected += other.stats.rejected;
-        self.stats.downshifts += other.stats.downshifts;
+        self.add_stats(&other.stats);
         if let (Some(mine), Some(theirs)) = (&mut self.topk, other.topk.as_ref()) {
-            let keys: Vec<FlowKey> = theirs.entries().map(|(k, _)| k).collect();
-            for k in keys {
-                let est = self.sketch.estimate_robust(k);
-                mine.offer(k, est);
+            for (k, _) in theirs.entries() {
+                mine.offer(k, self.sketch.estimate_robust(k));
             }
+        }
+    }
+
+    fn add_stats(&mut self, other: &NitroStats) {
+        self.stats.packets += other.packets;
+        self.stats.sampled_packets += other.sampled_packets;
+        self.stats.row_updates += other.row_updates;
+        self.stats.heap_updates += other.heap_updates;
+        self.stats.rejected += other.rejected;
+        self.stats.downshifts += other.downshifts;
+    }
+}
+
+/// A checked [`NitroSketch`] image, decoded up to the wrapped sketch's
+/// blob.
+struct Image<'a> {
+    mode: crate::mode::ModeCheckpoint,
+    stats: NitroStats,
+    /// The heavy-key table as stored: 16-byte `(key, estimate)` entries.
+    tracked: &'a [u8],
+    sketch: &'a [u8],
+}
+
+impl Image<'_> {
+    /// Offer the stored `(key, estimate)` entries to `topk`, in order.
+    fn offer_to(&self, topk: &mut TopK) {
+        for e in self.tracked.chunks_exact(16) {
+            let (k, est) = e.split_at(8);
+            topk.offer(
+                u64::from_le_bytes(k.try_into().unwrap()),
+                f64::from_le_bytes(est.try_into().unwrap()),
+            );
         }
     }
 }

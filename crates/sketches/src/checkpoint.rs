@@ -18,6 +18,7 @@
 //! instance so a checkpoint can never be loaded into an incompatible
 //! sketch (which would silently answer garbage).
 
+use crate::traits::RowTotals;
 use std::fmt;
 
 /// Current checkpoint wire-format version, written by [`Encoder::new`]
@@ -132,6 +133,22 @@ pub trait Checkpoint: Sized {
     /// verified before any state is touched, so an error leaves `self`
     /// exactly as it was.
     fn restore(&mut self, bytes: &[u8]) -> Result<(), CheckpointError>;
+
+    /// Fold a snapshot into this instance in one pass over its counters:
+    /// the state restoring `bytes` into a blank copy of `self` and then
+    /// calling [`Checkpoint::try_merge_from`] with it gives, bit for bit,
+    /// without the intermediate sketch. Checked like
+    /// [`Checkpoint::restore`], all or nothing.
+    fn merge_image(&mut self, bytes: &[u8]) -> Result<(), CheckpointError>;
+
+    /// Every check [`Checkpoint::merge_image`] and
+    /// [`Checkpoint::restore`] make of `bytes`, without touching `self`.
+    fn check_image(&self, bytes: &[u8]) -> Result<(), CheckpointError>;
+
+    /// The per-row [`RowTotals`] of the sketch `bytes` restores to, read off
+    /// the image in one pass, nothing restored. Checked like
+    /// [`Checkpoint::check_image`].
+    fn image_totals(&self, bytes: &[u8]) -> Result<Vec<RowTotals>, CheckpointError>;
 
     /// Fold another instance's counters into this one (linearity).
     ///
@@ -281,6 +298,178 @@ impl DirtyLines {
             f(r.start * LINE_COUNTERS..(r.end * LINE_COUNTERS).min(counters));
         }
     }
+}
+
+/// Open a counter-array sketch's image and check it against the receiver:
+/// magic, version, geometry and per-row hash seeds. The decoder is left
+/// on the first field after the seeds.
+pub(crate) fn open_image<'a>(
+    bytes: &'a [u8],
+    magic: u32,
+    width: usize,
+    seeds: &[u64],
+) -> Result<Decoder<'a>, CheckpointError> {
+    let mut d = Decoder::new(bytes, magic)?;
+    if d.u32()? as usize != seeds.len() {
+        return Err(CheckpointError::Mismatch("depth"));
+    }
+    if d.u32()? as usize != width {
+        return Err(CheckpointError::Mismatch("width"));
+    }
+    if d.u64s(seeds.len())? != seeds {
+        return Err(CheckpointError::Mismatch("hash seeds"));
+    }
+    Ok(d)
+}
+
+/// The values a [`fold_rows`] pass folds into a counter array: another
+/// instance's counters, or an image's little-endian counter tail.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Values<'a> {
+    Counters(&'a [f64]),
+    Image(&'a [u8]),
+}
+
+fn le_words(bytes: &[u8]) -> impl Iterator<Item = f64> + '_ {
+    bytes
+        .chunks_exact(8)
+        .map(|w| f64::from_le_bytes(w.try_into().unwrap()))
+}
+
+/// One row of [`Values`], read by index.
+trait Row: Copy {
+    fn at(self, j: usize) -> f64;
+}
+
+impl Row for &[f64] {
+    #[inline(always)]
+    fn at(self, j: usize) -> f64 {
+        self[j]
+    }
+}
+
+/// A row of an image's counter tail: 8 little-endian bytes per counter.
+#[derive(Clone, Copy)]
+struct LeRow<'a>(&'a [u8]);
+
+impl Row for LeRow<'_> {
+    #[inline(always)]
+    fn at(self, j: usize) -> f64 {
+        f64::from_le_bytes(self.0[8 * j..8 * j + 8].try_into().unwrap())
+    }
+}
+
+/// The one pass over a counter array that restore, merge, image merge and
+/// subtraction share: `counters[i] = op(counters[i], value[i])`, row by
+/// row. `row(r, ss, sum)` gets each row's Σ C² after the fold — from
+/// −0.0, in index order, so its bits are `Iterator::sum`'s — and, with
+/// `SUM`, the sum of the values folded in the same way (−0.0 without).
+///
+/// Summing during the write saves a second pass over a multi-megabyte
+/// arena. One row's sum is a chain of dependent adds, which would bound
+/// the pass by the add latency, so up to four rows fold side by side,
+/// counter `j` of each per step: each row still adds in index order.
+/// Every other per-counter sum costs about as much again, so none is
+/// taken that a caller does not ask for.
+pub(crate) fn fold_rows<const SUM: bool>(
+    counters: &mut [f64],
+    width: usize,
+    values: Values<'_>,
+    op: impl Fn(f64, f64) -> f64,
+    row: impl FnMut(usize, f64, f64),
+) {
+    match values {
+        Values::Counters(vs) => {
+            fold_groups::<SUM, _>(counters, width, vs.chunks_exact(width), op, row)
+        }
+        Values::Image(bytes) => fold_groups::<SUM, _>(
+            counters,
+            width,
+            bytes.chunks_exact(width * 8).map(LeRow),
+            op,
+            row,
+        ),
+    }
+}
+
+fn fold_groups<const SUM: bool, R: Row>(
+    counters: &mut [f64],
+    width: usize,
+    mut src: impl Iterator<Item = R>,
+    op: impl Fn(f64, f64) -> f64,
+    mut row: impl FnMut(usize, f64, f64),
+) {
+    let mut dst = counters.chunks_exact_mut(width);
+    let mut first = 0;
+    while dst.len() > 0 {
+        // Even groups: five rows fold as three and two, not four and one.
+        let n = dst.len().div_ceil(dst.len().div_ceil(4));
+        let (dst, src) = (&mut dst, &mut src);
+        match n {
+            1 => fold_group::<1, SUM, R>(dst, src, width, &op, first, &mut row),
+            2 => fold_group::<2, SUM, R>(dst, src, width, &op, first, &mut row),
+            3 => fold_group::<3, SUM, R>(dst, src, width, &op, first, &mut row),
+            _ => fold_group::<4, SUM, R>(dst, src, width, &op, first, &mut row),
+        }
+        first += n;
+    }
+}
+
+/// Fold the next `N` rows of `dst` with the next `N` of `src`, side by
+/// side, and hand each row's sums to `row`.
+#[inline(always)]
+#[allow(clippy::needless_range_loop)] // `j` walks N rows in lockstep
+fn fold_group<const N: usize, const SUM: bool, R: Row>(
+    dst: &mut std::slice::ChunksExactMut<'_, f64>,
+    src: &mut impl Iterator<Item = R>,
+    width: usize,
+    op: &impl Fn(f64, f64) -> f64,
+    first: usize,
+    row: &mut impl FnMut(usize, f64, f64),
+) {
+    let dst: [&mut [f64]; N] = std::array::from_fn(|_| dst.next().expect("a row per lane"));
+    let src: [R; N] = std::array::from_fn(|_| src.next().expect("a value row per row"));
+    let (mut ss, mut sum) = ([-0.0f64; N], [-0.0f64; N]);
+    for j in 0..width {
+        for l in 0..N {
+            let v = src[l].at(j);
+            let c = op(dst[l][j], v);
+            dst[l][j] = c;
+            ss[l] += c * c;
+            if SUM {
+                sum[l] += v;
+            }
+        }
+    }
+    for l in 0..N {
+        row(first + l, ss[l], sum[l]);
+    }
+}
+
+/// Each row's [`RowTotals`] of an image's counter tail `counters` (rows of
+/// `width`): what [`RowTotals::of`] reads on the sketch the image restores
+/// to, read off the bytes. `signed` is false for a sketch that reports no
+/// signed total (`NaN`).
+pub(crate) fn image_totals(counters: &[u8], width: usize, signed: bool) -> Vec<RowTotals> {
+    counters
+        .chunks_exact(width * 8)
+        .map(|row| {
+            let mut t = RowTotals {
+                max_abs: 0.0,
+                abs_total: -0.0,
+                signed_total: -0.0,
+            };
+            for v in le_words(row) {
+                t.max_abs = t.max_abs.max(v.abs());
+                t.abs_total += v.abs();
+                t.signed_total += v;
+            }
+            if !signed {
+                t.signed_total = f64::NAN;
+            }
+            t
+        })
+        .collect()
 }
 
 /// Values staged per [`extend_le`] block: 4 KB of bytes, L1-resident.
@@ -519,19 +708,12 @@ impl<'a> Decoder<'a> {
         Ok((0..n).map(|_| self.u64().unwrap()).collect())
     }
 
-    /// Fill `out` with the next `out.len()` f64 values. All or nothing:
-    /// the byte budget is checked before the first slot is written, so on
-    /// error `out` is untouched — in-place `restore` relies on this being
-    /// its last fallible step.
-    pub fn f64s_into(&mut self, out: &mut [f64]) -> Result<(), CheckpointError> {
-        let total = out.len() * 8;
-        self.need(total)?;
-        let src = &self.data[self.at..self.at + total];
-        for (slot, word) in out.iter_mut().zip(src.chunks_exact(8)) {
-            *slot = f64::from_le_bytes(word.try_into().unwrap());
-        }
-        self.at += total;
-        Ok(())
+    /// The next `len` bytes, as they are.
+    pub fn slice(&mut self, len: usize) -> Result<&'a [u8], CheckpointError> {
+        self.need(len)?;
+        let v = &self.data[self.at..self.at + len];
+        self.at += len;
+        Ok(v)
     }
 
     /// Read a length-prefixed nested byte blob. An untrusted length prefix
@@ -611,9 +793,9 @@ mod tests {
         assert_eq!(d.u64().unwrap(), 1 << 50);
         assert_eq!(d.f64().unwrap(), -2.5);
         assert_eq!(d.u64s(3).unwrap(), vec![1, 2, 3]);
-        let mut fs = [0.0; 2];
-        d.f64s_into(&mut fs).unwrap();
-        assert_eq!(fs, [0.5, 1.5]);
+        let fs = d.slice(16).unwrap();
+        assert_eq!(fs[..8], 0.5f64.to_le_bytes());
+        assert_eq!(fs[8..], 1.5f64.to_le_bytes());
         assert_eq!(d.bytes().unwrap(), b"nested");
         assert_eq!(d.remaining(), 0);
     }
@@ -692,8 +874,12 @@ mod tests {
             Encoder::new(&mut buf, 5).f64s(&fs).u64s(&us);
             assert_eq!(buf.len(), 5 + 16 * n);
             let mut d = Decoder::new(&buf, 5).unwrap();
-            let mut back = vec![f64::NAN; n];
-            d.f64s_into(&mut back).unwrap();
+            let back: Vec<f64> = d
+                .slice(8 * n)
+                .unwrap()
+                .chunks_exact(8)
+                .map(|w| f64::from_le_bytes(w.try_into().unwrap()))
+                .collect();
             assert_eq!(back, fs, "n = {n}");
             assert_eq!(d.u64s(n).unwrap(), us, "n = {n}");
         }

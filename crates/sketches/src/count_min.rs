@@ -11,8 +11,8 @@
 //!   Algorithm 1, which stays unbiased when rows are *sampled* (the minimum
 //!   would collapse to the unluckiest row under sampling).
 
-use crate::checkpoint::DirtyLines;
-use crate::traits::{FlowKey, RowSketch, Sketch, Slot, COUNTER_BYTES};
+use crate::checkpoint::{fold_rows, image_totals, open_image, CheckpointError, DirtyLines, Values};
+use crate::traits::{FlowKey, RowSketch, RowTotals, Sketch, Slot, COUNTER_BYTES};
 use nitro_hash::reduce;
 use nitro_hash::xxhash::xxh64_u64;
 
@@ -120,17 +120,27 @@ impl CountMin {
         assert_eq!(self.depth, other.depth, "depth mismatch");
         assert_eq!(self.width, other.width, "width mismatch");
         assert_eq!(self.seeds, other.seeds, "hash seeds mismatch");
-        for (a, b) in self.counters.iter_mut().zip(&other.counters) {
-            *a += b;
-        }
-        self.dirty.mark_all();
-        for r in 0..self.depth {
-            self.row_ss[r] = self.counters[r * self.width..(r + 1) * self.width]
-                .iter()
-                .map(|c| c * c)
-                .sum();
-        }
+        self.fold(Values::Counters(&other.counters), |a, b| a + b);
         self.total += other.total;
+    }
+
+    /// Fold `values` into the counters with `op`, keeping Σ C² and the
+    /// dirty set.
+    fn fold(&mut self, values: Values<'_>, op: impl Fn(f64, f64) -> f64) {
+        let row_ss = &mut self.row_ss;
+        fold_rows::<false>(&mut self.counters, self.width, values, op, |r, ss, _| {
+            row_ss[r] = ss;
+        });
+        self.dirty.mark_all();
+    }
+
+    /// An image checked against this instance: its conservative flag,
+    /// total weight and counter tail.
+    fn open<'a>(&self, bytes: &'a [u8]) -> Result<(bool, f64, &'a [u8]), CheckpointError> {
+        let mut d = open_image(bytes, CM_MAGIC, self.width, &self.seeds)?;
+        let conservative = d.u8()? != 0;
+        let total = d.f64()?;
+        Ok((conservative, total, d.slice(self.counters.len() * 8)?))
     }
 }
 
@@ -260,41 +270,35 @@ impl crate::checkpoint::Checkpoint for CountMin {
         self.dirty.take_into(into, self.counters.len());
     }
 
-    fn restore(&mut self, bytes: &[u8]) -> Result<(), crate::checkpoint::CheckpointError> {
-        use crate::checkpoint::{CheckpointError, Decoder};
-        let mut d = Decoder::new(bytes, CM_MAGIC)?;
-        if d.u32()? as usize != self.depth {
-            return Err(CheckpointError::Mismatch("depth"));
-        }
-        if d.u32()? as usize != self.width {
-            return Err(CheckpointError::Mismatch("width"));
-        }
-        if d.u64s(self.depth)? != self.seeds {
-            return Err(CheckpointError::Mismatch("hash seeds"));
-        }
-        let conservative = d.u8()? != 0;
-        let total = d.f64()?;
-        // Last fallible step, and all-or-nothing: from here on we commit,
-        // then recompute the derived Σ C².
-        d.f64s_into(&mut self.counters)?;
-        self.dirty.mark_all();
+    fn restore(&mut self, bytes: &[u8]) -> Result<(), CheckpointError> {
+        let (conservative, total, image) = self.open(bytes)?;
+        self.fold(Values::Image(image), |_, v| v);
         self.conservative = conservative;
         self.total = total;
-        for r in 0..self.depth {
-            self.row_ss[r] = self.counters[r * self.width..(r + 1) * self.width]
-                .iter()
-                .map(|c| c * c)
-                .sum();
-        }
         Ok(())
+    }
+
+    fn merge_image(&mut self, bytes: &[u8]) -> Result<(), CheckpointError> {
+        let (_, total, image) = self.open(bytes)?;
+        self.fold(Values::Image(image), |a, b| a + b);
+        self.total += total;
+        Ok(())
+    }
+
+    fn check_image(&self, bytes: &[u8]) -> Result<(), CheckpointError> {
+        self.open(bytes).map(drop)
+    }
+
+    fn image_totals(&self, bytes: &[u8]) -> Result<Vec<RowTotals>, CheckpointError> {
+        let (_, _, image) = self.open(bytes)?;
+        Ok(image_totals(image, self.width, false))
     }
 
     fn merge_from(&mut self, other: &Self) {
         self.merge(other);
     }
 
-    fn merge_compatible(&self, other: &Self) -> Result<(), crate::checkpoint::CheckpointError> {
-        use crate::checkpoint::CheckpointError;
+    fn merge_compatible(&self, other: &Self) -> Result<(), CheckpointError> {
         if self.depth != other.depth {
             return Err(CheckpointError::Mismatch("depth"));
         }

@@ -11,8 +11,8 @@
 //! monitors to decide when sampling is statistically safe (Algorithm 1,
 //! line 14).
 
-use crate::checkpoint::DirtyLines;
-use crate::traits::{FlowKey, RowSketch, Sketch, Slot, COUNTER_BYTES};
+use crate::checkpoint::{fold_rows, image_totals, open_image, CheckpointError, DirtyLines, Values};
+use crate::traits::{FlowKey, RowSketch, RowTotals, Sketch, Slot, COUNTER_BYTES};
 use nitro_hash::reduce;
 use nitro_hash::sign::SignHash;
 use nitro_hash::xxhash::xxh64_u64;
@@ -91,16 +91,22 @@ impl CountSketch {
         assert_eq!(self.depth, other.depth, "depth mismatch");
         assert_eq!(self.width, other.width, "width mismatch");
         assert_eq!(self.seeds, other.seeds, "hash seeds mismatch");
-        for (a, b) in self.counters.iter_mut().zip(&other.counters) {
-            *a += b;
-        }
+        self.fold(Values::Counters(&other.counters), |a, b| a + b);
+    }
+
+    /// Fold `values` into the counters with `op`, keeping Σ C² and the
+    /// dirty set.
+    fn fold(&mut self, values: Values<'_>, op: impl Fn(f64, f64) -> f64) {
+        let row_ss = &mut self.row_ss;
+        fold_rows::<false>(&mut self.counters, self.width, values, op, |r, ss, _| {
+            row_ss[r] = ss;
+        });
         self.dirty.mark_all();
-        for r in 0..self.depth {
-            self.row_ss[r] = self.counters[r * self.width..(r + 1) * self.width]
-                .iter()
-                .map(|c| c * c)
-                .sum();
-        }
+    }
+
+    /// The counter tail of an image checked against this instance.
+    fn image_counters<'a>(&self, bytes: &'a [u8]) -> Result<&'a [u8], CheckpointError> {
+        open_image(bytes, CS_MAGIC, self.width, &self.seeds)?.slice(self.counters.len() * 8)
     }
 }
 
@@ -232,36 +238,31 @@ impl crate::checkpoint::Checkpoint for CountSketch {
         self.dirty.take_into(into, self.counters.len());
     }
 
-    fn restore(&mut self, bytes: &[u8]) -> Result<(), crate::checkpoint::CheckpointError> {
-        use crate::checkpoint::{CheckpointError, Decoder};
-        let mut d = Decoder::new(bytes, CS_MAGIC)?;
-        if d.u32()? as usize != self.depth {
-            return Err(CheckpointError::Mismatch("depth"));
-        }
-        if d.u32()? as usize != self.width {
-            return Err(CheckpointError::Mismatch("width"));
-        }
-        if d.u64s(self.depth)? != self.seeds {
-            return Err(CheckpointError::Mismatch("hash seeds"));
-        }
-        // Last fallible step, and all-or-nothing: from here on we commit.
-        d.f64s_into(&mut self.counters)?;
-        self.dirty.mark_all();
-        for r in 0..self.depth {
-            self.row_ss[r] = self.counters[r * self.width..(r + 1) * self.width]
-                .iter()
-                .map(|c| c * c)
-                .sum();
-        }
+    fn restore(&mut self, bytes: &[u8]) -> Result<(), CheckpointError> {
+        let image = self.image_counters(bytes)?;
+        self.fold(Values::Image(image), |_, v| v);
         Ok(())
+    }
+
+    fn merge_image(&mut self, bytes: &[u8]) -> Result<(), CheckpointError> {
+        let image = self.image_counters(bytes)?;
+        self.fold(Values::Image(image), |a, b| a + b);
+        Ok(())
+    }
+
+    fn check_image(&self, bytes: &[u8]) -> Result<(), CheckpointError> {
+        self.image_counters(bytes).map(drop)
+    }
+
+    fn image_totals(&self, bytes: &[u8]) -> Result<Vec<RowTotals>, CheckpointError> {
+        Ok(image_totals(self.image_counters(bytes)?, self.width, true))
     }
 
     fn merge_from(&mut self, other: &Self) {
         self.merge(other);
     }
 
-    fn merge_compatible(&self, other: &Self) -> Result<(), crate::checkpoint::CheckpointError> {
-        use crate::checkpoint::CheckpointError;
+    fn merge_compatible(&self, other: &Self) -> Result<(), CheckpointError> {
         if self.depth != other.depth {
             return Err(CheckpointError::Mismatch("depth"));
         }

@@ -10,8 +10,8 @@
 //! epochs' sketches (they are linear) and querying the difference yields
 //! per-flow traffic change estimates (see [`crate::change`]).
 
-use crate::checkpoint::DirtyLines;
-use crate::traits::{FlowKey, RowSketch, Sketch, Slot, COUNTER_BYTES};
+use crate::checkpoint::{fold_rows, image_totals, open_image, CheckpointError, DirtyLines, Values};
+use crate::traits::{FlowKey, RowSketch, RowTotals, Sketch, Slot, COUNTER_BYTES};
 use nitro_hash::reduce;
 use nitro_hash::xxhash::xxh64_u64;
 
@@ -69,21 +69,9 @@ impl KarySketch {
             "hash seeds mismatch — sketches not compatible"
         );
         let mut out = self.clone();
-        for (o, b) in out.counters.iter_mut().zip(&other.counters) {
-            *o -= b;
-        }
-        out.dirty.mark_all();
+        out.fold::<false>(Values::Counters(&other.counters), |a, b| a - b, |_, _| ());
         for (o, b) in out.row_sums.iter_mut().zip(&other.row_sums) {
             *o -= b;
-        }
-        // The subtracted grid's Σ C² cannot be derived incrementally;
-        // recompute it by scanning once (subtraction is a control-plane
-        // operation, not a per-packet one).
-        for r in 0..out.depth {
-            out.row_ss[r] = out.counters[r * out.width..(r + 1) * out.width]
-                .iter()
-                .map(|c| c * c)
-                .sum();
         }
         out
     }
@@ -96,19 +84,33 @@ impl KarySketch {
         assert_eq!(self.depth, other.depth, "depth mismatch");
         assert_eq!(self.width, other.width, "width mismatch");
         assert_eq!(self.seeds, other.seeds, "hash seeds mismatch");
-        for (a, b) in self.counters.iter_mut().zip(&other.counters) {
-            *a += b;
-        }
-        self.dirty.mark_all();
+        self.fold::<false>(Values::Counters(&other.counters), |a, b| a + b, |_, _| ());
         for (a, b) in self.row_sums.iter_mut().zip(&other.row_sums) {
             *a += b;
         }
-        for r in 0..self.depth {
-            self.row_ss[r] = self.counters[r * self.width..(r + 1) * self.width]
-                .iter()
-                .map(|c| c * c)
-                .sum();
-        }
+    }
+
+    /// Fold `values` into the counters with `op`, keeping Σ C² and the
+    /// dirty set; with `SUM`, `row_sum(sum, Σ values)` for each row's sum.
+    fn fold<const SUM: bool>(
+        &mut self,
+        values: Values<'_>,
+        op: impl Fn(f64, f64) -> f64,
+        row_sum: impl Fn(&mut f64, f64),
+    ) {
+        let (row_ss, row_sums) = (&mut self.row_ss, &mut self.row_sums);
+        fold_rows::<SUM>(&mut self.counters, self.width, values, op, |r, ss, sum| {
+            row_ss[r] = ss;
+            if SUM {
+                row_sum(&mut row_sums[r], sum);
+            }
+        });
+        self.dirty.mark_all();
+    }
+
+    /// The counter tail of an image checked against this instance.
+    fn image_counters<'a>(&self, bytes: &'a [u8]) -> Result<&'a [u8], CheckpointError> {
+        open_image(bytes, KA_MAGIC, self.width, &self.seeds)?.slice(self.counters.len() * 8)
     }
 
     /// Estimate of the stream's total weight (average of exact row sums).
@@ -245,36 +247,31 @@ impl crate::checkpoint::Checkpoint for KarySketch {
         self.dirty.take_into(into, self.counters.len());
     }
 
-    fn restore(&mut self, bytes: &[u8]) -> Result<(), crate::checkpoint::CheckpointError> {
-        use crate::checkpoint::{CheckpointError, Decoder};
-        let mut d = Decoder::new(bytes, KA_MAGIC)?;
-        if d.u32()? as usize != self.depth {
-            return Err(CheckpointError::Mismatch("depth"));
-        }
-        if d.u32()? as usize != self.width {
-            return Err(CheckpointError::Mismatch("width"));
-        }
-        if d.u64s(self.depth)? != self.seeds {
-            return Err(CheckpointError::Mismatch("hash seeds"));
-        }
-        // Last fallible step, and all-or-nothing: from here on we commit.
-        d.f64s_into(&mut self.counters)?;
-        self.dirty.mark_all();
-        // Row sums and Σ C² are derived state — recompute by scan.
-        for r in 0..self.depth {
-            let row = &self.counters[r * self.width..(r + 1) * self.width];
-            self.row_sums[r] = row.iter().sum();
-            self.row_ss[r] = row.iter().map(|c| c * c).sum();
-        }
+    fn restore(&mut self, bytes: &[u8]) -> Result<(), CheckpointError> {
+        let image = self.image_counters(bytes)?;
+        self.fold::<true>(Values::Image(image), |_, v| v, |s, sum| *s = sum);
         Ok(())
+    }
+
+    fn merge_image(&mut self, bytes: &[u8]) -> Result<(), CheckpointError> {
+        let image = self.image_counters(bytes)?;
+        self.fold::<true>(Values::Image(image), |a, b| a + b, |s, sum| *s += sum);
+        Ok(())
+    }
+
+    fn check_image(&self, bytes: &[u8]) -> Result<(), CheckpointError> {
+        self.image_counters(bytes).map(drop)
+    }
+
+    fn image_totals(&self, bytes: &[u8]) -> Result<Vec<RowTotals>, CheckpointError> {
+        Ok(image_totals(self.image_counters(bytes)?, self.width, false))
     }
 
     fn merge_from(&mut self, other: &Self) {
         self.merge(other);
     }
 
-    fn merge_compatible(&self, other: &Self) -> Result<(), crate::checkpoint::CheckpointError> {
-        use crate::checkpoint::CheckpointError;
+    fn merge_compatible(&self, other: &Self) -> Result<(), CheckpointError> {
         if self.depth != other.depth {
             return Err(CheckpointError::Mismatch("depth"));
         }

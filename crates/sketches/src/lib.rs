@@ -56,7 +56,7 @@ pub use linear_counting::LinearCounting;
 pub use misra_gries::MisraGries;
 pub use space_saving::SpaceSaving;
 pub use topk::TopK;
-pub use traits::{FlowKey, RowSketch, Sketch, Slot, UnivLayer, COUNTER_BYTES};
+pub use traits::{FlowKey, RowSketch, RowTotals, Sketch, Slot, UnivLayer, COUNTER_BYTES};
 pub use univmon::UnivMon;
 
 /// Median of a scratch slice (mutated in place). For even lengths returns

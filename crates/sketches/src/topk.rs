@@ -37,6 +37,11 @@ impl TopK {
         }
     }
 
+    /// Most keys tracked at once.
+    pub fn capacity(&self) -> usize {
+        self.capacity
+    }
+
     /// Number of keys currently tracked.
     pub fn len(&self) -> usize {
         self.heap.len()

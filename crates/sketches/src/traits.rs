@@ -138,6 +138,29 @@ pub trait RowSketch {
     }
 }
 
+/// One row's [`RowSketch::row_max_abs`], [`RowSketch::row_abs_total`] and
+/// [`RowSketch::row_signed_total`]: what the collision-skew detector reads.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct RowTotals {
+    /// Largest absolute counter value.
+    pub max_abs: f64,
+    /// Sum of absolute counter values.
+    pub abs_total: f64,
+    /// Signed sum of counter values (`NaN` for unsigned sketches).
+    pub signed_total: f64,
+}
+
+impl RowTotals {
+    /// The totals of `sketch`'s row `row`.
+    pub fn of<S: RowSketch + ?Sized>(sketch: &S, row: usize) -> Self {
+        Self {
+            max_abs: sketch.row_max_abs(row),
+            abs_total: sketch.row_abs_total(row),
+            signed_total: sketch.row_signed_total(row),
+        }
+    }
+}
+
 /// A per-level frequency oracle inside [`crate::UnivMon`].
 ///
 /// Vanilla UnivMon instantiates this with [`crate::CountSketch`]; the

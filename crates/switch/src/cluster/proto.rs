@@ -24,7 +24,7 @@ use crate::frame::{FrameError, Reader};
 use crate::store::{decode_frame, RecoveredFrame};
 use nitro_core::NitroSketch;
 use nitro_metrics::NodeWatermark;
-use nitro_sketches::checkpoint::{Checkpoint, CheckpointError};
+use nitro_sketches::checkpoint::Checkpoint;
 use nitro_sketches::{FlowKey, RowSketch};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::time::Duration;
@@ -824,11 +824,13 @@ struct EpochRecord<S: RowSketch> {
 /// methods are synchronous and single-writer; the TCP driver serializes
 /// them behind one mutex, the simulator calls them from its event loop.
 pub struct AggregatorSession<S: ClusterSketch> {
+    /// Blank instance every node's sketch is built like: the admission
+    /// fingerprint, the check every frame's image passes before it is
+    /// logged, and the copy each epoch's record starts from. Images fold
+    /// into that record directly (`NitroSketch::merge_image`).
     template: NitroSketch<S>,
-    /// The sketch each received frame is restored into before it is
-    /// merged, kept between frames instead of cloned from the template.
-    scratch: Option<NitroSketch<S>>,
     fingerprint: u64,
+    /// Epoch records kept (0: no bound); older ones are evicted.
     keep_epochs: usize,
     /// Silence bound before a connected node is declared lost.
     heartbeat_timeout: Nanos,
@@ -850,7 +852,6 @@ impl<S: ClusterSketch> AggregatorSession<S> {
         let fingerprint = template.inner().fingerprint();
         Self {
             template,
-            scratch: None,
             fingerprint,
             keep_epochs,
             heartbeat_timeout: heartbeat_timeout.as_nanos() as Nanos,
@@ -881,6 +882,9 @@ impl<S: ClusterSketch> AggregatorSession<S> {
     ) -> (Self, AggRecovery) {
         let mut session = Self::new(template, keep_epochs, heartbeat_timeout);
         let mut records = 0u64;
+        // The (epoch, node) frames replayed: the dedup merging does, kept
+        // past the window that evicts their records.
+        let mut replayed = BTreeSet::new();
         for f in frames {
             match decode_log_record(&f.bytes) {
                 Ok(LogRecord::Frame {
@@ -894,29 +898,22 @@ impl<S: ClusterSketch> AggregatorSession<S> {
                     if report.switch_id != node || report.epoch != epoch {
                         continue;
                     }
-                    if session.restore_scratch(snapshot).is_err() {
+                    if session.template.check_image(snapshot).is_err()
+                        || !replayed.insert((epoch, node))
+                    {
                         continue;
                     }
-                    let restored = session.scratch.as_ref().expect("restored above");
-                    let template = &session.template;
-                    let rec = session.epochs.entry(epoch).or_insert_with(|| EpochRecord {
-                        merged: template.clone(),
-                        reporting: BTreeSet::new(),
-                        packets: 0,
-                        report_hh: HashMap::new(),
-                        sealed: false,
-                        was_degraded: false,
-                    });
-                    if rec.reporting.contains(&node) {
-                        continue;
-                    }
-                    if rec.merged.try_merge_from(restored).is_err() {
-                        continue;
-                    }
-                    rec.reporting.insert(node);
-                    rec.packets += report.packets;
-                    for &(k, e) in &report.heavy_hitters {
-                        *rec.report_hh.entry(k).or_insert(0.0) += e;
+                    // An epoch below a full window keeps no record: only
+                    // its membership is replayed.
+                    if let Some(rec) = session.epoch_record(epoch) {
+                        if rec.merged.merge_image(snapshot).is_err() {
+                            continue;
+                        }
+                        rec.reporting.insert(node);
+                        rec.packets += report.packets;
+                        for &(k, e) in &report.heavy_hitters {
+                            *rec.report_hh.entry(k).or_insert(0.0) += e;
+                        }
                     }
                     let n = session.nodes.entry(node).or_insert_with(NodeRecord::blank);
                     if !n.is_member_of(epoch) {
@@ -940,7 +937,6 @@ impl<S: ClusterSketch> AggregatorSession<S> {
                 Err(_) => {}
             }
         }
-        session.evict_epochs();
         // Epochs already complete must not re-journal `EpochSealed` when
         // a node's redundant backfill replays their frames.
         let complete: Vec<u64> = session
@@ -1196,7 +1192,7 @@ impl<S: ClusterSketch> AggregatorSession<S> {
         if report.switch_id != node || report.epoch != epoch {
             return Err(FrameError::Malformed("report identity != frame identity").into());
         }
-        self.restore_scratch(snapshot)?;
+        self.template.check_image(snapshot)?;
 
         // Persist-before-serve: the validated frame payload is appended to
         // the aggregation log before it can influence any answer. Frame
@@ -1208,30 +1204,25 @@ impl<S: ClusterSketch> AggregatorSession<S> {
         )));
 
         let status_before = self.status_of(epoch);
-        let template = &self.template;
-        let rec = self.epochs.entry(epoch).or_insert_with(|| EpochRecord {
-            merged: template.clone(),
-            reporting: BTreeSet::new(),
-            packets: 0,
-            report_hh: HashMap::new(),
-            sealed: false,
-            was_degraded: false,
-        });
-        if matches!(status_before, EpochStatus::Degraded { .. }) {
-            rec.was_degraded = true;
-        }
-        if rec.reporting.contains(&node) && !self.dedup_disabled {
-            // Idempotent replay (e.g. a backfill raced a delivered seal):
-            // the frame is already merged; merging again would double the
-            // node's counters.
-            return Ok(());
-        }
-        let restored = self.scratch.as_ref().expect("restored above");
-        rec.merged.try_merge_from(restored)?;
-        rec.reporting.insert(node);
-        rec.packets += report.packets;
-        for &(k, e) in &report.heavy_hitters {
-            *rec.report_hh.entry(k).or_insert(0.0) += e;
+        let dedup = !self.dedup_disabled;
+        // A frame of an epoch below a full window merges nowhere: its
+        // record would be the one evicted.
+        if let Some(rec) = self.epoch_record(epoch) {
+            if matches!(status_before, EpochStatus::Degraded { .. }) {
+                rec.was_degraded = true;
+            }
+            if rec.reporting.contains(&node) && dedup {
+                // Idempotent replay (e.g. a backfill raced a delivered
+                // seal): the frame is already merged; merging again would
+                // double the node's counters.
+                return Ok(());
+            }
+            rec.merged.merge_image(snapshot)?;
+            rec.reporting.insert(node);
+            rec.packets += report.packets;
+            for &(k, e) in &report.heavy_hitters {
+                *rec.report_hh.entry(k).or_insert(0.0) += e;
+            }
         }
         if let Some(n) = self.nodes.get_mut(&node) {
             if !n.is_member_of(epoch) {
@@ -1254,7 +1245,10 @@ impl<S: ClusterSketch> AggregatorSession<S> {
         }));
         // Seal on the transition into completeness.
         if let EpochStatus::Complete { nodes } = self.status_of(epoch) {
-            let rec = self.epochs.get_mut(&epoch).expect("just inserted");
+            let rec = self
+                .epochs
+                .get_mut(&epoch)
+                .expect("a complete epoch has a record");
             if !rec.sealed {
                 rec.sealed = true;
                 let was_degraded = rec.was_degraded;
@@ -1265,26 +1259,40 @@ impl<S: ClusterSketch> AggregatorSession<S> {
                 }));
             }
         }
-        self.evict_epochs();
         Ok(())
     }
 
-    /// Restore `snapshot` into the scratch sketch, in place.
-    fn restore_scratch(&mut self, snapshot: &[u8]) -> Result<(), CheckpointError> {
+    /// The record `epoch`'s frames merge into, created from the template
+    /// on its first frame. At most `keep_epochs` records are kept (0: no
+    /// bound): a new epoch evicts the oldest to make room, and an epoch
+    /// older than every kept one in a full window gets none (`None`) — its
+    /// record would be the one evicted. Live frames and recovery replay
+    /// both go through here, so a replay never holds more than the window.
+    fn epoch_record(&mut self, epoch: u64) -> Option<&mut EpochRecord<S>> {
+        if self.keep_epochs > 0
+            && self.epochs.len() >= self.keep_epochs
+            && !self.epochs.contains_key(&epoch)
+        {
+            if self
+                .epochs
+                .first_key_value()
+                .is_some_and(|(&oldest, _)| epoch < oldest)
+            {
+                return None;
+            }
+            while self.epochs.len() >= self.keep_epochs {
+                self.epochs.pop_first();
+            }
+        }
         let template = &self.template;
-        self.scratch
-            .get_or_insert_with(|| template.clone())
-            .restore(snapshot)
-    }
-
-    fn evict_epochs(&mut self) {
-        if self.keep_epochs == 0 {
-            return;
-        }
-        while self.epochs.len() > self.keep_epochs {
-            let oldest = *self.epochs.keys().next().expect("non-empty");
-            self.epochs.remove(&oldest);
-        }
+        Some(self.epochs.entry(epoch).or_insert_with(|| EpochRecord {
+            merged: template.clone(),
+            reporting: BTreeSet::new(),
+            packets: 0,
+            report_hh: HashMap::new(),
+            sealed: false,
+            was_degraded: false,
+        }))
     }
 
     /// Take the queued outputs, in emission order.
@@ -1500,6 +1508,111 @@ mod tests {
         }
         for cut in 0..membership.len() {
             assert!(decode_log_record(&membership[..cut]).is_err(), "cut {cut}");
+        }
+    }
+
+    /// Recovery evicts as it replays, and serves exactly what replaying
+    /// the whole log and then evicting down to the window serves: the
+    /// same kept epochs, views, statuses, membership and counts — late
+    /// and duplicate frames of evicted epochs included.
+    #[test]
+    fn a_bounded_replay_serves_what_replay_then_evict_serves() {
+        use super::super::wire::{encode_epoch_payload, EpochReport};
+        use nitro_core::Mode;
+        use nitro_sketches::CountSketch;
+
+        let template =
+            || NitroSketch::new(CountSketch::new(3, 64, 5), Mode::Fixed { p: 1.0 }, 9).with_topk(4);
+        let frame = |node: u32, epoch: u64| {
+            let salt = (u64::from(node) << 8) ^ epoch;
+            let mut sketch = template();
+            for i in 0..40 {
+                sketch.process((salt ^ (i * 7)) % 23, 1.0 + (i % 3) as f64);
+            }
+            let report = EpochReport {
+                switch_id: node,
+                epoch,
+                packets: 40 + salt,
+                heavy_hitters: vec![(salt % 5, 2.0)],
+                entropy_bits: f64::NAN,
+                distinct: f64::NAN,
+                l2: 0.0,
+                memory_bytes: 0,
+            };
+            encode_frame_record(
+                node,
+                epoch,
+                &encode_epoch_payload(&report, &sketch.snapshot()),
+            )
+        };
+        // Two nodes seal epochs 1..=12, node 2 skipping 5 and 9; then late
+        // frames of evicted epochs, twice, a duplicate of a kept one, a
+        // frame of node 3 for an evicted epoch only, and a membership
+        // snapshot.
+        let mut log = Vec::new();
+        for epoch in 1..=12 {
+            log.push(frame(1, epoch));
+            if epoch != 5 && epoch != 9 {
+                log.push(frame(2, epoch));
+            }
+        }
+        log.extend([frame(2, 5), frame(2, 5), frame(2, 9), frame(2, 11)]);
+        log.push(frame(3, 2));
+        let mut member = NodeRecord::blank();
+        member.open_from = Some(1);
+        member.intervals = vec![(1, 3)];
+        log.push(encode_membership_record(2, &member));
+        log.push(frame(1, 12));
+        let frames: Vec<RecoveredFrame> = log
+            .into_iter()
+            .enumerate()
+            .map(|(seq, bytes)| RecoveredFrame {
+                generation: 1,
+                seq: seq as u64,
+                processed_at: 0,
+                bytes,
+            })
+            .collect();
+
+        let timeout = Duration::from_secs(2);
+        for keep in [1, 4, 11] {
+            let (bounded, got) = AggregatorSession::recover(template(), keep, timeout, &frames);
+            // Replay then evict: the whole log unbounded, then the oldest
+            // records dropped and complete epochs marked sealed.
+            let (mut all, whole) = AggregatorSession::recover(template(), 0, timeout, &frames);
+            while all.epochs.len() > keep {
+                all.epochs.pop_first();
+            }
+            assert_eq!(bounded.epochs(), all.epochs(), "keep {keep}");
+            assert_eq!(
+                (got.epochs, got.nodes, got.records),
+                (keep as u32, whole.nodes, whole.records),
+                "keep {keep}"
+            );
+            for e in 0..=13 {
+                assert_eq!(
+                    bounded.status_of(e),
+                    all.status_of(e),
+                    "keep {keep}, epoch {e}"
+                );
+                assert_eq!(bounded.members_of(e), all.members_of(e));
+                let (Some(got), Some(want)) = (bounded.view(e), all.view(e)) else {
+                    assert!(bounded.view(e).is_none() && all.view(e).is_none());
+                    continue;
+                };
+                assert!(
+                    got.sketch().snapshot() == want.sketch().snapshot(),
+                    "epoch {e}"
+                );
+                assert_eq!(got.packets(), want.packets());
+                assert_eq!(got.report_heavy_hitters(), want.report_heavy_hitters());
+                assert_eq!(bounded.reporting_of(e), all.reporting_of(e));
+                let sealed = |s: &AggregatorSession<CountSketch>| s.epochs[&e].sealed;
+                assert_eq!(sealed(&bounded), sealed(&all));
+            }
+            assert_eq!(bounded.node_watermarks(), all.node_watermarks());
+            assert_eq!(bounded.latest_complete(), all.latest_complete());
+            assert_eq!(bounded.gauges(), all.gauges());
         }
     }
 }

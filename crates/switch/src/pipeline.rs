@@ -14,10 +14,10 @@
 //! **Query plane.** Counter-array sketches are linear, so the coordinator
 //! answers global queries by merging per-shard state: at each epoch it
 //! snapshots every shard through the checkpoint codec (on-demand, so the
-//! staleness collapses to the in-flight batch), restores each snapshot
-//! in place into one scratch sketch it keeps between views, and folds
-//! them with [`NitroSketch::try_merge_from`] into one global sketch —
-//! point, heavy-hitter, and L2 queries run on the merged view. Every view
+//! staleness collapses to the in-flight batch) and folds each image
+//! straight into one global sketch with [`NitroSketch::merge_image`] — one
+//! pass over the counters per shard, no sketch restored — so point,
+//! heavy-hitter, and L2 queries run on the merged view. Every view
 //! carries a per-shard [`ShardStaleness`] record; the sum of the per-shard
 //! bounds bounds the observations missing from the whole view.
 //!
@@ -552,6 +552,26 @@ impl DrainMode {
             DrainMode::FoldDecoded => into.fold_decoded_from(from).map(|_| ()),
         }
     }
+
+    /// [`DrainMode::fold`] a drained shard's checkpoint `bytes`: folded
+    /// straight in when it merges exactly, restored into its own
+    /// `template` (its hash space) when only its decoded keys carry over.
+    fn fold_image<S: RowSketch + Checkpoint + Clone>(
+        self,
+        into: &mut NitroSketch<S>,
+        template: &NitroSketch<S>,
+        bytes: &[u8],
+    ) -> Result<(), CheckpointError> {
+        match self {
+            DrainMode::Discard => Ok(()),
+            DrainMode::MergeExact => into.merge_image(bytes),
+            DrainMode::FoldDecoded => {
+                let mut restored = template.clone();
+                restored.restore(bytes)?;
+                self.fold(into, &restored)
+            }
+        }
+    }
 }
 
 /// A shard re-steered away from (replaced primary, rescaled-away worker,
@@ -613,26 +633,20 @@ where
         let health = telemetry.health();
         // What the shard leaves behind: its final sketch after a clean
         // drain, its last checkpoint after a spent budget.
-        let left = match joined {
-            Ok((m, _)) => Ok((Some(m), None)),
+        let outcome = match joined {
+            Ok((m, _)) => mode
+                .fold(into, &m)
+                .map(|()| None)
+                .map_err(merge_error(index)),
             Err(spent @ SupervisorError::RestartBudgetExhausted { .. }) => fallback
-                .map(|bytes| {
-                    let mut m = NitroSketch::clone(&template);
-                    m.restore(&bytes).map(|()| m).map_err(merge_error(index))
-                })
-                .transpose()
-                .map(|m| (m, Some(spent))),
+                .map_or(Ok(()), |bytes| mode.fold_image(into, &template, &bytes))
+                .map(|()| Some(spent))
+                .map_err(merge_error(index)),
             Err(source) => Err(PipelineError::Shard {
                 shard: index,
                 source,
             }),
         };
-        let outcome = left.and_then(|(m, spent)| {
-            if let Some(m) = m {
-                mode.fold(into, &m).map_err(merge_error(index))?;
-            }
-            Ok(spent)
-        });
         (health, outcome)
     }
 }
@@ -662,12 +676,6 @@ where
     retired: Vec<DaemonHealth>,
     /// Blank, geometry-defining instance of the live fleet's hash space.
     template: Arc<NitroSketch<S>>,
-    /// The sketch every live shard's snapshot is restored into, in place,
-    /// one after the other, on every epoch view: a template clone made on
-    /// first use and kept, so a view allocates no counter arena. Dropped
-    /// when the fleet is respawned (rescale, seed rotation) — the next
-    /// view clones the then-current template.
-    scratch: Option<NitroSketch<S>>,
     epoch: u64,
     snapshot_timeout: Duration,
     spawner: ShardSpawner<S>,
@@ -1064,7 +1072,6 @@ where
         old_template: Arc<NitroSketch<S>>,
     ) -> u64 {
         let band = self.alloc_band();
-        self.scratch = None;
         let blanks = (0..n).map(|i| (self.spawner.factory)(i)).collect();
         let (taps, shards) = self.spawner.spawn_fleet(blanks, band);
         let old_shards = std::mem::replace(&mut self.shards, shards);
@@ -1158,10 +1165,13 @@ where
 
     /// Rotate an epoch: promote any failed-or-tripped shard when failover
     /// is on, snapshot every live shard (on-demand, falling back to the
-    /// latest periodic checkpoint for an unresponsive shard), restore each
-    /// in place into the scratch sketch, and merge them — plus the carryover
-    /// and any still-draining rescaled-away shards — into one global
-    /// sketch. The pipeline keeps running throughout — rotation never
+    /// latest periodic checkpoint for an unresponsive shard), and fold each
+    /// image into one global sketch — a template copy that the carryover
+    /// merged into first — with [`NitroSketch::merge_image`], in one pass
+    /// per image: the bytes restoring each into a blank sketch and merging
+    /// that give. Still-draining rescaled-away shards fold the same way;
+    /// rotated-away ones are restored into their own template and fold
+    /// decoded. The pipeline keeps running throughout — rotation never
     /// stalls a producer or a worker, and with failover enabled a view is
     /// never served degraded: failover happens *inside* the rotation.
     pub fn epoch_view(&mut self) -> Result<MergedView<S>, PipelineError> {
@@ -1174,23 +1184,15 @@ where
                 .expect("carryover is template-derived and always geometry-compatible");
         }
         let mut staleness = Vec::with_capacity(self.shards.len() + self.draining.len());
-        let mut scratch = self
-            .scratch
-            .take()
-            .unwrap_or_else(|| NitroSketch::clone(&self.template));
         for idx in 0..self.shards.len() {
             let shard_id = self.shards[idx].index();
             let (bytes, stale) = self.shards[idx]
                 .epoch_snapshot(self.snapshot_timeout)
                 .ok_or_else(|| missing_checkpoint(shard_id))?;
-            scratch.restore(&bytes).map_err(merge_error(shard_id))?;
-            self.observe_skew(idx, &scratch);
-            merged
-                .try_merge_from(&scratch)
-                .map_err(merge_error(shard_id))?;
+            merged.merge_image(&bytes).map_err(merge_error(shard_id))?;
+            self.observe_skew(idx, &bytes);
             staleness.push(stale);
         }
-        self.scratch = Some(scratch);
         // Still-draining rescaled- or rotated-away shards own their
         // traffic until reaped: snapshot and fold them too. (Replaced
         // primaries are skipped — their promoted successors already serve
@@ -1202,14 +1204,9 @@ where
             let Some((bytes, stale)) = d.shard.epoch_snapshot(self.snapshot_timeout) else {
                 continue;
             };
-            let index = d.shard.index();
-            // Its own template: after a rotation that is another hash
-            // space than the scratch sketch's.
-            let mut restored = NitroSketch::clone(&d.template);
-            restored.restore(&bytes).map_err(merge_error(index))?;
             d.mode
-                .fold(&mut merged, &restored)
-                .map_err(merge_error(index))?;
+                .fold_image(&mut merged, &d.template, &bytes)
+                .map_err(merge_error(d.shard.index()))?;
             staleness.push(stale);
         }
         // A tripped auto-rotate policy rotates *after* the view is built:
@@ -1229,14 +1226,17 @@ where
     }
 
     /// Measure one live shard's collision skew on its epoch snapshot,
-    /// publish the gauges, and journal `AnomalousSkew` on the epoch the
-    /// detector trips (once per trip, re-armed when the breach clears or
-    /// the seeds rotate).
-    fn observe_skew(&mut self, idx: usize, restored: &NitroSketch<S>) {
+    /// read off the image (the view just merged it), publish the gauges,
+    /// and journal `AnomalousSkew` on the epoch the detector trips (once
+    /// per trip, re-armed when the breach clears or the seeds rotate).
+    fn observe_skew(&mut self, idx: usize, image: &[u8]) {
         let Some(policy) = self.skew_policy else {
             return;
         };
-        let skew = restored.skew();
+        let skew = self
+            .template
+            .image_skew(image)
+            .expect("the view merged this image into a template copy");
         let load = skew.load_factor();
         let tel = self.shards[idx].telemetry();
         tel.skew_load.set_f64(load);
@@ -1432,7 +1432,6 @@ where
             carryover: None,
             retired: Vec::new(),
             template,
-            scratch: None,
             epoch: 0,
             snapshot_timeout: config.snapshot_timeout,
             spawner,

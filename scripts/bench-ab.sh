@@ -7,16 +7,21 @@
 # Builds both `benchmark/` packages, runs `run <workload>` once per side per
 # pair — swapping which side goes first every pair, each side from its own
 # checkout root so durable state lands on the same filesystem — counts the
-# pairs the change wins on throughput_mpps, then prints `nitro-benchmark
-# compare` over all result files (medians, quartiles, ratio and verdict per
-# metric).
+# pairs the change wins on one end-to-end metric, then prints
+# `nitro-benchmark compare` over all result files (medians, quartiles, ratio
+# and verdict per metric). A pair is a win when the change's value is better
+# in the direction the metric's `better` field in BENCHMARK.json gives
+# ("higher" or "lower").
 #
-# Environment: SEED (default 1), OUT (default
-# /tmp/bench-ab/<workload>-seed<SEED>; one result file per run is kept there).
+# Environment: METRIC (default throughput_mpps), SEED (default 1), OUT
+# (default /tmp/bench-ab/<workload>-seed<SEED>; one result file per run is
+# kept there).
+#
+#   METRIC=seal_p50_ms scripts/bench-ab.sh <parent-checkout> fleet_saturated_p10 10
 set -euo pipefail
 
 if [ $# -lt 2 ]; then
-    sed -n '2,15p' "$0" >&2
+    sed -n '2,20p' "$0" >&2
     exit 2
 fi
 parent=$(cd "$1" && pwd)
@@ -24,8 +29,21 @@ change=$(cd "$(dirname "$0")/.." && pwd)
 workload=$2
 pairs=${3:-10}
 seed=${SEED:-1}
-metric=throughput_mpps
+metric=${METRIC:-throughput_mpps}
 out=${OUT:-/tmp/bench-ab/$workload-seed$seed}
+
+# The metric's direction, from its entry in BENCHMARK.json (read only).
+better=$(awk -v name="\"$metric\"," '
+    $1 == "\"name\":" { found = ($2 == name) }
+    found && $1 == "\"better\":" { gsub(/[",]/, "", $2); print $2; exit }
+' "$change/BENCHMARK.json")
+case "$better" in
+    higher | lower) ;;
+    *)
+        echo "bench-ab: no metric \"$metric\" with a better direction in BENCHMARK.json" >&2
+        exit 2
+        ;;
+esac
 
 for side in "$parent" "$change"; do
     cargo build --release --offline --quiet --manifest-path "$side/benchmark/Cargo.toml"
@@ -50,13 +68,15 @@ for pair in $(seq 1 "$pairs"); do
         c=$(run_side change "$change" "$pair")
         p=$(run_side parent "$parent" "$pair")
     fi
-    verdict=$(awk -v p="$p" -v c="$c" 'BEGIN {
-        if (p == c) print "tie"; else if (c > p) print "change"; else print "parent" }')
+    verdict=$(awk -v p="$p" -v c="$c" -v better="$better" 'BEGIN {
+        if (p == c) print "tie"
+        else if ((c > p) == (better == "higher")) print "change"
+        else print "parent" }')
     [ "$verdict" = change ] && wins=$((wins + 1))
     [ "$verdict" = tie ] && ties=$((ties + 1))
     echo "pair $pair: $metric parent $p  change $c  -> $verdict"
 done
-echo "change wins $wins of $pairs pairs on $metric ($ties ties), seed $seed"
+echo "change wins $wins of $pairs pairs on $metric ($better is better; $ties ties), seed $seed"
 
 "$change/benchmark/target/release/nitro-benchmark" compare \
     "$out"/change/pair-*/run-*.json --against "$out"/parent/pair-*/run-*.json

@@ -1,12 +1,15 @@
 //! The checkpoint contract after the move to recycled buffers and in-place
 //! restore: the bytes are the ones the previous format wrote, encoding into
 //! a dirty buffer changes nothing, patching an older image with the lines
-//! written since gives the full encode, and a restore either takes the
-//! whole snapshot or leaves the receiver exactly as it was.
+//! written since gives the full encode, a restore either takes the
+//! whole snapshot or leaves the receiver exactly as it was, and folding an
+//! image in place is restoring it into a blank copy and merging that.
 
-use nitrosketch::core::{Mode, NitroSketch};
+use nitrosketch::core::{Mode, NitroSketch, SkewEstimate};
 use nitrosketch::sketches::checkpoint::{CheckpointError, DirtyLines, CHECKPOINT_VERSION};
-use nitrosketch::sketches::{Checkpoint, CountMin, CountSketch, KarySketch, RowSketch, Sketch};
+use nitrosketch::sketches::{
+    Checkpoint, CountMin, CountSketch, KarySketch, RowSketch, RowTotals, Sketch,
+};
 use nitrosketch::switch::{CheckpointStore, StoreConfig, STORE_VERSION};
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
@@ -18,6 +21,16 @@ trait Codec: Clone {
     fn snap(&self) -> Vec<u8>;
     fn snap_into(&self, out: &mut Vec<u8>);
     fn load(&mut self, bytes: &[u8]) -> Result<(), CheckpointError>;
+    /// `merge_image`.
+    fn fold_image(&mut self, bytes: &[u8]) -> Result<(), CheckpointError>;
+    /// `check_image`.
+    fn check(&self, bytes: &[u8]) -> Result<(), CheckpointError>;
+    /// `try_merge_from`.
+    fn merge(&mut self, other: &Self) -> Result<(), CheckpointError>;
+    /// What the skew detector reads (bit patterns), measured on `self`.
+    fn skew(&self) -> Vec<u64>;
+    /// The same, read off an image of a compatible instance.
+    fn image_skew(&self, bytes: &[u8]) -> Result<Vec<u64>, CheckpointError>;
     /// Everything a restore determines: the snapshot bytes plus the derived
     /// per-row Σ C² (bit patterns, so NaN and −0.0 compare too).
     fn state(&self) -> (Vec<u8>, Vec<u64>);
@@ -38,6 +51,21 @@ macro_rules! codec_for_sketch {
             fn load(&mut self, bytes: &[u8]) -> Result<(), CheckpointError> {
                 self.restore(bytes)
             }
+            fn fold_image(&mut self, bytes: &[u8]) -> Result<(), CheckpointError> {
+                self.merge_image(bytes)
+            }
+            fn check(&self, bytes: &[u8]) -> Result<(), CheckpointError> {
+                self.check_image(bytes)
+            }
+            fn merge(&mut self, other: &Self) -> Result<(), CheckpointError> {
+                self.try_merge_from(other)
+            }
+            fn skew(&self) -> Vec<u64> {
+                totals_bits((0..self.depth()).map(|r| RowTotals::of(self, r)))
+            }
+            fn image_skew(&self, bytes: &[u8]) -> Result<Vec<u64>, CheckpointError> {
+                Ok(totals_bits(self.image_totals(bytes)?))
+            }
             fn state(&self) -> (Vec<u8>, Vec<u64>) {
                 let ss = (0..self.depth()).map(|r| self.row_sum_squares(r).to_bits());
                 (self.snapshot(), ss.collect())
@@ -47,7 +75,7 @@ macro_rules! codec_for_sketch {
 }
 codec_for_sketch!(CountMin, CountSketch, KarySketch);
 
-impl Codec for NitroSketch<CountSketch> {
+impl<S: RowSketch + Checkpoint + Codec> Codec for NitroSketch<S> {
     fn feed(&mut self, key: u64, weight: f64) {
         self.process(key, weight);
     }
@@ -59,6 +87,21 @@ impl Codec for NitroSketch<CountSketch> {
     }
     fn load(&mut self, bytes: &[u8]) -> Result<(), CheckpointError> {
         self.restore(bytes)
+    }
+    fn fold_image(&mut self, bytes: &[u8]) -> Result<(), CheckpointError> {
+        self.merge_image(bytes)
+    }
+    fn check(&self, bytes: &[u8]) -> Result<(), CheckpointError> {
+        self.check_image(bytes)
+    }
+    fn merge(&mut self, other: &Self) -> Result<(), CheckpointError> {
+        self.try_merge_from(other)
+    }
+    fn skew(&self) -> Vec<u64> {
+        skew_bits(&NitroSketch::skew(self))
+    }
+    fn image_skew(&self, bytes: &[u8]) -> Result<Vec<u64>, CheckpointError> {
+        Ok(skew_bits(&NitroSketch::image_skew(self, bytes)?))
     }
     fn state(&self) -> (Vec<u8>, Vec<u64>) {
         (self.snapshot(), self.inner().state().1)
@@ -133,6 +176,83 @@ fn wrapper() -> NitroSketch<CountSketch> {
     NitroSketch::new(CountSketch::new(3, 16, 24), Mode::Fixed { p: 0.5 }, 25).with_topk(4)
 }
 
+/// Row totals as bit patterns, so NaN and −0.0 compare too.
+fn totals_bits(totals: impl IntoIterator<Item = RowTotals>) -> Vec<u64> {
+    let bits = totals
+        .into_iter()
+        .map(|t| [t.max_abs, t.abs_total, t.signed_total]);
+    bits.flatten().map(f64::to_bits).collect()
+}
+
+fn skew_bits(skew: &SkewEstimate) -> Vec<u64> {
+    let bits = skew.rows().iter().map(|r| [r.load_factor, r.sign_bias]);
+    bits.flatten().map(f64::to_bits).collect()
+}
+
+/// What folding an image in place must equal: the image restored into a
+/// blank copy, then merged. Also returns the copy's skew.
+fn restore_then_merge<C: Codec>(
+    blank: &C,
+    target: &C,
+    bytes: &[u8],
+) -> Result<(C, Vec<u64>), CheckpointError> {
+    let mut copy = blank.clone();
+    copy.load(bytes)?;
+    let mut merged = target.clone();
+    merged.merge(&copy)?;
+    Ok((merged, copy.skew()))
+}
+
+/// `merge_image` of a snapshot into a blank and into a fed target is
+/// restore-then-`try_merge_from` to the bit (snapshot and Σ C²), the skew
+/// read off the image is the restored copy's, `check_image` agrees, and
+/// every truncation or rejected header bit leaves the target as it was.
+fn check_merge_image<C: Codec>(blank: C, stream: &[(u64, u32)], onto: &[(u64, u32)]) {
+    let image = fed(blank.clone(), stream).snap();
+    for target in [blank.clone(), fed(blank.clone(), onto)] {
+        let before = target.state();
+        let (reference, skew) = restore_then_merge(&blank, &target, &image).unwrap();
+        let mut merged = target.clone();
+        merged.fold_image(&image).unwrap();
+        assert_eq!(merged.state(), reference.state());
+        assert!(target.check(&image).is_ok());
+        assert_eq!(target.image_skew(&image).unwrap(), skew);
+
+        for cut in 0..image.len() {
+            let mut receiver = target.clone();
+            assert!(receiver.fold_image(&image[..cut]).is_err(), "cut at {cut}");
+            assert!(target.check(&image[..cut]).is_err(), "cut at {cut}");
+            assert!(target.image_skew(&image[..cut]).is_err(), "cut at {cut}");
+            assert_eq!(receiver.state(), before, "cut at {cut} changed the target");
+        }
+        let header = image.len().min(160);
+        for bit in 0..header * 8 {
+            let mut flipped = image.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            let mut receiver = target.clone();
+            let checked = target.check(&flipped);
+            let image_skew = target.image_skew(&flipped);
+            match (
+                receiver.fold_image(&flipped),
+                restore_then_merge(&blank, &target, &flipped),
+            ) {
+                (Err(e), Err(reference)) => {
+                    assert_eq!(e, reference, "bit {bit}");
+                    assert_eq!(checked, Err(e.clone()), "bit {bit}");
+                    assert_eq!(image_skew, Err(e), "bit {bit}");
+                    assert_eq!(receiver.state(), before, "bit {bit} changed the target");
+                }
+                (Ok(()), Ok((reference, skew))) => {
+                    assert!(checked.is_ok(), "bit {bit}");
+                    assert_eq!(image_skew, Ok(skew), "bit {bit}");
+                    assert_eq!(receiver.state(), reference.state(), "bit {bit}");
+                }
+                (got, reference) => panic!("bit {bit}: {:?} vs {:?}", got.err(), reference.err()),
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -157,6 +277,88 @@ proptest! {
         check_restore_in_place(KarySketch::new(2, 16, 23), &stream, &dirt);
         check_restore_in_place(wrapper(), &stream, &dirt);
     }
+
+    #[test]
+    fn merge_image_is_restore_then_merge(
+        stream in prop::collection::vec((0u64..200, 1u32..8), 0..120),
+        onto in prop::collection::vec((0u64..200, 1u32..8), 1..120),
+    ) {
+        check_merge_image(CountMin::new(2, 16, 21), &stream, &onto);
+        check_merge_image(CountSketch::new(3, 8, 22), &stream, &onto);
+        check_merge_image(KarySketch::new(2, 16, 23), &stream, &onto);
+        check_merge_image(wrapper(), &stream, &onto);
+        check_merge_image(
+            NitroSketch::new(CountSketch::new(3, 16, 24), Mode::Fixed { p: 0.5 }, 26),
+            &stream,
+            &onto,
+        );
+        check_merge_image(
+            NitroSketch::new(CountMin::new(2, 16, 21), Mode::Fixed { p: 1.0 }, 27).with_topk(3),
+            &stream,
+            &onto,
+        );
+        check_merge_image(
+            NitroSketch::new(KarySketch::new(2, 16, 23), Mode::Fixed { p: 0.5 }, 28).with_topk(5),
+            &stream,
+            &onto,
+        );
+    }
+}
+
+/// Every named rejection of `merge_image` — seeds, geometry, a sampling
+/// probability out of range, a top-k table the target cannot hold —
+/// leaves the target's bytes as they were, and `check_image` reports the
+/// same error.
+#[test]
+fn merge_image_rejections_change_nothing() {
+    fn rejected<C: Codec>(target: &C, bytes: &[u8], expected: CheckpointError) {
+        let mut receiver = target.clone();
+        assert_eq!(receiver.fold_image(bytes).unwrap_err(), expected);
+        assert_eq!(target.check(bytes).unwrap_err(), expected);
+        assert_eq!(target.image_skew(bytes).unwrap_err(), expected);
+        assert_eq!(receiver.state(), target.state());
+    }
+    let stream: Vec<(u64, u32)> = (0..2_000u64)
+        .map(|i| (i % 53, 1 + (i % 3) as u32))
+        .collect();
+    let onto: Vec<(u64, u32)> = stream.iter().map(|&(k, w)| (k ^ 7, w)).collect();
+    let target = fed(wrapper(), &onto);
+    let plain = |sketch: CountSketch| NitroSketch::new(sketch, Mode::Fixed { p: 0.5 }, 25);
+
+    let seeds = fed(plain(CountSketch::new(3, 16, 99)).with_topk(4), &stream).snap();
+    rejected(&target, &seeds, CheckpointError::Mismatch("hash seeds"));
+    let width = fed(plain(CountSketch::new(3, 32, 24)).with_topk(4), &stream).snap();
+    rejected(&target, &width, CheckpointError::Mismatch("width"));
+    let depth = fed(plain(CountSketch::new(5, 16, 24)).with_topk(4), &stream).snap();
+    rejected(&target, &depth, CheckpointError::Mismatch("depth"));
+
+    // The sampling probability is the first field after magic and version.
+    let good = fed(wrapper(), &stream).snap();
+    for p in [0.0, -0.5, 1.5, f64::NAN] {
+        let mut bad = good.clone();
+        bad[5..13].copy_from_slice(&p.to_le_bytes());
+        rejected(
+            &target,
+            &bad,
+            CheckpointError::Malformed("sampling probability"),
+        );
+    }
+
+    let untracked = fed(plain(CountSketch::new(3, 16, 24)), &onto);
+    rejected(
+        &untracked,
+        &good,
+        CheckpointError::Mismatch("top-k tracker"),
+    );
+    // The other way round is accepted: a tracker-less image offers no keys.
+    let mut tracking = target.clone();
+    let bare = fed(plain(CountSketch::new(3, 16, 24)), &stream).snap();
+    let (reference, _) = restore_then_merge(&wrapper(), &target, &bare).unwrap();
+    tracking.merge_image(&bare).unwrap();
+    assert_eq!(tracking.state(), reference.state());
+
+    let raw = fed(CountMin::new(2, 16, 21), &onto);
+    rejected(&raw, &good, CheckpointError::BadMagic);
 }
 
 /// One step of a measurement's life between checkpoints.

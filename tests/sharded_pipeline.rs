@@ -9,7 +9,8 @@
 use nitrosketch::core::{Mode, NitroSketch};
 use nitrosketch::prelude::*;
 use nitrosketch::switch::{
-    spawn_sharded, PipelineConfig, ShardedTap, SupervisorConfig, ThreadFaultPlan,
+    spawn_sharded, MergedView, PipelineConfig, ShardedPipeline, ShardedTap, SupervisorConfig,
+    ThreadFaultPlan,
 };
 use nitrosketch::traffic::zipf::Zipf;
 
@@ -274,43 +275,136 @@ fn epoch_views_are_monotone_and_staleness_bounded() {
     assert_eq!(fleet.unaccounted(), 0);
 }
 
-/// Without a rescale or rotation there is no carryover to fold into a
-/// view: the view is the template plus the shards' snapshots, and its
-/// bytes are the ones merging a pristine carryover as well gives.
-#[test]
-fn a_view_without_a_rescale_is_the_merge_of_its_shards() {
-    let keys = zipf_stream(40_000, 43);
-    let (mut tap, mut pipeline) = spawn_sharded(
-        factory,
-        PipelineConfig {
-            shards: 2,
-            supervisor: SupervisorConfig {
-                ring_capacity: 1 << 16,
-                high_water: 2.0,
-                ..Default::default()
-            },
+/// A fleet that will not downshift and whose rings hold every test
+/// stream whole.
+fn exact_fleet(shards: usize) -> PipelineConfig {
+    PipelineConfig {
+        shards,
+        supervisor: SupervisorConfig {
+            ring_capacity: 1 << 16,
+            high_water: 2.0,
             ..Default::default()
         },
-    )
-    .expect("spawn");
-    offer_all(&mut tap, &keys);
-    while pipeline.processed() < keys.len() as u64 {
+        ..Default::default()
+    }
+}
+
+fn wait_processed(pipeline: &ShardedPipeline<CountSketch>, n: usize) {
+    while pipeline.processed() < n as u64 {
         std::thread::yield_now();
     }
-    let view = pipeline.epoch_view().expect("epoch view");
+}
 
+/// A view's reference, written out the way views were first built: each
+/// checkpoint restored into a blank copy, then merged with
+/// `try_merge_from` in the view's order — carryover, live shards,
+/// draining shards.
+fn merged_reference<'a>(
+    carryover: &NitroSketch<CountSketch>,
+    images: impl IntoIterator<Item = &'a [u8]>,
+) -> NitroSketch<CountSketch> {
     let mut expected = factory(0);
-    expected.try_merge_from(&factory(0)).unwrap();
-    for (shard, stale) in pipeline.shards().iter().zip(view.staleness()) {
-        assert!(stale.fresh, "shard {} answered late", stale.shard);
-        let latest = shard.latest_checkpoint().expect("a published checkpoint");
-        assert_eq!(latest.processed_at, stale.processed_at);
+    expected.try_merge_from(carryover).unwrap();
+    for image in images {
         let mut restored = factory(0);
-        restored.restore(&latest.bytes).unwrap();
+        restored.restore(image).unwrap();
         expected.try_merge_from(&restored).unwrap();
     }
-    assert!(view.sketch().snapshot() == expected.snapshot());
+    expected
+}
+
+/// The images the live shards answered the last view with.
+fn view_images(
+    pipeline: &ShardedPipeline<CountSketch>,
+    view: &MergedView<CountSketch>,
+) -> Vec<Vec<u8>> {
+    pipeline
+        .shards()
+        .iter()
+        .zip(view.staleness())
+        .map(|(shard, stale)| {
+            assert!(stale.fresh, "shard {} answered late", stale.shard);
+            let latest = shard.latest_checkpoint().expect("a published checkpoint");
+            assert_eq!(latest.processed_at, stale.processed_at);
+            latest.bytes.to_vec()
+        })
+        .collect()
+}
+
+fn same_view(view: &NitroSketch<CountSketch>, expected: &NitroSketch<CountSketch>) {
+    assert!(view.snapshot() == expected.snapshot());
+    assert_eq!(
+        view.inner().l2_squared_estimate().to_bits(),
+        expected.inner().l2_squared_estimate().to_bits()
+    );
+    assert_eq!(view.heavy_hitters(50.0), expected.heavy_hitters(50.0));
+}
+
+/// Without a rescale or rotation there is no carryover to fold into a
+/// view: the view is the template plus the shards' snapshots, and its
+/// bytes are the ones merging a pristine carryover as well gives — for a
+/// lone shard as for two.
+#[test]
+fn a_view_without_a_rescale_is_the_merge_of_its_shards() {
+    for shards in [1, 2] {
+        let keys = zipf_stream(40_000, 43);
+        let (mut tap, mut pipeline) = spawn_sharded(factory, exact_fleet(shards)).expect("spawn");
+        offer_all(&mut tap, &keys);
+        wait_processed(&pipeline, keys.len());
+        let view = pipeline.epoch_view().expect("epoch view");
+        let images = view_images(&pipeline, &view);
+        assert_eq!(images.len(), shards);
+        let expected = merged_reference(&factory(0), images.iter().map(Vec::as_slice));
+        same_view(view.sketch(), &expected);
+        drop(tap);
+        let (_, fleet) = pipeline.finish().expect("clean run");
+        assert_eq!(fleet.unaccounted(), 0);
+    }
+}
+
+/// After a 2 → 3 rescale the view folds the carryover (the reaped old
+/// shards) and the new shards; a second rescale, 3 → 2, leaves the three
+/// draining while the view is taken, so that view holds the carryover,
+/// two blank live shards and three draining ones. Each is still the
+/// restore-and-merge of the same checkpoints.
+#[test]
+fn a_rescaled_view_is_the_merge_of_its_carryover_and_shards() {
+    let before = zipf_stream(30_000, 44);
+    let after = zipf_stream(30_000, 45);
+    let (mut tap, mut pipeline) = spawn_sharded(factory, exact_fleet(2)).expect("spawn");
+    offer_all(&mut tap, &before);
+    wait_processed(&pipeline, before.len());
+    let view = pipeline.epoch_view().expect("view before the rescale");
+    let old = view_images(&pipeline, &view);
+
+    // Nothing reaches the old shards after the rescale: the tap moves
+    // to the new routes on its next offer.
+    pipeline.rescale(3).expect("rescale 2 -> 3");
+    offer_all(&mut tap, &after);
+    wait_processed(&pipeline, before.len() + after.len());
+    let view = pipeline.epoch_view().expect("view after the rescale");
+    assert_eq!(view.staleness().len(), 3, "the old shards are reaped");
+    let carryover = merged_reference(&factory(0), old.iter().map(Vec::as_slice));
+    let grown = view_images(&pipeline, &view);
+    let expected = merged_reference(&carryover, grown.iter().map(Vec::as_slice));
+    same_view(view.sketch(), &expected);
+
+    // No offer follows this rescale, so the three stay draining.
+    pipeline.rescale(2).expect("rescale 3 -> 2");
+    let view = pipeline.epoch_view().expect("view while draining");
+    assert_eq!(view.staleness().len(), 2 + 3, "two live, three draining");
+    let live = pipeline.shards().iter().map(|shard| {
+        shard
+            .latest_checkpoint()
+            .expect("a published checkpoint")
+            .bytes
+    });
+    let live: Vec<Vec<u8>> = live.map(|bytes| bytes.to_vec()).collect();
+    let expected = merged_reference(&carryover, live.iter().chain(&grown).map(Vec::as_slice));
+    same_view(view.sketch(), &expected);
+
     drop(tap);
     let (_, fleet) = pipeline.finish().expect("clean run");
     assert_eq!(fleet.unaccounted(), 0);
+    assert_eq!(fleet.total().offered, (before.len() + after.len()) as u64);
 }
