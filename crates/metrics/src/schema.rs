@@ -202,6 +202,11 @@ pub static CLUSTER_METRICS: &[Metric<ClusterSnapshot>] = &[
     m("nitro_cluster_frames_rejected_total", Counter, "", "frames_rejected",
       |c| U64(&mut c.frames_rejected),
       "Epoch frames rejected."),
+    m("nitro_cluster_delta_seals_total", Counter, "", "delta_seals",
+      |c| U64(&mut c.delta_seals),
+      "Seals received as deltas (the rest arrive as keyframes)."),
+    m("nitro_cluster_seal_bytes_total", Counter, "", "seal_bytes", |c| U64(&mut c.seal_bytes),
+      "Wire bytes of the seals received, keyframes and deltas."),
     m("nitro_cluster_heartbeats_total", Counter, "", "heartbeats", |c| U64(&mut c.heartbeats),
       "Heartbeat messages received."),
     m("nitro_cluster_log_records_total", Counter, "", "log_records", |c| U64(&mut c.log_records),

@@ -153,6 +153,10 @@ pub struct ClusterSnapshot {
     pub frames_received: u64,
     /// Epoch frames rejected.
     pub frames_rejected: u64,
+    /// Seals received as deltas.
+    pub delta_seals: u64,
+    /// Wire bytes of the seals received.
+    pub seal_bytes: u64,
     /// Heartbeats received.
     pub heartbeats: u64,
     /// Aggregation-log records appended durably.

@@ -1011,6 +1011,11 @@ pub struct ClusterTelemetry {
     /// Epoch frames rejected — framing, checksum, version, restore, or
     /// merge-guard failure (counter).
     pub frames_rejected: TelemetryCell,
+    /// Seals received as deltas against the connection's previous seal;
+    /// every other seal arrives as a keyframe (counter).
+    pub delta_seals: TelemetryCell,
+    /// Wire bytes of every seal received, keyframes and deltas (counter).
+    pub seal_bytes: TelemetryCell,
     /// Heartbeat messages received (counter).
     pub heartbeats: TelemetryCell,
     /// Records appended durably to the aggregation log (counter).
@@ -1057,6 +1062,8 @@ impl ClusterTelemetry {
             backfill_frames: self.backfill_frames.get(),
             frames_received: self.frames_received.get(),
             frames_rejected: self.frames_rejected.get(),
+            delta_seals: self.delta_seals.get(),
+            seal_bytes: self.seal_bytes.get(),
             heartbeats: self.heartbeats.get(),
             log_records: self.log_records.get(),
             log_persist_failures: self.log_persist_failures.get(),

@@ -134,7 +134,8 @@ pub struct NodeAgent {
     /// [`NodeAgent::connect`] — the redial target.
     target: Option<Vec<SocketAddr>>,
     /// The epoch payload being sealed, recycled across seals: the report
-    /// and the sketch checkpoint are written straight into it.
+    /// and the sketch checkpoint are written straight into it. A seal the
+    /// session sends trades it for the session's previous delta base.
     payload: Vec<u8>,
 }
 
@@ -380,7 +381,9 @@ impl NodeAgent {
         self.store
             .writer(0)
             .persist(epoch, processed, &self.payload)?;
-        let emitted = self.session.finish_seal(epoch, processed, &self.payload);
+        let emitted = self
+            .session
+            .finish_seal(epoch, processed, &mut self.payload);
         let delivered = emitted && self.flush_sends();
         if delivered {
             self.session.note_sent(epoch);

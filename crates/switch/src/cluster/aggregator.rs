@@ -254,6 +254,12 @@ impl<S: ClusterSketch> AggShared<S> {
 /// Per-connection loop: register the connection with the session, then
 /// pump decoded messages into it and execute the socket operations it
 /// emits.
+///
+/// The socket reads straight into one buffer that lives as long as the
+/// connection: `buf[start..end]` holds the bytes not yet decoded. A
+/// message cut short tells the reader its whole length once its header is
+/// in, and the buffer grows to hold it, so a seal is read into place and
+/// never copied through a smaller chunk.
 fn handle_conn<S: ClusterSketch>(shared: Arc<AggShared<S>>, mut stream: TcpStream) {
     stream.set_nodelay(true).ok();
     // Short poll so shutdown and heartbeat checks stay responsive; the
@@ -265,8 +271,8 @@ fn handle_conn<S: ClusterSketch>(shared: Arc<AggShared<S>>, mut stream: TcpStrea
         return;
     }
     let (conn, _) = shared.with_session(|s| s.conn_open());
-    let mut buf: Vec<u8> = Vec::new();
-    let mut chunk = [0u8; 16 * 1024];
+    let mut buf = vec![0u8; READ_CHUNK];
+    let (mut start, mut end) = (0, 0);
     loop {
         if shared.shutdown.load(Ordering::Acquire) {
             // The whole aggregator is going away: unbind without blaming
@@ -274,10 +280,16 @@ fn handle_conn<S: ClusterSketch>(shared: Arc<AggShared<S>>, mut stream: TcpStrea
             shared.with_session(|s| s.conn_closed(conn, false));
             return;
         }
-        loop {
-            match Message::decode(&buf) {
+        let need = loop {
+            match Message::decode(&buf[start..end]) {
                 Ok((msg, used)) => {
-                    buf.drain(..used);
+                    start += used;
+                    if matches!(msg, Message::SealEpoch { .. } | Message::SealDelta { .. }) {
+                        shared.cluster.seal_bytes.add(used as u64);
+                    }
+                    if matches!(msg, Message::SealDelta { .. }) {
+                        shared.cluster.delta_seals.incr();
+                    }
                     let ((), ops) = shared.with_session(|s| s.on_message(conn, msg, shared.now()));
                     for op in ops {
                         match op {
@@ -292,7 +304,9 @@ fn handle_conn<S: ClusterSketch>(shared: Arc<AggShared<S>>, mut stream: TcpStrea
                         }
                     }
                 }
-                Err(FrameError::Truncated { .. }) => break,
+                // A prefix of a message: `need` is its whole length once
+                // the header is in, the header's length before.
+                Err(FrameError::Truncated { need, .. }) => break need,
                 Err(_) => {
                     // Corrupt stream: nothing after this point can be
                     // trusted.
@@ -300,13 +314,24 @@ fn handle_conn<S: ClusterSketch>(shared: Arc<AggShared<S>>, mut stream: TcpStrea
                     return;
                 }
             }
+        };
+        // Move the undecoded prefix to the front and make room for the
+        // rest of its message.
+        if start > 0 {
+            buf.copy_within(start..end, 0);
+            end -= start;
+            start = 0;
         }
-        match stream.read(&mut chunk) {
+        let want = need.max(end + READ_CHUNK);
+        if buf.len() < want {
+            buf.resize(want, 0);
+        }
+        match stream.read(&mut buf[end..]) {
             Ok(0) => {
                 shared.with_session(|s| s.conn_closed(conn, true));
                 return;
             }
-            Ok(n) => buf.extend_from_slice(&chunk[..n]),
+            Ok(n) => end += n,
             Err(e)
                 if e.kind() == std::io::ErrorKind::WouldBlock
                     || e.kind() == std::io::ErrorKind::TimedOut => {}
@@ -317,6 +342,9 @@ fn handle_conn<S: ClusterSketch>(shared: Arc<AggShared<S>>, mut stream: TcpStrea
         }
     }
 }
+
+/// Least free space a connection's read buffer offers each read.
+const READ_CHUNK: usize = 16 * 1024;
 
 /// The control-plane aggregation server.
 pub struct Aggregator<S: ClusterSketch> {

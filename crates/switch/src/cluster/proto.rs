@@ -21,12 +21,13 @@ use super::wire::{decode_epoch_payload, Message};
 use super::ClusterError;
 use crate::clock::Nanos;
 use crate::frame::{FrameError, Reader};
-use crate::store::{decode_frame, RecoveredFrame};
+use crate::store::{apply_delta, decode_frame, diff_lines, encode_delta, RecoveredFrame};
 use nitro_core::NitroSketch;
 use nitro_metrics::NodeWatermark;
 use nitro_sketches::checkpoint::Checkpoint;
 use nitro_sketches::{FlowKey, RowSketch};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::ops::Range;
 use std::time::Duration;
 
 /// Wrap one epoch payload in the store's CRC framing exactly the way a
@@ -111,7 +112,9 @@ enum AgentPhase {
 /// 4. Seals are two-phase: [`AgentSession::begin_seal`] checks epoch
 ///    monotonicity *before* the driver persists, then
 ///    [`AgentSession::finish_seal`] advances the epoch cursor and emits
-///    the `Send` — persist-before-publish lives in the split.
+///    the `Send` — persist-before-publish lives in the split. The first
+///    fresh seal on a connection is a [`Message::SealEpoch`] keyframe;
+///    later ones are [`Message::SealDelta`]s against the one before.
 /// 5. Any transport death is [`AgentSession::connection_lost`], which
 ///    arms the redial schedule exactly like a failed dial.
 #[derive(Debug)]
@@ -142,6 +145,13 @@ pub struct AgentSession {
     /// Newest epoch the aggregator held at handshake — the backfill
     /// low-water mark for this connection.
     backfill_after: u64,
+    /// Epoch of the newest fresh seal emitted on this connection, whose
+    /// payload `base` holds: the next seal is cut against it. `None`
+    /// before the connection's first fresh seal and after a backfill.
+    base_epoch: Option<u64>,
+    base: Vec<u8>,
+    /// Scratch for the differing line runs of the seal being cut.
+    runs: Vec<Range<usize>>,
     out: Vec<AgentOutput>,
 }
 
@@ -172,6 +182,9 @@ impl AgentSession {
             retry_at: None,
             gave_up: false,
             backfill_after: 0,
+            base_epoch: None,
+            base: Vec::new(),
+            runs: Vec::new(),
             out: Vec::new(),
         }
     }
@@ -212,10 +225,12 @@ impl AgentSession {
     }
 
     /// The driver's dial succeeded: move to the handshake and emit
-    /// `Send(Hello)`.
+    /// `Send(Hello)`. The new connection holds no seal to cut a delta
+    /// against.
     pub fn transport_connected(&mut self) {
         self.dialing = false;
         self.phase = AgentPhase::AwaitAck;
+        self.base_epoch = None;
         self.out.push(AgentOutput::Send(Message::Hello {
             node_id: self.node_id,
             generation: self.generation,
@@ -320,8 +335,9 @@ impl AgentSession {
     /// already holds (`seq <= after` from the handshake) or from the
     /// future (`seq >= next_epoch` — another incarnation's leftovers) are
     /// skipped. An accepted frame is re-wrapped verbatim — same payload,
-    /// same CRC discipline — and emitted as a backfill `Send`; returns
-    /// whether the frame was emitted.
+    /// same CRC discipline — and emitted as a backfill `Send`, after
+    /// which the next fresh seal is a keyframe again (the aggregator drops
+    /// its base on a backfill); returns whether the frame was emitted.
     pub fn offer_backfill(&mut self, f: &RecoveredFrame) -> bool {
         if self.phase != AgentPhase::Established
             || f.seq <= self.backfill_after
@@ -336,6 +352,7 @@ impl AgentSession {
             backfill: true,
             frame,
         }));
+        self.base_epoch = None;
         self.acked_epoch = self.acked_epoch.max(f.seq);
         self.backfilled += 1;
         true
@@ -355,20 +372,43 @@ impl AgentSession {
 
     /// Second half of a seal, called after the payload is durable:
     /// advance the epoch cursor and, when established, emit the fresh
-    /// `SealEpoch`. Returns whether a `Send` was emitted (`false` means
+    /// seal. Returns whether a `Send` was emitted (`false` means
     /// local-durable only — the frame waits for backfill).
-    pub fn finish_seal(&mut self, epoch: u64, processed: u64, payload: &[u8]) -> bool {
+    ///
+    /// The seal is a [`Message::SealDelta`] of the lines that differ from
+    /// the previous fresh seal on this connection, or a
+    /// [`Message::SealEpoch`] keyframe when there is none or the delta
+    /// would be no smaller. Either way the session keeps `payload` as the
+    /// next seal's base by swapping buffers: on a `Send`, `payload` comes
+    /// back holding an older payload, for the driver to encode the next
+    /// seal over.
+    pub fn finish_seal(&mut self, epoch: u64, processed: u64, payload: &mut Vec<u8>) -> bool {
         self.next_epoch = epoch + 1;
         if self.phase != AgentPhase::Established {
             return false;
         }
-        let frame = encode_seal_frame(self.node_id, self.generation, epoch, processed, payload);
-        self.out.push(AgentOutput::Send(Message::SealEpoch {
-            node_id: self.node_id,
-            epoch,
-            backfill: false,
-            frame,
-        }));
+        let msg = match self.base_epoch {
+            Some(base_epoch) if diff_lines(&self.base, payload, &mut self.runs) => {
+                let size = 8 + self.runs.iter().map(|r| 8 + r.len()).sum::<usize>();
+                let mut delta = Vec::with_capacity(size);
+                encode_delta(&mut delta, self.base.len(), payload, &self.runs);
+                Message::SealDelta {
+                    node_id: self.node_id,
+                    epoch,
+                    base_epoch,
+                    delta,
+                }
+            }
+            _ => Message::SealEpoch {
+                node_id: self.node_id,
+                epoch,
+                backfill: false,
+                frame: encode_seal_frame(self.node_id, self.generation, epoch, processed, payload),
+            },
+        };
+        std::mem::swap(&mut self.base, payload);
+        self.base_epoch = Some(epoch);
+        self.out.push(AgentOutput::Send(msg));
         true
     }
 
@@ -796,6 +836,18 @@ impl NodeRecord {
     }
 }
 
+/// One accepted transport connection.
+#[derive(Default)]
+struct Conn {
+    /// The node bound at handshake (`None` before).
+    node: Option<u32>,
+    /// The epoch and payload of the newest fresh seal received on this
+    /// connection: what the node's next [`Message::SealDelta`] is applied
+    /// to. A keyframe drops it and, if fresh and accepted, becomes it; a
+    /// delta rebuilds it in place.
+    base: Option<(u64, Vec<u8>)>,
+}
+
 /// One epoch's merged state.
 struct EpochRecord<S: RowSketch> {
     merged: NitroSketch<S>,
@@ -836,8 +888,8 @@ pub struct AggregatorSession<S: ClusterSketch> {
     heartbeat_timeout: Nanos,
     nodes: BTreeMap<u32, NodeRecord>,
     epochs: BTreeMap<u64, EpochRecord<S>>,
-    /// Live connections → the node bound at handshake (`None` before).
-    conns: BTreeMap<ConnId, Option<u32>>,
+    /// Live connections.
+    conns: BTreeMap<ConnId, Conn>,
     next_conn: ConnId,
     /// Mutation hook (see [`AggregatorSession::set_dedup_disabled`]).
     dedup_disabled: bool,
@@ -960,7 +1012,7 @@ impl<S: ClusterSketch> AggregatorSession<S> {
     pub fn conn_open(&mut self) -> ConnId {
         let conn = self.next_conn;
         self.next_conn += 1;
-        self.conns.insert(conn, None);
+        self.conns.insert(conn, Conn::default());
         conn
     }
 
@@ -969,10 +1021,10 @@ impl<S: ClusterSketch> AggregatorSession<S> {
     /// session handles handshake, seals, heartbeats, and departures
     /// entirely through its output queue.
     pub fn on_message(&mut self, conn: ConnId, msg: Message, now: Nanos) {
-        let Some(&binding) = self.conns.get(&conn) else {
+        let Some(c) = self.conns.get(&conn) else {
             return;
         };
-        match binding {
+        match c.node {
             None => self.handshake(conn, msg, now),
             Some(node) => self.pump(conn, node, msg, now),
         }
@@ -1018,7 +1070,7 @@ impl<S: ClusterSketch> AggregatorSession<S> {
         // replay after this join), so the record is appended in mutation
         // order, before the ack that makes the join visible.
         let record = encode_membership_record(node_id, rec);
-        self.conns.insert(conn, Some(node_id));
+        self.conns.entry(conn).or_default().node = Some(node_id);
         self.out.push(AggOutput::Append(record));
         self.out.push(AggOutput::Event(AggEvent::NodeJoin {
             node: node_id,
@@ -1047,18 +1099,58 @@ impl<S: ClusterSketch> AggregatorSession<S> {
                 frame,
             } => {
                 if node_id != node {
-                    self.out
-                        .push(AggOutput::Event(AggEvent::FrameRejected { node }));
-                    self.close_loss(conn);
+                    self.refuse(conn, node);
+                    return;
+                }
+                // Any keyframe drops the connection's base; a fresh one
+                // the session accepts becomes the next.
+                self.set_base(conn, None);
+                match self.ingest_frame(node, conn, epoch, backfill, &frame, now) {
+                    Ok(payload) if !backfill => {
+                        self.set_base(conn, Some((epoch, payload.to_vec())));
+                    }
+                    Ok(_) => {}
+                    Err(_) => self
+                        .out
+                        .push(AggOutput::Event(AggEvent::FrameRejected { node })),
+                }
+            }
+            Message::SealDelta {
+                node_id,
+                epoch,
+                base_epoch,
+                delta,
+            } => {
+                let base = self.conns.get_mut(&conn).and_then(|c| c.base.take());
+                // A delta from another node, or cut against a payload this
+                // connection does not hold (stale, from another
+                // connection, or after a keyframe the session refused),
+                // cannot be rebuilt: the redial's keyframe and backfill
+                // repair the node.
+                let Some((based, mut payload)) =
+                    base.filter(|(b, _)| node_id == node && (*b == base_epoch || *b == epoch))
+                else {
+                    self.refuse(conn, node);
+                    return;
+                };
+                if based == epoch && !self.dedup_disabled {
+                    // A redelivery of the delta that built the base: its
+                    // payload is merged already.
+                    self.set_base(conn, Some((based, payload)));
+                    return;
+                }
+                if based != epoch && apply_delta(&mut payload, &delta).is_err() {
+                    self.refuse(conn, node);
                     return;
                 }
                 if self
-                    .ingest_frame(node, conn, epoch, backfill, &frame, now)
+                    .ingest_payload(node, conn, epoch, false, &payload, now)
                     .is_err()
                 {
                     self.out
                         .push(AggOutput::Event(AggEvent::FrameRejected { node }));
                 }
+                self.set_base(conn, Some((epoch, payload)));
             }
             Message::Heartbeat {
                 node_id, processed, ..
@@ -1103,12 +1195,27 @@ impl<S: ClusterSketch> AggregatorSession<S> {
         }
     }
 
+    /// Replace `conn`'s delta base (`None`: drop it).
+    fn set_base(&mut self, conn: ConnId, base: Option<(u64, Vec<u8>)>) {
+        if let Some(c) = self.conns.get_mut(&conn) {
+            c.base = base;
+        }
+    }
+
+    /// Reject a seal that leaves `conn` out of step with its node, and
+    /// close it with a loss.
+    fn refuse(&mut self, conn: ConnId, node: u32) {
+        self.out
+            .push(AggOutput::Event(AggEvent::FrameRejected { node }));
+        self.close_loss(conn);
+    }
+
     /// The transport delivered undecodable bytes on `conn`: nothing after
     /// this point can be trusted. A bound connection counts a rejection
     /// and declares the node lost; a pre-handshake connection closes
     /// silently.
     pub fn conn_corrupt(&mut self, conn: ConnId) {
-        if let Some(Some(node)) = self.conns.get(&conn).copied() {
+        if let Some(node) = self.conns.get(&conn).and_then(|c| c.node) {
             self.out
                 .push(AggOutput::Event(AggEvent::FrameRejected { node }));
         }
@@ -1131,11 +1238,11 @@ impl<S: ClusterSketch> AggregatorSession<S> {
     /// Close `conn` and declare its node lost if this is still the
     /// node's current connection (a reconnect supersedes stale closures).
     fn close_loss(&mut self, conn: ConnId) {
-        let Some(binding) = self.conns.remove(&conn) else {
+        let Some(c) = self.conns.remove(&conn) else {
             self.out.push(AggOutput::Close { conn });
             return;
         };
-        if let Some(node) = binding {
+        if let Some(node) = c.node {
             if let Some(rec) = self.nodes.get_mut(&node) {
                 if rec.conn == Some(conn) && rec.connected {
                     rec.connected = false;
@@ -1168,19 +1275,19 @@ impl<S: ClusterSketch> AggregatorSession<S> {
         }
     }
 
-    /// Merge one epoch frame from `node` on connection `conn`. Every
-    /// validation failure is a typed rejection (never a panic): store
-    /// framing, sequence match, payload structure, checkpoint restore,
-    /// and merge compatibility.
-    fn ingest_frame(
+    /// Merge one epoch keyframe from `node` on connection `conn` and
+    /// return its payload. Every validation failure is a typed rejection
+    /// (never a panic): store framing, sequence match, then everything
+    /// [`AggregatorSession::ingest_payload`] checks.
+    fn ingest_frame<'f>(
         &mut self,
         node: u32,
         conn: ConnId,
         epoch: u64,
         backfill: bool,
-        frame: &[u8],
+        frame: &'f [u8],
         now: Nanos,
-    ) -> Result<(), ClusterError> {
+    ) -> Result<&'f [u8], ClusterError> {
         let f = decode_frame(frame, node as usize)?;
         if f.len != frame.len() {
             return Err(FrameError::Malformed("trailing bytes after epoch frame").into());
@@ -1188,7 +1295,24 @@ impl<S: ClusterSketch> AggregatorSession<S> {
         if f.header.seq != epoch {
             return Err(FrameError::Malformed("frame sequence != announced epoch").into());
         }
-        let (report, snapshot) = decode_epoch_payload(f.payload)?;
+        self.ingest_payload(node, conn, epoch, backfill, f.payload, now)?;
+        Ok(f.payload)
+    }
+
+    /// Merge one epoch payload from `node` on connection `conn`, a
+    /// keyframe's or one rebuilt from a delta: payload structure, report
+    /// identity, checkpoint image and merge compatibility are checked
+    /// before anything is logged or merged.
+    fn ingest_payload(
+        &mut self,
+        node: u32,
+        conn: ConnId,
+        epoch: u64,
+        backfill: bool,
+        payload: &[u8],
+        now: Nanos,
+    ) -> Result<(), ClusterError> {
+        let (report, snapshot) = decode_epoch_payload(payload)?;
         if report.switch_id != node || report.epoch != epoch {
             return Err(FrameError::Malformed("report identity != frame identity").into());
         }
@@ -1199,9 +1323,8 @@ impl<S: ClusterSketch> AggregatorSession<S> {
         // records are commutative; a duplicate (idempotent replay below)
         // wastes a record but replay dedups it the same way the in-memory
         // path does.
-        self.out.push(AggOutput::Append(encode_frame_record(
-            node, epoch, f.payload,
-        )));
+        self.out
+            .push(AggOutput::Append(encode_frame_record(node, epoch, payload)));
 
         let status_before = self.status_of(epoch);
         let dedup = !self.dedup_disabled;

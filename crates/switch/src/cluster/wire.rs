@@ -22,7 +22,10 @@
 //! [`EpochReport`] summary with the full merged-sketch checkpoint
 //! (`sketches::checkpoint` codec), so the frame a node persists locally is
 //! byte-identical to the frame it ships — backfill after a partition is a
-//! re-send of disk bytes, not a re-computation.
+//! re-send of disk bytes, not a re-computation. A fresh seal after the
+//! first on a connection ships as a [`Message::SealDelta`]: only the
+//! 64-byte lines of that payload that changed since the node's previous
+//! seal on the connection, in the checkpoint store's delta encoding.
 
 use crate::frame::{self, FrameError, Header, Reader};
 use nitro_sketches::FlowKey;
@@ -102,6 +105,22 @@ pub enum Message {
         /// epoch payload) — exactly what the node's segment log holds.
         frame: Vec<u8>,
     },
+    /// Agent → aggregator: one freshly sealed epoch's payload as the
+    /// lines that differ from the payload of the node's previous seal on
+    /// this connection, `base_epoch`. The aggregator keeps that payload
+    /// per connection and rebuilds this one from it; the first seal on a
+    /// connection, and every backfill, is a [`Message::SealEpoch`].
+    SealDelta {
+        /// Sending node.
+        node_id: u32,
+        /// Epoch the payload covers.
+        epoch: u64,
+        /// Epoch of the seal the delta was cut against.
+        base_epoch: u64,
+        /// The store's delta encoding (`store::encode_delta`) of the epoch
+        /// payload against the base's payload.
+        delta: Vec<u8>,
+    },
     /// Agent → aggregator liveness signal between seals.
     Heartbeat {
         /// Sending node.
@@ -124,6 +143,7 @@ const TYPE_HELLO_ACK: u8 = 2;
 const TYPE_SEAL_EPOCH: u8 = 3;
 const TYPE_HEARTBEAT: u8 = 4;
 const TYPE_GOODBYE: u8 = 5;
+const TYPE_SEAL_DELTA: u8 = 6;
 
 impl Message {
     fn type_byte(&self) -> u8 {
@@ -131,6 +151,7 @@ impl Message {
             Message::Hello { .. } => TYPE_HELLO,
             Message::HelloAck { .. } => TYPE_HELLO_ACK,
             Message::SealEpoch { .. } => TYPE_SEAL_EPOCH,
+            Message::SealDelta { .. } => TYPE_SEAL_DELTA,
             Message::Heartbeat { .. } => TYPE_HEARTBEAT,
             Message::Goodbye { .. } => TYPE_GOODBYE,
         }
@@ -170,6 +191,18 @@ impl Message {
                 p.extend_from_slice(&(frame.len() as u32).to_le_bytes());
                 p.extend_from_slice(frame);
             }
+            Message::SealDelta {
+                node_id,
+                epoch,
+                base_epoch,
+                delta,
+            } => {
+                p.extend_from_slice(&node_id.to_le_bytes());
+                p.extend_from_slice(&epoch.to_le_bytes());
+                p.extend_from_slice(&base_epoch.to_le_bytes());
+                p.extend_from_slice(&(delta.len() as u32).to_le_bytes());
+                p.extend_from_slice(delta);
+            }
             Message::Heartbeat {
                 node_id,
                 epoch,
@@ -191,6 +224,7 @@ impl Message {
         // carries more, and the buffer is sized for it up front.
         let body = match self {
             Message::SealEpoch { frame, .. } => frame.len(),
+            Message::SealDelta { delta, .. } => delta.len(),
             _ => 0,
         };
         let mut buf = Vec::with_capacity(64 + body);
@@ -230,6 +264,18 @@ impl Message {
                     epoch,
                     backfill,
                     frame: c.take(flen)?.to_vec(),
+                }
+            }
+            TYPE_SEAL_DELTA => {
+                let node_id = c.u32()?;
+                let epoch = c.u64()?;
+                let base_epoch = c.u64()?;
+                let dlen = c.u32()? as usize;
+                Message::SealDelta {
+                    node_id,
+                    epoch,
+                    base_epoch,
+                    delta: c.take(dlen)?.to_vec(),
                 }
             }
             TYPE_HEARTBEAT => Message::Heartbeat {
@@ -419,6 +465,12 @@ mod tests {
                 epoch: 12,
                 backfill: false,
                 frame: vec![1, 2, 3, 4, 5],
+            },
+            Message::SealDelta {
+                node_id: 7,
+                epoch: 13,
+                base_epoch: 12,
+                delta: vec![6, 7, 8],
             },
             Message::Heartbeat {
                 node_id: 7,

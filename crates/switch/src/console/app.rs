@@ -110,13 +110,11 @@ impl ConsoleApp {
     /// Rows the next [`ConsoleApp::draw`] will need at the current state.
     fn rows_needed(&self) -> usize {
         let Some(snap) = &self.snapshot else { return 3 };
-        let cluster_rows = snap.cluster.as_ref().map_or(0, |c| {
-            if c.nodes.is_empty() {
-                1
-            } else {
-                1 + c.nodes.len().div_ceil(3)
-            }
-        });
+        // The cluster line, the seals line, then three nodes a row.
+        let cluster_rows = snap
+            .cluster
+            .as_ref()
+            .map_or(0, |c| 2 + c.nodes.len().div_ceil(3));
         // header + fleet + rule + table header
         4 + snap.shards.len().max(1)
             + 2 // latency + promotions
@@ -382,6 +380,20 @@ impl ConsoleApp {
                     c.frames_rejected,
                     fmt_count(c.log_records),
                     c.log_persist_failures
+                ),
+                Style::PLAIN,
+            );
+            y += 1;
+            // A run of keyframes (every delta refused) shows as deltas
+            // stalling while frames climb.
+            let x = f.print(1, y, "seals   ", label);
+            f.print(
+                x,
+                y,
+                &format!(
+                    "{} as deltas  {}B received",
+                    fmt_count(c.delta_seals),
+                    fmt_count(c.seal_bytes)
                 ),
                 Style::PLAIN,
             );

@@ -18,7 +18,9 @@
 //! - **Simulated network** ([`run`]'s internal message router): every
 //!   message independently drawn a fate — deliver after a random delay
 //!   (which yields reordering), deliver twice, corrupt in flight, or
-//!   break the connection — plus per-node partitions.
+//!   break the connection — plus per-node partitions. The fates hit delta
+//!   seals too: a duplicate is ignored, a corrupt one closes the
+//!   connection, and a redial opens with a keyframe.
 //! - **Seeded fault schedules** ([`Schedule::generate`]): node crashes
 //!   and restarts, aggregator kill + log recovery, partitions and heals,
 //!   per-node clock skew, torn writes that chop bytes off a node's
@@ -873,7 +875,18 @@ impl Sim<'_> {
                         let at = self.clock.now_ns() + 500_000 + self.rng.next_range(2_000_000);
                         self.schedule(at, EvKind::DialArrive { node: id, gen });
                     }
-                    AgentOutput::Send(msg) => self.send_to_agg(id, msg),
+                    AgentOutput::Send(msg) => {
+                        if let Message::SealEpoch {
+                            epoch,
+                            backfill: false,
+                            ..
+                        }
+                        | Message::SealDelta { epoch, .. } = msg
+                        {
+                            self.log(format!("n{id} ships e{epoch} as {}", msg_name(&msg)));
+                        }
+                        self.send_to_agg(id, msg)
+                    }
                     AgentOutput::Backfill { after } => {
                         let frames = self.nodes[i]
                             .store
@@ -1069,7 +1082,7 @@ impl Sim<'_> {
             l2: 0.0,
             memory_bytes: 0,
         };
-        let payload = encode_epoch_payload(&report, &self.nodes[i].sketch.snapshot());
+        let mut payload = encode_epoch_payload(&report, &self.nodes[i].sketch.snapshot());
         let now = self.clock.now_ns();
         let store = self.nodes[i].store.as_ref().expect("up node has store");
         if let Err(e) = store.writer(0).persist(epoch, now, &payload) {
@@ -1083,7 +1096,7 @@ impl Sim<'_> {
         self.log(format!("n{id} sealed e{epoch} packets={packets}"));
 
         let session = self.nodes[i].session.as_mut().expect("session");
-        if session.finish_seal(epoch, packets, &payload) {
+        if session.finish_seal(epoch, packets, &mut payload) {
             session.note_sent(epoch);
         }
         self.nodes[i].epoch = epoch + 1;
@@ -1482,6 +1495,7 @@ fn msg_name(m: &Message) -> &'static str {
         Message::Hello { .. } => "Hello",
         Message::HelloAck { .. } => "HelloAck",
         Message::SealEpoch { .. } => "SealEpoch",
+        Message::SealDelta { .. } => "SealDelta",
         Message::Heartbeat { .. } => "Heartbeat",
         Message::Goodbye { .. } => "Goodbye",
     }

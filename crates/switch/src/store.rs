@@ -912,8 +912,9 @@ fn decode_addressed<H: Header>(
 /// after it. A line of `image` with no counterpart in `base` differs.
 /// Adjacent differing lines make one run. The size decides alone: a delta
 /// smaller than the image appends and replays faster at any density
-/// (DESIGN.md, "Delta frames", has the measurement).
-fn diff_lines(base: &[u8], image: &[u8], runs: &mut Vec<Range<usize>>) -> bool {
+/// (DESIGN.md, "Delta frames", has the measurement). The cluster wire cuts
+/// its delta seals with it too.
+pub(crate) fn diff_lines(base: &[u8], image: &[u8], runs: &mut Vec<Range<usize>>) -> bool {
     runs.clear();
     let n = image.len();
     // Image byte i lines up with base byte i + base.len() - n.
@@ -951,7 +952,12 @@ fn diff_lines(base: &[u8], image: &[u8], runs: &mut Vec<Range<usize>>) -> bool {
 /// Append the payload of a delta frame: the image's length, its base's
 /// length, then each run of `image` as `at u32 · len u32 · bytes`. Bytes
 /// outside every run are the base's, aligned at the end.
-fn encode_delta(out: &mut Vec<u8>, base_len: usize, image: &[u8], runs: &[Range<usize>]) {
+pub(crate) fn encode_delta(
+    out: &mut Vec<u8>,
+    base_len: usize,
+    image: &[u8],
+    runs: &[Range<usize>],
+) {
     out.extend_from_slice(&(image.len() as u32).to_le_bytes());
     out.extend_from_slice(&(base_len as u32).to_le_bytes());
     for r in runs {
@@ -964,8 +970,8 @@ fn encode_delta(out: &mut Vec<u8>, base_len: usize, image: &[u8], runs: &[Range<
 /// Turn `image`, the previous frame's payload, into the payload the delta
 /// `delta` encodes. A delta cut against another base, with runs out of
 /// order or out of bounds, or leaving bytes its base never had, is
-/// malformed.
-fn apply_delta(image: &mut Vec<u8>, delta: &[u8]) -> Result<(), FrameError> {
+/// malformed. On an error `image` may be left half rewritten.
+pub(crate) fn apply_delta(image: &mut Vec<u8>, delta: &[u8]) -> Result<(), FrameError> {
     let mut r = Reader::new(delta);
     let len = r.u32()? as usize;
     let base_len = r.u32()? as usize;

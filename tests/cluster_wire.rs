@@ -16,14 +16,15 @@ use nitrosketch::switch::cluster::proto::{encode_seal_frame, AggregatorSession};
 use nitrosketch::switch::cluster::wire::{
     decode_epoch_payload, encode_epoch_payload, Message, WIRE_VERSION,
 };
+use nitrosketch::switch::cluster::{AgentOutput, AgentSession, AggEvent, ReconnectPolicy};
 use nitrosketch::switch::cluster::{AggOutput, ConnId};
-use nitrosketch::switch::{EpochReport, FrameError};
+use nitrosketch::switch::{EpochReport, FrameError, RecoveredFrame};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::time::Duration;
 
 /// Deterministically expand a handful of drawn scalars into one of the
-/// five message variants. (The offline proptest stand-in has no
+/// six message variants. (The offline proptest stand-in has no
 /// `prop_oneof`/`prop_map`; selecting the variant from a drawn index
 /// keeps the coverage while staying inside its strategy vocabulary.)
 fn build_message(variant: usize, a: u64, b: u64, c: u64, flag: bool, frame: Vec<u8>) -> Message {
@@ -50,9 +51,18 @@ fn build_message(variant: usize, a: u64, b: u64, c: u64, flag: bool, frame: Vec<
             epoch: b,
             processed: c,
         },
-        _ => Message::Goodbye { node_id: a as u32 },
+        4 => Message::Goodbye { node_id: a as u32 },
+        _ => Message::SealDelta {
+            node_id: a as u32,
+            epoch: b,
+            base_epoch: c,
+            delta: frame,
+        },
     }
 }
+
+/// Variants [`build_message`] draws from.
+const VARIANTS: usize = 6;
 
 /// Build a report from drawn scalars; estimates stay finite (NaN breaks
 /// `==` comparison, and the control plane encodes "missing" scalars as
@@ -81,7 +91,7 @@ proptest! {
     /// reports exactly the bytes it consumed.
     #[test]
     fn message_roundtrips(
-        variant in 0usize..5,
+        variant in 0usize..VARIANTS,
         (a, b, c) in (prop::num::u64::ANY, prop::num::u64::ANY, prop::num::u64::ANY),
         flag in prop::bool::ANY,
         frame in prop::collection::vec(prop::num::u8::ANY, 0..256),
@@ -96,7 +106,7 @@ proptest! {
     /// Two concatenated messages peel off one at a time, in order.
     #[test]
     fn concatenated_messages_peel_in_order(
-        (va, vb) in (0usize..5, 0usize..5),
+        (va, vb) in (0usize..VARIANTS, 0usize..VARIANTS),
         (a, b, c) in (prop::num::u64::ANY, prop::num::u64::ANY, prop::num::u64::ANY),
         flag in prop::bool::ANY,
         frame in prop::collection::vec(prop::num::u8::ANY, 0..64),
@@ -119,7 +129,7 @@ proptest! {
     /// never a bogus success.
     #[test]
     fn every_truncation_is_retryable(
-        variant in 0usize..5,
+        variant in 0usize..VARIANTS,
         (a, b, c) in (prop::num::u64::ANY, prop::num::u64::ANY, prop::num::u64::ANY),
         flag in prop::bool::ANY,
         frame in prop::collection::vec(prop::num::u8::ANY, 0..128),
@@ -142,7 +152,7 @@ proptest! {
     /// panic, and never a silently wrong message.
     #[test]
     fn single_bit_flips_are_rejected(
-        variant in 0usize..5,
+        variant in 0usize..VARIANTS,
         (a, b, c) in (prop::num::u64::ANY, prop::num::u64::ANY, prop::num::u64::ANY),
         flag in prop::bool::ANY,
         frame in prop::collection::vec(prop::num::u8::ANY, 0..64),
@@ -160,7 +170,7 @@ proptest! {
     /// front, not misparsed under today's layout.
     #[test]
     fn future_versions_are_refused(
-        variant in 0usize..5,
+        variant in 0usize..VARIANTS,
         (a, b, c) in (prop::num::u64::ANY, prop::num::u64::ANY, prop::num::u64::ANY),
         flag in prop::bool::ANY,
         bump in 1u8..255,
@@ -316,11 +326,13 @@ fn join(session: &mut AggregatorSession<CountMin>, node: u32, fingerprint: u64) 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The same seal frame delivered several times — fresh or flagged as
-    /// backfill, the redelivery traffic a reconnect storm produces —
-    /// merges exactly once: per-epoch packets equal the sum of each
-    /// node's single seal, every epoch completes, and every node reports
-    /// exactly once.
+    /// The same seal delivered several times — a fresh keyframe, a delta
+    /// or a backfill, the redelivery traffic a reconnect storm produces —
+    /// merges exactly once: per-epoch packets equal the sum of each node's
+    /// single seal, every epoch completes, and every node reports exactly
+    /// once. A set bit seals that epoch while the node is cut off, so it
+    /// arrives as backfill on the redial and the redial's next seal is a
+    /// keyframe again.
     #[test]
     fn duplicated_seal_frames_merge_exactly_once(
         dup in 1usize..4,
@@ -328,27 +340,27 @@ proptest! {
         epochs in 1usize..5,
         backfill_bits in prop::num::u64::ANY,
     ) {
-        let template = agg_template();
-        let fp = template.inner().fingerprint();
-        let mut session = AggregatorSession::new(template, 0, Duration::from_secs(3600));
-        let conns: Vec<ConnId> = (0..nodes)
-            .map(|n| join(&mut session, n as u32, fp).0)
-            .collect();
-        let mut want: BTreeMap<u64, u64> = BTreeMap::new();
-        for (n, &conn) in conns.iter().enumerate() {
+        let mut wire = Wire::new(nodes, false, backfill_bits);
+        wire.copies = dup;
+        for n in 0..nodes {
+            wire.dial(n);
+        }
+        for n in 0..nodes {
             for e in 1..=epochs as u64 {
                 let bit = (n as u64).wrapping_mul(epochs as u64).wrapping_add(e) % 64;
-                let backfill = (backfill_bits >> bit) & 1 == 1;
-                let (msg, packets) = seal_message(n as u32, e, backfill);
-                *want.entry(e).or_insert(0) += packets;
-                for _ in 0..dup {
-                    session.on_message(conn, msg.clone(), e);
-                    let _ = session.drain();
+                if (backfill_bits >> bit) & 1 == 1 {
+                    wire.sever(n);
+                    wire.seal(n, false);
+                    wire.dial(n);
+                } else {
+                    wire.seal(n, false);
                 }
             }
         }
+        prop_assert_eq!(wire.rejected, 0);
+        let session = &wire.aggs[0];
         for e in 1..=epochs as u64 {
-            prop_assert_eq!(session.packets_of(e), Some(want[&e]), "epoch {}", e);
+            prop_assert_eq!(session.packets_of(e), Some(wire.sealed_packets(e)), "epoch {}", e);
             prop_assert!(
                 session.status_of(e).is_complete(),
                 "epoch {} not complete: {:?}", e, session.status_of(e)
@@ -358,6 +370,64 @@ proptest! {
                 reporting.len(), nodes,
                 "epoch {}: duplicate deliveries changed the reporting set", e
             );
+        }
+    }
+
+    /// Delta seals are a transport detail: over random seal sequences on
+    /// 1–3 nodes with duplicated deliveries, lost seals, severs and
+    /// redials, an aggregator fed what the agents send serves, epoch for
+    /// epoch, the same views (byte-identical snapshots), statuses, packet
+    /// counts and reporting sets as one fed every delta as the keyframe of
+    /// the payload it encodes.
+    #[test]
+    fn delta_seals_serve_what_keyframes_serve(
+        seed in prop::num::u64::ANY,
+        nodes in 1usize..4,
+        steps in 16usize..48,
+    ) {
+        let mut wire = Wire::new(nodes, true, seed);
+        let mut net = SplitMix64::new(seed ^ 0x5eed);
+        for n in 0..nodes {
+            wire.dial(n);
+        }
+        for _ in 0..steps {
+            let n = (net.next_u64() % nodes as u64) as usize;
+            wire.copies = 1 + usize::from(net.next_u64().is_multiple_of(3));
+            match net.next_u64() % 10 {
+                0 => wire.sever(n),
+                1 => {
+                    wire.seal(n, true);
+                }
+                2 | 3 if wire.nodes[n].conn.is_none() => wire.dial(n),
+                _ => {
+                    wire.seal(n, false);
+                }
+            }
+        }
+        // Heal, and bring every node to the same last epoch: a cluster
+        // seals common windows, and an epoch completes once every member
+        // sealed it. Two epochs past the newest, every node ships a
+        // keyframe and then a delta on its last connection.
+        let last = 2 + wire.nodes.iter().map(|n| n.agent.next_epoch() - 1).max().unwrap_or(0);
+        for n in 0..nodes {
+            if wire.nodes[n].conn.is_none() {
+                wire.dial(n);
+            }
+            while wire.nodes[n].agent.next_epoch() <= last {
+                wire.seal(n, false);
+            }
+        }
+        prop_assert_eq!(wire.rejected, 0);
+        prop_assert!(wire.deltas >= nodes as u64, "{:?}", wire.sent);
+        let (deltas, keyframes) = (&wire.aggs[0], &wire.aggs[1]);
+        for e in 1..=last {
+            prop_assert_eq!(deltas.status_of(e), keyframes.status_of(e), "epoch {}", e);
+            prop_assert!(deltas.status_of(e).is_complete(), "epoch {}", e);
+            prop_assert_eq!(deltas.packets_of(e), keyframes.packets_of(e), "epoch {}", e);
+            prop_assert_eq!(deltas.packets_of(e), Some(wire.sealed_packets(e)), "epoch {}", e);
+            prop_assert_eq!(deltas.reporting_of(e), keyframes.reporting_of(e), "epoch {}", e);
+            let (a, b) = (deltas.view(e).expect("view"), keyframes.view(e).expect("view"));
+            prop_assert!(a.sketch().snapshot() == b.sketch().snapshot(), "epoch {} view differs", e);
         }
     }
 
@@ -427,5 +497,323 @@ proptest! {
             let (_, last_epoch) = join(&mut session, n as u32, fp);
             prop_assert_eq!(last_epoch, epochs as u64, "n{} watermark", n);
         }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Agent sessions wired to aggregator sessions
+// ---------------------------------------------------------------------------
+
+/// The sketch of a wired cluster: wide enough that an epoch of a few
+/// packets rewrites a few of its lines, so most seals go out as deltas.
+fn wire_template() -> NitroSketch<CountMin> {
+    NitroSketch::new(CountMin::new(2, 1024, 9), Mode::Fixed { p: 1.0 }, 3).with_topk(16)
+}
+
+/// One node: its agent session, the cumulative sketch it seals and its
+/// durable epoch log.
+struct WiredNode {
+    agent: AgentSession,
+    sketch: NitroSketch<CountMin>,
+    log: Vec<RecoveredFrame>,
+    /// The live connection (the same id on every aggregator).
+    conn: Option<ConnId>,
+    rng: SplitMix64,
+}
+
+/// Agent sessions and aggregator sessions joined by an in-memory network
+/// that delivers every seal `copies` times. `aggs[0]` gets what the
+/// agents send; a twin, when asked for, gets every delta seal as the
+/// keyframe of the payload it encodes and is otherwise fed alike.
+struct Wire {
+    aggs: Vec<AggregatorSession<CountMin>>,
+    nodes: Vec<WiredNode>,
+    copies: usize,
+    /// Every message delivered, by node, in order.
+    sent: Vec<(usize, Message)>,
+    deltas: u64,
+    /// Seals `aggs[0]` rejected.
+    rejected: u64,
+    now: u64,
+}
+
+impl Wire {
+    fn new(nodes: usize, keyframe_twin: bool, seed: u64) -> Self {
+        let aggs = (0..1 + usize::from(keyframe_twin))
+            .map(|_| AggregatorSession::new(wire_template(), 0, Duration::from_secs(3600)))
+            .collect();
+        let fingerprint = wire_template().inner().fingerprint();
+        let nodes = (0..nodes as u32)
+            .map(|id| WiredNode {
+                agent: AgentSession::new(id, fingerprint, 1, 1, ReconnectPolicy::default()),
+                sketch: wire_template(),
+                log: Vec::new(),
+                conn: None,
+                rng: SplitMix64::new(seed ^ u64::from(id) << 40),
+            })
+            .collect();
+        Self {
+            aggs,
+            nodes,
+            copies: 1,
+            sent: Vec::new(),
+            deltas: 0,
+            rejected: 0,
+            now: 0,
+        }
+    }
+
+    /// Open a connection for node `n`, handshake, and backfill.
+    fn dial(&mut self, n: usize) {
+        let conns: Vec<ConnId> = self.aggs.iter_mut().map(|a| a.conn_open()).collect();
+        assert!(conns.windows(2).all(|c| c[0] == c[1]), "twins allot alike");
+        self.nodes[n].conn = Some(conns[0]);
+        self.nodes[n].agent.transport_connected();
+        self.pump(n);
+    }
+
+    /// Drop node `n`'s connection at both ends.
+    fn sever(&mut self, n: usize) {
+        let Some(conn) = self.nodes[n].conn.take() else {
+            return;
+        };
+        self.nodes[n].agent.connection_lost(self.now);
+        for agg in &mut self.aggs {
+            agg.conn_closed(conn, true);
+            agg.drain();
+        }
+    }
+
+    /// Seal node `n`'s next epoch after a few more packets. A `lost` seal
+    /// dies in flight and its connection with it.
+    fn seal(&mut self, n: usize, lost: bool) -> u64 {
+        let node = &mut self.nodes[n];
+        let epoch = node.agent.next_epoch();
+        let packets = 1 + node.rng.next_u64() % 8;
+        for _ in 0..packets {
+            node.sketch.process(node.rng.next_u64() % 64, 1.0);
+        }
+        let report = EpochReport {
+            switch_id: n as u32,
+            epoch,
+            packets,
+            heavy_hitters: node.sketch.heavy_hitters(0.0),
+            entropy_bits: f64::NAN,
+            distinct: f64::NAN,
+            l2: 0.0,
+            memory_bytes: 0,
+        };
+        let mut payload = encode_epoch_payload(&report, &node.sketch.snapshot());
+        node.log.push(RecoveredFrame {
+            generation: 1,
+            seq: epoch,
+            processed_at: packets,
+            bytes: payload.clone(),
+        });
+        node.agent.begin_seal(epoch).expect("epochs advance");
+        node.agent.finish_seal(epoch, packets, &mut payload);
+        if lost {
+            node.agent.drain();
+            self.sever(n);
+        } else {
+            self.pump(n);
+        }
+        epoch
+    }
+
+    /// Carry out node `n`'s queued agent outputs.
+    fn pump(&mut self, n: usize) {
+        loop {
+            let outs = self.nodes[n].agent.drain();
+            if outs.is_empty() {
+                return;
+            }
+            for out in outs {
+                match out {
+                    AgentOutput::Send(msg) => self.deliver(n, msg),
+                    AgentOutput::Backfill { .. } => {
+                        let node = &mut self.nodes[n];
+                        for f in &node.log {
+                            node.agent.offer_backfill(f);
+                        }
+                    }
+                    AgentOutput::Dial | AgentOutput::Backoff { .. } | AgentOutput::GaveUp => {}
+                }
+            }
+        }
+    }
+
+    /// Deliver one message from node `n` to every aggregator (a seal
+    /// `copies` times), and the first aggregator's replies back.
+    fn deliver(&mut self, n: usize, msg: Message) {
+        let Some(conn) = self.nodes[n].conn else {
+            return;
+        };
+        self.now += 1;
+        let copies = match msg {
+            Message::SealEpoch { .. } => self.copies,
+            Message::SealDelta { .. } => {
+                self.deltas += 1;
+                self.copies
+            }
+            _ => 1,
+        };
+        let mut replies: Vec<Vec<Message>> = Vec::new();
+        let mut closed = false;
+        for (i, agg) in self.aggs.iter_mut().enumerate() {
+            let msg = if i == 0 {
+                msg.clone()
+            } else {
+                as_keyframe(&self.nodes[n].log, &msg)
+            };
+            for _ in 0..copies {
+                agg.on_message(conn, msg.clone(), self.now);
+            }
+            let mut sends = Vec::new();
+            for out in agg.drain() {
+                match out {
+                    AggOutput::Send { msg, .. } => sends.push(msg),
+                    AggOutput::Close { .. } => closed = true,
+                    AggOutput::Event(AggEvent::FrameRejected { .. }) if i == 0 => {
+                        self.rejected += 1
+                    }
+                    AggOutput::Event(_) | AggOutput::Append(_) => {}
+                }
+            }
+            replies.push(sends);
+        }
+        self.sent.push((n, msg));
+        assert!(
+            replies.windows(2).all(|r| r[0] == r[1]),
+            "the twins answer alike"
+        );
+        if closed {
+            self.sever(n);
+            return;
+        }
+        for reply in replies.swap_remove(0) {
+            self.nodes[n]
+                .agent
+                .on_message(reply, self.now)
+                .expect("handshake accepted");
+        }
+    }
+
+    /// Packets every node sealed for `epoch`.
+    fn sealed_packets(&self, epoch: u64) -> u64 {
+        let logs = self.nodes.iter().flat_map(|n| &n.log);
+        logs.filter(|f| f.seq == epoch)
+            .map(|f| f.processed_at)
+            .sum()
+    }
+
+    /// Node `n`'s delivered messages, in order, as short labels.
+    fn transcript(&self, n: usize) -> Vec<String> {
+        let mine = self.sent.iter().filter(|(m, _)| *m == n);
+        mine.map(|(_, msg)| match msg {
+            Message::Hello { .. } => "hello".to_string(),
+            Message::SealEpoch {
+                epoch,
+                backfill: true,
+                ..
+            } => format!("backfill {epoch}"),
+            Message::SealEpoch { epoch, .. } => format!("keyframe {epoch}"),
+            Message::SealDelta {
+                epoch, base_epoch, ..
+            } => format!("delta {epoch}/{base_epoch}"),
+            other => format!("{other:?}"),
+        })
+        .collect()
+    }
+}
+
+/// `msg` with a delta seal replaced by the keyframe of the payload it
+/// encodes, from the node's log.
+fn as_keyframe(log: &[RecoveredFrame], msg: &Message) -> Message {
+    let Message::SealDelta { node_id, epoch, .. } = *msg else {
+        return msg.clone();
+    };
+    let f = log.iter().find(|f| f.seq == epoch).expect("sealed payload");
+    Message::SealEpoch {
+        node_id,
+        epoch,
+        backfill: false,
+        frame: encode_seal_frame(node_id, f.generation, epoch, f.processed_at, &f.bytes),
+    }
+}
+
+/// A delta cut against anything but the connection's base is refused and
+/// closes the connection; the redial backfills what it dropped and
+/// opens with a keyframe. A redelivered delta is ignored.
+#[test]
+fn a_delta_against_a_stale_or_foreign_base_is_refused_and_repaired() {
+    let mut wire = Wire::new(1, false, 7);
+    // Every key seen up front fills the heavy-key tracker, so every
+    // payload has one length: only the named base tells a stale delta
+    // from a fresh one.
+    for key in 0..64 {
+        wire.nodes[0].sketch.process(key, 1.0);
+    }
+    let last_sent = |wire: &Wire| wire.sent.last().expect("a message").1.clone();
+    wire.dial(0);
+    wire.seal(0, false);
+    wire.seal(0, false);
+    let second = last_sent(&wire);
+    // A redelivery of the delta that built the base changes nothing.
+    wire.deliver(0, second.clone());
+    assert_eq!(wire.rejected, 0);
+    wire.seal(0, false);
+    // Stale: cut against epoch 1 while the connection's base is epoch 3.
+    wire.deliver(0, second);
+    assert_eq!(wire.rejected, 1);
+    assert!(
+        wire.nodes[0].conn.is_none(),
+        "a refusal closes the connection"
+    );
+    wire.seal(0, false); // epoch 4, sealed while cut off
+    wire.dial(0);
+    wire.seal(0, false);
+    wire.seal(0, false);
+    let sixth = last_sent(&wire);
+    // Foreign: cut on the previous connection, delivered on a new one.
+    wire.sever(0);
+    wire.dial(0);
+    wire.deliver(0, sixth);
+    assert_eq!(wire.rejected, 2);
+    assert!(
+        wire.nodes[0].conn.is_none(),
+        "a refusal closes the connection"
+    );
+    wire.dial(0);
+    wire.seal(0, false);
+    assert_eq!(
+        wire.transcript(0),
+        [
+            "hello",
+            "keyframe 1",
+            "delta 2/1",
+            "delta 2/1",
+            "delta 3/2",
+            "delta 2/1",
+            "hello",
+            "backfill 4",
+            "keyframe 5",
+            "delta 6/5",
+            "hello",
+            "delta 6/5",
+            "hello",
+            "keyframe 7",
+        ]
+    );
+    let lengths: Vec<usize> = wire.nodes[0].log.iter().map(|f| f.bytes.len()).collect();
+    assert!(lengths.windows(2).all(|l| l[0] == l[1]), "{lengths:?}");
+    let session = &wire.aggs[0];
+    for e in 1..=7 {
+        assert!(session.status_of(e).is_complete(), "epoch {e}");
+        assert_eq!(
+            session.packets_of(e),
+            Some(wire.sealed_packets(e)),
+            "epoch {e}"
+        );
     }
 }

@@ -11,6 +11,7 @@
 use nitrosketch::hash::xxhash::xxh64;
 use nitrosketch::switch::cluster::proto::encode_seal_frame;
 use nitrosketch::switch::cluster::wire::{encode_epoch_payload, Message, WireHeader};
+use nitrosketch::switch::cluster::{AgentOutput, AgentSession, ReconnectPolicy};
 use nitrosketch::switch::frame::{self, FrameError, Header};
 use nitrosketch::switch::store::{ManifestHeader, StoreHeader};
 use nitrosketch::switch::{CheckpointSink, CheckpointStore, EpochReport, StoreConfig};
@@ -36,6 +37,34 @@ fn report() -> EpochReport {
 
 fn epoch_payload() -> Vec<u8> {
     encode_epoch_payload(&report(), b"sketch snapshot")
+}
+
+/// The delta seal an agent cuts for epoch 6 against its seal of epoch 5,
+/// whose payloads differ in their report's epoch and one snapshot byte.
+fn delta_seal() -> Message {
+    let snapshot = |last: u8| {
+        let mut s: Vec<u8> = (0..200).map(|i| i as u8).collect();
+        s[199] = last;
+        s
+    };
+    let mut agent = AgentSession::new(3, 0, 2, 5, ReconnectPolicy::default());
+    agent.transport_connected();
+    let ack = Message::HelloAck {
+        accepted: true,
+        last_epoch: 4,
+        cluster_epoch: 4,
+    };
+    agent.on_message(ack, 0).unwrap();
+    agent.finish_seal(5, 1_000, &mut encode_epoch_payload(&report(), &snapshot(0)));
+    let sixth = EpochReport {
+        epoch: 6,
+        ..report()
+    };
+    agent.finish_seal(6, 1_100, &mut encode_epoch_payload(&sixth, &snapshot(1)));
+    match agent.drain().pop() {
+        Some(AgentOutput::Send(msg @ Message::SealDelta { .. })) => msg,
+        other => panic!("expected a delta seal, got {other:?}"),
+    }
 }
 
 fn messages() -> Vec<(&'static str, Message)> {
@@ -66,6 +95,7 @@ fn messages() -> Vec<(&'static str, Message)> {
                 frame: encode_seal_frame(3, 2, 5, 1_000, &epoch_payload()),
             },
         ),
+        ("seal_delta", delta_seal()),
         (
             "heartbeat",
             Message::Heartbeat {
@@ -107,7 +137,8 @@ fn framings() -> Vec<(&'static str, Vec<u8>)> {
 }
 
 /// Written by the three separate codecs (store frame + manifest, cluster
-/// wire, epoch report) before they were folded into one.
+/// wire, epoch report) before they were folded into one; `seal_delta`,
+/// the one message added since, as it was first written.
 const GOLDEN: &[(&str, &str)] = &[
     ("manifest", "4e414d4e010100000000000000020000007e457ab828e1e57a"),
     ("store_frame", "4d52464e0100010001000000000000000700000000000000bc0200000000000012000000636865636b706f696e74207061796c6f61646b48ab97baa94f21"),
@@ -116,6 +147,7 @@ const GOLDEN: &[(&str, &str)] = &[
     ("hello", "554c434e010100001c0000000300000002000000000000000500000000000000efcdab8967452301445b1407aeb124d3"),
     ("hello_ack", "554c434e010200001100000001040000000000000006000000000000006ac598ab06403b1a"),
     ("seal_epoch", "554c434e01030000b0000000030000000500000000000000019f0000004d52464e0100030002000000000000000500000000000000e803000000000000730000005c0000005254494e030000000500000000000000e8030000000000000000000000001d400000000000c05e400000000000887c40001000000000000002000000efbe0000000000000000000000007940feca0000000000000000000000506f400f000000736b6574636820736e617073686f7444395cefa4ee06233098242b6346324c"),
+    ("seal_delta", "554c434e010600009c0000000300000006000000000000000500000000000000840000002c0100002c010000000000002c0000005c0000005254494e030000000600000000000000e8030000000000000000000000001d400000000000c05e40ec0000004000000088898a8b8c8d8e8f909192939495969798999a9b9c9d9e9fa0a1a2a3a4a5a6a7a8a9aaabacadaeafb0b1b2b3b4b5b6b7b8b9babbbcbdbebfc0c1c2c3c4c5c601ea59fab0bd7a02df"),
     ("heartbeat", "554c434e01040000140000000300000005000000000000000903000000000000934ce14a01ceddb1"),
     ("goodbye", "554c434e0105000004000000030000008bcfbb92848cefb5"),
 ];

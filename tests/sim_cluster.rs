@@ -9,6 +9,7 @@
 //! (default 200).
 
 use nitro_switch::sim::{explore, run, shrink, Oracle, Schedule, SimConfig};
+use std::collections::{BTreeMap, BTreeSet};
 
 fn seed_count() -> u64 {
     std::env::var("NITRO_SIM_SEEDS")
@@ -129,4 +130,41 @@ fn broken_dedup_is_caught_shrunk_and_replayable() {
     let honest = SimConfig::default();
     let rep = run(&honest, seed, &replayed);
     assert!(rep.violation.is_none(), "{:?}", rep.violation);
+}
+
+/// The router's fates reach delta seals: across a sweep, deltas are
+/// duplicated (the aggregator ignores the copy), corrupted (it refuses
+/// and closes) and lost with their connection, every run stays green,
+/// and every connection's first fresh seal is a keyframe.
+#[test]
+fn network_fates_hit_delta_seals() {
+    let cfg = SimConfig::default();
+    let mut fates = BTreeSet::new();
+    let mut deltas = 0;
+    for seed in 0..40 {
+        let rep = run(&cfg, seed, &Schedule::generate(&cfg, seed));
+        assert!(rep.violation.is_none(), "seed {seed}: {:?}", rep.violation);
+        // Per node: whether its current connection shipped a fresh seal.
+        let mut shipped: BTreeMap<&str, bool> = BTreeMap::new();
+        for line in &rep.journal {
+            let words: Vec<&str> = line.split_whitespace().skip(1).collect();
+            match words[..] {
+                [node, "dialed", _] | ["convergence", "dial", node, _] => {
+                    shipped.insert(node, false);
+                }
+                [node, "ships", epoch, "as", kind] => {
+                    if !shipped.insert(node, true).unwrap_or(true) {
+                        assert_eq!(kind, "SealEpoch", "seed {seed}: {node} {epoch}");
+                    }
+                    deltas += usize::from(kind == "SealDelta");
+                }
+                ["net", fate, _, "SealDelta"] | ["net", fate, _, "(dropped", "SealDelta)"] => {
+                    fates.insert(fate.to_string());
+                }
+                _ => {}
+            }
+        }
+    }
+    assert!(deltas > 0);
+    assert_eq!(Vec::from_iter(fates), ["break", "corrupt", "dup"]);
 }

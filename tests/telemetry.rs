@@ -105,6 +105,8 @@ fn distinct_registry() -> TelemetryRegistry {
         &c.recovered_epochs,
         &c.recovered_records,
         &c.reconnect_backoffs,
+        &c.delta_seals,
+        &c.seal_bytes,
     ];
     for (i, cell) in cells.into_iter().enumerate() {
         cell.set(501 + i as u64);
