@@ -9,7 +9,7 @@
 //! aggregator restart, process kill between persist and send) degrades to
 //! "the aggregator is missing an epoch I still hold", which the next
 //! successful handshake repairs via backfill. Nothing ever needs to be
-//! recomputed: backfill re-sends disk bytes.
+//! recomputed: backfill re-sends the epoch payloads the log replays.
 //!
 //! All protocol decisions live in the sans-io
 //! [`AgentSession`](super::proto::AgentSession); this type is the TCP
@@ -36,10 +36,7 @@ use std::time::Duration;
 /// Configuration of one node's agent.
 #[derive(Clone, Debug)]
 pub struct NodeAgentConfig {
-    /// Operator-assigned node id. Must fit in `u16`: it doubles as the
-    /// shard field of the node's durable frames, which the aggregator
-    /// re-validates on receipt. Checked once, fallibly, by
-    /// [`NodeAgentConfig::validate`] when the agent opens.
+    /// Operator-assigned node id.
     pub node_id: u32,
     /// Blank-template configuration fingerprint
     /// (`Checkpoint::fingerprint` on the *inner* sketch of an unused
@@ -92,15 +89,6 @@ impl NodeAgentConfig {
             clock: Arc::new(SystemClock),
         }
     }
-
-    /// The one place operator input is checked: the node id must fit the
-    /// wire protocol's 16-bit node field.
-    pub fn validate(&self) -> Result<(), ClusterError> {
-        if self.node_id > u16::MAX as u32 {
-            return Err(ClusterError::InvalidNodeId(self.node_id));
-        }
-        Ok(())
-    }
 }
 
 /// What [`NodeAgent::seal_epoch`] did.
@@ -144,7 +132,6 @@ impl NodeAgent {
     /// a node can seal epochs durably before — or without ever — reaching
     /// an aggregator.
     pub fn open(dir: impl AsRef<Path>, cfg: NodeAgentConfig) -> Result<Self, ClusterError> {
-        cfg.validate()?;
         let store = match CheckpointStore::create(&dir, 1, cfg.store.clone()) {
             Ok(s) => s,
             Err(StoreError::AlreadyExists) => CheckpointStore::recover(&dir, cfg.store.clone())?.0,
@@ -250,9 +237,8 @@ impl NodeAgent {
         let ack = Message::read_from(&mut stream)?;
         self.session.on_message(ack, self.clock.now_ns())?;
         // Backfill: replay durable frames the aggregator never saw, in
-        // epoch order. Frames are re-wrapped verbatim — same payload, same
-        // CRC discipline — so the aggregator validates them exactly like
-        // fresh seals.
+        // epoch order. Each ships its payload as a keyframe, which the
+        // aggregator checks exactly like a fresh seal's.
         let mut replayed = 0u64;
         let backfilling = self
             .session
@@ -261,7 +247,7 @@ impl NodeAgent {
             .any(|o| matches!(o, AgentOutput::Backfill { .. }));
         if backfilling {
             for f in self.store.frames(0) {
-                if self.session.offer_backfill(&f) {
+                if self.session.offer_backfill(f) {
                     for out in self.session.drain() {
                         if let AgentOutput::Send(msg) = out {
                             msg.write_to(&mut stream)?;
@@ -377,13 +363,10 @@ impl NodeAgent {
             memory_bytes: sketch.memory_bytes() as u64,
         };
         encode_epoch_payload_into(&mut self.payload, &report, |out| sketch.snapshot_into(out));
-        let processed = report.packets;
         self.store
             .writer(0)
-            .persist(epoch, processed, &self.payload)?;
-        let emitted = self
-            .session
-            .finish_seal(epoch, processed, &mut self.payload);
+            .persist(epoch, report.packets, &self.payload)?;
+        let emitted = self.session.finish_seal(epoch, &mut self.payload);
         let delivered = emitted && self.flush_sends();
         if delivered {
             self.session.note_sent(epoch);
@@ -505,20 +488,6 @@ mod tests {
         let agent = NodeAgent::open(&dir, cfg).unwrap();
         assert_eq!(agent.next_epoch(), 3);
         assert!(!agent.is_connected());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn over_wide_node_id_is_a_typed_error_not_a_panic() {
-        let dir = tmp_dir("wide-id");
-        let cfg = NodeAgentConfig::new(u16::MAX as u32 + 1, fingerprint());
-        assert!(matches!(
-            NodeAgent::open(&dir, cfg),
-            Err(ClusterError::InvalidNodeId(id)) if id == u16::MAX as u32 + 1
-        ));
-        // The boundary value itself is fine.
-        let agent = NodeAgent::open(&dir, NodeAgentConfig::new(u16::MAX as u32, fingerprint()));
-        assert!(agent.is_ok());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

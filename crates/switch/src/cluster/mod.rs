@@ -86,9 +86,6 @@ pub enum ClusterError {
         /// The next epoch the agent will accept.
         next: u64,
     },
-    /// The operator-assigned node id does not fit the wire protocol's
-    /// 16-bit node field.
-    InvalidNodeId(u32),
 }
 
 impl fmt::Display for ClusterError {
@@ -102,11 +99,6 @@ impl fmt::Display for ClusterError {
             ClusterError::EpochNotMonotonic { requested, next } => write!(
                 f,
                 "epoch {requested} already sealed (next acceptable epoch is {next})"
-            ),
-            ClusterError::InvalidNodeId(id) => write!(
-                f,
-                "node id {id} exceeds the wire protocol's 16-bit node field (max {})",
-                u16::MAX
             ),
         }
     }

@@ -21,7 +21,7 @@ use super::wire::{decode_epoch_payload, Message};
 use super::ClusterError;
 use crate::clock::Nanos;
 use crate::frame::{FrameError, Reader};
-use crate::store::{apply_delta, decode_frame, diff_lines, encode_delta, RecoveredFrame};
+use crate::store::{apply_delta, diff_lines, encode_delta, RecoveredFrame};
 use nitro_core::NitroSketch;
 use nitro_metrics::NodeWatermark;
 use nitro_sketches::checkpoint::Checkpoint;
@@ -29,21 +29,6 @@ use nitro_sketches::{FlowKey, RowSketch};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::ops::Range;
 use std::time::Duration;
-
-/// Wrap one epoch payload in the store's CRC framing exactly the way a
-/// node agent does before shipping it in a [`Message::SealEpoch`]. The
-/// aggregator validates received frames with the same decoder the
-/// checkpoint store uses on disk, so tests and the simulator need this
-/// to synthesize wire-correct frames.
-pub fn encode_seal_frame(
-    node_id: u32,
-    generation: u64,
-    epoch: u64,
-    processed: u64,
-    payload: &[u8],
-) -> Vec<u8> {
-    crate::store::encode_frame(node_id as usize, generation, epoch, processed, payload)
-}
 
 // ---------------------------------------------------------------------------
 // Agent session
@@ -121,7 +106,7 @@ enum AgentPhase {
 pub struct AgentSession {
     node_id: u32,
     fingerprint: u64,
-    /// Store generation stamped into `Hello` and fresh seal frames.
+    /// Store generation stamped into `Hello`.
     generation: u64,
     next_epoch: u64,
     acked_epoch: u64,
@@ -334,23 +319,22 @@ impl AgentSession {
     /// Offer one durable frame for backfill. Frames the aggregator
     /// already holds (`seq <= after` from the handshake) or from the
     /// future (`seq >= next_epoch` — another incarnation's leftovers) are
-    /// skipped. An accepted frame is re-wrapped verbatim — same payload,
-    /// same CRC discipline — and emitted as a backfill `Send`, after
-    /// which the next fresh seal is a keyframe again (the aggregator drops
-    /// its base on a backfill); returns whether the frame was emitted.
-    pub fn offer_backfill(&mut self, f: &RecoveredFrame) -> bool {
+    /// skipped. An accepted frame's payload is emitted as it is, as a
+    /// backfill `Send`, after which the next fresh seal is a keyframe
+    /// again (the aggregator drops its base on a backfill); returns
+    /// whether the frame was emitted.
+    pub fn offer_backfill(&mut self, f: RecoveredFrame) -> bool {
         if self.phase != AgentPhase::Established
             || f.seq <= self.backfill_after
             || f.seq >= self.next_epoch
         {
             return false;
         }
-        let frame = encode_seal_frame(self.node_id, f.generation, f.seq, f.processed_at, &f.bytes);
         self.out.push(AgentOutput::Send(Message::SealEpoch {
             node_id: self.node_id,
             epoch: f.seq,
             backfill: true,
-            frame,
+            frame: f.bytes,
         }));
         self.base_epoch = None;
         self.acked_epoch = self.acked_epoch.max(f.seq);
@@ -377,12 +361,12 @@ impl AgentSession {
     ///
     /// The seal is a [`Message::SealDelta`] of the lines that differ from
     /// the previous fresh seal on this connection, or a
-    /// [`Message::SealEpoch`] keyframe when there is none or the delta
-    /// would be no smaller. Either way the session keeps `payload` as the
-    /// next seal's base by swapping buffers: on a `Send`, `payload` comes
-    /// back holding an older payload, for the driver to encode the next
-    /// seal over.
-    pub fn finish_seal(&mut self, epoch: u64, processed: u64, payload: &mut Vec<u8>) -> bool {
+    /// [`Message::SealEpoch`] keyframe of the payload when there is none
+    /// or the delta would be no smaller. Either way the session keeps
+    /// `payload` as the next seal's base by swapping buffers: on a `Send`,
+    /// `payload` comes back holding an older payload, for the driver to
+    /// encode the next seal over.
+    pub fn finish_seal(&mut self, epoch: u64, payload: &mut Vec<u8>) -> bool {
         self.next_epoch = epoch + 1;
         if self.phase != AgentPhase::Established {
             return false;
@@ -403,7 +387,7 @@ impl AgentSession {
                 node_id: self.node_id,
                 epoch,
                 backfill: false,
-                frame: encode_seal_frame(self.node_id, self.generation, epoch, processed, payload),
+                frame: payload.clone(),
             },
         };
         std::mem::swap(&mut self.base, payload);
@@ -843,8 +827,8 @@ struct Conn {
     node: Option<u32>,
     /// The epoch and payload of the newest fresh seal received on this
     /// connection: what the node's next [`Message::SealDelta`] is applied
-    /// to. A keyframe drops it and, if fresh and accepted, becomes it; a
-    /// delta rebuilds it in place.
+    /// to. Every seal takes it; an accepted fresh seal's payload, a
+    /// keyframe's moved in or a delta's rebuilt in place, becomes it.
     base: Option<(u64, Vec<u8>)>,
 }
 
@@ -1092,65 +1076,64 @@ impl<S: ClusterSketch> AggregatorSession<S> {
             // Handshake already done / agent-bound only: protocol
             // violations, close with a loss.
             Message::Hello { .. } | Message::HelloAck { .. } => self.close_loss(conn),
-            Message::SealEpoch {
-                node_id,
-                epoch,
-                backfill,
-                frame,
-            } => {
-                if node_id != node {
-                    self.refuse(conn, node);
-                    return;
-                }
-                // Any keyframe drops the connection's base; a fresh one
-                // the session accepts becomes the next.
-                self.set_base(conn, None);
-                match self.ingest_frame(node, conn, epoch, backfill, &frame, now) {
-                    Ok(payload) if !backfill => {
-                        self.set_base(conn, Some((epoch, payload.to_vec())));
-                    }
-                    Ok(_) => {}
-                    Err(_) => self
-                        .out
-                        .push(AggOutput::Event(AggEvent::FrameRejected { node })),
-                }
-            }
-            Message::SealDelta {
-                node_id,
-                epoch,
-                base_epoch,
-                delta,
-            } => {
+            // Either seal resolves to an epoch payload: a keyframe's is its
+            // own bytes, a delta's is rebuilt on the connection's base.
+            // Whatever cannot be resolved or ingested is refused and
+            // closes the connection; the redial's keyframe and backfill
+            // repair the node.
+            msg @ (Message::SealEpoch { .. } | Message::SealDelta { .. }) => {
+                // Any seal takes the base: a keyframe replaces it, a delta
+                // is applied to it.
                 let base = self.conns.get_mut(&conn).and_then(|c| c.base.take());
-                // A delta from another node, or cut against a payload this
-                // connection does not hold (stale, from another
-                // connection, or after a keyframe the session refused),
-                // cannot be rebuilt: the redial's keyframe and backfill
-                // repair the node.
-                let Some((based, mut payload)) =
-                    base.filter(|(b, _)| node_id == node && (*b == base_epoch || *b == epoch))
-                else {
-                    self.refuse(conn, node);
-                    return;
+                let (epoch, backfill, payload) = match msg {
+                    Message::SealEpoch {
+                        node_id,
+                        epoch,
+                        backfill,
+                        frame,
+                    } if node_id == node => (epoch, backfill, Some(frame)),
+                    Message::SealDelta {
+                        node_id,
+                        epoch,
+                        base_epoch,
+                        delta,
+                    } if node_id == node => {
+                        let payload = match base {
+                            Some((based, payload)) if based == epoch => {
+                                if !self.dedup_disabled {
+                                    // A redelivery of the delta that built
+                                    // the base: its payload is merged
+                                    // already.
+                                    self.set_base(conn, based, payload);
+                                    return;
+                                }
+                                Some(payload)
+                            }
+                            Some((based, mut payload)) if based == base_epoch => {
+                                apply_delta(&mut payload, &delta).ok().map(|()| payload)
+                            }
+                            // Cut against a payload this connection does
+                            // not hold: stale, from another connection, or
+                            // after a backfill dropped the base.
+                            _ => None,
+                        };
+                        (epoch, false, payload)
+                    }
+                    // A seal from another node.
+                    _ => return self.refuse(conn, node),
                 };
-                if based == epoch && !self.dedup_disabled {
-                    // A redelivery of the delta that built the base: its
-                    // payload is merged already.
-                    self.set_base(conn, Some((based, payload)));
-                    return;
-                }
-                if based != epoch && apply_delta(&mut payload, &delta).is_err() {
-                    self.refuse(conn, node);
-                    return;
-                }
+                let Some(payload) = payload else {
+                    return self.refuse(conn, node);
+                };
                 if self
-                    .ingest_payload(node, conn, epoch, false, &payload, now)
+                    .ingest_payload(node, conn, epoch, backfill, &payload, now)
                     .is_err()
                 {
-                    self.out
-                        .push(AggOutput::Event(AggEvent::FrameRejected { node }));
+                    return self.refuse(conn, node);
                 }
-                self.set_base(conn, Some((epoch, payload)));
+                if !backfill {
+                    self.set_base(conn, epoch, payload);
+                }
             }
             Message::Heartbeat {
                 node_id, processed, ..
@@ -1195,10 +1178,10 @@ impl<S: ClusterSketch> AggregatorSession<S> {
         }
     }
 
-    /// Replace `conn`'s delta base (`None`: drop it).
-    fn set_base(&mut self, conn: ConnId, base: Option<(u64, Vec<u8>)>) {
+    /// Keep `payload`, epoch `epoch`'s, as `conn`'s delta base.
+    fn set_base(&mut self, conn: ConnId, epoch: u64, payload: Vec<u8>) {
         if let Some(c) = self.conns.get_mut(&conn) {
-            c.base = base;
+            c.base = Some((epoch, payload));
         }
     }
 
@@ -1275,34 +1258,11 @@ impl<S: ClusterSketch> AggregatorSession<S> {
         }
     }
 
-    /// Merge one epoch keyframe from `node` on connection `conn` and
-    /// return its payload. Every validation failure is a typed rejection
-    /// (never a panic): store framing, sequence match, then everything
-    /// [`AggregatorSession::ingest_payload`] checks.
-    fn ingest_frame<'f>(
-        &mut self,
-        node: u32,
-        conn: ConnId,
-        epoch: u64,
-        backfill: bool,
-        frame: &'f [u8],
-        now: Nanos,
-    ) -> Result<&'f [u8], ClusterError> {
-        let f = decode_frame(frame, node as usize)?;
-        if f.len != frame.len() {
-            return Err(FrameError::Malformed("trailing bytes after epoch frame").into());
-        }
-        if f.header.seq != epoch {
-            return Err(FrameError::Malformed("frame sequence != announced epoch").into());
-        }
-        self.ingest_payload(node, conn, epoch, backfill, f.payload, now)?;
-        Ok(f.payload)
-    }
-
     /// Merge one epoch payload from `node` on connection `conn`, a
-    /// keyframe's or one rebuilt from a delta: payload structure, report
-    /// identity, checkpoint image and merge compatibility are checked
-    /// before anything is logged or merged.
+    /// keyframe's or one rebuilt from a delta: payload structure (no byte
+    /// past the snapshot), report identity (this node, this epoch),
+    /// checkpoint image and merge compatibility are checked before
+    /// anything is logged or merged.
     fn ingest_payload(
         &mut self,
         node: u32,

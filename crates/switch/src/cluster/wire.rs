@@ -18,14 +18,16 @@
 //! a read timeout mid-frame is "come back with more bytes"
 //! ([`FrameError::Truncated`]), never a desynchronized stream.
 //!
-//! An epoch's durable payload ([`encode_epoch_payload`]) bundles the
+//! An epoch's payload ([`encode_epoch_payload`]) bundles the
 //! [`EpochReport`] summary with the full merged-sketch checkpoint
-//! (`sketches::checkpoint` codec), so the frame a node persists locally is
-//! byte-identical to the frame it ships — backfill after a partition is a
-//! re-send of disk bytes, not a re-computation. A fresh seal after the
-//! first on a connection ships as a [`Message::SealDelta`]: only the
-//! 64-byte lines of that payload that changed since the node's previous
-//! seal on the connection, in the checkpoint store's delta encoding.
+//! (`sketches::checkpoint` codec). A node persists it in its epoch log and
+//! ships it as is: a [`Message::SealEpoch`] keyframe carries the payload
+//! itself, checked by the wire frame's checksum alone, and backfill after
+//! a partition re-sends the payloads the log replays, not a
+//! re-computation. A fresh seal after the first on a connection ships as
+//! a [`Message::SealDelta`]: only the 64-byte lines of that payload that
+//! changed since the node's previous seal on the connection, in the
+//! checkpoint store's delta encoding.
 
 use crate::frame::{self, FrameError, Header, Reader};
 use nitro_sketches::FlowKey;
@@ -33,8 +35,10 @@ use std::io::{Read, Write};
 
 /// Current cluster wire-format version; bump on any layout change. A
 /// peer speaking a newer version is rejected with [`FrameError::Version`]
-/// instead of being misparsed.
-pub const WIRE_VERSION: u8 = 1;
+/// instead of being misparsed. Version 2 ships a keyframe's epoch payload
+/// bare; version 1 wrapped it in a store frame, which a version-2
+/// aggregator refuses as a malformed payload.
+pub const WIRE_VERSION: u8 = 2;
 
 /// Header of a cluster wire message ("NCLU").
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -70,8 +74,7 @@ impl Header for WireHeader {
 pub enum Message {
     /// Agent → aggregator, first message on every connection.
     Hello {
-        /// Operator-assigned node id (must fit `u16`; it doubles as the
-        /// durable frame's shard field).
+        /// Operator-assigned node id.
         node_id: u32,
         /// The node's store generation (bumps on every local recovery).
         generation: u64,
@@ -92,17 +95,18 @@ pub enum Message {
         /// so a fresh node can see where the fleet is.
         cluster_epoch: u64,
     },
-    /// Agent → aggregator: one sealed epoch's durable frame.
+    /// Agent → aggregator: one sealed epoch's payload, whole (a
+    /// keyframe).
     SealEpoch {
         /// Sending node.
         node_id: u32,
-        /// Epoch the frame covers (also the frame's sequence number).
+        /// Epoch the payload covers.
         epoch: u64,
         /// Whether this is a replay from the durable log (reconnect
         /// repair) rather than a freshly sealed epoch.
         backfill: bool,
-        /// The store-framed bytes (`store.rs` CRC framing around an
-        /// epoch payload) — exactly what the node's segment log holds.
+        /// The [`encode_epoch_payload`] bytes, as the node's epoch log
+        /// replays them. Their report must name this node and epoch.
         frame: Vec<u8>,
     },
     /// Agent → aggregator: one freshly sealed epoch's payload as the
@@ -238,11 +242,22 @@ impl Message {
     /// Decode one message from the head of `data`, returning it with the
     /// bytes consumed. [`FrameError::Truncated`] means the buffer holds a
     /// prefix of a valid frame — read more and retry; every other error
-    /// means the stream is corrupt and must be dropped.
+    /// means the stream is corrupt and must be dropped. A whole frame
+    /// whose payload is shorter than its message's fields is
+    /// [`FrameError::Malformed`]: more bytes cannot complete it.
     pub fn decode(data: &[u8]) -> Result<(Message, usize), FrameError> {
         let f = frame::decode::<WireHeader>(data)?;
-        let mut c = Reader::new(f.payload);
-        let msg = match f.header.kind {
+        let msg = Self::decode_payload(f.header.kind, f.payload).map_err(|e| match e {
+            FrameError::Truncated { .. } => FrameError::Malformed("message payload cut short"),
+            e => e,
+        })?;
+        Ok((msg, f.len))
+    }
+
+    /// The message of type `kind` whose fields are exactly `payload`.
+    fn decode_payload(kind: u8, payload: &[u8]) -> Result<Message, FrameError> {
+        let mut c = Reader::new(payload);
+        let msg = match kind {
             TYPE_HELLO => Message::Hello {
                 node_id: c.u32()?,
                 generation: c.u64()?,
@@ -287,7 +302,7 @@ impl Message {
             other => return Err(FrameError::UnknownType(other)),
         };
         c.done()?;
-        Ok((msg, f.len))
+        Ok(msg)
     }
 
     /// Write this message to a blocking stream.
@@ -314,8 +329,8 @@ impl Message {
 
 /// One data-plane epoch's exported results (§6 "Control Plane Module":
 /// what the data plane hands the controller at the end of each epoch), in
-/// a compact self-contained little-endian format. A cluster epoch frame
-/// embeds one next to the full sketch checkpoint.
+/// a compact self-contained little-endian format. A cluster epoch
+/// payload embeds one next to the full sketch checkpoint.
 #[derive(Clone, Debug, PartialEq)]
 pub struct EpochReport {
     /// Which switch produced this (operator-assigned).

@@ -895,7 +895,7 @@ impl Sim<'_> {
                             .frames(0);
                         let session = self.nodes[i].session.as_mut().expect("session");
                         let mut offered = 0u64;
-                        for f in &frames {
+                        for f in frames {
                             if session.offer_backfill(f) {
                                 offered += 1;
                             }
@@ -1096,7 +1096,7 @@ impl Sim<'_> {
         self.log(format!("n{id} sealed e{epoch} packets={packets}"));
 
         let session = self.nodes[i].session.as_mut().expect("session");
-        if session.finish_seal(epoch, packets, &mut payload) {
+        if session.finish_seal(epoch, &mut payload) {
             session.note_sent(epoch);
         }
         self.nodes[i].epoch = epoch + 1;

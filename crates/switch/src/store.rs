@@ -858,46 +858,12 @@ fn sync_dir(dir: &Path) -> io::Result<()> {
     Ok(())
 }
 
-/// Encode one keyframe into a fresh buffer. Shared with the cluster wire,
-/// whose epoch frames are this exact format — an aggregator validates the
-/// same bytes a recovery scan would return.
-pub(crate) fn encode_frame(
-    shard: usize,
-    generation: u64,
-    seq: u64,
-    processed_at: u64,
-    payload: &[u8],
-) -> Vec<u8> {
-    let header = StoreHeader {
-        shard: shard as u16,
-        generation,
-        seq,
-        processed_at,
-    };
-    frame::encode(&header, payload)
-}
-
-/// Decode the frame for `shard` at the head of `data` — the inverse of
-/// [`encode_frame`], shared with the cluster aggregator (which validates
-/// every frame with exactly the rules recovery uses). Only a segment log
-/// holds delta frames; here they are refused as a newer version.
-pub(crate) fn decode_frame(
-    data: &[u8],
-    shard: usize,
-) -> Result<Frame<'_, StoreHeader>, FrameError> {
-    decode_addressed(data, shard, |h: &StoreHeader| h.shard)
-}
-
 /// Decode the frame at the head of `data`, refusing one addressed to a
 /// shard other than `shard`.
-fn decode_addressed<H: Header>(
-    data: &[u8],
-    shard: usize,
-    shard_of: impl Fn(&H) -> u16,
-) -> Result<Frame<'_, H>, FrameError> {
+fn decode_addressed(data: &[u8], shard: usize) -> Result<Frame<'_, LogHeader>, FrameError> {
     // The header is checked before the length: a frame addressed to
     // another shard is corrupt, not torn, even when it is cut short.
-    if shard_of(&frame::peek::<H>(data)?.0) as usize != shard {
+    if frame::peek::<LogHeader>(data)?.0.frame.shard as usize != shard {
         return Err(FrameError::Malformed("frame addressed to another shard"));
     }
     frame::decode(data)
@@ -1028,18 +994,17 @@ fn scan_segment(
     let mut image = Vec::new();
     let mut at = 0usize;
     while at < data.len() {
-        let replayed = decode_addressed(&data[at..], shard, |h: &LogHeader| h.frame.shard)
-            .and_then(|f| {
-                match (f.header.delta, at) {
-                    (false, _) => {
-                        image.clear();
-                        image.extend_from_slice(f.payload);
-                    }
-                    (true, 0) => return Err(FrameError::Malformed("segment opens with a delta")),
-                    (true, _) => apply_delta(&mut image, f.payload)?,
+        let replayed = decode_addressed(&data[at..], shard).and_then(|f| {
+            match (f.header.delta, at) {
+                (false, _) => {
+                    image.clear();
+                    image.extend_from_slice(f.payload);
                 }
-                Ok(f)
-            });
+                (true, 0) => return Err(FrameError::Malformed("segment opens with a delta")),
+                (true, _) => apply_delta(&mut image, f.payload)?,
+            }
+            Ok(f)
+        });
         match replayed {
             Ok(f) => {
                 on_frame(RecoveredFrame {
@@ -1177,6 +1142,23 @@ mod tests {
         (0..len).map(|i| tag ^ (i as u8)).collect()
     }
 
+    /// One keyframe, encoded into a fresh buffer.
+    fn keyframe(
+        shard: u16,
+        generation: u64,
+        seq: u64,
+        processed_at: u64,
+        payload: &[u8],
+    ) -> Vec<u8> {
+        let header = StoreHeader {
+            shard,
+            generation,
+            seq,
+            processed_at,
+        };
+        frame::encode(&header, payload)
+    }
+
     #[test]
     fn append_recover_roundtrip_returns_newest_frame_per_shard() {
         let dir = tmpdir("roundtrip");
@@ -1310,7 +1292,7 @@ mod tests {
         let active = shard_dir(&dir, 0).join("active.log");
         let mut data = fs::read(&active).unwrap();
         let good = data.len();
-        let stray = encode_frame(1, 1, 2, 20, &payload(2, 64));
+        let stray = keyframe(1, 1, 2, 20, &payload(2, 64));
         data.extend_from_slice(&stray[..stray.len() - 10]);
         fs::write(&active, &data).unwrap();
 
@@ -1475,7 +1457,7 @@ mod tests {
     }
 
     #[test]
-    fn recycled_frame_buffer_writes_the_bytes_encode_frame_would() {
+    fn recycled_frame_buffer_writes_the_bytes_a_fresh_encode_would() {
         let dir = tmpdir("recycled");
         let plan = DiskFaultPlan::new();
         let cfg = StoreConfig {
@@ -1495,7 +1477,7 @@ mod tests {
             payload(3, 32),
             payload(4, 100),
         ];
-        let frame = |seq: u64| encode_frame(0, 1, seq, seq * 10, &payloads[seq as usize - 1]);
+        let frame = |seq: u64| keyframe(0, 1, seq, seq * 10, &payloads[seq as usize - 1]);
         w.persist(1, 10, &payloads[0]).unwrap();
         plan.bit_flip_after(0);
         w.persist(2, 20, &payloads[1]).unwrap(); // second frame: seals seg-0

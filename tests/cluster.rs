@@ -24,7 +24,7 @@ use nitrosketch::metrics::TelemetryRegistry;
 use nitrosketch::sketches::{Checkpoint, CountMin};
 use nitrosketch::switch::{
     Aggregator, AggregatorConfig, CheckpointStore, MergedView, NodeAgent, NodeAgentConfig,
-    PipelineConfig, ShardedPipeline, ShardedTap, StoreConfig, SupervisorConfig,
+    PipelineConfig, ReconnectPolicy, ShardedPipeline, ShardedTap, StoreConfig, SupervisorConfig,
 };
 use nitrosketch::traffic::GroundTruth;
 use std::sync::Arc;
@@ -143,11 +143,19 @@ fn three_node_cluster_survives_kill_and_backfills() {
         .expect("create pipeline store");
         let pipe = nitrosketch::switch::spawn_sharded(factory_for(n), pipe_config(Some(store)))
             .expect("spawn node pipeline");
-        let mut agent = NodeAgent::open(
-            fresh_dir(&format!("agent{n}")),
-            NodeAgentConfig::new(n as u32, fingerprint),
-        )
-        .expect("open agent");
+        let mut cfg = NodeAgentConfig::new(n as u32, fingerprint);
+        if n == 2 {
+            // Node 2 is severed for epoch 3 and must stay cut off until its
+            // restart: a redial on its own backoff (50 ms by default) would
+            // ship the severed seal live, or backfill it early. The
+            // restarted agent reopens with the default policy.
+            cfg.reconnect = ReconnectPolicy {
+                base_backoff: Duration::from_secs(3600),
+                max_backoff: Duration::from_secs(3600),
+                ..Default::default()
+            };
+        }
+        let mut agent = NodeAgent::open(fresh_dir(&format!("agent{n}")), cfg).expect("open agent");
         assert_eq!(
             agent.connect(addr).expect("handshake"),
             0,

@@ -7,21 +7,27 @@
 //! duplicated and reordered seal-frame deliveries — the traffic a
 //! reconnect storm's backfills actually produce — asserting merge
 //! idempotence (packets counted exactly once), epoch completeness, and
-//! watermark/completeness monotonicity.
+//! watermark/completeness monotonicity. A third wires agent sessions to
+//! aggregator sessions, and a last test runs a real agent against a real
+//! aggregator over loopback TCP.
 
 use nitrosketch::core::{Mode, NitroSketch};
 use nitrosketch::hash::SplitMix64;
 use nitrosketch::sketches::{Checkpoint, CountMin};
-use nitrosketch::switch::cluster::proto::{encode_seal_frame, AggregatorSession};
+use nitrosketch::switch::cluster::proto::AggregatorSession;
 use nitrosketch::switch::cluster::wire::{
-    decode_epoch_payload, encode_epoch_payload, Message, WIRE_VERSION,
+    decode_epoch_payload, encode_epoch_payload, Message, WireHeader, WIRE_VERSION,
 };
 use nitrosketch::switch::cluster::{AgentOutput, AgentSession, AggEvent, ReconnectPolicy};
 use nitrosketch::switch::cluster::{AggOutput, ConnId};
-use nitrosketch::switch::{EpochReport, FrameError, RecoveredFrame};
+use nitrosketch::switch::frame;
+use nitrosketch::switch::{
+    Aggregator, AggregatorConfig, EpochReport, FrameError, MergedView, NodeAgent, NodeAgentConfig,
+    RecoveredFrame,
+};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Deterministically expand a handful of drawn scalars into one of the
 /// six message variants. (The offline proptest stand-in has no
@@ -142,6 +148,30 @@ proptest! {
                     prop_assert!(need > cut);
                 }
                 other => prop_assert!(false, "prefix {cut}: expected Truncated, got {other:?}"),
+            }
+        }
+    }
+
+    /// A whole frame with a valid checksum whose payload is cut short of
+    /// its message's fields can never be completed by reading more: it is
+    /// refused as corrupt, never reported `Truncated`, which would leave a
+    /// buffering reader waiting for bytes that are not coming.
+    #[test]
+    fn a_whole_frame_with_a_cut_payload_is_not_retryable(
+        variant in 0usize..VARIANTS,
+        (a, b, c) in (prop::num::u64::ANY, prop::num::u64::ANY, prop::num::u64::ANY),
+        flag in prop::bool::ANY,
+        frame in prop::collection::vec(prop::num::u8::ANY, 0..64),
+    ) {
+        let bytes = build_message(variant, a, b, c, flag, frame).to_bytes();
+        let whole = frame::decode::<WireHeader>(&bytes).expect("own encoding");
+        for cut in 0..whole.payload.len() {
+            let reframed = frame::encode(&whole.header, &whole.payload[..cut]);
+            match Message::decode(&reframed) {
+                Err(FrameError::Truncated { .. }) | Ok(_) => {
+                    prop_assert!(false, "payload cut at {cut} of {}", whole.payload.len())
+                }
+                Err(_) => {}
             }
         }
     }
@@ -277,14 +307,12 @@ fn seal_message(node: u32, epoch: u64, backfill: bool) -> (Message, u64) {
         l2: 0.0,
         memory_bytes: 0,
     };
-    let payload = encode_epoch_payload(&report, &sketch.snapshot());
-    let frame = encode_seal_frame(node, 1, epoch, epoch, &payload);
     (
         Message::SealEpoch {
             node_id: node,
             epoch,
             backfill,
-            frame,
+            frame: encode_epoch_payload(&report, &sketch.snapshot()),
         },
         packets,
     )
@@ -611,7 +639,7 @@ impl Wire {
             bytes: payload.clone(),
         });
         node.agent.begin_seal(epoch).expect("epochs advance");
-        node.agent.finish_seal(epoch, packets, &mut payload);
+        node.agent.finish_seal(epoch, &mut payload);
         if lost {
             node.agent.drain();
             self.sever(n);
@@ -634,7 +662,7 @@ impl Wire {
                     AgentOutput::Backfill { .. } => {
                         let node = &mut self.nodes[n];
                         for f in &node.log {
-                            node.agent.offer_backfill(f);
+                            node.agent.offer_backfill(f.clone());
                         }
                     }
                     AgentOutput::Dial | AgentOutput::Backoff { .. } | AgentOutput::GaveUp => {}
@@ -738,7 +766,7 @@ fn as_keyframe(log: &[RecoveredFrame], msg: &Message) -> Message {
         node_id,
         epoch,
         backfill: false,
-        frame: encode_seal_frame(node_id, f.generation, epoch, f.processed_at, &f.bytes),
+        frame: f.bytes.clone(),
     }
 }
 
@@ -816,4 +844,158 @@ fn a_delta_against_a_stale_or_foreign_base_is_refused_and_repaired() {
             "epoch {e}"
         );
     }
+}
+
+/// A seal's payload is bound to its message by the report alone: a
+/// keyframe, or a delta rebuilt on the connection's base, whose report
+/// names another node or another epoch than the message is refused and
+/// closes the connection, and nothing of it is merged or logged.
+#[test]
+fn a_seal_whose_report_names_another_node_or_epoch_is_refused() {
+    let fingerprint = wire_template().inner().fingerprint();
+    let mut sketch = wire_template();
+    for key in 0..8 {
+        sketch.process(key, 1.0);
+    }
+    let payload = |switch_id: u32, epoch: u64| {
+        let report = EpochReport {
+            switch_id,
+            epoch,
+            packets: 8,
+            heavy_hitters: sketch.heavy_hitters(0.0),
+            entropy_bits: f64::NAN,
+            distinct: f64::NAN,
+            l2: 0.0,
+            memory_bytes: 0,
+        };
+        encode_epoch_payload(&report, &sketch.snapshot())
+    };
+    // Node 0 seals epoch 2; its report names node 1, or epoch 3.
+    for (switch_id, named_epoch) in [(1, 2), (0, 3)] {
+        for delta in [false, true] {
+            let case = format!("report n{switch_id} e{named_epoch}, delta {delta}");
+            let mut agent = AgentSession::new(0, fingerprint, 1, 1, ReconnectPolicy::default());
+            agent.transport_connected();
+            let ack = Message::HelloAck {
+                accepted: true,
+                last_epoch: 0,
+                cluster_epoch: 0,
+            };
+            agent.on_message(ack, 0).unwrap();
+            if delta {
+                agent.finish_seal(1, &mut payload(0, 1));
+            }
+            agent.finish_seal(2, &mut payload(switch_id, named_epoch));
+            let mut seals: Vec<Message> = agent
+                .drain()
+                .into_iter()
+                .filter_map(|out| match out {
+                    AgentOutput::Send(
+                        msg @ (Message::SealEpoch { .. } | Message::SealDelta { .. }),
+                    ) => Some(msg),
+                    _ => None,
+                })
+                .collect();
+            let bad = seals.pop().expect("a seal");
+            assert_eq!(
+                matches!(bad, Message::SealDelta { .. }),
+                delta,
+                "{case}: {bad:?}"
+            );
+
+            let mut session = AggregatorSession::new(wire_template(), 0, Duration::from_secs(3600));
+            let (conn, _) = join(&mut session, 0, fingerprint);
+            for good in seals {
+                session.on_message(conn, good, 1);
+            }
+            session.drain();
+            session.on_message(conn, bad, 2);
+            let outs = session.drain();
+            assert!(
+                outs.contains(&AggOutput::Event(AggEvent::FrameRejected { node: 0 })),
+                "{case}: {outs:?}"
+            );
+            assert!(
+                outs.contains(&AggOutput::Close { conn }),
+                "{case}: {outs:?}"
+            );
+            assert!(
+                !outs.iter().any(|o| matches!(
+                    o,
+                    AggOutput::Append(_) | AggOutput::Event(AggEvent::FrameMerged { .. })
+                )),
+                "{case}: {outs:?}"
+            );
+            for epoch in [2, 3] {
+                assert_eq!(session.packets_of(epoch), None, "{case}: epoch {epoch}");
+            }
+            assert_eq!(session.packets_of(1), delta.then_some(8), "{case}");
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Over loopback TCP
+// ---------------------------------------------------------------------------
+
+/// Node ids are `u32` end to end: a node whose id does not fit a `u16`
+/// opens its agent, ships a keyframe and then a delta to a real
+/// aggregator, backfills the epoch it sealed while severed, and has every
+/// epoch merged.
+#[test]
+fn a_node_id_above_u16_max_seals_deltas_and_backfills() {
+    let agg = Aggregator::spawn(agg_template(), "127.0.0.1:0", AggregatorConfig::default())
+        .expect("spawn aggregator");
+    let id = u16::MAX as u32 + 1;
+    let dir =
+        std::env::temp_dir().join(format!("nitro-cluster-wire-wide-id-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut cfg = NodeAgentConfig::new(id, agg_template().inner().fingerprint());
+    // No redial of its own: only the explicit connect below repairs the
+    // sever.
+    cfg.reconnect = ReconnectPolicy {
+        base_backoff: Duration::from_secs(3600),
+        max_backoff: Duration::from_secs(3600),
+        ..Default::default()
+    };
+    let mut agent = NodeAgent::open(&dir, cfg).expect("open agent");
+    assert_eq!(agent.connect(agg.local_addr()).expect("connect"), 0);
+    let mut sketch = agg_template();
+    let mut seal = |agent: &mut NodeAgent, epoch: u64| {
+        for _ in 0..100 {
+            sketch.process(epoch, 1.0);
+        }
+        let view = MergedView::from_sketch(epoch, sketch.clone());
+        agent
+            .seal_epoch(epoch, &view, 10.0)
+            .expect("seal")
+            .delivered
+    };
+    assert!(seal(&mut agent, 1), "keyframe");
+    assert!(seal(&mut agent, 2), "delta");
+    agent.sever();
+    assert!(!seal(&mut agent, 3), "durable only");
+    assert_eq!(
+        agent.connect(agg.local_addr()).expect("redial"),
+        1,
+        "backfill"
+    );
+    assert!(seal(&mut agent, 4), "keyframe");
+    for epoch in 1..=4 {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !agg.epoch_status(epoch).is_complete() {
+            assert!(
+                Instant::now() < deadline,
+                "epoch {epoch}: {:?}",
+                agg.epoch_status(epoch)
+            );
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        assert_eq!(agg.view(epoch).expect("view").estimate(epoch), 100.0);
+    }
+    assert_eq!(agg.known_nodes(), vec![id]);
+    assert!(agg.scrape().contains("nitro_cluster_delta_seals_total 1\n"));
+    agent.close();
+    agg.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -3,20 +3,32 @@
 //! epoch report and the epoch payload.
 //!
 //! Golden bytes pin each one to what the codecs wrote before they shared
-//! one implementation, so a durable log or a peer from that build still
-//! reads as before. One set of properties then runs over every framing of
-//! the shared codec: round trip, truncation, bit flips, future versions,
-//! oversized lengths and cross-framing splices.
+//! one implementation, so a durable log from that build still reads as
+//! before. The six wire messages are pinned at wire version 2, re-recorded
+//! when a keyframe seal stopped wrapping its epoch payload in a store
+//! frame: every message's version byte and checksum changed, and the
+//! keyframe's body is the bare payload. A keyframe of version 1 is kept as
+//! a fixture, to pin what a version-2 aggregator does with one. One set of
+//! properties then runs over every framing of the shared codec: round
+//! trip, truncation, bit flips, future versions, oversized lengths and
+//! cross-framing splices.
 
+use nitrosketch::core::{Mode, NitroSketch};
 use nitrosketch::hash::xxhash::xxh64;
-use nitrosketch::switch::cluster::proto::encode_seal_frame;
-use nitrosketch::switch::cluster::wire::{encode_epoch_payload, Message, WireHeader};
-use nitrosketch::switch::cluster::{AgentOutput, AgentSession, ReconnectPolicy};
+use nitrosketch::sketches::{Checkpoint, CountMin};
+use nitrosketch::switch::cluster::proto::AggregatorSession;
+use nitrosketch::switch::cluster::wire::{
+    decode_epoch_payload, encode_epoch_payload, Message, WireHeader,
+};
+use nitrosketch::switch::cluster::{
+    AgentOutput, AgentSession, AggEvent, AggOutput, ReconnectPolicy,
+};
 use nitrosketch::switch::frame::{self, FrameError, Header};
 use nitrosketch::switch::store::{ManifestHeader, StoreHeader};
 use nitrosketch::switch::{CheckpointSink, CheckpointStore, EpochReport, StoreConfig};
 use proptest::prelude::*;
 use std::fmt::Debug;
+use std::time::Duration;
 
 fn hex(bytes: &[u8]) -> String {
     bytes.iter().map(|b| format!("{b:02x}")).collect()
@@ -55,12 +67,12 @@ fn delta_seal() -> Message {
         cluster_epoch: 4,
     };
     agent.on_message(ack, 0).unwrap();
-    agent.finish_seal(5, 1_000, &mut encode_epoch_payload(&report(), &snapshot(0)));
+    agent.finish_seal(5, &mut encode_epoch_payload(&report(), &snapshot(0)));
     let sixth = EpochReport {
         epoch: 6,
         ..report()
     };
-    agent.finish_seal(6, 1_100, &mut encode_epoch_payload(&sixth, &snapshot(1)));
+    agent.finish_seal(6, &mut encode_epoch_payload(&sixth, &snapshot(1)));
     match agent.drain().pop() {
         Some(AgentOutput::Send(msg @ Message::SealDelta { .. })) => msg,
         other => panic!("expected a delta seal, got {other:?}"),
@@ -92,7 +104,7 @@ fn messages() -> Vec<(&'static str, Message)> {
                 node_id: 3,
                 epoch: 5,
                 backfill: true,
-                frame: encode_seal_frame(3, 2, 5, 1_000, &epoch_payload()),
+                frame: epoch_payload(),
             },
         ),
         ("seal_delta", delta_seal()),
@@ -137,20 +149,25 @@ fn framings() -> Vec<(&'static str, Vec<u8>)> {
 }
 
 /// Written by the three separate codecs (store frame + manifest, cluster
-/// wire, epoch report) before they were folded into one; `seal_delta`,
-/// the one message added since, as it was first written.
+/// wire, epoch report) before they were folded into one; the wire
+/// messages as wire version 2 writes them.
 const GOLDEN: &[(&str, &str)] = &[
     ("manifest", "4e414d4e010100000000000000020000007e457ab828e1e57a"),
     ("store_frame", "4d52464e0100010001000000000000000700000000000000bc0200000000000012000000636865636b706f696e74207061796c6f61646b48ab97baa94f21"),
     ("report", "5254494e030000000500000000000000e8030000000000000000000000001d400000000000c05e400000000000887c40001000000000000002000000efbe0000000000000000000000007940feca0000000000000000000000506f40"),
     ("epoch_payload", "5c0000005254494e030000000500000000000000e8030000000000000000000000001d400000000000c05e400000000000887c40001000000000000002000000efbe0000000000000000000000007940feca0000000000000000000000506f400f000000736b6574636820736e617073686f74"),
-    ("hello", "554c434e010100001c0000000300000002000000000000000500000000000000efcdab8967452301445b1407aeb124d3"),
-    ("hello_ack", "554c434e010200001100000001040000000000000006000000000000006ac598ab06403b1a"),
-    ("seal_epoch", "554c434e01030000b0000000030000000500000000000000019f0000004d52464e0100030002000000000000000500000000000000e803000000000000730000005c0000005254494e030000000500000000000000e8030000000000000000000000001d400000000000c05e400000000000887c40001000000000000002000000efbe0000000000000000000000007940feca0000000000000000000000506f400f000000736b6574636820736e617073686f7444395cefa4ee06233098242b6346324c"),
-    ("seal_delta", "554c434e010600009c0000000300000006000000000000000500000000000000840000002c0100002c010000000000002c0000005c0000005254494e030000000600000000000000e8030000000000000000000000001d400000000000c05e40ec0000004000000088898a8b8c8d8e8f909192939495969798999a9b9c9d9e9fa0a1a2a3a4a5a6a7a8a9aaabacadaeafb0b1b2b3b4b5b6b7b8b9babbbcbdbebfc0c1c2c3c4c5c601ea59fab0bd7a02df"),
-    ("heartbeat", "554c434e01040000140000000300000005000000000000000903000000000000934ce14a01ceddb1"),
-    ("goodbye", "554c434e0105000004000000030000008bcfbb92848cefb5"),
+    ("hello", "554c434e020100001c0000000300000002000000000000000500000000000000efcdab89674523015d47ee9526045a77"),
+    ("hello_ack", "554c434e0202000011000000010400000000000000060000000000000056ee440aec2e60ab"),
+    ("seal_epoch", "554c434e020300008400000003000000050000000000000001730000005c0000005254494e030000000500000000000000e8030000000000000000000000001d400000000000c05e400000000000887c40001000000000000002000000efbe0000000000000000000000007940feca0000000000000000000000506f400f000000736b6574636820736e617073686f74f2c8861607fa46b7"),
+    ("seal_delta", "554c434e020600009c0000000300000006000000000000000500000000000000840000002c0100002c010000000000002c0000005c0000005254494e030000000600000000000000e8030000000000000000000000001d400000000000c05e40ec0000004000000088898a8b8c8d8e8f909192939495969798999a9b9c9d9e9fa0a1a2a3a4a5a6a7a8a9aaabacadaeafb0b1b2b3b4b5b6b7b8b9babbbcbdbebfc0c1c2c3c4c5c6018c7ed69f12131c59"),
+    ("heartbeat", "554c434e02040000140000000300000005000000000000000903000000000000d24b2918e81d84ec"),
+    ("goodbye", "554c434e020500000400000003000000e5d636677159fe49"),
 ];
+
+/// The `seal_epoch` golden as wire version 1 wrote it: the same fields,
+/// with the epoch payload inside a store frame (node 3 as its shard,
+/// generation 2, sequence 5, 1 000 processed).
+const SEAL_EPOCH_V1: &str = "554c434e01030000b0000000030000000500000000000000019f0000004d52464e0100030002000000000000000500000000000000e803000000000000730000005c0000005254494e030000000500000000000000e8030000000000000000000000001d400000000000c05e400000000000887c40001000000000000002000000efbe0000000000000000000000007940feca0000000000000000000000506f400f000000736b6574636820736e617073686f7444395cefa4ee06233098242b6346324c";
 
 #[test]
 fn every_framing_writes_the_previous_bytes() {
@@ -213,6 +230,49 @@ fn the_previous_bytes_read_back_as_what_was_written() {
             "{name}"
         );
     }
+}
+
+/// A version-1 keyframe still decodes as a message, since its fields kept
+/// their layout, but its body is no epoch payload: a version-2 aggregator
+/// refuses the seal and closes the connection, and merges and logs
+/// nothing.
+#[test]
+fn a_version_1_keyframe_is_refused_by_a_version_2_aggregator() {
+    let bytes = unhex(SEAL_EPOCH_V1);
+    let (msg, used) = Message::decode(&bytes).unwrap();
+    assert_eq!(used, bytes.len());
+    let Message::SealEpoch { frame, .. } = &msg else {
+        panic!("expected a keyframe, got {msg:?}");
+    };
+    assert!(decode_epoch_payload(frame).is_err());
+
+    let template = NitroSketch::new(CountMin::new(2, 64, 9), Mode::Fixed { p: 1.0 }, 3);
+    let fingerprint = template.inner().fingerprint();
+    let mut session = AggregatorSession::new(template, 0, Duration::from_secs(60));
+    let conn = session.conn_open();
+    let hello = Message::Hello {
+        node_id: 3,
+        generation: 2,
+        next_epoch: 5,
+        fingerprint,
+    };
+    session.on_message(conn, hello, 0);
+    session.drain();
+    session.on_message(conn, msg, 1);
+    let outs = session.drain();
+    assert!(
+        outs.contains(&AggOutput::Event(AggEvent::FrameRejected { node: 3 })),
+        "{outs:?}"
+    );
+    assert!(outs.contains(&AggOutput::Close { conn }), "{outs:?}");
+    assert!(
+        !outs.iter().any(|o| matches!(
+            o,
+            AggOutput::Append(_) | AggOutput::Event(AggEvent::FrameMerged { .. })
+        )),
+        "{outs:?}"
+    );
+    assert_eq!(session.packets_of(5), None);
 }
 
 // ---- One set of properties over every framing ----
