@@ -23,7 +23,7 @@ use super::wire::{encode_epoch_payload_into, EpochReport, Message};
 use super::ClusterError;
 use crate::clock::{Clock, SystemClock};
 use crate::pipeline::MergedView;
-use crate::store::{CheckpointSink, CheckpointStore, StoreConfig, StoreError};
+use crate::store::{CheckpointStore, StoreConfig, StoreError};
 use nitro_hash::xxhash::xxh64_u64;
 use nitro_metrics::telemetry::{ClusterTelemetry, Event, TelemetryRegistry};
 use nitro_sketches::checkpoint::Checkpoint;
@@ -363,9 +363,12 @@ impl NodeAgent {
             memory_bytes: sketch.memory_bytes() as u64,
         };
         encode_epoch_payload_into(&mut self.payload, &report, |out| sketch.snapshot_into(out));
+        // One cut against the previous epoch's payload serves the epoch log
+        // (whose sequence numbers are epochs) and the wire.
+        let cut = self.session.cut(&self.payload);
         self.store
             .writer(0)
-            .persist(epoch, report.packets, &self.payload)?;
+            .persist_cut(epoch, report.packets, &self.payload, cut)?;
         let emitted = self.session.finish_seal(epoch, &mut self.payload);
         let delivered = emitted && self.flush_sends();
         if delivered {
@@ -456,6 +459,7 @@ impl NodeAgent {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::store::CheckpointSink;
     use nitro_core::{Mode, NitroSketch};
     use nitro_sketches::CountMin;
     use std::time::Instant;

@@ -33,16 +33,20 @@
 //! events onto telemetry. The deterministic simulator drives the same
 //! session with none of this machinery.
 
-use super::proto::{AggEvent, AggOutput, AggregatorSession};
+use super::proto::{
+    delta_record_head, frame_record_head, AggEvent, AggOutput, AggregatorSession, ConnId,
+    LogAppend, Record, Replay,
+};
 pub use super::proto::{AggRecovery, ClusterSketch, ClusterView, EpochStatus};
 use super::wire::Message;
 use super::ClusterError;
 use crate::clock::{Clock, Nanos, SystemClock};
 use crate::frame::FrameError;
-use crate::store::{CheckpointSink, CheckpointStore, StoreConfig, StoreError};
+use crate::store::{CheckpointStore, StoreConfig, StoreError};
 use nitro_core::NitroSketch;
 use nitro_metrics::telemetry::{ClusterTelemetry, Event, TelemetryRegistry};
 use nitro_sketches::FlowKey;
+use std::collections::BTreeMap;
 use std::io::Read;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::{Path, PathBuf};
@@ -72,9 +76,10 @@ pub struct AggregatorConfig {
     /// mere redundancy — each aggregation-log record is one node-epoch
     /// frame or membership change, and recovery replays them all, so
     /// retention must cover the whole epoch window being served: the
-    /// default keeps 64 sealed segments of 128 records. (On disk a record
-    /// may be a delta frame against the record before it; every reader
-    /// gets the record back whole.)
+    /// default keeps 64 sealed segments of 128 records. A seal that
+    /// arrived as a delta is logged as that delta, chained to its node's
+    /// record before it; every segment opens each node's chain with a
+    /// whole record ([`AggLog`]).
     pub log_store: StoreConfig,
     /// Time source for the heartbeat monitor. [`SystemClock`] in
     /// production; tests substitute a `SimClock` to walk silence
@@ -99,34 +104,133 @@ impl Default for AggregatorConfig {
     }
 }
 
-/// The aggregator's durable side: a single-shard [`CheckpointStore`]
-/// whose frames carry aggregation-log records under a monotonic
-/// sequence. Reuses the pipeline store's CRC framing, fsync discipline,
-/// and torn-tail truncation wholesale.
-struct AggLog {
+/// The durable aggregation log: a single-shard [`CheckpointStore`] whose
+/// frames are aggregation-log records under a monotonic sequence, written
+/// whole (the records carry their own deltas). Reuses the pipeline store's
+/// CRC framing, fsync discipline, and torn-tail truncation wholesale. The
+/// TCP [`Aggregator`] and the deterministic simulator both write it, and
+/// both read it back with [`AggLog::recover`].
+///
+/// A seal is logged as it arrived: a keyframe as a whole frame record, a
+/// delta as a delta record of the wire delta, chained to its node's
+/// record before it. Every segment opens each node's chain with a whole
+/// record — a delta whose node has no record of its base in the active
+/// segment, on the connection the delta came on, is written whole, from
+/// the payload the session rebuilt — so deleting whole segments never
+/// orphans a delta.
+pub struct AggLog {
     store: Arc<CheckpointStore>,
-    seq: AtomicU64,
+    /// Sequence number of the next record. It restarts under every
+    /// generation the store opens with, so `(generation, seq)` still
+    /// grows record by record.
+    seq: u64,
+    /// The active segment the chains below are in.
+    segment: u64,
+    /// Each node's chain in the active segment: the connection and epoch
+    /// of its newest seal record there.
+    chains: BTreeMap<u32, (Option<ConnId>, u64)>,
 }
 
 impl AggLog {
-    /// Create the log in `dir`, or reopen an existing one (continuing its
-    /// sequence past the newest durable record).
-    fn open(dir: &Path, cfg: &StoreConfig) -> Result<Self, ClusterError> {
+    /// Create the log in `dir`, or reopen an existing one under a new
+    /// generation.
+    pub fn open(dir: impl AsRef<Path>, cfg: &StoreConfig) -> Result<Self, ClusterError> {
+        let dir = dir.as_ref();
         let store = match CheckpointStore::create(dir, 1, cfg.clone()) {
             Ok(s) => s,
             Err(StoreError::AlreadyExists) => CheckpointStore::recover(dir, cfg.clone())?.0,
             Err(e) => return Err(e.into()),
         };
-        let seq = store.newest_frame(0).map_or(1, |f| f.seq + 1);
-        Ok(Self {
-            store,
-            seq: AtomicU64::new(seq),
-        })
+        Ok(Self::new(store))
     }
 
-    fn append(&self, payload: &[u8]) -> Result<(), std::io::Error> {
-        let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-        self.store.writer(0).persist(seq, 0, payload)
+    fn new(store: Arc<CheckpointStore>) -> Self {
+        Self {
+            store,
+            seq: 1,
+            segment: u64::MAX,
+            chains: BTreeMap::new(),
+        }
+    }
+
+    /// Append one record `session` emitted, before `session` is fed
+    /// anything else. A persist failure leaves the record missing from a
+    /// future recovery, and the next seal of every node whole.
+    pub fn append<S: ClusterSketch>(
+        &mut self,
+        record: LogAppend,
+        session: &AggregatorSession<S>,
+    ) -> std::io::Result<()> {
+        let segment = self.store.active_segment(0);
+        if segment != self.segment {
+            self.segment = segment;
+            self.chains.clear();
+        }
+        let seq = self.seq;
+        self.seq += 1;
+        let w = self.store.writer(0);
+        let written = match record.0 {
+            Record::Membership(bytes) => w.persist_whole(seq, 0, &[&bytes]),
+            Record::Whole {
+                node,
+                epoch,
+                payload,
+            } => {
+                self.chains.insert(node, (None, epoch));
+                let head = frame_record_head(node, epoch);
+                w.persist_whole(seq, 0, &[&head, payload.as_slice()])
+            }
+            Record::Live {
+                conn,
+                node,
+                epoch,
+                delta,
+            } => {
+                let chain = self.chains.insert(node, (Some(conn), epoch));
+                match delta {
+                    Some((base_epoch, delta)) if chain == Some((Some(conn), base_epoch)) => {
+                        let head = delta_record_head(node, epoch, base_epoch);
+                        w.persist_whole(seq, 0, &[&head, &delta])
+                    }
+                    _ => match session.seal_payload(conn, epoch) {
+                        Some(payload) => {
+                            let head = frame_record_head(node, epoch);
+                            w.persist_whole(seq, 0, &[&head, payload])
+                        }
+                        None => {
+                            self.chains.remove(&node);
+                            Err(std::io::Error::other("seal payload no longer held"))
+                        }
+                    },
+                }
+            }
+        };
+        if written.is_err() {
+            self.chains.clear();
+        }
+        written
+    }
+
+    /// Rebuild a session from every record of the log, streamed in append
+    /// order: `template`, `keep_epochs` and `heartbeat_timeout` as for
+    /// [`AggregatorSession::new`]. The records that session emits open
+    /// new chains: its connections are new.
+    pub fn recover<S: ClusterSketch>(
+        &mut self,
+        template: NitroSketch<S>,
+        keep_epochs: usize,
+        heartbeat_timeout: Duration,
+    ) -> (AggregatorSession<S>, AggRecovery) {
+        self.chains.clear();
+        let mut replay = Replay::new(template, keep_epochs, heartbeat_timeout);
+        self.store
+            .for_each_frame(0, |_, bytes| replay.record(bytes));
+        replay.finish()
+    }
+
+    /// The store the records live in.
+    pub fn store(&self) -> &Arc<CheckpointStore> {
+        &self.store
     }
 }
 
@@ -137,8 +241,8 @@ struct AggShared<S: ClusterSketch> {
     shutdown: AtomicBool,
     handlers: Mutex<Vec<thread::JoinHandle<()>>>,
     /// The durable aggregation log, when [`AggregatorConfig::log_dir`] is
-    /// set.
-    log: Option<AggLog>,
+    /// set. Appended to under the session lock only.
+    log: Option<Mutex<AggLog>>,
     clock: Arc<dyn Clock>,
     /// Clock time the session lock has been held for log appends, which
     /// [`AggShared::now`] leaves out of every node's silence.
@@ -165,7 +269,7 @@ impl<S: ClusterSketch> AggShared<S> {
             match out {
                 AggOutput::Append(record) => {
                     log_start.get_or_insert_with(|| self.clock.now_ns());
-                    self.log_append(&record);
+                    self.log_append(record, &session);
                 }
                 out => outs.push(out),
             }
@@ -242,9 +346,10 @@ impl<S: ClusterSketch> AggShared<S> {
     /// Append one record to the aggregation log, counting the outcome. A
     /// persist failure degrades durability (the record will be missing
     /// from a future recovery) but never refuses service.
-    fn log_append(&self, payload: &[u8]) {
+    fn log_append(&self, record: LogAppend, session: &AggregatorSession<S>) {
         let Some(log) = &self.log else { return };
-        match log.append(payload) {
+        let mut log = log.lock().unwrap_or_else(|p| p.into_inner());
+        match log.append(record, session) {
             Ok(()) => self.cluster.log_records.incr(),
             Err(_) => self.cluster.log_persist_failures.incr(),
         }
@@ -398,10 +503,8 @@ impl<S: ClusterSketch> Aggregator<S> {
         mut cfg: AggregatorConfig,
     ) -> Result<(Self, AggRecovery), ClusterError> {
         cfg.log_dir = Some(dir.as_ref().to_path_buf());
-        let log = AggLog::open(dir.as_ref(), &cfg.log_store)?;
-        let frames = log.store.frames(0);
-        let (session, recovery) =
-            AggregatorSession::recover(template, cfg.keep_epochs, cfg.heartbeat_timeout, &frames);
+        let mut log = AggLog::open(dir.as_ref(), &cfg.log_store)?;
+        let (session, recovery) = log.recover(template, cfg.keep_epochs, cfg.heartbeat_timeout);
         let agg = Self::spawn_inner(addr, cfg, session, Some(log), Some(recovery))?;
         Ok((agg, recovery))
     }
@@ -427,7 +530,7 @@ impl<S: ClusterSketch> Aggregator<S> {
             cluster,
             shutdown: AtomicBool::new(false),
             handlers: Mutex::new(Vec::new()),
-            log,
+            log: log.map(Mutex::new),
             clock: Arc::clone(&cfg.clock),
             log_ns: AtomicU64::new(0),
         });
@@ -801,8 +904,9 @@ mod tests {
 
     mod torn_tail {
         use super::*;
-        use crate::cluster::proto::{decode_log_record, encode_frame_record, LogRecord};
+        use crate::cluster::proto::{decode_log_record, encode_frame_record, LogRecord, Replay};
         use crate::cluster::wire::{decode_epoch_payload, encode_epoch_payload, EpochReport};
+        use crate::store::CheckpointSink;
         use proptest::prelude::*;
         use std::collections::{BTreeMap, BTreeSet};
 
@@ -873,6 +977,7 @@ mod tests {
                     fsync: false,
                 };
                 let log = AggLog::open(&dir, &store_cfg).unwrap();
+                let mut seq = 0;
                 for epoch in 1..=epochs {
                     for node in 0..nodes {
                         let mut sketch = template();
@@ -891,7 +996,9 @@ mod tests {
                             memory_bytes: 0,
                         };
                         let payload = encode_epoch_payload(&report, &sketch.snapshot());
-                        log.append(&encode_frame_record(node, epoch, &payload)).unwrap();
+                        seq += 1;
+                        let record = encode_frame_record(node, epoch, &payload);
+                        log.store().writer(0).persist(seq, 0, &record).unwrap();
                     }
                 }
                 drop(log);
@@ -911,12 +1018,8 @@ mod tests {
                 let store = CheckpointStore::recover(&dir, store_cfg).unwrap().0;
                 let surviving = store.frames(0);
                 let truth = independent_merge(&template(), &surviving);
-                let (session, recovery) = AggregatorSession::recover(
-                    template(),
-                    0,
-                    Duration::from_secs(2),
-                    &surviving,
-                );
+                let (session, recovery) =
+                    Replay::of(template(), 0, Duration::from_secs(2), &surviving);
 
                 prop_assert_eq!(session.epochs().len(), truth.len());
                 for epoch in session.epochs() {
@@ -958,12 +1061,11 @@ mod tests {
             },
             ..Default::default()
         };
-        let log = AggLog {
-            store: CheckpointStore::create(&log_dir, 1, cfg.log_store.clone())
+        let log = AggLog::new(
+            CheckpointStore::create(&log_dir, 1, cfg.log_store.clone())
                 .unwrap()
                 .with_fault_plan(plan.clone()),
-            seq: AtomicU64::new(1),
-        };
+        );
         let registry = Arc::clone(cfg.registry.as_ref().unwrap());
         let session = AggregatorSession::new(template(), cfg.keep_epochs, timeout);
         let agg = Aggregator::spawn_inner(("127.0.0.1", 0), cfg, session, Some(log), None).unwrap();

@@ -51,10 +51,10 @@ pub mod reconnect;
 pub mod wire;
 
 pub use agent::{NodeAgent, NodeAgentConfig, SealOutcome};
-pub use aggregator::{Aggregator, AggregatorConfig};
+pub use aggregator::{AggLog, Aggregator, AggregatorConfig};
 pub use proto::{
     AgentOutput, AgentSession, AggEvent, AggOutput, AggRecovery, AggregatorSession, ClusterSketch,
-    ClusterView, ConnId, EpochStatus,
+    ClusterView, ConnId, EpochStatus, LogAppend,
 };
 pub use reconnect::{ReconnectDecision, ReconnectPolicy};
 pub use wire::{EpochReport, Message};

@@ -21,7 +21,7 @@ use super::wire::{decode_epoch_payload, Message};
 use super::ClusterError;
 use crate::clock::Nanos;
 use crate::frame::{FrameError, Reader};
-use crate::store::{apply_delta, diff_lines, encode_delta, RecoveredFrame};
+use crate::store::{diff_lines, encode_delta, Cut, Image, RecoveredFrame};
 use nitro_core::NitroSketch;
 use nitro_metrics::NodeWatermark;
 use nitro_sketches::checkpoint::Checkpoint;
@@ -99,7 +99,9 @@ enum AgentPhase {
 ///    [`AgentSession::finish_seal`] advances the epoch cursor and emits
 ///    the `Send` — persist-before-publish lives in the split. The first
 ///    fresh seal on a connection is a [`Message::SealEpoch`] keyframe;
-///    later ones are [`Message::SealDelta`]s against the one before.
+///    later ones are [`Message::SealDelta`]s against the one before. A
+///    driver with an epoch log cuts the payload once in between
+///    (`AgentSession::cut`), and the log and the wire share the runs.
 /// 5. Any transport death is [`AgentSession::connection_lost`], which
 ///    arms the redial schedule exactly like a failed dial.
 #[derive(Debug)]
@@ -130,13 +132,20 @@ pub struct AgentSession {
     /// Newest epoch the aggregator held at handshake — the backfill
     /// low-water mark for this connection.
     backfill_after: u64,
-    /// Epoch of the newest fresh seal emitted on this connection, whose
-    /// payload `base` holds: the next seal is cut against it. `None`
-    /// before the connection's first fresh seal and after a backfill.
+    /// Epoch of the newest fresh seal emitted on this connection: the
+    /// aggregator holds its payload, so a seal cut against it may ship as
+    /// a delta. `None` before the connection's first fresh seal and after
+    /// a backfill.
     base_epoch: Option<u64>,
-    base: Vec<u8>,
-    /// Scratch for the differing line runs of the seal being cut.
+    /// Epoch of the newest sealed payload, whether it was sent or not, and
+    /// its bytes: what the next seal is cut against.
+    prev: Option<u64>,
+    prev_bytes: Vec<u8>,
+    /// The line runs of the payload being sealed that differ from
+    /// `prev_bytes`, once [`AgentSession::cut`] cut them for this seal, and
+    /// whether a delta of them is smaller than the payload.
     runs: Vec<Range<usize>>,
+    cut: Option<bool>,
     out: Vec<AgentOutput>,
 }
 
@@ -168,8 +177,10 @@ impl AgentSession {
             gave_up: false,
             backfill_after: 0,
             base_epoch: None,
-            base: Vec::new(),
+            prev: None,
+            prev_bytes: Vec::new(),
             runs: Vec::new(),
+            cut: None,
             out: Vec::new(),
         }
     }
@@ -351,7 +362,25 @@ impl AgentSession {
                 next: self.next_epoch,
             });
         }
+        self.cut = None;
         Ok(())
+    }
+
+    /// Cut the payload being sealed against the previous sealed payload,
+    /// once, between [`AgentSession::begin_seal`] and
+    /// [`AgentSession::finish_seal`]: the driver's epoch log appends the
+    /// runs (a log's sequence number is its epoch) and `finish_seal` ships
+    /// them. `None` when there is no previous payload or a delta of the
+    /// runs would be no smaller than the payload.
+    pub(crate) fn cut(&mut self, payload: &[u8]) -> Option<Cut<'_>> {
+        let smaller = self.prev.is_some() && diff_lines(&self.prev_bytes, payload, &mut self.runs);
+        self.cut = Some(smaller);
+        Some(Cut {
+            base_seq: self.prev?,
+            base_len: self.prev_bytes.len(),
+            runs: &self.runs,
+        })
+        .filter(|_| smaller)
     }
 
     /// Second half of a seal, called after the payload is durable:
@@ -359,41 +388,64 @@ impl AgentSession {
     /// seal. Returns whether a `Send` was emitted (`false` means
     /// local-durable only — the frame waits for backfill).
     ///
-    /// The seal is a [`Message::SealDelta`] of the lines that differ from
-    /// the previous fresh seal on this connection, or a
-    /// [`Message::SealEpoch`] keyframe of the payload when there is none
-    /// or the delta would be no smaller. Either way the session keeps
-    /// `payload` as the next seal's base by swapping buffers: on a `Send`,
-    /// `payload` comes back holding an older payload, for the driver to
-    /// encode the next seal over.
+    /// The seal is a [`Message::SealDelta`] of the runs
+    /// `AgentSession::cut` cut (cut here if the driver did not) when the
+    /// connection's previous fresh seal is the payload they were cut
+    /// against, or a [`Message::SealEpoch`] keyframe of the payload when
+    /// there is none or the delta would be no smaller. Either way the
+    /// session keeps `payload` as the next seal's base by swapping
+    /// buffers: `payload` comes back holding an older payload, for the
+    /// driver to encode the next seal over.
     pub fn finish_seal(&mut self, epoch: u64, payload: &mut Vec<u8>) -> bool {
         self.next_epoch = epoch + 1;
-        if self.phase != AgentPhase::Established {
-            return false;
-        }
-        let msg = match self.base_epoch {
-            Some(base_epoch) if diff_lines(&self.base, payload, &mut self.runs) => {
-                let size = 8 + self.runs.iter().map(|r| 8 + r.len()).sum::<usize>();
-                let mut delta = Vec::with_capacity(size);
-                encode_delta(&mut delta, self.base.len(), payload, &self.runs);
-                Message::SealDelta {
+        let smaller = match self.cut.take() {
+            None => {
+                self.cut(payload);
+                self.cut.take() == Some(true)
+            }
+            Some(smaller) => {
+                if cfg!(debug_assertions) {
+                    // The differential oracle: runs cut once and reused by
+                    // the log and the wire are a fresh cut. A mismatch
+                    // aborts: a panic here would be caught and retried.
+                    let mut fresh = Vec::new();
+                    let again =
+                        self.prev.is_some() && diff_lines(&self.prev_bytes, payload, &mut fresh);
+                    if again != smaller || (smaller && fresh != self.runs) {
+                        eprintln!("epoch {epoch}'s reused runs differ from a fresh cut");
+                        std::process::abort();
+                    }
+                }
+                smaller
+            }
+        };
+        let established = self.phase == AgentPhase::Established;
+        if established {
+            let msg = match (self.base_epoch, self.prev) {
+                (Some(base_epoch), Some(prev)) if base_epoch == prev && smaller => {
+                    let size = 8 + self.runs.iter().map(|r| 8 + r.len()).sum::<usize>();
+                    let mut delta = Vec::with_capacity(size);
+                    encode_delta(&mut delta, self.prev_bytes.len(), payload, &self.runs);
+                    Message::SealDelta {
+                        node_id: self.node_id,
+                        epoch,
+                        base_epoch,
+                        delta,
+                    }
+                }
+                _ => Message::SealEpoch {
                     node_id: self.node_id,
                     epoch,
-                    base_epoch,
-                    delta,
-                }
-            }
-            _ => Message::SealEpoch {
-                node_id: self.node_id,
-                epoch,
-                backfill: false,
-                frame: payload.clone(),
-            },
-        };
-        std::mem::swap(&mut self.base, payload);
-        self.base_epoch = Some(epoch);
-        self.out.push(AgentOutput::Send(msg));
-        true
+                    backfill: false,
+                    frame: payload.clone(),
+                },
+            };
+            self.base_epoch = Some(epoch);
+            self.out.push(AgentOutput::Send(msg));
+        }
+        std::mem::swap(&mut self.prev_bytes, payload);
+        self.prev = Some(epoch);
+        established
     }
 
     /// The driver's write of epoch `epoch`'s fresh seal succeeded: the
@@ -599,9 +651,11 @@ impl<S: RowSketch> ClusterView<S> {
 // and the simulator's persistence oracle).
 // ---------------------------------------------------------------------------
 
-/// Aggregation-log record tags (first payload byte).
+/// Aggregation-log record tags (first payload byte). Format 1 logs hold
+/// whole frames and membership snapshots; format 2 adds delta records.
 pub(crate) const REC_FRAME: u8 = 1;
 pub(crate) const REC_MEMBERSHIP: u8 = 2;
+pub(crate) const REC_DELTA: u8 = 3;
 
 /// One decoded aggregation-log record.
 pub(crate) enum LogRecord<'a> {
@@ -615,6 +669,18 @@ pub(crate) enum LogRecord<'a> {
         epoch: u64,
         /// `encode_epoch_payload` bytes (report + snapshot).
         payload: &'a [u8],
+    },
+    /// A node's epoch payload as the delta its seal arrived as, against
+    /// the payload of the node's record before it (its chain).
+    Delta {
+        /// Reporting node.
+        node: u32,
+        /// Epoch the payload covers.
+        epoch: u64,
+        /// Epoch of the payload the delta was cut against.
+        base_epoch: u64,
+        /// The store's delta encoding of the payload against that one.
+        delta: &'a [u8],
     },
     /// Full snapshot of one node's membership state, written at every
     /// join and `Goodbye` in mutation order; replay is last-writer-wins
@@ -631,13 +697,26 @@ pub(crate) enum LogRecord<'a> {
     },
 }
 
+/// The bytes of a frame record before its payload.
+pub(crate) fn frame_record_head(node: u32, epoch: u64) -> [u8; 13] {
+    let mut head = [REC_FRAME; 13];
+    head[1..5].copy_from_slice(&node.to_le_bytes());
+    head[5..].copy_from_slice(&epoch.to_le_bytes());
+    head
+}
+
+/// The bytes of a delta record before its delta.
+pub(crate) fn delta_record_head(node: u32, epoch: u64, base_epoch: u64) -> [u8; 21] {
+    let mut head = [REC_DELTA; 21];
+    head[1..5].copy_from_slice(&node.to_le_bytes());
+    head[5..13].copy_from_slice(&epoch.to_le_bytes());
+    head[13..].copy_from_slice(&base_epoch.to_le_bytes());
+    head
+}
+
+#[cfg(test)]
 pub(crate) fn encode_frame_record(node: u32, epoch: u64, payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(13 + payload.len());
-    out.push(REC_FRAME);
-    out.extend_from_slice(&node.to_le_bytes());
-    out.extend_from_slice(&epoch.to_le_bytes());
-    out.extend_from_slice(payload);
-    out
+    [&frame_record_head(node, epoch)[..], payload].concat()
 }
 
 fn encode_membership_record(node: u32, rec: &NodeRecord) -> Vec<u8> {
@@ -662,6 +741,12 @@ pub(crate) fn decode_log_record(bytes: &[u8]) -> Result<LogRecord<'_>, FrameErro
             node: r.u32()?,
             epoch: r.u64()?,
             payload: r.rest(),
+        }),
+        REC_DELTA => Ok(LogRecord::Delta {
+            node: r.u32()?,
+            epoch: r.u64()?,
+            base_epoch: r.u64()?,
+            delta: r.rest(),
         }),
         REC_MEMBERSHIP => {
             let node = r.u32()?;
@@ -762,12 +847,40 @@ pub enum AggOutput {
         /// The connection to close.
         conn: ConnId,
     },
-    /// Append this record to the durable aggregation log
-    /// (persist-before-serve: it is emitted *before* the state that
-    /// depends on it becomes queryable).
-    Append(Vec<u8>),
+    /// Append this record to the durable aggregation log with
+    /// [`AggLog::append`](super::AggLog::append), before the state that
+    /// depends on it becomes queryable (persist-before-serve) and before
+    /// the session is fed its connection's next message (a seal's record
+    /// reads the payload the connection keeps).
+    Append(LogAppend),
     /// Journal this state transition.
     Event(AggEvent),
+}
+
+/// One record for the durable aggregation log, as [`AggOutput::Append`]
+/// hands it to the driver's [`AggLog`](super::AggLog).
+#[derive(Clone, Debug, PartialEq)]
+pub struct LogAppend(pub(crate) Record);
+
+#[derive(Clone, Debug, PartialEq)]
+pub(crate) enum Record {
+    /// A membership snapshot, encoded.
+    Membership(Vec<u8>),
+    /// A backfilled seal's payload, which nothing else keeps.
+    Whole {
+        node: u32,
+        epoch: u64,
+        payload: Image,
+    },
+    /// A fresh seal, whose payload `conn` keeps as its delta base until
+    /// its next seal, with the wire delta (and its base epoch) it was
+    /// rebuilt from, if it came as one.
+    Live {
+        conn: ConnId,
+        node: u32,
+        epoch: u64,
+        delta: Option<(u64, Vec<u8>)>,
+    },
 }
 
 /// One admitted node's membership record.
@@ -829,7 +942,7 @@ struct Conn {
     /// connection: what the node's next [`Message::SealDelta`] is applied
     /// to. Every seal takes it; an accepted fresh seal's payload, a
     /// keyframe's moved in or a delta's rebuilt in place, becomes it.
-    base: Option<(u64, Vec<u8>)>,
+    base: Option<(u64, Image)>,
 }
 
 /// One epoch's merged state.
@@ -900,96 +1013,59 @@ impl<S: ClusterSketch> AggregatorSession<S> {
         }
     }
 
-    /// Rebuild a session from aggregation-log records in append order.
-    /// Mirrors the live paths exactly: frame replay dedups per
-    /// (epoch, node) and re-derives membership the way merging does;
-    /// membership snapshots overwrite (last-writer-wins per node).
-    /// Records that fail any validation the live path would have enforced
-    /// are skipped, never fatal — a recovery must salvage everything
-    /// salvageable. Recovered nodes start disconnected (their transports
-    /// died with the old process); epochs that were complete stay
-    /// complete and are marked sealed so redundant backfill cannot
-    /// re-journal `EpochSealed`.
-    pub fn recover(
-        template: NitroSketch<S>,
-        keep_epochs: usize,
-        heartbeat_timeout: Duration,
-        frames: &[RecoveredFrame],
-    ) -> (Self, AggRecovery) {
-        let mut session = Self::new(template, keep_epochs, heartbeat_timeout);
-        let mut records = 0u64;
-        // The (epoch, node) frames replayed: the dedup merging does, kept
-        // past the window that evicts their records.
-        let mut replayed = BTreeSet::new();
-        for f in frames {
-            match decode_log_record(&f.bytes) {
-                Ok(LogRecord::Frame {
-                    node,
-                    epoch,
-                    payload,
-                }) => {
-                    let Ok((report, snapshot)) = decode_epoch_payload(payload) else {
-                        continue;
-                    };
-                    if report.switch_id != node || report.epoch != epoch {
-                        continue;
-                    }
-                    if session.template.check_image(snapshot).is_err()
-                        || !replayed.insert((epoch, node))
-                    {
-                        continue;
-                    }
-                    // An epoch below a full window keeps no record: only
-                    // its membership is replayed.
-                    if let Some(rec) = session.epoch_record(epoch) {
-                        if rec.merged.merge_image(snapshot).is_err() {
-                            continue;
-                        }
-                        rec.reporting.insert(node);
-                        rec.packets += report.packets;
-                        for &(k, e) in &report.heavy_hitters {
-                            *rec.report_hh.entry(k).or_insert(0.0) += e;
-                        }
-                    }
-                    let n = session.nodes.entry(node).or_insert_with(NodeRecord::blank);
-                    if !n.is_member_of(epoch) {
-                        n.expect_from(epoch);
-                    }
-                    n.last_epoch = n.last_epoch.max(epoch);
-                    records += 1;
-                }
-                Ok(LogRecord::Membership {
-                    node,
-                    last_epoch,
-                    open_from,
-                    intervals,
-                }) => {
-                    let n = session.nodes.entry(node).or_insert_with(NodeRecord::blank);
-                    n.intervals = intervals;
-                    n.open_from = open_from;
-                    n.last_epoch = n.last_epoch.max(last_epoch);
-                    records += 1;
-                }
-                Err(_) => {}
+    /// Merge one replayed frame of `node` for `epoch`, the way merging
+    /// does: deduplicated per (epoch, node) in `replayed` (kept past the
+    /// window that evicts their records), and re-deriving membership.
+    /// Returns whether the frame was new and valid.
+    fn replay_frame(
+        &mut self,
+        replayed: &mut BTreeSet<(u64, u32)>,
+        node: u32,
+        epoch: u64,
+        payload: &[u8],
+    ) -> bool {
+        let Ok((report, snapshot)) = decode_epoch_payload(payload) else {
+            return false;
+        };
+        if report.switch_id != node || report.epoch != epoch {
+            return false;
+        }
+        if self.template.check_image(snapshot).is_err() || !replayed.insert((epoch, node)) {
+            return false;
+        }
+        // An epoch below a full window keeps no record: only its
+        // membership is replayed.
+        if let Some(rec) = self.epoch_record(epoch) {
+            if rec.merged.merge_image(snapshot).is_err() {
+                return false;
+            }
+            rec.reporting.insert(node);
+            rec.packets += report.packets;
+            for &(k, e) in &report.heavy_hitters {
+                *rec.report_hh.entry(k).or_insert(0.0) += e;
             }
         }
-        // Epochs already complete must not re-journal `EpochSealed` when
-        // a node's redundant backfill replays their frames.
-        let complete: Vec<u64> = session
-            .epochs
-            .keys()
-            .copied()
-            .filter(|&e| session.status_of(e).is_complete())
-            .collect();
-        for e in complete {
-            session.epochs.get_mut(&e).expect("just listed").sealed = true;
+        let n = self.nodes.entry(node).or_insert_with(NodeRecord::blank);
+        if !n.is_member_of(epoch) {
+            n.expect_from(epoch);
         }
-        let recovery = AggRecovery {
-            epochs: session.epochs.len() as u32,
-            nodes: session.nodes.len() as u32,
-            records,
-        };
-        (session, recovery)
+        n.last_epoch = n.last_epoch.max(epoch);
+        true
+    }
+
+    /// A replayed record says `node` sealed `epoch`, but its payload
+    /// cannot be rebuilt: the node is a member of the epoch and the epoch
+    /// is known, so it is served Degraded, and the node's watermark stays
+    /// where it was, so its backfill may still repair it.
+    fn replay_missing(&mut self, replayed: &BTreeSet<(u64, u32)>, node: u32, epoch: u64) {
+        if replayed.contains(&(epoch, node)) {
+            return;
+        }
+        self.epoch_record(epoch);
+        let n = self.nodes.entry(node).or_insert_with(NodeRecord::blank);
+        if !n.is_member_of(epoch) {
+            n.expect_from(epoch);
+        }
     }
 
     /// Register a freshly accepted transport connection and get its id.
@@ -1053,9 +1129,9 @@ impl<S: ClusterSketch> AggregatorSession<S> {
         // Membership mutations are order-sensitive (a later Goodbye must
         // replay after this join), so the record is appended in mutation
         // order, before the ack that makes the join visible.
-        let record = encode_membership_record(node_id, rec);
+        let record = Record::Membership(encode_membership_record(node_id, rec));
         self.conns.entry(conn).or_default().node = Some(node_id);
-        self.out.push(AggOutput::Append(record));
+        self.out.push(AggOutput::Append(LogAppend(record)));
         self.out.push(AggOutput::Event(AggEvent::NodeJoin {
             node: node_id,
             epoch: next_epoch,
@@ -1085,40 +1161,37 @@ impl<S: ClusterSketch> AggregatorSession<S> {
                 // Any seal takes the base: a keyframe replaces it, a delta
                 // is applied to it.
                 let base = self.conns.get_mut(&conn).and_then(|c| c.base.take());
-                let (epoch, backfill, payload) = match msg {
+                let (epoch, backfill, payload, delta) = match msg {
                     Message::SealEpoch {
                         node_id,
                         epoch,
                         backfill,
                         frame,
-                    } if node_id == node => (epoch, backfill, Some(frame)),
+                    } if node_id == node => (epoch, backfill, Some(Image::new(frame)), None),
                     Message::SealDelta {
                         node_id,
                         epoch,
                         base_epoch,
                         delta,
-                    } if node_id == node => {
-                        let payload = match base {
-                            Some((based, payload)) if based == epoch => {
-                                if !self.dedup_disabled {
-                                    // A redelivery of the delta that built
-                                    // the base: its payload is merged
-                                    // already.
-                                    self.set_base(conn, based, payload);
-                                    return;
-                                }
-                                Some(payload)
+                    } if node_id == node => match base {
+                        Some((based, payload)) if based == epoch => {
+                            if !self.dedup_disabled {
+                                // A redelivery of the delta that built the
+                                // base: its payload is merged already.
+                                self.set_base(conn, based, payload);
+                                return;
                             }
-                            Some((based, mut payload)) if based == base_epoch => {
-                                apply_delta(&mut payload, &delta).ok().map(|()| payload)
-                            }
-                            // Cut against a payload this connection does
-                            // not hold: stale, from another connection, or
-                            // after a backfill dropped the base.
-                            _ => None,
-                        };
-                        (epoch, false, payload)
-                    }
+                            (epoch, false, Some(payload), None)
+                        }
+                        Some((based, mut payload)) if based == base_epoch => {
+                            let payload = payload.apply(&delta).ok().map(|()| payload);
+                            (epoch, false, payload, Some((base_epoch, delta)))
+                        }
+                        // Cut against a payload this connection does not
+                        // hold: stale, from another connection, or after a
+                        // backfill dropped the base.
+                        _ => (epoch, false, None, None),
+                    },
                     // A seal from another node.
                     _ => return self.refuse(conn, node),
                 };
@@ -1126,14 +1199,29 @@ impl<S: ClusterSketch> AggregatorSession<S> {
                     return self.refuse(conn, node);
                 };
                 if self
-                    .ingest_payload(node, conn, epoch, backfill, &payload, now)
+                    .ingest_payload(node, conn, epoch, backfill, payload.as_slice(), now)
                     .is_err()
                 {
                     return self.refuse(conn, node);
                 }
-                if !backfill {
+                // Persist-before-serve: the driver appends the record
+                // before any reader sees what it merged.
+                let record = if backfill {
+                    Record::Whole {
+                        node,
+                        epoch,
+                        payload,
+                    }
+                } else {
                     self.set_base(conn, epoch, payload);
-                }
+                    Record::Live {
+                        conn,
+                        node,
+                        epoch,
+                        delta,
+                    }
+                };
+                self.out.push(AggOutput::Append(LogAppend(record)));
             }
             Message::Heartbeat {
                 node_id, processed, ..
@@ -1169,8 +1257,8 @@ impl<S: ClusterSketch> AggregatorSession<S> {
                             rec.intervals.push((start, rec.last_epoch));
                         }
                     }
-                    let record = encode_membership_record(node, rec);
-                    self.out.push(AggOutput::Append(record));
+                    let record = Record::Membership(encode_membership_record(node, rec));
+                    self.out.push(AggOutput::Append(LogAppend(record)));
                 }
                 self.conns.remove(&conn);
                 self.out.push(AggOutput::Close { conn });
@@ -1179,9 +1267,19 @@ impl<S: ClusterSketch> AggregatorSession<S> {
     }
 
     /// Keep `payload`, epoch `epoch`'s, as `conn`'s delta base.
-    fn set_base(&mut self, conn: ConnId, epoch: u64, payload: Vec<u8>) {
+    fn set_base(&mut self, conn: ConnId, epoch: u64, payload: Image) {
         if let Some(c) = self.conns.get_mut(&conn) {
             c.base = Some((epoch, payload));
+        }
+    }
+
+    /// The payload of epoch `epoch`'s seal, if connection `conn` keeps it
+    /// as its delta base: what the aggregation log writes whole when a
+    /// seal cannot be logged as its delta.
+    pub(crate) fn seal_payload(&self, conn: ConnId, epoch: u64) -> Option<&[u8]> {
+        match &self.conns.get(&conn)?.base {
+            Some((based, payload)) if *based == epoch => Some(payload.as_slice()),
+            _ => None,
         }
     }
 
@@ -1262,7 +1360,9 @@ impl<S: ClusterSketch> AggregatorSession<S> {
     /// keyframe's or one rebuilt from a delta: payload structure (no byte
     /// past the snapshot), report identity (this node, this epoch),
     /// checkpoint image and merge compatibility are checked before
-    /// anything is logged or merged.
+    /// anything is merged, and the caller logs what passed. A duplicate
+    /// (the idempotent replay below) wastes a record, which replay dedups
+    /// the same way.
     fn ingest_payload(
         &mut self,
         node: u32,
@@ -1277,14 +1377,6 @@ impl<S: ClusterSketch> AggregatorSession<S> {
             return Err(FrameError::Malformed("report identity != frame identity").into());
         }
         self.template.check_image(snapshot)?;
-
-        // Persist-before-serve: the validated frame payload is appended to
-        // the aggregation log before it can influence any answer. Frame
-        // records are commutative; a duplicate (idempotent replay below)
-        // wastes a record but replay dedups it the same way the in-memory
-        // path does.
-        self.out
-            .push(AggOutput::Append(encode_frame_record(node, epoch, payload)));
 
         let status_before = self.status_of(epoch);
         let dedup = !self.dedup_disabled;
@@ -1548,6 +1640,143 @@ impl<S: ClusterSketch> AggregatorSession<S> {
     }
 }
 
+/// Rebuilds an [`AggregatorSession`] from aggregation-log records fed in
+/// append order, one at a time, so a recovery holds one payload per node
+/// and the epoch window however long the log is.
+///
+/// Replay mirrors the live paths exactly: frame replay dedups per
+/// (epoch, node) and re-derives membership the way merging does;
+/// membership snapshots overwrite (last-writer-wins per node). A delta
+/// record applies to the payload of its node's record before it (the
+/// node's chain) iff that payload is of the delta's base epoch; one that
+/// cannot be applied is skipped and its epoch served Degraded, never
+/// misapplied. Records that fail any validation the live path would have
+/// enforced are skipped, never fatal — a recovery must salvage everything
+/// salvageable. Recovered nodes start disconnected (their transports died
+/// with the old process); epochs that were complete stay complete and are
+/// marked sealed so redundant backfill cannot re-journal `EpochSealed`.
+pub(crate) struct Replay<S: ClusterSketch> {
+    session: AggregatorSession<S>,
+    /// The (epoch, node) frames replayed.
+    replayed: BTreeSet<(u64, u32)>,
+    /// Each node's chain: the epoch and payload of its newest frame or
+    /// delta record.
+    chains: BTreeMap<u32, (u64, Image)>,
+    records: u64,
+}
+
+impl<S: ClusterSketch> Replay<S> {
+    /// A replay into a fresh session built like [`AggregatorSession::new`].
+    pub(crate) fn new(
+        template: NitroSketch<S>,
+        keep_epochs: usize,
+        heartbeat_timeout: Duration,
+    ) -> Self {
+        Self {
+            session: AggregatorSession::new(template, keep_epochs, heartbeat_timeout),
+            replayed: BTreeSet::new(),
+            chains: BTreeMap::new(),
+            records: 0,
+        }
+    }
+
+    /// Replay the next record of the log.
+    pub(crate) fn record(&mut self, bytes: &[u8]) {
+        let Self {
+            session,
+            replayed,
+            chains,
+            records,
+        } = self;
+        match decode_log_record(bytes) {
+            Ok(LogRecord::Frame {
+                node,
+                epoch,
+                payload,
+            }) => {
+                let (held, image) = chains.entry(node).or_default();
+                *held = epoch;
+                image.set(payload);
+                if session.replay_frame(replayed, node, epoch, payload) {
+                    *records += 1;
+                }
+            }
+            Ok(LogRecord::Delta {
+                node,
+                epoch,
+                base_epoch,
+                delta,
+            }) => {
+                let applied = match chains.get_mut(&node) {
+                    Some((held, image)) if *held == base_epoch => {
+                        let applied = image.apply(delta).is_ok();
+                        *held = epoch;
+                        applied
+                    }
+                    _ => false,
+                };
+                if !applied {
+                    // A half-rewritten image is no base for anything.
+                    chains.remove(&node);
+                    session.replay_missing(replayed, node, epoch);
+                } else if session.replay_frame(replayed, node, epoch, chains[&node].1.as_slice()) {
+                    *records += 1;
+                }
+            }
+            Ok(LogRecord::Membership {
+                node,
+                last_epoch,
+                open_from,
+                intervals,
+            }) => {
+                let n = session.nodes.entry(node).or_insert_with(NodeRecord::blank);
+                n.intervals = intervals;
+                n.open_from = open_from;
+                n.last_epoch = n.last_epoch.max(last_epoch);
+                *records += 1;
+            }
+            Err(_) => {}
+        }
+    }
+
+    /// Replay `frames`' records, in order.
+    #[cfg(test)]
+    pub(crate) fn of(
+        template: NitroSketch<S>,
+        keep_epochs: usize,
+        heartbeat_timeout: Duration,
+        frames: &[RecoveredFrame],
+    ) -> (AggregatorSession<S>, AggRecovery) {
+        let mut replay = Self::new(template, keep_epochs, heartbeat_timeout);
+        for f in frames {
+            replay.record(&f.bytes);
+        }
+        replay.finish()
+    }
+
+    /// The rebuilt session, and what was rebuilt.
+    pub(crate) fn finish(self) -> (AggregatorSession<S>, AggRecovery) {
+        let mut session = self.session;
+        // Epochs already complete must not re-journal `EpochSealed` when
+        // a node's redundant backfill replays their frames.
+        let complete: Vec<u64> = session
+            .epochs
+            .keys()
+            .copied()
+            .filter(|&e| session.status_of(e).is_complete())
+            .collect();
+        for e in complete {
+            session.epochs.get_mut(&e).expect("just listed").sealed = true;
+        }
+        let recovery = AggRecovery {
+            epochs: session.epochs.len() as u32,
+            nodes: session.nodes.len() as u32,
+            records: self.records,
+        };
+        (session, recovery)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1557,11 +1786,29 @@ mod tests {
     }
 
     /// Aggregation-log records keep the bytes the log has always held, so
-    /// an aggregator recovers a log written by an older build.
+    /// an aggregator recovers a log written by an older build; a delta
+    /// record puts its base epoch between its epoch and its delta.
     #[test]
     fn log_records_keep_their_bytes_and_round_trip() {
         let frame = encode_frame_record(3, 5, b"payload");
         assert_eq!(hex(&frame), "010300000005000000000000007061796c6f6164");
+        let delta = [&delta_record_head(3, 6, 5)[..], b"delta"].concat();
+        assert_eq!(
+            hex(&delta),
+            "03030000000600000000000000050000000000000064656c7461"
+        );
+        match decode_log_record(&delta) {
+            Ok(LogRecord::Delta {
+                node: 3,
+                epoch: 6,
+                base_epoch: 5,
+                delta,
+            }) => assert_eq!(delta, b"delta"),
+            _ => panic!("delta record does not decode"),
+        }
+        for cut in 0..21 {
+            assert!(decode_log_record(&delta[..cut]).is_err(), "cut {cut}");
+        }
         let mut rec = NodeRecord::blank();
         rec.last_epoch = 9;
         rec.open_from = Some(7);
@@ -1659,10 +1906,10 @@ mod tests {
 
         let timeout = Duration::from_secs(2);
         for keep in [1, 4, 11] {
-            let (bounded, got) = AggregatorSession::recover(template(), keep, timeout, &frames);
+            let (bounded, got) = Replay::of(template(), keep, timeout, &frames);
             // Replay then evict: the whole log unbounded, then the oldest
             // records dropped and complete epochs marked sealed.
-            let (mut all, whole) = AggregatorSession::recover(template(), 0, timeout, &frames);
+            let (mut all, whole) = Replay::of(template(), 0, timeout, &frames);
             while all.epochs.len() > keep {
                 all.epochs.pop_first();
             }

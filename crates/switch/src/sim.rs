@@ -39,8 +39,9 @@
 use crate::clock::{Clock, Nanos, SimClock};
 use crate::cluster::proto::{AgentOutput, AgentSession, AggEvent, AggOutput, AggregatorSession};
 use crate::cluster::wire::{encode_epoch_payload, EpochReport, Message};
+use crate::cluster::AggLog;
 use crate::cluster::ReconnectPolicy;
-use crate::store::{CheckpointSink, CheckpointStore, StoreConfig};
+use crate::store::{CheckpointStore, StoreConfig};
 use nitro_core::{Mode, NitroSketch};
 use nitro_hash::xxhash::xxh64_u64;
 use nitro_hash::{SplitMix64, Xoshiro256StarStar};
@@ -104,7 +105,7 @@ pub enum FaultKind {
     /// connection breaks; the aggregation log survives.
     KillAggregator,
     /// Restart the aggregator from its log
-    /// ([`AggregatorSession::recover`]).
+    /// ([`AggLog::recover`]).
     RecoverAggregator,
     /// Partition one node from the aggregator: its connection breaks and
     /// every dial fails until [`FaultKind::Heal`].
@@ -502,8 +503,7 @@ struct Sim<'a> {
     seq: u64,
     nodes: Vec<SimNode>,
     agg: Option<AggregatorSession<CountMin>>,
-    agg_log: Arc<CheckpointStore>,
-    agg_seq: u64,
+    agg_log: AggLog,
     conn_owner: HashMap<u64, u32>,
     fingerprint: u64,
     /// Fault-free synchronous delivery (the convergence phase).
@@ -538,8 +538,8 @@ pub fn run(cfg: &SimConfig, seed: u64, schedule: &Schedule) -> SimReport {
     ));
     let _ = std::fs::remove_dir_all(&base);
 
-    let agg_log = match CheckpointStore::create(base.join("agg-log"), 1, store_cfg()) {
-        Ok(s) => s,
+    let agg_log = match AggLog::open(base.join("agg-log"), &store_cfg()) {
+        Ok(log) => log,
         Err(e) => panic!("sim agg log create: {e}"),
     };
     let fingerprint = template().inner().fingerprint();
@@ -553,7 +553,6 @@ pub fn run(cfg: &SimConfig, seed: u64, schedule: &Schedule) -> SimReport {
         nodes: Vec::new(),
         agg: Some(AggregatorSession::new(template(), 0, cfg.heartbeat_timeout)),
         agg_log,
-        agg_seq: 1,
         conn_owner: HashMap::new(),
         fingerprint,
         reliable: false,
@@ -940,9 +939,8 @@ impl Sim<'_> {
                         }
                     }
                     AggOutput::Append(record) => {
-                        let seq = self.agg_seq;
-                        self.agg_seq += 1;
-                        if let Err(e) = self.agg_log.writer(0).persist(seq, 0, &record) {
+                        let agg = self.agg.as_ref().expect("agg alive");
+                        if let Err(e) = self.agg_log.append(record, agg) {
                             self.log(format!("agg log persist failed: {e}"));
                         }
                     }
@@ -1084,8 +1082,11 @@ impl Sim<'_> {
         };
         let mut payload = encode_epoch_payload(&report, &self.nodes[i].sketch.snapshot());
         let now = self.clock.now_ns();
-        let store = self.nodes[i].store.as_ref().expect("up node has store");
-        if let Err(e) = store.writer(0).persist(epoch, now, &payload) {
+        let node = &mut self.nodes[i];
+        let session = node.session.as_mut().expect("up node has session");
+        let store = node.store.as_ref().expect("up node has store");
+        let cut = session.cut(&payload);
+        if let Err(e) = store.writer(0).persist_cut(epoch, now, &payload, cut) {
             // Persist failed ⇒ nothing may be published for this epoch.
             self.log(format!("n{id} persist e{epoch} failed: {e}"));
             return;
@@ -1262,9 +1263,9 @@ impl Sim<'_> {
             return;
         }
         self.faults_applied += 1;
-        let frames = self.agg_log.frames(0);
         let (mut session, recovery) =
-            AggregatorSession::recover(template(), 0, self.cfg.heartbeat_timeout, &frames);
+            self.agg_log
+                .recover(template(), 0, self.cfg.heartbeat_timeout);
         if self.cfg.mutate_no_dedup {
             session.set_dedup_disabled(true);
         }

@@ -40,7 +40,12 @@
 //! would be no smaller than the payload. So no frame is larger than the
 //! keyframe it replaces: a segment's replay reads no more bytes than a
 //! segment of keyframes would, and a corrupt byte at any offset of a
-//! segment ends it at a frame no older than it would have there.
+//! segment ends it at a frame no older than it would have there. A writer
+//! that has cut the runs against the payload it appended last already
+//! hands them over instead of the store diffing again, and a log whose
+//! records carry their own deltas appends keyframes only. A replay
+//! rebuilds a delta's payload in place, in a buffer with slack in front
+//! (`Image`), so it costs the delta's runs whatever the head's length.
 //!
 //! **Rotation.** After `rotate_after` frames the active segment is sealed
 //! by an atomic `rename(2)` to its numbered name and a directory fsync;
@@ -61,7 +66,8 @@
 //! persist). The reopened store continues appending under a bumped
 //! generation without clobbering surviving segments. Every reader
 //! ([`CheckpointStore::recover`], [`CheckpointStore::newest_frame`],
-//! [`CheckpointStore::frames`]) returns full payloads.
+//! [`CheckpointStore::frames`], and the aggregation log's streaming
+//! replay) returns full payloads, and reads a segment a frame at a time.
 
 use crate::faults::{DiskAction, DiskFaultPlan};
 use crate::frame::{self, Frame, FrameError, Header, Reader};
@@ -69,7 +75,7 @@ use nitro_hash::xxhash::xxh64;
 use nitro_metrics::telemetry::ShardTelemetry;
 use std::fmt;
 use std::fs::{self, File, OpenOptions};
-use std::io::{self, Write as _};
+use std::io::{self, Read as _, Write as _};
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -333,13 +339,16 @@ struct ShardLog {
     /// kept between appends: a multi-megabyte frame re-uses warm pages
     /// instead of faulting in a fresh allocation per checkpoint.
     frame: Vec<u8>,
-    /// The payload of the active segment's newest frame: what the next
-    /// append diffs against. Meaningful only while `based` is set.
+    /// Sequence number and length of the newest payload durable in the
+    /// active segment: what the next delta is cut against. Cleared by a
+    /// seal and by an append that failed after reaching the file, so the
+    /// next frame is a keyframe.
+    based: Option<(u64, usize)>,
+    /// That payload's bytes, while `held`: what an append diffs against.
     base: Vec<u8>,
-    /// Whether `base` is the newest payload durable in the active segment.
-    /// Cleared by a seal and by an append that failed after reaching the
-    /// file, so the next frame is a keyframe.
-    based: bool,
+    /// Whether `base` holds the `based` payload. An append of runs its
+    /// caller cut, or of a keyframe it will never diff, leaves it behind.
+    held: bool,
     /// The byte runs of the payload being appended that differ from `base`.
     runs: Vec<Range<usize>>,
 }
@@ -351,8 +360,9 @@ impl ShardLog {
             frames_in_active: 0,
             next_segment,
             frame: Vec::new(),
+            based: None,
             base: Vec::new(),
-            based: false,
+            held: false,
             runs: Vec::new(),
         })
     }
@@ -532,24 +542,15 @@ impl CheckpointStore {
     /// a half-written frame; a torn or corrupt tail simply ends the scan at
     /// the last valid frame, exactly like recovery would.
     pub fn newest_frame(&self, shard: usize) -> Option<RecoveredFrame> {
-        let logs = self.logs.read().unwrap_or_else(|p| p.into_inner());
-        let _guard = logs.get(shard)?.lock().unwrap_or_else(|p| p.into_inner());
-        let sdir = shard_dir(&self.dir, shard);
         let mut newest: Option<RecoveredFrame> = None;
-        let mut take = |f: RecoveredFrame| {
+        self.for_each_frame(shard, |h, bytes| {
             if newest
                 .as_ref()
-                .is_none_or(|n| (f.generation, f.seq) >= (n.generation, n.seq))
+                .is_none_or(|n| (h.generation, h.seq) >= (n.generation, n.seq))
             {
-                newest = Some(f);
+                newest = Some(RecoveredFrame::of(h, bytes));
             }
-        };
-        let mut ids = sealed_segment_ids(&sdir).ok()?;
-        ids.sort_unstable();
-        for id in ids {
-            let _ = scan_segment(&sdir.join(format!("seg-{id:08}.log")), shard, &mut take);
-        }
-        let _ = scan_segment(&sdir.join("active.log"), shard, &mut take);
+        });
         newest
     }
 
@@ -563,22 +564,41 @@ impl CheckpointStore {
     /// [`CheckpointStore::newest_frame`]; torn or corrupt tails end a
     /// segment's contribution at its last valid frame.
     pub fn frames(&self, shard: usize) -> Vec<RecoveredFrame> {
+        let mut out = Vec::new();
+        self.for_each_frame(shard, |h, bytes| out.push(RecoveredFrame::of(h, bytes)));
+        out
+    }
+
+    /// [`CheckpointStore::frames`] one frame at a time: each valid frame's
+    /// header and full payload, lent to `on_frame` in append order. The
+    /// segments are read a frame at a time too, so a scan holds one frame
+    /// and one payload however long the log is.
+    pub(crate) fn for_each_frame(
+        &self,
+        shard: usize,
+        mut on_frame: impl FnMut(&StoreHeader, &[u8]),
+    ) {
         let logs = self.logs.read().unwrap_or_else(|p| p.into_inner());
         let Some(log) = logs.get(shard) else {
-            return Vec::new();
+            return;
         };
         let _guard = log.lock().unwrap_or_else(|p| p.into_inner());
         let sdir = shard_dir(&self.dir, shard);
-        let mut out = Vec::new();
         let mut ids = sealed_segment_ids(&sdir).unwrap_or_default();
         ids.sort_unstable();
         for id in ids {
-            let _ = scan_segment(&sdir.join(format!("seg-{id:08}.log")), shard, |f| {
-                out.push(f)
-            });
+            let path = sdir.join(format!("seg-{id:08}.log"));
+            let _ = scan_segment(&path, shard, &mut on_frame);
         }
-        let _ = scan_segment(&sdir.join("active.log"), shard, |f| out.push(f));
-        out
+        let _ = scan_segment(&sdir.join("active.log"), shard, &mut on_frame);
+    }
+
+    /// Id the active segment of `shard` takes when sealed: the next append
+    /// lands in a segment other than the last one's iff this moved.
+    pub(crate) fn active_segment(&self, shard: usize) -> u64 {
+        let logs = self.logs.read().unwrap_or_else(|p| p.into_inner());
+        let log = logs[shard].lock().unwrap_or_else(|p| p.into_inner());
+        log.next_segment
     }
 
     /// Online resize to `new_shards` (grow or shrink), for the pipeline's
@@ -600,17 +620,18 @@ impl CheckpointStore {
         Ok(())
     }
 
-    /// Append one checkpoint for `shard`: a delta against the segment's
-    /// previous frame when that is smaller than the payload, a keyframe
-    /// otherwise. Returns the
-    /// payload bytes appended, or an error when the frame did not become
-    /// durable (frozen store, injected fault, or real I/O failure).
+    /// Append one checkpoint for `shard`, encoded as `encoding` says: a
+    /// delta against the segment's previous frame when the encoding allows
+    /// one and it is smaller than the payload, a keyframe otherwise.
+    /// Returns the payload bytes appended, or an error when the frame did
+    /// not become durable (frozen store, injected fault, or real I/O
+    /// failure).
     fn append(
         &self,
         shard: usize,
         seq: u64,
         processed_at: u64,
-        payload: &[u8],
+        encoding: Encoding<'_>,
     ) -> io::Result<usize> {
         self.appends.fetch_add(1, Ordering::Relaxed);
         let frozen = || io::Error::new(io::ErrorKind::BrokenPipe, "checkpoint store frozen");
@@ -647,15 +668,30 @@ impl CheckpointStore {
         let ShardLog {
             file,
             frame: buf,
-            base,
             based,
+            base,
+            held,
             runs,
             ..
         } = &mut *log;
         // The base is cleared here and set again only once this frame is
         // durable, so an append that fails from here on leaves the next
         // one a keyframe.
-        let delta = std::mem::take(based) && diff_lines(base, payload, runs);
+        let based = based.take();
+        let (delta, base_len, runs) = match encoding {
+            Encoding::Diff(payload) => {
+                let delta = based.is_some() && *held && diff_lines(base, payload, runs);
+                (delta, base.len(), &runs[..])
+            }
+            // Runs cut against the payload this segment's previous frame
+            // holds: its sequence number and length name it.
+            Encoding::Cut(_, cut) => (
+                based == Some((cut.base_seq, cut.base_len)),
+                cut.base_len,
+                cut.runs,
+            ),
+            Encoding::Whole(_) => (false, 0, &[][..]),
+        };
         let header = LogHeader {
             frame: StoreHeader {
                 shard: shard as u16,
@@ -665,12 +701,12 @@ impl CheckpointStore {
             },
             delta,
         };
-        frame::encode_into(buf, &header, |out| {
-            if delta {
-                encode_delta(out, base.len(), payload, runs);
-            } else {
-                out.extend_from_slice(payload);
+        frame::encode_into(buf, &header, |out| match encoding {
+            Encoding::Diff(payload) | Encoding::Cut(payload, _) if delta => {
+                encode_delta(out, base_len, payload, runs)
             }
+            Encoding::Diff(payload) | Encoding::Cut(payload, _) => out.extend_from_slice(payload),
+            Encoding::Whole(parts) => parts.iter().for_each(|p| out.extend_from_slice(p)),
         });
         let body = buf.len() - FRAME_HEADER - frame::TRAILER;
         match action {
@@ -708,17 +744,31 @@ impl CheckpointStore {
                 "injected torn write (store frozen)",
             ));
         }
-        // The new base: patched in place where the runs are all that
-        // changed, copied whole where the length moved.
-        if delta && base.len() == payload.len() {
-            for r in runs.iter() {
-                base[r.clone()].copy_from_slice(&payload[r.clone()]);
+        let len = match encoding {
+            Encoding::Diff(payload) => {
+                // The new base: patched in place where the runs are all
+                // that changed, copied whole where the length moved.
+                if delta && base.len() == payload.len() {
+                    for r in runs.iter() {
+                        base[r.clone()].copy_from_slice(&payload[r.clone()]);
+                    }
+                } else {
+                    base.clear();
+                    base.extend_from_slice(payload);
+                }
+                *held = true;
+                payload.len()
             }
-        } else {
-            base.clear();
-            base.extend_from_slice(payload);
-        }
-        log.based = true;
+            Encoding::Cut(payload, _) => {
+                *held = false;
+                payload.len()
+            }
+            Encoding::Whole(_) => {
+                *held = false;
+                body
+            }
+        };
+        log.based = Some((seq, len));
         log.frames_in_active += 1;
         self.persisted.fetch_add(1, Ordering::Relaxed);
         if log.frames_in_active >= self.cfg.rotate_after {
@@ -733,7 +783,7 @@ impl CheckpointStore {
     fn seal(&self, log: &mut ShardLog, sdir: &Path) -> io::Result<()> {
         // The frames are already fsync'd; close before renaming.
         log.file = None;
-        log.based = false;
+        log.based = None;
         let sealed = sdir.join(format!("seg-{:08}.log", log.next_segment));
         fs::rename(sdir.join("active.log"), &sealed)?;
         sync_dir(sdir)?;
@@ -780,17 +830,85 @@ impl ShardWriter {
     }
 }
 
-impl CheckpointSink for ShardWriter {
-    fn persist(&self, seq: u64, processed_at: u64, bytes: &[u8]) -> io::Result<()> {
-        let appended = self
-            .store
-            .append(self.shard, self.seq_base + seq, processed_at, bytes)?;
+impl ShardWriter {
+    /// [`CheckpointSink::persist`] of a payload whose runs against an
+    /// earlier payload of this writer's the caller has cut already: the
+    /// frame is a delta of those runs when that payload is the segment's
+    /// previous frame, a keyframe when the segment is new. Without a cut
+    /// (no earlier payload, or a delta no smaller) it is a keyframe.
+    pub(crate) fn persist_cut(
+        &self,
+        seq: u64,
+        processed_at: u64,
+        payload: &[u8],
+        cut: Option<Cut<'_>>,
+    ) -> io::Result<()> {
+        let encoding = match cut {
+            Some(cut) => Encoding::Cut(
+                payload,
+                Cut {
+                    base_seq: self.seq_base + cut.base_seq,
+                    ..cut
+                },
+            ),
+            None => Encoding::Whole(&[payload]),
+        };
+        self.persist_as(seq, processed_at, encoding)
+    }
+
+    /// Persist the concatenation of `parts` as a keyframe, never diffed:
+    /// for a log whose records carry their own deltas.
+    pub(crate) fn persist_whole(
+        &self,
+        seq: u64,
+        processed_at: u64,
+        parts: &[&[u8]],
+    ) -> io::Result<()> {
+        self.persist_as(seq, processed_at, Encoding::Whole(parts))
+    }
+
+    fn persist_as(&self, seq: u64, processed_at: u64, encoding: Encoding<'_>) -> io::Result<()> {
+        let appended =
+            self.store
+                .append(self.shard, self.seq_base + seq, processed_at, encoding)?;
         if let Some(tel) = &self.telemetry {
             tel.frames_persisted.incr();
             tel.bytes_persisted.add(appended as u64);
         }
         Ok(())
     }
+}
+
+impl CheckpointSink for ShardWriter {
+    fn persist(&self, seq: u64, processed_at: u64, bytes: &[u8]) -> io::Result<()> {
+        self.persist_as(seq, processed_at, Encoding::Diff(bytes))
+    }
+}
+
+/// The runs of a payload that differ from an earlier payload, cut once by
+/// [`diff_lines`] and reused by every log and wire that payload goes to.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Cut<'a> {
+    /// Sequence number the earlier payload was appended under.
+    pub base_seq: u64,
+    /// The earlier payload's length.
+    pub base_len: usize,
+    /// The runs, as [`diff_lines`] gave them: a delta of them is smaller
+    /// than the payload.
+    pub runs: &'a [Range<usize>],
+}
+
+/// How [`CheckpointStore::append`] encodes a payload.
+#[derive(Clone, Copy)]
+enum Encoding<'a> {
+    /// As a delta against the segment's previous frame, diffed by the
+    /// store, when that is smaller.
+    Diff(&'a [u8]),
+    /// As a delta of runs the caller cut, when the segment's previous
+    /// frame is the payload they were cut against.
+    Cut(&'a [u8], Cut<'a>),
+    /// As a keyframe of these parts, in order.
+    Whole(&'a [&'a [u8]]),
 }
 
 /// One recovered checkpoint: the newest frame of a shard that passed every
@@ -805,6 +923,17 @@ pub struct RecoveredFrame {
     pub processed_at: u64,
     /// The checkpoint payload (`sketches::checkpoint` codec).
     pub bytes: Vec<u8>,
+}
+
+impl RecoveredFrame {
+    fn of(header: &StoreHeader, bytes: &[u8]) -> Self {
+        Self {
+            generation: header.generation,
+            seq: header.seq,
+            processed_at: header.processed_at,
+            bytes: bytes.to_vec(),
+        }
+    }
 }
 
 /// What recovery found and repaired.
@@ -933,90 +1062,162 @@ pub(crate) fn encode_delta(
     }
 }
 
-/// Turn `image`, the previous frame's payload, into the payload the delta
-/// `delta` encodes. A delta cut against another base, with runs out of
-/// order or out of bounds, or leaving bytes its base never had, is
-/// malformed. On an error `image` may be left half rewritten.
-pub(crate) fn apply_delta(image: &mut Vec<u8>, delta: &[u8]) -> Result<(), FrameError> {
-    let mut r = Reader::new(delta);
-    let len = r.u32()? as usize;
-    let base_len = r.u32()? as usize;
-    if base_len != image.len() {
-        return Err(FrameError::Malformed("delta cut against another base"));
+/// Free bytes an [`Image`] keeps in front of its payload when a delta
+/// outgrows the slack it had: a head that keeps growing moves the payload
+/// once per this many bytes.
+const SLACK: usize = 64 * 1024;
+
+/// A payload that deltas rewrite in place. The payload is `buf[start..]`,
+/// and the `start` bytes before it are slack: a delta is aligned at the
+/// payload's end, so a head that grows or shrinks moves `start` and no
+/// byte after it, and an apply costs the delta's runs, not the payload.
+#[derive(Clone, Default)]
+pub(crate) struct Image {
+    buf: Vec<u8>,
+    start: usize,
+}
+
+impl PartialEq for Image {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_slice() == other.as_slice()
     }
-    // Bytes the base lacks come from the runs, so they fit in the delta:
-    // a larger claim is refused before anything is allocated for it.
-    let fresh = len.saturating_sub(base_len);
-    if fresh > delta.len() {
-        return Err(FrameError::Malformed("delta leaves bytes its base lacks"));
+}
+
+impl fmt::Debug for Image {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "Image({} bytes)", self.as_slice().len())
     }
-    // Realign the base at the end of the new length.
-    if len < base_len {
-        image.drain(..base_len - len);
-    } else {
-        image.splice(0..0, std::iter::repeat_n(0, fresh));
-    }
-    let mut done = 0;
-    while !r.is_empty() {
-        let at = r.u32()? as usize;
-        let n = r.u32()? as usize;
-        let bytes = r.take(n)?;
-        if at < done || at > len || n > len - at {
-            return Err(FrameError::Malformed("delta run out of order or bounds"));
+}
+
+impl Image {
+    /// The image of `payload`, taken without a copy.
+    pub(crate) fn new(payload: Vec<u8>) -> Self {
+        Self {
+            buf: payload,
+            start: 0,
         }
-        if done < fresh && at != done {
+    }
+
+    /// The payload.
+    pub(crate) fn as_slice(&self) -> &[u8] {
+        &self.buf[self.start..]
+    }
+
+    /// Replace the payload by a copy of `payload`, in the buffer it has.
+    pub(crate) fn set(&mut self, payload: &[u8]) {
+        self.buf.clear();
+        self.buf.extend_from_slice(payload);
+        self.start = 0;
+    }
+
+    /// Turn the payload, the one `delta` was cut against, into the payload
+    /// `delta` encodes. A delta cut against another base, with runs out of
+    /// order or out of bounds, or leaving bytes its base never had, is
+    /// malformed. On an error the payload may be left half rewritten.
+    pub(crate) fn apply(&mut self, delta: &[u8]) -> Result<(), FrameError> {
+        let mut r = Reader::new(delta);
+        let len = r.u32()? as usize;
+        let base_len = r.u32()? as usize;
+        if base_len != self.buf.len() - self.start {
+            return Err(FrameError::Malformed("delta cut against another base"));
+        }
+        // Bytes the base lacks come from the runs, so they fit in the delta:
+        // a larger claim is refused before anything is allocated for it.
+        let fresh = len.saturating_sub(base_len);
+        if fresh > delta.len() {
             return Err(FrameError::Malformed("delta leaves bytes its base lacks"));
         }
-        image[at..at + n].copy_from_slice(bytes);
-        done = at + n;
+        // Realign the base at the end of the new length: move the start,
+        // or the payload once, behind new slack, when the head outgrew it.
+        if len < base_len {
+            self.start += base_len - len;
+        } else if fresh <= self.start {
+            self.start -= fresh;
+        } else {
+            let mut buf = Vec::with_capacity(SLACK + len);
+            buf.resize(SLACK + fresh, 0);
+            buf.extend_from_slice(&self.buf[self.start..]);
+            self.buf = buf;
+            self.start = SLACK;
+        }
+        let image = &mut self.buf[self.start..];
+        let mut done = 0;
+        while !r.is_empty() {
+            let at = r.u32()? as usize;
+            let n = r.u32()? as usize;
+            let bytes = r.take(n)?;
+            if at < done || at > len || n > len - at {
+                return Err(FrameError::Malformed("delta run out of order or bounds"));
+            }
+            if done < fresh && at != done {
+                return Err(FrameError::Malformed("delta leaves bytes its base lacks"));
+            }
+            image[at..at + n].copy_from_slice(bytes);
+            done = at + n;
+        }
+        if done < fresh {
+            return Err(FrameError::Malformed("delta leaves bytes its base lacks"));
+        }
+        Ok(())
     }
-    if done < fresh {
-        return Err(FrameError::Malformed("delta leaves bytes its base lacks"));
+}
+
+/// Read the frame at `file`'s position into `buf`: its head, then as much
+/// of the length the head claims as the `left` bytes of the file hold, so
+/// a frame the file cuts short decodes as truncated.
+fn read_frame(file: &mut File, buf: &mut Vec<u8>, left: usize) -> io::Result<()> {
+    buf.clear();
+    file.take(FRAME_HEADER.min(left) as u64).read_to_end(buf)?;
+    if let Ok((_, need)) = frame::peek::<LogHeader>(buf) {
+        let rest = need.min(left) - buf.len();
+        buf.reserve(rest);
+        file.take(rest as u64).read_to_end(buf)?;
     }
     Ok(())
 }
 
-/// Scan one segment file, pushing every valid frame for `shard` through
+/// Scan one segment file, lending every valid frame for `shard` to
 /// `on_frame` in append order, with its payload replayed in full: a
-/// keyframe's as read, a delta's applied to the frame before it. Returns
-/// where and why the scan stopped short of the end of the file, if it did.
+/// keyframe's as read, a delta's applied to the frame before it. The file
+/// is read a frame at a time. Returns where and why the scan stopped short
+/// of the end of the file, if it did.
 fn scan_segment(
     path: &Path,
     shard: usize,
-    mut on_frame: impl FnMut(RecoveredFrame),
+    mut on_frame: impl FnMut(&StoreHeader, &[u8]),
 ) -> io::Result<Option<(usize, FrameError)>> {
-    let data = match fs::read(path) {
-        Ok(d) => d,
+    let mut file = match File::open(path) {
+        Ok(f) => f,
         Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
         Err(e) => return Err(e),
     };
-    // The payload of the frame just read: the next delta's base.
-    let mut image = Vec::new();
+    let size = file.metadata()?.len() as usize;
+    // The payload of the frame just read: the next delta's base. A
+    // keyframe becomes it where it was read, its frame head the slack.
+    let mut image = Image::default();
+    let mut buf = Vec::new();
     let mut at = 0usize;
-    while at < data.len() {
-        let replayed = decode_addressed(&data[at..], shard).and_then(|f| {
-            match (f.header.delta, at) {
-                (false, _) => {
-                    image.clear();
-                    image.extend_from_slice(f.payload);
-                }
-                (true, 0) => return Err(FrameError::Malformed("segment opens with a delta")),
-                (true, _) => apply_delta(&mut image, f.payload)?,
-            }
-            Ok(f)
-        });
-        match replayed {
-            Ok(f) => {
-                on_frame(RecoveredFrame {
-                    generation: f.header.frame.generation,
-                    seq: f.header.frame.seq,
-                    processed_at: f.header.frame.processed_at,
-                    bytes: image.clone(),
-                });
-                at += f.len;
-            }
+    while at < size {
+        read_frame(&mut file, &mut buf, size - at)?;
+        let (header, len) = match decode_addressed(&buf, shard) {
+            Ok(f) => (f.header, f.len),
             Err(e) => return Ok(Some((at, e))),
+        };
+        let replayed = match (header.delta, at) {
+            (false, _) => {
+                buf.truncate(len - frame::TRAILER);
+                std::mem::swap(&mut image.buf, &mut buf);
+                image.start = FRAME_HEADER;
+                Ok(())
+            }
+            (true, 0) => Err(FrameError::Malformed("segment opens with a delta")),
+            (true, _) => image.apply(&buf[FRAME_HEADER..len - frame::TRAILER]),
+        };
+        if let Err(e) = replayed {
+            return Ok(Some((at, e)));
         }
+        on_frame(&header.frame, image.as_slice());
+        at += len;
     }
     Ok(None)
 }
@@ -1034,16 +1235,16 @@ fn scan_shard(
     let max_segment = ids.last().copied().unwrap_or(0);
     let mut newest: Option<RecoveredFrame> = None;
     let mut valid = 0u64;
-    let mut take = |f: RecoveredFrame| {
+    let mut take = |h: &StoreHeader, bytes: &[u8]| {
         valid += 1;
         // Append order within a file and (generation, seq) across files
         // agree for honest histories; the explicit comparison keeps a
         // stale file copied back into place from shadowing newer state.
         if newest
             .as_ref()
-            .is_none_or(|n| (f.generation, f.seq) >= (n.generation, n.seq))
+            .is_none_or(|n| (h.generation, h.seq) >= (n.generation, n.seq))
         {
-            newest = Some(f);
+            newest = Some(RecoveredFrame::of(h, bytes));
         }
     };
     for &id in &ids {
@@ -1616,23 +1817,50 @@ mod tests {
         assert!(diff_lines(&base, &image, &mut runs));
         let mut delta = Vec::new();
         encode_delta(&mut delta, base.len(), &image, &runs);
-        let mut replayed = base.clone();
-        apply_delta(&mut replayed, &delta).unwrap();
-        assert_eq!(replayed, image);
+        let mut replayed = Image::new(base.clone());
+        replayed.apply(&delta).unwrap();
+        assert_eq!(replayed.as_slice(), image);
         // Another base, or no bytes for the head the base lacks, is
         // malformed rather than silently wrong.
-        let mut other = payload(1, 1000);
-        assert!(apply_delta(&mut other, &delta).is_err());
+        let mut other = Image::new(payload(1, 1000));
+        assert!(other.apply(&delta).is_err());
         let mut headless = Vec::new();
         encode_delta(&mut headless, base.len(), &image, &runs[1..]);
-        let mut replayed = base.clone();
-        assert!(apply_delta(&mut replayed, &headless).is_err());
+        let mut replayed = Image::new(base.clone());
+        assert!(replayed.apply(&headless).is_err());
         // A length no run could fill is refused before it is allocated.
         let mut huge = delta.clone();
         huge[..4].copy_from_slice(&u32::MAX.to_le_bytes());
-        let mut replayed = base.clone();
-        assert!(apply_delta(&mut replayed, &huge).is_err());
-        assert_eq!(replayed, base);
+        let mut replayed = Image::new(base.clone());
+        assert!(replayed.apply(&huge).is_err());
+        assert_eq!(replayed.as_slice(), base);
+    }
+
+    #[test]
+    fn a_head_that_grows_and_shrinks_moves_the_start_not_the_bytes() {
+        let tail = payload(3, 4096);
+        let mut prev = [&[0; 10][..], &tail].concat();
+        let mut image = Image::new(prev.clone());
+        let mut runs = Vec::new();
+        // Grow past the slack once, then shrink and grow within it.
+        for (step, head) in [200, 100, 30, SLACK / 2, 10, 2 * SLACK]
+            .into_iter()
+            .enumerate()
+        {
+            let mut next = [&vec![step as u8 + 1; head][..], &tail].concat();
+            let last = next.len() - 1;
+            next[last] ^= step as u8 + 1;
+            assert!(diff_lines(&prev, &next, &mut runs), "step {step}");
+            let mut delta = Vec::new();
+            encode_delta(&mut delta, prev.len(), &next, &runs);
+            let moved = image.buf.as_ptr();
+            image.apply(&delta).unwrap();
+            assert_eq!(image.as_slice(), next, "step {step}");
+            if step > 0 && step != 5 {
+                assert_eq!(image.buf.as_ptr(), moved, "step {step} moved the payload");
+            }
+            prev = next;
+        }
     }
 
     #[test]

@@ -19,14 +19,15 @@ use nitrosketch::switch::cluster::wire::{
     decode_epoch_payload, encode_epoch_payload, Message, WireHeader, WIRE_VERSION,
 };
 use nitrosketch::switch::cluster::{AgentOutput, AgentSession, AggEvent, ReconnectPolicy};
-use nitrosketch::switch::cluster::{AggOutput, ConnId};
+use nitrosketch::switch::cluster::{AggLog, AggOutput, ConnId, EpochStatus};
 use nitrosketch::switch::frame;
 use nitrosketch::switch::{
-    Aggregator, AggregatorConfig, EpochReport, FrameError, MergedView, NodeAgent, NodeAgentConfig,
-    RecoveredFrame,
+    Aggregator, AggregatorConfig, CheckpointSink, CheckpointStore, EpochReport, FrameError,
+    MergedView, NodeAgent, NodeAgentConfig, RecoveredFrame, StoreConfig,
 };
 use proptest::prelude::*;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
+use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 /// Deterministically expand a handful of drawn scalars into one of the
@@ -414,37 +415,7 @@ proptest! {
         steps in 16usize..48,
     ) {
         let mut wire = Wire::new(nodes, true, seed);
-        let mut net = SplitMix64::new(seed ^ 0x5eed);
-        for n in 0..nodes {
-            wire.dial(n);
-        }
-        for _ in 0..steps {
-            let n = (net.next_u64() % nodes as u64) as usize;
-            wire.copies = 1 + usize::from(net.next_u64().is_multiple_of(3));
-            match net.next_u64() % 10 {
-                0 => wire.sever(n),
-                1 => {
-                    wire.seal(n, true);
-                }
-                2 | 3 if wire.nodes[n].conn.is_none() => wire.dial(n),
-                _ => {
-                    wire.seal(n, false);
-                }
-            }
-        }
-        // Heal, and bring every node to the same last epoch: a cluster
-        // seals common windows, and an epoch completes once every member
-        // sealed it. Two epochs past the newest, every node ships a
-        // keyframe and then a delta on its last connection.
-        let last = 2 + wire.nodes.iter().map(|n| n.agent.next_epoch() - 1).max().unwrap_or(0);
-        for n in 0..nodes {
-            if wire.nodes[n].conn.is_none() {
-                wire.dial(n);
-            }
-            while wire.nodes[n].agent.next_epoch() <= last {
-                wire.seal(n, false);
-            }
-        }
+        let last = wire.storm(seed, steps);
         prop_assert_eq!(wire.rejected, 0);
         prop_assert!(wire.deltas >= nodes as u64, "{:?}", wire.sent);
         let (deltas, keyframes) = (&wire.aggs[0], &wire.aggs[1]);
@@ -552,9 +523,11 @@ struct WiredNode {
 /// Agent sessions and aggregator sessions joined by an in-memory network
 /// that delivers every seal `copies` times. `aggs[0]` gets what the
 /// agents send; a twin, when asked for, gets every delta seal as the
-/// keyframe of the payload it encodes and is otherwise fed alike.
+/// keyframe of the payload it encodes and is otherwise fed alike. An
+/// aggregator given a log appends to it what it emits.
 struct Wire {
     aggs: Vec<AggregatorSession<CountMin>>,
+    logs: Vec<Option<AggLog>>,
     nodes: Vec<WiredNode>,
     copies: usize,
     /// Every message delivered, by node, in order.
@@ -581,6 +554,7 @@ impl Wire {
             })
             .collect();
         Self {
+            logs: (0..1 + usize::from(keyframe_twin)).map(|_| None).collect(),
             aggs,
             nodes,
             copies: 1,
@@ -688,7 +662,7 @@ impl Wire {
         };
         let mut replies: Vec<Vec<Message>> = Vec::new();
         let mut closed = false;
-        for (i, agg) in self.aggs.iter_mut().enumerate() {
+        for (i, (agg, log)) in self.aggs.iter_mut().zip(&mut self.logs).enumerate() {
             let msg = if i == 0 {
                 msg.clone()
             } else {
@@ -705,7 +679,12 @@ impl Wire {
                     AggOutput::Event(AggEvent::FrameRejected { .. }) if i == 0 => {
                         self.rejected += 1
                     }
-                    AggOutput::Event(_) | AggOutput::Append(_) => {}
+                    AggOutput::Append(record) => {
+                        if let Some(log) = log {
+                            log.append(record, agg).expect("log append");
+                        }
+                    }
+                    AggOutput::Event(_) => {}
                 }
             }
             replies.push(sends);
@@ -725,6 +704,61 @@ impl Wire {
                 .on_message(reply, self.now)
                 .expect("handshake accepted");
         }
+    }
+
+    /// Give aggregator `i` an aggregation log in `dir`.
+    fn log_to(&mut self, i: usize, dir: &Path, cfg: &StoreConfig) {
+        self.logs[i] = Some(AggLog::open(dir, cfg).expect("open log"));
+    }
+
+    /// Dial every node, then run `steps` random steps drawn from `seed`:
+    /// seals (each delivered once or twice), seals lost with their
+    /// connection, severs and redials. Then heal, and bring every node to
+    /// the same last epoch: a cluster seals common windows, and an epoch
+    /// completes once every member sealed it. Two epochs past the newest,
+    /// every node ships a keyframe and then a delta on its last
+    /// connection. Returns that last epoch.
+    fn storm(&mut self, seed: u64, steps: usize) -> u64 {
+        let nodes = self.nodes.len();
+        let mut net = SplitMix64::new(seed ^ 0x5eed);
+        for n in 0..nodes {
+            self.dial(n);
+        }
+        for _ in 0..steps {
+            let n = (net.next_u64() % nodes as u64) as usize;
+            self.copies = 1 + usize::from(net.next_u64().is_multiple_of(3));
+            match net.next_u64() % 10 {
+                0 => self.sever(n),
+                1 => {
+                    self.seal(n, true);
+                }
+                2 | 3 if self.nodes[n].conn.is_none() => self.dial(n),
+                _ => {
+                    self.seal(n, false);
+                }
+            }
+        }
+        let last = 2 + self
+            .nodes
+            .iter()
+            .map(|n| n.agent.next_epoch() - 1)
+            .max()
+            .unwrap_or(0);
+        for n in 0..nodes {
+            if self.nodes[n].conn.is_none() {
+                self.dial(n);
+            }
+            while self.nodes[n].agent.next_epoch() <= last {
+                self.seal(n, false);
+            }
+        }
+        last
+    }
+
+    /// Node `n`'s sealed payload of `epoch`.
+    fn payload(&self, n: u32, epoch: u64) -> &[u8] {
+        let log = &self.nodes[n as usize].log;
+        &log.iter().find(|f| f.seq == epoch).expect("sealed").bytes
     }
 
     /// Packets every node sealed for `epoch`.
@@ -931,6 +965,271 @@ fn a_seal_whose_report_names_another_node_or_epoch_is_refused() {
             }
             assert_eq!(session.packets_of(1), delta.then_some(8), "{case}");
         }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The aggregation log: one delta per seal, chained per node
+// ---------------------------------------------------------------------------
+
+/// A fresh directory for a test's logs.
+fn log_dir(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!(
+        "nitro-wire-log-{tag}-{}-{:?}",
+        std::process::id(),
+        std::thread::current().id()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+/// An aggregation-log record read by its head, in the layout
+/// tests/frame_codec.rs pins: its tag (1 a whole frame, 2 a membership
+/// snapshot, 3 a delta) and, for a seal, its node and epoch.
+#[derive(Debug, PartialEq)]
+struct Logged {
+    tag: u8,
+    node: u32,
+    epoch: u64,
+}
+
+fn logged(record: &[u8]) -> Logged {
+    let epoch = match record[0] {
+        2 => 0,
+        _ => u64::from_le_bytes(record[5..13].try_into().unwrap()),
+    };
+    Logged {
+        tag: record[0],
+        node: u32::from_le_bytes(record[1..5].try_into().unwrap()),
+        epoch,
+    }
+}
+
+/// A log that never rotates.
+fn one_segment() -> StoreConfig {
+    StoreConfig {
+        rotate_after: 1 << 20,
+        keep_segments: 1,
+        fsync: false,
+    }
+}
+
+/// Write `records` as an aggregation log in `dir`, in order.
+fn write_log(dir: &Path, records: &[Vec<u8>]) {
+    let store = CheckpointStore::create(dir, 1, one_segment()).unwrap();
+    let w = store.writer(0);
+    for (seq, record) in records.iter().enumerate() {
+        w.persist(seq as u64 + 1, 0, record).unwrap();
+    }
+}
+
+/// A live seal after a connection's first arrives as a delta and is
+/// logged as that delta, on its node's chain; each node's first seal
+/// record in each segment is whole, so deleting whole segments never
+/// orphans a delta. The recovered log serves what the live session does.
+#[test]
+fn every_live_seal_after_a_connections_first_is_logged_as_a_per_node_delta() {
+    let dir = log_dir("chains");
+    let cfg = StoreConfig {
+        rotate_after: 7,
+        keep_segments: 64,
+        fsync: false,
+    };
+    let mut wire = Wire::new(3, false, 11);
+    wire.log_to(0, &dir, &cfg);
+    for n in 0..3 {
+        wire.dial(n);
+    }
+    for round in 0..12 {
+        // Node 1 seals round 5's epoch cut off, backfills it on the
+        // redial, and opens its new connection with a keyframe.
+        match round {
+            5 => wire.sever(1),
+            6 => wire.dial(1),
+            _ => {}
+        }
+        for n in 0..3 {
+            wire.seal(n, false);
+        }
+    }
+    let arrived: BTreeMap<(u32, u64), bool> = (wire.sent.iter())
+        .filter_map(|(_, msg)| match *msg {
+            Message::SealEpoch { node_id, epoch, .. } => Some(((node_id, epoch), false)),
+            Message::SealDelta { node_id, epoch, .. } => Some(((node_id, epoch), true)),
+            _ => None,
+        })
+        .collect();
+    let mut log = wire.logs[0].take().unwrap();
+    let records: Vec<Logged> = (log.store().frames(0).iter())
+        .map(|f| logged(&f.bytes))
+        .collect();
+    let seals = records.iter().filter(|r| r.tag != 2).count();
+    assert_eq!((records.len(), seals), (40, 36), "{records:?}");
+    let mut deltas = 0;
+    for (i, segment) in records.chunks(cfg.rotate_after as usize).enumerate() {
+        let mut opened = BTreeSet::new();
+        for r in segment.iter().filter(|r| r.tag != 2) {
+            let first = opened.insert(r.node);
+            let delta = arrived[&(r.node, r.epoch)] && !first;
+            assert_eq!(r.tag, if delta { 3 } else { 1 }, "segment {i}: {r:?}");
+            deltas += usize::from(delta);
+        }
+    }
+    // The other 19: six segments open three chains each (node 1's
+    // backfill opens its chain in the fourth), and node 1's first seal on
+    // its new connection is a keyframe.
+    assert_eq!(deltas, 17, "{records:?}");
+
+    let hour = Duration::from_secs(3600);
+    let (recovered, got) = log.recover(wire_template(), 0, hour);
+    assert_eq!(got.records, 40);
+    let live = &wire.aggs[0];
+    for e in 1..=12 {
+        assert_eq!(recovered.reporting_of(e), live.reporting_of(e), "epoch {e}");
+        assert_eq!(recovered.packets_of(e), live.packets_of(e), "epoch {e}");
+        let (a, b) = (recovered.view(e).unwrap(), live.view(e).unwrap());
+        assert!(
+            a.sketch().snapshot() == b.sketch().snapshot(),
+            "epoch {e} view differs"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A delta record whose base record is missing, or that names another
+/// base epoch than its node's record before it, is skipped: its epoch is
+/// served Degraded without that node, nothing of it is merged, and the
+/// node's watermark stays below it so a backfill can still repair it.
+#[test]
+fn a_delta_record_without_its_base_is_skipped_and_its_epoch_degraded() {
+    let dir = log_dir("orphans");
+    let mut wire = Wire::new(2, false, 5);
+    wire.log_to(0, &dir.join("live"), &one_segment());
+    for n in 0..2 {
+        wire.dial(n);
+    }
+    for _ in 0..4 {
+        for n in 0..2 {
+            wire.seal(n, false);
+        }
+    }
+    let records: Vec<Vec<u8>> = (wire.logs[0].as_ref().unwrap().store().frames(0))
+        .into_iter()
+        .map(|f| f.bytes)
+        .collect();
+    let node0: Vec<(u8, u64)> = (records.iter().map(|r| logged(r)))
+        .filter(|r| r.node == 0 && r.tag != 2)
+        .map(|r| (r.tag, r.epoch))
+        .collect();
+    assert_eq!(node0, [(1, 1), (3, 2), (3, 3), (3, 4)]);
+    let delta_2 = Logged {
+        tag: 3,
+        node: 0,
+        epoch: 2,
+    };
+    // Missing: node 0's delta of epoch 2 is gone, so its delta of epoch 3
+    // finds epoch 1 on the chain. Foreign: that delta names epoch 1 as its
+    // base while the chain holds epoch 2.
+    let missing: Vec<Vec<u8>> = (records.iter())
+        .filter(|r| logged(r) != delta_2)
+        .cloned()
+        .collect();
+    let foreign: Vec<Vec<u8>> = (records.iter().cloned())
+        .map(|mut r| {
+            if logged(&r).tag == 3 && logged(&r).node == 0 && logged(&r).epoch == 3 {
+                r[13..21].copy_from_slice(&1u64.to_le_bytes());
+            }
+            r
+        })
+        .collect();
+    let sealed = |n: usize, e: u64| {
+        let f = wire.nodes[n].log.iter().find(|f| f.seq == e).unwrap();
+        f.processed_at
+    };
+    for (case, records, skipped) in [("missing", missing, 2..=4), ("foreign", foreign, 3..=4)] {
+        write_log(&dir.join(case), &records);
+        let mut log = AggLog::open(dir.join(case), &one_segment()).unwrap();
+        let (session, _) = log.recover(wire_template(), 0, Duration::from_secs(3600));
+        for e in 1..=4 {
+            let merged0 = !skipped.contains(&e);
+            let status = session.status_of(e);
+            assert_eq!(status.is_complete(), merged0, "{case}: epoch {e}");
+            if !merged0 {
+                assert_eq!(status, EpochStatus::Degraded { missing: vec![0] });
+            }
+            let want: BTreeSet<u32> = [0, 1].into_iter().filter(|&n| merged0 || n == 1).collect();
+            assert_eq!(session.reporting_of(e), Some(want), "{case}: epoch {e}");
+            let packets = sealed(1, e) + if merged0 { sealed(0, e) } else { 0 };
+            assert_eq!(session.packets_of(e), Some(packets), "{case}: epoch {e}");
+        }
+        let watermark = if case == "missing" { 1 } else { 2 };
+        assert_eq!(session.node_watermark(0), Some(watermark), "{case}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Recovery replays each node's chain. Over random storms on 1–3
+    /// nodes (severs, redials, backfills, duplicated deliveries) logged
+    /// into a log so small that rotation cuts every chain and GC deletes
+    /// segments, a session recovered from the log holds every seal whose
+    /// record survived, and serves each epoch byte for byte as a session
+    /// recovered from the same records with every delta replaced by the
+    /// whole record of its payload, and, where every record of the epoch
+    /// survived, as the live session.
+    #[test]
+    fn a_recovered_log_serves_what_keyframes_and_the_live_session_serve(
+        seed in prop::num::u64::ANY,
+        nodes in 1usize..4,
+        steps in 16usize..48,
+        rotate_after in 2u64..5,
+        keep_segments in 1usize..4,
+    ) {
+        let dir = log_dir("storm");
+        let cfg = StoreConfig { rotate_after, keep_segments, fsync: false };
+        let mut wire = Wire::new(nodes, false, seed);
+        wire.log_to(0, &dir.join("deltas"), &cfg);
+        wire.storm(seed, steps);
+        let mut log = wire.logs[0].take().unwrap();
+        let records: Vec<Vec<u8>> = log.store().frames(0).into_iter().map(|f| f.bytes).collect();
+        let mut kept: BTreeMap<u64, BTreeSet<u32>> = BTreeMap::new();
+        let whole: Vec<Vec<u8>> = records
+            .iter()
+            .map(|r| {
+                let Logged { tag, node, epoch } = logged(r);
+                if tag == 2 {
+                    return r.clone();
+                }
+                kept.entry(epoch).or_default().insert(node);
+                [&[1u8][..], &r[1..13], wire.payload(node, epoch)].concat()
+            })
+            .collect();
+        write_log(&dir.join("keyframes"), &whole);
+
+        let hour = Duration::from_secs(3600);
+        let (recovered, got) = log.recover(wire_template(), 0, hour);
+        let mut keyframes = AggLog::open(dir.join("keyframes"), &one_segment()).unwrap();
+        let (keyframed, want) = keyframes.recover(wire_template(), 0, hour);
+        prop_assert_eq!(got, want);
+        prop_assert_eq!(recovered.epochs(), kept.keys().copied().collect::<Vec<_>>());
+        prop_assert_eq!(recovered.node_watermarks(), keyframed.node_watermarks());
+        let live = &wire.aggs[0];
+        for e in recovered.epochs() {
+            let reporting = recovered.reporting_of(e).unwrap();
+            prop_assert_eq!(&reporting, &kept[&e], "epoch {}", e);
+            prop_assert_eq!(recovered.status_of(e), keyframed.status_of(e), "epoch {}", e);
+            prop_assert_eq!(recovered.packets_of(e), keyframed.packets_of(e), "epoch {}", e);
+            prop_assert_eq!(Some(&reporting), keyframed.reporting_of(e).as_ref());
+            let view = recovered.view(e).unwrap().sketch().snapshot();
+            prop_assert!(view == keyframed.view(e).unwrap().sketch().snapshot(), "epoch {}", e);
+            if Some(&reporting) == live.reporting_of(e).as_ref() {
+                prop_assert!(view == live.view(e).unwrap().sketch().snapshot(), "epoch {}", e);
+                prop_assert_eq!(recovered.packets_of(e), live.packets_of(e), "epoch {}", e);
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }
 

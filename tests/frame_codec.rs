@@ -21,7 +21,7 @@ use nitrosketch::switch::cluster::wire::{
     decode_epoch_payload, encode_epoch_payload, Message, WireHeader,
 };
 use nitrosketch::switch::cluster::{
-    AgentOutput, AgentSession, AggEvent, AggOutput, ReconnectPolicy,
+    AgentOutput, AgentSession, AggEvent, AggLog, AggOutput, ReconnectPolicy,
 };
 use nitrosketch::switch::frame::{self, FrameError, Header};
 use nitrosketch::switch::store::{ManifestHeader, StoreHeader};
@@ -145,7 +145,63 @@ fn framings() -> Vec<(&'static str, Vec<u8>)> {
         ("epoch_payload", epoch_payload()),
     ];
     out.extend(messages().into_iter().map(|(n, m)| (n, m.to_bytes())));
+    out.push(("agg_log_delta", agg_log_delta()));
     out
+}
+
+/// The blank sketch of the aggregation-log goldens and fixture.
+fn small_template() -> NitroSketch<CountMin> {
+    NitroSketch::new(CountMin::new(2, 64, 9), Mode::Fixed { p: 1.0 }, 3)
+}
+
+/// The aggregation-log record of a delta seal: node 3's seal of epoch 6,
+/// cut by an `AgentSession` against its seal of epoch 5 and logged by an
+/// `AggLog` as the wire delta itself, behind the node, the epoch and the
+/// base epoch.
+fn agg_log_delta() -> Vec<u8> {
+    let dir = std::env::temp_dir().join(format!("nitro-agg-golden-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let cfg = StoreConfig {
+        fsync: false,
+        ..StoreConfig::default()
+    };
+    let mut log = AggLog::open(&dir, &cfg).unwrap();
+    let mut session = AggregatorSession::new(small_template(), 0, Duration::from_secs(60));
+    let fingerprint = small_template().inner().fingerprint();
+    let mut agent = AgentSession::new(3, fingerprint, 2, 5, ReconnectPolicy::default());
+    let conn = session.conn_open();
+    agent.transport_connected();
+    let mut sketch = small_template();
+    let mut wire_delta = Vec::new();
+    for epoch in [0, 5, 6] {
+        if epoch > 0 {
+            sketch.process(epoch, 1.0);
+            let report = EpochReport { epoch, ..report() };
+            let mut payload = encode_epoch_payload(&report, &sketch.snapshot());
+            agent.begin_seal(epoch).unwrap();
+            agent.finish_seal(epoch, &mut payload);
+        }
+        for out in agent.drain() {
+            let AgentOutput::Send(msg) = out else {
+                continue;
+            };
+            if let Message::SealDelta { delta, .. } = &msg {
+                wire_delta = delta.clone();
+            }
+            session.on_message(conn, msg, 0);
+            for out in session.drain() {
+                match out {
+                    AggOutput::Send { msg, .. } => agent.on_message(msg, 0).unwrap(),
+                    AggOutput::Append(record) => log.append(record, &session).unwrap(),
+                    _ => {}
+                }
+            }
+        }
+    }
+    let record = log.store().frames(0).pop().unwrap().bytes;
+    std::fs::remove_dir_all(&dir).unwrap();
+    assert_eq!(record[21..], wire_delta[..], "the record is the wire delta");
+    record
 }
 
 /// Written by the three separate codecs (store frame + manifest, cluster
@@ -162,6 +218,7 @@ const GOLDEN: &[(&str, &str)] = &[
     ("seal_delta", "554c434e020600009c0000000300000006000000000000000500000000000000840000002c0100002c010000000000002c0000005c0000005254494e030000000600000000000000e8030000000000000000000000001d400000000000c05e40ec0000004000000088898a8b8c8d8e8f909192939495969798999a9b9c9d9e9fa0a1a2a3a4a5a6a7a8a9aaabacadaeafb0b1b2b3b4b5b6b7b8b9babbbcbdbebfc0c1c2c3c4c5c6018c7ed69f12131c59"),
     ("heartbeat", "554c434e02040000140000000300000005000000000000000903000000000000d24b2918e81d84ec"),
     ("goodbye", "554c434e020500000400000003000000e5d636677159fe49"),
+    ("agg_log_delta", "030300000006000000000000000500000000000000dd040000dd040000000000001d0000005c0000005254494e030000000600000000000000e803000000000000005d00000080000000506f40790400004b43534e01000000000000f03f000200000000000000020000000000000002000000000000000400000000000000000000000000000000000000000000000000000000000000000000000026040000000000004b534d43010200000040000000646070befe52afae62eaaf875e8a2dc00000000000000000401d010000400000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000f03fdd020000400000000000000000000000000000000000f03f000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000"),
 ];
 
 /// The `seal_epoch` golden as wire version 1 wrote it: the same fields,
@@ -230,6 +287,60 @@ fn the_previous_bytes_read_back_as_what_was_written() {
             "{name}"
         );
     }
+}
+
+/// An aggregation log written before delta records — format 1: whole
+/// frame records and membership snapshots, which the store itself
+/// diffed — replays in full under format 2, whose records are a superset.
+/// The fixture is what a format-1 TCP aggregator logged for two nodes
+/// sealing epochs 1–3 (node `n` counted key 7 `n + 1` times and key
+/// `100 + n` once per epoch number), in two sealed segments of four
+/// records that hold store deltas.
+#[test]
+fn a_log_written_before_delta_records_replays() {
+    let fixture =
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/agg_log_v1");
+    let dir = std::env::temp_dir().join(format!("nitro-agg-v1-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(dir.join("shard-0000")).unwrap();
+    for file in [
+        "MANIFEST",
+        "shard-0000/seg-00000000.log",
+        "shard-0000/seg-00000001.log",
+    ] {
+        std::fs::copy(fixture.join(file), dir.join(file)).unwrap();
+    }
+    let cfg = StoreConfig {
+        rotate_after: 4,
+        keep_segments: 8,
+        fsync: false,
+    };
+    let template = || small_template().with_topk(4);
+    let mut log = AggLog::open(&dir, &cfg).unwrap();
+    let (session, got) = log.recover(template(), 0, Duration::from_secs(60));
+    assert_eq!((got.epochs, got.nodes, got.records), (3, 2, 8));
+    for epoch in 1..=3u64 {
+        let mut merged = template();
+        for n in 0..2u64 {
+            let mut sketch = template();
+            for _ in 0..=n {
+                sketch.process(7, 1.0);
+            }
+            for _ in 0..epoch {
+                sketch.process(100 + n, 1.0);
+            }
+            merged.merge_image(&sketch.snapshot()).unwrap();
+        }
+        assert!(session.status_of(epoch).is_complete(), "epoch {epoch}");
+        let view = session.view(epoch).unwrap();
+        assert!(
+            view.sketch().snapshot() == merged.snapshot(),
+            "epoch {epoch}"
+        );
+        assert_eq!(view.estimate(7), 3.0);
+        assert_eq!(view.estimate(100), epoch as f64);
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 /// A version-1 keyframe still decodes as a message, since its fields kept

@@ -347,6 +347,55 @@ fn sparse_histories_write_deltas_and_still_read_back() {
     run_history("sparse", 16, 2, &ops);
 }
 
+/// A head that grows and shrinks between frames, as an epoch payload's
+/// report and tracked keys do, is appended as a delta of the lines that
+/// changed, and every reader rebuilds each frame byte for byte: heads that
+/// shrink, grow within the slack a replay keeps in front of its payload,
+/// and grow past it.
+#[test]
+fn heads_that_grow_and_shrink_are_deltas_that_read_back() {
+    let dir = tmp_dir("heads");
+    let cfg = StoreConfig {
+        rotate_after: 64,
+        keep_segments: 2,
+        fsync: false,
+    };
+    let store = CheckpointStore::create(&dir, 1, cfg.clone()).unwrap();
+    let w = store.writer(0);
+    let mut tail = vec![0u8; 256 * 1024];
+    let mut history = Vec::new();
+    let heads = [
+        10, 300, 20, 5_000, 70_000, 100, 150_000, 64, 0, 90_000, 90_001,
+    ];
+    for (seq, head) in heads.into_iter().enumerate() {
+        tail[(seq * 4099) % (256 * 1024)] = seq as u8 + 1;
+        let payload = [&vec![seq as u8 + 1; head][..], &tail].concat();
+        w.persist(seq as u64 + 1, 0, &payload).unwrap();
+        history.push(payload);
+    }
+    let data = std::fs::read(dir.join("shard-0000/active.log")).unwrap();
+    let mut kinds = Vec::new();
+    let mut at = 0;
+    while at < data.len() {
+        let f = frame::decode::<LogHeader>(&data[at..]).unwrap();
+        kinds.push(f.header.delta);
+        at += f.len;
+    }
+    assert_eq!(kinds.len(), heads.len());
+    assert!(!kinds[0] && kinds[1..].iter().all(|&d| d), "{kinds:?}");
+    let read: Vec<Vec<u8>> = store.frames(0).into_iter().map(|f| f.bytes).collect();
+    for (seq, (got, want)) in read.iter().zip(&history).enumerate() {
+        assert!(got == want, "frame {} differs", seq + 1);
+    }
+    assert_eq!(read.len(), history.len());
+    assert!(store.newest_frame(0).unwrap().bytes == history[heads.len() - 1]);
+    drop((w, store));
+    let (_, report) = CheckpointStore::recover(&dir, cfg).unwrap();
+    assert!(report.is_pristine());
+    assert!(report.recovered[0].as_ref().unwrap().bytes == history[heads.len() - 1]);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Pins a delta frame's bytes: a 1 024-byte checkpoint, then the same
 /// checkpoint with one byte changed. The first frame is a keyframe,
 /// byte-identical to a frame written before deltas existed.
