@@ -586,6 +586,49 @@ impl<S: RowSketch + Checkpoint> NitroSketch<S> {
         let image = self.open_image(bytes)?;
         self.sketch.merge_image(image.sketch)?;
         self.add_stats(&image.stats);
+        self.offer_tracked(&image);
+        Ok(())
+    }
+
+    /// Bring a fold of one image up to date with a later image of the
+    /// same measurement, for the cost of the lines written between them.
+    /// `self` is `template` with an image folded in ([`Self::merge_image`]),
+    /// and `bytes` repeats that image outside its head and the counter
+    /// lines `lines` marks. Afterwards `self` is, bit for bit, `template`
+    /// with `bytes` folded in: the marked lines fold again, Σ C² is summed
+    /// again for the rows they touch, the statistics are `template`'s plus
+    /// the image's, and the tracker is `template`'s offered the image's
+    /// keys as the fold offers them. `changed` (a set over the wrapped
+    /// sketch's counters) also marks the lines whose counters now hold
+    /// other bits. `Ok(false)`, nothing touched, when the wrapped sketch
+    /// cannot patch. Checked like [`Self::merge_image`].
+    pub fn patch_image(
+        &mut self,
+        template: &Self,
+        bytes: &[u8],
+        lines: &DirtyLines,
+        changed: &mut DirtyLines,
+    ) -> Result<bool, CheckpointError> {
+        let image = self.open_image(bytes)?;
+        if !self
+            .sketch
+            .patch_image(&template.sketch, image.sketch, lines, changed)?
+        {
+            return Ok(false);
+        }
+        self.stats = template.stats;
+        self.add_stats(&image.stats);
+        match (&mut self.topk, &template.topk) {
+            (Some(mine), Some(blank)) if blank.is_empty() => mine.clear(),
+            (topk, blank) => topk.clone_from(blank),
+        }
+        self.offer_tracked(&image);
+        Ok(true)
+    }
+
+    /// Offer `image`'s tracked keys under this instance's estimates, as a
+    /// fold of the image does.
+    fn offer_tracked(&mut self, image: &Image<'_>) {
         if let Some(mine) = &mut self.topk {
             // The copy's tracker, rebuilt from the stored table, fixes
             // the order: the stored one for a table a tracker wrote,
@@ -596,7 +639,6 @@ impl<S: RowSketch + Checkpoint> NitroSketch<S> {
                 mine.offer(k, self.sketch.estimate_robust(k));
             }
         }
-        Ok(())
     }
 
     /// Every check [`Self::merge_image`] and [`Self::restore`] make of

@@ -121,7 +121,9 @@ pub trait Checkpoint: Sized {
     /// `into`, and start a new, empty set. Every counter write marks its
     /// line — update, merge, restore and clear alike — so the sets taken
     /// between two snapshots cover everything [`Checkpoint::write_image`]
-    /// has to copy to bring the older one up to date. Tracking starts at
+    /// has to copy to bring the older one up to date. The sets cover the
+    /// counter array that ends the image, their lines counted from the
+    /// array's end, as [`DirtyLines`] counts them. Tracking starts at
     /// the first call, which hands over every line: an instance that is
     /// never checkpointed this way pays no more per write than a length
     /// check.
@@ -140,6 +142,28 @@ pub trait Checkpoint: Sized {
     /// without the intermediate sketch. Checked like
     /// [`Checkpoint::restore`], all or nothing.
     fn merge_image(&mut self, bytes: &[u8]) -> Result<(), CheckpointError>;
+
+    /// Bring a fold of one image up to date with a later image:
+    /// `self` is `template` with an image folded in
+    /// ([`Checkpoint::merge_image`]) that `bytes` repeats outside its head
+    /// and the counter lines `lines` marks. Afterwards `self` is, bit for
+    /// bit, `template` with `bytes` folded in, Σ C² included, for the cost
+    /// of the marked lines and of one read of the rows they touch, and
+    /// `changed` (a set over the same counters) also marks the lines
+    /// whose counters now hold other bits: exactly the lines in which the
+    /// two folds' images differ. `Ok(false)`, nothing touched, when the
+    /// sketch cannot patch (the default) or the sets cover other counters.
+    /// Checked like [`Checkpoint::merge_image`], all or nothing.
+    fn patch_image(
+        &mut self,
+        template: &Self,
+        bytes: &[u8],
+        lines: &DirtyLines,
+        changed: &mut DirtyLines,
+    ) -> Result<bool, CheckpointError> {
+        let _ = (template, bytes, lines, changed);
+        Ok(false)
+    }
 
     /// Every check [`Checkpoint::merge_image`] and
     /// [`Checkpoint::restore`] make of `bytes`, without touching `self`.
@@ -199,6 +223,12 @@ pub const LINE_COUNTERS: usize = 8;
 /// 8 KB of bits, small enough to stay in L1 beside the hot path's stores.
 /// The default set has no bits and tracks nothing: marking it is a no-op.
 ///
+/// Lines are aligned at the array's *end*: the last line holds the last
+/// eight counters, and the first holds fewer when the array's length is
+/// no multiple of eight. A counter array ends its checkpoint image, and
+/// the delta codec compares payloads in 64-byte lines aligned at their
+/// end, so a line of this set is one line of that grid.
+///
 /// The line, not a wider block, is the unit because sampled updates
 /// scatter: a 10 000-packet interval at p = 0.1 writes 0.6 % of a 2 MiB
 /// Count Sketch's counters, which is 4.6 % of its lines but 31 % of its
@@ -206,16 +236,19 @@ pub const LINE_COUNTERS: usize = 8;
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct DirtyLines {
     words: Vec<u64>,
-    lines: usize,
+    counters: usize,
+    /// Counters the first line lacks: counter `i` is in line
+    /// `(i + skew) / LINE_COUNTERS`.
+    skew: usize,
 }
 
 impl DirtyLines {
     /// An empty set sized for `counters` counters.
     pub fn new(counters: usize) -> Self {
-        let lines = counters.div_ceil(LINE_COUNTERS);
         Self {
-            words: vec![0; lines.div_ceil(64)],
-            lines,
+            words: vec![0; counters.div_ceil(LINE_COUNTERS).div_ceil(64)],
+            counters,
+            skew: counters.next_multiple_of(LINE_COUNTERS) - counters,
         }
     }
 
@@ -223,7 +256,7 @@ impl DirtyLines {
     /// tracks nothing).
     #[inline(always)]
     pub fn mark(&mut self, index: usize) {
-        let line = index / LINE_COUNTERS;
+        let line = (index + self.skew) / LINE_COUNTERS;
         if let Some(word) = self.words.get_mut(line / 64) {
             *word |= 1 << (line % 64);
         }
@@ -232,11 +265,17 @@ impl DirtyLines {
     /// Mark every line.
     pub fn mark_all(&mut self) {
         self.words.fill(!0);
-        if !self.lines.is_multiple_of(64) {
+        let lines = self.lines();
+        if !lines.is_multiple_of(64) {
             if let Some(last) = self.words.last_mut() {
-                *last = (1u64 << (self.lines % 64)) - 1;
+                *last = (1u64 << (lines % 64)) - 1;
             }
         }
+    }
+
+    /// Unmark every line, keeping the set's size.
+    pub fn clear(&mut self) {
+        self.words.fill(0);
     }
 
     /// Copy this set into `into` (reusing its allocation) and empty this
@@ -254,9 +293,17 @@ impl DirtyLines {
         }
     }
 
-    /// Add every line of `other`, a set over the same counters.
+    /// Add every line of `other`, a set over the same counters. A set that
+    /// tracks nothing takes `other`'s size first.
     pub fn union(&mut self, other: &DirtyLines) {
-        debug_assert_eq!(self.lines, other.lines, "sets over different counters");
+        if self.words.is_empty() {
+            self.clone_from(other);
+            return;
+        }
+        debug_assert_eq!(
+            self.counters, other.counters,
+            "sets over different counters"
+        );
         for (mine, theirs) in self.words.iter_mut().zip(&other.words) {
             *mine |= theirs;
         }
@@ -267,14 +314,51 @@ impl DirtyLines {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
     }
 
+    /// Whether so few lines are marked that touching only them beats a
+    /// pass over every line: at most 30 % of them. Each run of marked
+    /// lines is a copy or a compare of its own, at scattered addresses.
+    /// On a 4.2 MB five-row Count Sketch image with scattered marked lines
+    /// (2-core Xeon VM, caches flushed before each pass), patching the
+    /// marked counters of an image beat a whole encode up to about 30 %
+    /// (10 %: 0.42 ms against 0.75; 30 %: 0.70 against 0.76), and
+    /// comparing only the marked lines of two images beat comparing all
+    /// of them up to about the same (10 %: 0.58 ms against 0.99; 30 %:
+    /// 1.13 against 1.22).
+    pub fn is_sparse(&self) -> bool {
+        let lines = self.lines();
+        lines > 0 && self.count() * 10 <= lines * 3
+    }
+
     /// Lines covered, marked or not.
     pub fn lines(&self) -> usize {
-        self.lines
+        self.counters.div_ceil(LINE_COUNTERS)
+    }
+
+    /// Counters covered: the first line holds fewer than
+    /// [`LINE_COUNTERS`] when this is not a multiple of it.
+    pub fn counters(&self) -> usize {
+        self.counters
+    }
+
+    /// Call `f` with each marked line's index, in increasing order.
+    pub fn for_each_line(&self, mut f: impl FnMut(usize)) {
+        for (w, &word) in self.words.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                f(w * 64 + bits.trailing_zeros() as usize);
+                bits &= bits - 1;
+            }
+        }
     }
 
     /// Call `f` with each maximal run of marked lines, as the counter index
     /// range it covers (clipped to `counters`), in increasing order.
     pub fn for_each_run(&self, counters: usize, mut f: impl FnMut(std::ops::Range<usize>)) {
+        let skew = self.skew;
+        let mut f = |lines: std::ops::Range<usize>| {
+            f((lines.start * LINE_COUNTERS).saturating_sub(skew)
+                ..(lines.end * LINE_COUNTERS - skew).min(counters))
+        };
         let mut run: Option<std::ops::Range<usize>> = None;
         for (w, &word) in self.words.iter().enumerate() {
             let mut bits = word;
@@ -288,14 +372,14 @@ impl DirtyLines {
                     Some(r) if r.end == lines.start => r.end = lines.end,
                     _ => {
                         if let Some(r) = run.replace(lines) {
-                            f(r.start * LINE_COUNTERS..(r.end * LINE_COUNTERS).min(counters));
+                            f(r);
                         }
                     }
                 }
             }
         }
         if let Some(r) = run {
-            f(r.start * LINE_COUNTERS..(r.end * LINE_COUNTERS).min(counters));
+            f(r);
         }
     }
 }
@@ -356,6 +440,17 @@ impl Row for LeRow<'_> {
     #[inline(always)]
     fn at(self, j: usize) -> f64 {
         f64::from_le_bytes(self.0[8 * j..8 * j + 8].try_into().unwrap())
+    }
+}
+
+/// A row of nothing: what an identity fold reads.
+#[derive(Clone, Copy)]
+struct Nothing;
+
+impl Row for Nothing {
+    #[inline(always)]
+    fn at(self, _: usize) -> f64 {
+        0.0
     }
 }
 
@@ -443,6 +538,54 @@ fn fold_group<const N: usize, const SUM: bool, R: Row>(
     }
     for l in 0..N {
         row(first + l, ss[l], sum[l]);
+    }
+}
+
+/// The counter half of a [`Checkpoint::patch_image`]: every counter
+/// `lines` marks becomes `template[i] + image[i]`, the value a fold of the
+/// image's counter tail `image` into `template` gives, `changed` marks
+/// the lines where that changed a counter's bits, and `row(r, ss)` gets
+/// the new Σ C² of each row a marked line touches, with [`fold_rows`]'
+/// bits.
+pub(crate) fn patch_rows(
+    counters: &mut [f64],
+    template: &[f64],
+    width: usize,
+    image: &[u8],
+    lines: &DirtyLines,
+    changed: &mut DirtyLines,
+    mut row: impl FnMut(usize, f64),
+) {
+    let mut touched = vec![false; counters.len() / width];
+    lines.for_each_run(counters.len(), |run| {
+        let values = le_words(&image[run.start * 8..run.end * 8]);
+        let news = template[run.clone()]
+            .iter()
+            .zip(values)
+            .map(|(&t, v)| t + v);
+        for (i, (c, new)) in (run.start..).zip(counters[run.clone()].iter_mut().zip(news)) {
+            if c.to_bits() != new.to_bits() {
+                changed.mark(i);
+            }
+            *c = new;
+        }
+        touched[run.start / width..=(run.end - 1) / width].fill(true);
+    });
+    // Each run of touched rows is summed by the fold's own kernel, folding
+    // nothing in.
+    let mut first = 0;
+    while let Some(start) = (first..touched.len()).find(|&r| touched[r]) {
+        let end = (start..touched.len())
+            .find(|&r| !touched[r])
+            .unwrap_or(touched.len());
+        fold_groups::<false, _>(
+            &mut counters[start * width..end * width],
+            width,
+            std::iter::repeat(Nothing),
+            |c, _| c,
+            |r, ss, _| row(start + r, ss),
+        );
+        first = end;
     }
 }
 
@@ -805,12 +948,16 @@ mod tests {
         let counters = 130 * LINE_COUNTERS - 3;
         let mut dirty = DirtyLines::new(counters);
         assert_eq!((dirty.lines(), dirty.count()), (130, 0));
-        for index in [0, 7, 8, 63 * 8, 64 * 8 + 5, counters - 1] {
+        // Lines are aligned at the end, so the first holds five counters
+        // and counter i is in line (i + 3) / 8: 0 and 4 in line 0, 5 in
+        // line 1, 501 in line 63 (the first word's last) and 516 in line
+        // 64 (the second word's first), the last counter in line 129.
+        for index in [0, 4, 5, 63 * 8 - 3, 64 * 8 + 4, counters - 1] {
             dirty.mark(index);
         }
         let mut runs = Vec::new();
         dirty.for_each_run(counters, |run| runs.push(run));
-        assert_eq!(runs, [0..16, 504..520, counters - 5..counters]);
+        assert_eq!(runs, [0..13, 501..517, counters - 8..counters]);
         assert_eq!(dirty.count(), 5);
 
         let mut taken = DirtyLines::default();

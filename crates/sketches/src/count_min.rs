@@ -11,7 +11,9 @@
 //!   Algorithm 1, which stays unbiased when rows are *sampled* (the minimum
 //!   would collapse to the unluckiest row under sampling).
 
-use crate::checkpoint::{fold_rows, image_totals, open_image, CheckpointError, DirtyLines, Values};
+use crate::checkpoint::{
+    fold_rows, image_totals, open_image, patch_rows, CheckpointError, DirtyLines, Values,
+};
 use crate::traits::{FlowKey, RowSketch, RowTotals, Sketch, Slot, COUNTER_BYTES};
 use nitro_hash::reduce;
 use nitro_hash::xxhash::xxh64_u64;
@@ -283,6 +285,35 @@ impl crate::checkpoint::Checkpoint for CountMin {
         self.fold(Values::Image(image), |a, b| a + b);
         self.total += total;
         Ok(())
+    }
+
+    fn patch_image(
+        &mut self,
+        template: &Self,
+        bytes: &[u8],
+        lines: &DirtyLines,
+        changed: &mut DirtyLines,
+    ) -> Result<bool, CheckpointError> {
+        self.merge_compatible(template)?;
+        let (_, total, image) = self.open(bytes)?;
+        if lines.counters() != self.counters.len() || changed.counters() != lines.counters() {
+            return Ok(false);
+        }
+        let row_ss = &mut self.row_ss;
+        patch_rows(
+            &mut self.counters,
+            &template.counters,
+            self.width,
+            image,
+            lines,
+            changed,
+            |r, ss| row_ss[r] = ss,
+        );
+        if self.dirty.lines() > 0 {
+            self.dirty.union(lines);
+        }
+        self.total = template.total + total;
+        Ok(true)
     }
 
     fn check_image(&self, bytes: &[u8]) -> Result<(), CheckpointError> {

@@ -11,7 +11,9 @@
 //! monitors to decide when sampling is statistically safe (Algorithm 1,
 //! line 14).
 
-use crate::checkpoint::{fold_rows, image_totals, open_image, CheckpointError, DirtyLines, Values};
+use crate::checkpoint::{
+    fold_rows, image_totals, open_image, patch_rows, CheckpointError, DirtyLines, Values,
+};
 use crate::traits::{FlowKey, RowSketch, RowTotals, Sketch, Slot, COUNTER_BYTES};
 use nitro_hash::reduce;
 use nitro_hash::sign::SignHash;
@@ -248,6 +250,34 @@ impl crate::checkpoint::Checkpoint for CountSketch {
         let image = self.image_counters(bytes)?;
         self.fold(Values::Image(image), |a, b| a + b);
         Ok(())
+    }
+
+    fn patch_image(
+        &mut self,
+        template: &Self,
+        bytes: &[u8],
+        lines: &DirtyLines,
+        changed: &mut DirtyLines,
+    ) -> Result<bool, CheckpointError> {
+        self.merge_compatible(template)?;
+        let image = self.image_counters(bytes)?;
+        if lines.counters() != self.counters.len() || changed.counters() != lines.counters() {
+            return Ok(false);
+        }
+        let row_ss = &mut self.row_ss;
+        patch_rows(
+            &mut self.counters,
+            &template.counters,
+            self.width,
+            image,
+            lines,
+            changed,
+            |r, ss| row_ss[r] = ss,
+        );
+        if self.dirty.lines() > 0 {
+            self.dirty.union(lines);
+        }
+        Ok(true)
     }
 
     fn check_image(&self, bytes: &[u8]) -> Result<(), CheckpointError> {

@@ -125,6 +125,8 @@ pub struct NodeAgent {
     /// and the sketch checkpoint are written straight into it. A seal the
     /// session sends trades it for the session's previous delta base.
     payload: Vec<u8>,
+    /// The view the session's previous payload encodes, by id.
+    sealed: Option<u64>,
 }
 
 impl NodeAgent {
@@ -164,6 +166,7 @@ impl NodeAgent {
             cluster,
             target: None,
             payload: Vec::new(),
+            sealed: None,
         })
     }
 
@@ -364,12 +367,19 @@ impl NodeAgent {
         };
         encode_epoch_payload_into(&mut self.payload, &report, |out| sketch.snapshot_into(out));
         // One cut against the previous epoch's payload serves the epoch log
-        // (whose sequence numbers are epochs) and the wire.
-        let cut = self.session.cut(&self.payload);
+        // (whose sequence numbers are epochs) and the wire. When that
+        // payload holds the view this one was patched from, the view names
+        // the lines that changed, and only the head is compared.
+        let changed = view
+            .changed()
+            .filter(|&(since, _)| self.sealed == Some(since))
+            .map(|(_, lines)| lines);
+        let cut = self.session.cut(&self.payload, changed);
         self.store
             .writer(0)
             .persist_cut(epoch, report.packets, &self.payload, cut)?;
         let emitted = self.session.finish_seal(epoch, &mut self.payload);
+        self.sealed = Some(view.id());
         let delivered = emitted && self.flush_sends();
         if delivered {
             self.session.note_sent(epoch);

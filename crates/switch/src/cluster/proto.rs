@@ -21,10 +21,10 @@ use super::wire::{decode_epoch_payload, Message};
 use super::ClusterError;
 use crate::clock::Nanos;
 use crate::frame::{FrameError, Reader};
-use crate::store::{diff_lines, encode_delta, Cut, Image, RecoveredFrame};
+use crate::store::{diff_lines, diff_marked, encode_delta, fits, Cut, Image, RecoveredFrame};
 use nitro_core::NitroSketch;
 use nitro_metrics::NodeWatermark;
-use nitro_sketches::checkpoint::Checkpoint;
+use nitro_sketches::checkpoint::{Checkpoint, DirtyLines};
 use nitro_sketches::{FlowKey, RowSketch};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::ops::Range;
@@ -372,8 +372,20 @@ impl AgentSession {
     /// runs (a log's sequence number is its epoch) and `finish_seal` ships
     /// them. `None` when there is no previous payload or a delta of the
     /// runs would be no smaller than the payload.
-    pub(crate) fn cut(&mut self, payload: &[u8]) -> Option<Cut<'_>> {
-        let smaller = self.prev.is_some() && diff_lines(&self.prev_bytes, payload, &mut self.runs);
+    ///
+    /// `changed`, when the driver knows them, are the counter lines whose
+    /// values differ from the previous payload's ([`MergedView::changed`]
+    /// of consecutive views): only the head is compared, for the same
+    /// runs.
+    ///
+    /// [`MergedView::changed`]: crate::pipeline::MergedView::changed
+    pub(crate) fn cut(&mut self, payload: &[u8], changed: Option<&DirtyLines>) -> Option<Cut<'_>> {
+        let prev = &self.prev_bytes;
+        let smaller = self.prev.is_some()
+            && match changed.filter(|lines| fits(lines, prev, payload)) {
+                Some(lines) => diff_marked(prev, payload, lines, true, &mut self.runs),
+                None => diff_lines(prev, payload, &mut self.runs),
+            };
         self.cut = Some(smaller);
         Some(Cut {
             base_seq: self.prev?,
@@ -400,7 +412,7 @@ impl AgentSession {
         self.next_epoch = epoch + 1;
         let smaller = match self.cut.take() {
             None => {
-                self.cut(payload);
+                self.cut(payload, None);
                 self.cut.take() == Some(true)
             }
             Some(smaller) => {

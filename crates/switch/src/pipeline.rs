@@ -74,12 +74,14 @@ use crate::faults::ThreadFaultPlan;
 use crate::ovs::Measurement;
 use crate::shard::{Shard, ShardStaleness};
 use crate::store::{CheckpointStore, RecoveryReport, SinkHandle, StoreConfig, StoreError};
-use crate::supervisor::{spawn_supervised, SupervisedTap, SupervisorConfig, SupervisorError};
+use crate::supervisor::{
+    spawn_supervised, CheckpointView, SupervisedTap, SupervisorConfig, SupervisorError,
+};
 use nitro_core::{NitroSketch, SkewPolicy, SkewTracker};
 use nitro_hash::xxhash::xxh64_u64;
 use nitro_metrics::telemetry::{Event, TelemetryRegistry};
 use nitro_metrics::{CircuitBreaker, DaemonHealth, FleetHealth};
-use nitro_sketches::{Checkpoint, CheckpointError, FlowKey, RowSketch};
+use nitro_sketches::{Checkpoint, CheckpointError, DirtyLines, FlowKey, RowSketch};
 use std::fmt;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -381,12 +383,22 @@ impl Measurement for ShardedTap {
     }
 }
 
+/// Ids of merged views, unique in the process.
+static VIEWS: AtomicU64 = AtomicU64::new(0);
+
 /// A merged, queryable snapshot of the whole fleet at one epoch.
+///
+/// The sketch is shared with the pipeline by refcount: once the caller
+/// drops the view, the next [`ShardedPipeline::epoch_view`] recycles its
+/// arena and, when the shard's image follows the one folded here, folds
+/// only the lines written since.
 #[derive(Clone, Debug)]
 pub struct MergedView<S: RowSketch> {
     epoch: u64,
-    sketch: NitroSketch<S>,
+    sketch: Arc<NitroSketch<S>>,
     staleness: Vec<ShardStaleness>,
+    id: u64,
+    changed: Option<(u64, DirtyLines)>,
 }
 
 impl<S: RowSketch> MergedView<S> {
@@ -430,21 +442,56 @@ impl<S: RowSketch> MergedView<S> {
         &self.sketch
     }
 
-    /// Unwrap into the merged sketch.
-    pub fn into_sketch(self) -> NitroSketch<S> {
-        self.sketch
+    /// This view's id, unique in the process.
+    pub fn id(&self) -> u64 {
+        self.id
+    }
+
+    /// The view this one was patched from, by id, and the counter lines of
+    /// the merged sketch whose counters changed since it: the two
+    /// sketches' checkpoint images differ in their heads and in exactly
+    /// these lines. `None` for a view folded whole.
+    pub fn changed(&self) -> Option<(u64, &DirtyLines)> {
+        self.changed.as_ref().map(|(since, lines)| (*since, lines))
     }
 
     /// Wrap a standalone sketch as a single-shard view (no staleness
     /// records) — for cluster agents and tests that seal epochs without a
     /// running sharded fleet behind them.
     pub fn from_sketch(epoch: u64, sketch: NitroSketch<S>) -> Self {
+        Self::new(epoch, Arc::new(sketch), Vec::new(), None)
+    }
+
+    fn new(
+        epoch: u64,
+        sketch: Arc<NitroSketch<S>>,
+        staleness: Vec<ShardStaleness>,
+        changed: Option<(u64, DirtyLines)>,
+    ) -> Self {
         Self {
             epoch,
             sketch,
-            staleness: Vec::new(),
+            staleness,
+            id: VIEWS.fetch_add(1, Ordering::Relaxed),
+            changed,
         }
     }
+}
+
+impl<S: RowSketch + Clone> MergedView<S> {
+    /// Unwrap into the merged sketch (a copy while the pipeline still
+    /// holds it for the next view).
+    pub fn into_sketch(self) -> NitroSketch<S> {
+        Arc::try_unwrap(self.sketch).unwrap_or_else(|shared| NitroSketch::clone(&shared))
+    }
+}
+
+/// The last view a one-shard fleet folded: its arena, to recycle, and the
+/// image it folded, which the next image's write history must name.
+struct LastView<S: RowSketch> {
+    id: u64,
+    sketch: Arc<NitroSketch<S>>,
+    image: u64,
 }
 
 /// A freshly spawned fleet, index-aligned: dispatcher taps and shard
@@ -602,7 +649,8 @@ where
     /// Stop the shard (the drain is bounded — nothing offers to its ring
     /// any more), join it, and fold its state into `into`: the final
     /// sketch after a clean drain, or — when the restart budget is spent —
-    /// the last checkpoint, restored into the captured template.
+    /// the last checkpoint, restored into the captured template. A
+    /// replaced primary folds nothing and may be given no `into`.
     ///
     /// Returns the final health record — always, so the fleet accounting
     /// survives a failed fold — and how the shard ended: `Ok(None)` clean,
@@ -611,7 +659,7 @@ where
     /// fold.
     fn settle(
         self,
-        into: &mut NitroSketch<S>,
+        into: Option<&mut NitroSketch<S>>,
     ) -> (DaemonHealth, Result<Option<SupervisorError>, PipelineError>) {
         let DrainingShard {
             shard,
@@ -634,12 +682,15 @@ where
         // What the shard leaves behind: its final sketch after a clean
         // drain, its last checkpoint after a spent budget.
         let outcome = match joined {
-            Ok((m, _)) => mode
-                .fold(into, &m)
+            Ok((m, _)) => into
+                .map_or(Ok(()), |into| mode.fold(into, &m))
                 .map(|()| None)
                 .map_err(merge_error(index)),
             Err(spent @ SupervisorError::RestartBudgetExhausted { .. }) => fallback
-                .map_or(Ok(()), |bytes| mode.fold_image(into, &template, &bytes))
+                .zip(into)
+                .map_or(Ok(()), |(bytes, into)| {
+                    mode.fold_image(into, &template, &bytes)
+                })
                 .map(|()| Some(spent))
                 .map_err(merge_error(index)),
             Err(source) => Err(PipelineError::Shard {
@@ -699,6 +750,9 @@ where
     #[allow(clippy::type_complexity)]
     reseed: Option<Arc<dyn Fn(u64, usize) -> NitroSketch<S> + Send + Sync>>,
     seed_rotations: u64,
+    /// The previous view of a one-shard fleet with no carryover, the
+    /// fleet whose views patch.
+    last_view: Option<LastView<S>>,
 }
 
 impl<S> ShardedPipeline<S>
@@ -1075,6 +1129,7 @@ where
         let blanks = (0..n).map(|i| (self.spawner.factory)(i)).collect();
         let (taps, shards) = self.spawner.spawn_fleet(blanks, band);
         let old_shards = std::mem::replace(&mut self.shards, shards);
+        self.last_view = None;
         self.probes = vec![(0, 0); n];
         self.breakers = breakers(n);
         self.skew_trackers = vec![SkewTracker::default(); n];
@@ -1146,10 +1201,13 @@ where
                 self.draining.push(d);
                 continue;
             }
+            // A replaced primary's successor holds its state: reaping it
+            // starts no carryover, which every view would fold.
             let template = &self.template;
-            let carryover = self
-                .carryover
-                .get_or_insert_with(|| NitroSketch::clone(template));
+            let carryover = (d.mode != DrainMode::Discard).then(|| {
+                self.carryover
+                    .get_or_insert_with(|| NitroSketch::clone(template))
+            });
             let (health, outcome) = d.settle(carryover);
             self.retired.push(health);
             if let Err(e) = outcome {
@@ -1174,24 +1232,121 @@ where
     /// decoded. The pipeline keeps running throughout — rotation never
     /// stalls a producer or a worker, and with failover enabled a view is
     /// never served degraded: failover happens *inside* the rotation.
+    ///
+    /// A fleet of one shard, with no carryover and no shard draining into
+    /// the view, patches instead: when its caller has dropped the previous
+    /// view and the shard's image names the image that view folded, the
+    /// view's arena is recycled and only the lines written since fold
+    /// ([`NitroSketch::patch_image`]), to the same bits. With more images,
+    /// the fold offers each image's heavy keys at estimates over the
+    /// images before it, which a patch of the final counters cannot
+    /// reproduce, so those views fold whole.
     pub fn epoch_view(&mut self) -> Result<MergedView<S>, PipelineError> {
         self.probe_and_promote()?;
         self.epoch += 1;
+        let mut staleness = Vec::with_capacity(self.shards.len() + self.draining.len());
+        let mut images = Vec::with_capacity(self.shards.len());
+        for shard in &self.shards {
+            let (image, stale) = shard
+                .epoch_checkpoint(self.snapshot_timeout)
+                .ok_or_else(|| missing_checkpoint(shard.index()))?;
+            images.push(image);
+            staleness.push(stale);
+        }
+        let lone = images.len() == 1
+            && self.carryover.is_none()
+            && self.draining.iter().all(|d| d.mode == DrainMode::Discard);
+        let (sketch, changed) = match self.last_view.take() {
+            Some(last) if lone => self.patch_view(&images[0], last)?,
+            _ => (Arc::new(self.fold_view(&images, &mut staleness)?), None),
+        };
+        for (idx, image) in images.iter().enumerate() {
+            self.observe_skew(idx, &image.bytes);
+        }
+        let view = MergedView::new(self.epoch, sketch, staleness, changed);
+        if lone {
+            self.last_view = Some(LastView {
+                id: view.id,
+                sketch: Arc::clone(&view.sketch),
+                image: images[0].image,
+            });
+        }
+        // A tripped auto-rotate policy rotates *after* the view is built:
+        // this view is complete in the old space, the next one starts from
+        // the fresh-seed fleet plus the decoded carryover.
+        if let (Some(policy), Some(hook)) = (self.skew_policy, self.reseed.clone()) {
+            if policy.auto_rotate && self.skew_tripped.iter().any(|&t| t) {
+                let n = self.seed_rotations + 1;
+                self.rotate_seeds(move |i| hook(n, i))?;
+            }
+        }
+        Ok(view)
+    }
+
+    /// The view of a lone shard's `image`: `last`'s arena with the lines
+    /// written since the image it folded folded again, when its caller
+    /// has dropped it and `image` names that image; the whole fold
+    /// otherwise.
+    #[allow(clippy::type_complexity)]
+    fn patch_view(
+        &self,
+        image: &CheckpointView,
+        last: LastView<S>,
+    ) -> Result<(Arc<NitroSketch<S>>, Option<(u64, DirtyLines)>), PipelineError> {
+        let LastView {
+            id,
+            mut sketch,
+            image: folded,
+        } = last;
+        let shard = self.shards[0].index();
+        if let (Some((since, lines)), Some(arena)) = (&image.written, Arc::get_mut(&mut sketch)) {
+            let mut changed = DirtyLines::new(lines.counters());
+            if *since == folded
+                && lines.is_sparse()
+                && arena
+                    .patch_image(&self.template, &image.bytes, lines, &mut changed)
+                    .map_err(merge_error(shard))?
+            {
+                if cfg!(debug_assertions) {
+                    // The differential oracle: a patched view is the whole
+                    // fold, Σ C² included. A mismatch aborts, as a panic
+                    // here would surface as one failed view.
+                    let whole = self.fold_view(std::slice::from_ref(image), &mut Vec::new())?;
+                    let rows = 0..whole.inner().depth();
+                    if whole.snapshot() != sketch.snapshot()
+                        || rows.into_iter().any(|r| {
+                            whole.inner().row_sum_squares(r).to_bits()
+                                != sketch.inner().row_sum_squares(r).to_bits()
+                        })
+                    {
+                        eprintln!("a view patched from image {folded} differs from the whole fold");
+                        std::process::abort();
+                    }
+                }
+                return Ok((sketch, Some((id, changed))));
+            }
+        }
+        let whole = self.fold_view(std::slice::from_ref(image), &mut Vec::new())?;
+        Ok((Arc::new(whole), None))
+    }
+
+    /// The whole fold: a template copy, the carryover, every live shard's
+    /// image and every draining shard that owns its traffic.
+    fn fold_view(
+        &self,
+        images: &[CheckpointView],
+        staleness: &mut Vec<ShardStaleness>,
+    ) -> Result<NitroSketch<S>, PipelineError> {
         let mut merged = NitroSketch::clone(&self.template);
         if let Some(carryover) = &self.carryover {
             merged
                 .try_merge_from(carryover)
                 .expect("carryover is template-derived and always geometry-compatible");
         }
-        let mut staleness = Vec::with_capacity(self.shards.len() + self.draining.len());
-        for idx in 0..self.shards.len() {
-            let shard_id = self.shards[idx].index();
-            let (bytes, stale) = self.shards[idx]
-                .epoch_snapshot(self.snapshot_timeout)
-                .ok_or_else(|| missing_checkpoint(shard_id))?;
-            merged.merge_image(&bytes).map_err(merge_error(shard_id))?;
-            self.observe_skew(idx, &bytes);
-            staleness.push(stale);
+        for (shard, image) in self.shards.iter().zip(images) {
+            merged
+                .merge_image(&image.bytes)
+                .map_err(merge_error(shard.index()))?;
         }
         // Still-draining rescaled- or rotated-away shards own their
         // traffic until reaped: snapshot and fold them too. (Replaced
@@ -1209,20 +1364,7 @@ where
                 .map_err(merge_error(d.shard.index()))?;
             staleness.push(stale);
         }
-        // A tripped auto-rotate policy rotates *after* the view is built:
-        // this view is complete in the old space, the next one starts from
-        // the fresh-seed fleet plus the decoded carryover.
-        if let (Some(policy), Some(hook)) = (self.skew_policy, self.reseed.clone()) {
-            if policy.auto_rotate && self.skew_tripped.iter().any(|&t| t) {
-                let n = self.seed_rotations + 1;
-                self.rotate_seeds(move |i| hook(n, i))?;
-            }
-        }
-        Ok(MergedView {
-            epoch: self.epoch,
-            sketch: merged,
-            staleness,
-        })
+        Ok(merged)
     }
 
     /// Measure one live shard's collision skew on its epoch snapshot,
@@ -1324,7 +1466,7 @@ where
                 mode: DrainMode::MergeExact,
                 template: Arc::clone(&template),
             };
-            let (health, outcome) = live.settle(&mut merged);
+            let (health, outcome) = live.settle(Some(&mut merged));
             fleet.push(health);
             match outcome {
                 Ok(None) => {}
@@ -1333,7 +1475,7 @@ where
             }
         }
         for d in draining {
-            let (health, outcome) = d.settle(&mut merged);
+            let (health, outcome) = d.settle(Some(&mut merged));
             fleet.push_retired(health);
             if let Err(e) = outcome {
                 first_error = first_error.or(Some(e));
@@ -1443,6 +1585,7 @@ where
             skew_tripped: vec![false; config.shards],
             reseed: None,
             seed_rotations: 0,
+            last_view: None,
         },
     ))
 }

@@ -105,6 +105,16 @@ impl<M: Recoverable + Send + 'static> Shard<M> {
     /// spawned through the pipeline (a pristine checkpoint is stored at
     /// spawn), but the type is honest about the empty slot.
     pub fn epoch_snapshot(&self, timeout: Duration) -> Option<(Arc<Vec<u8>>, ShardStaleness)> {
+        self.epoch_checkpoint(timeout)
+            .map(|(view, staleness)| (view.bytes, staleness))
+    }
+
+    /// [`Shard::epoch_snapshot`] with the checkpoint's write history: the
+    /// lines written since the image the previous call handed out.
+    pub(crate) fn epoch_checkpoint(
+        &self,
+        timeout: Duration,
+    ) -> Option<(CheckpointView, ShardStaleness)> {
         let view = self.daemon.checkpoint_now(timeout)?;
         let staleness = ShardStaleness {
             shard: self.index,
@@ -114,7 +124,7 @@ impl<M: Recoverable + Send + 'static> Shard<M> {
             fresh: view.fresh,
             degraded: view.degraded,
         };
-        Some((view.bytes, staleness))
+        Some((view, staleness))
     }
 
     /// Stop this shard, drain its ring, and hand back the final per-core

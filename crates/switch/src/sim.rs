@@ -1085,7 +1085,7 @@ impl Sim<'_> {
         let node = &mut self.nodes[i];
         let session = node.session.as_mut().expect("up node has session");
         let store = node.store.as_ref().expect("up node has store");
-        let cut = session.cut(&payload);
+        let cut = session.cut(&payload, None);
         if let Err(e) = store.writer(0).persist_cut(epoch, now, &payload, cut) {
             // Persist failed ⇒ nothing may be published for this epoch.
             self.log(format!("n{id} persist e{epoch} failed: {e}"));

@@ -42,8 +42,10 @@
 //! segment of keyframes would, and a corrupt byte at any offset of a
 //! segment ends it at a frame no older than it would have there. A writer
 //! that has cut the runs against the payload it appended last already
-//! hands them over instead of the store diffing again, and a log whose
-//! records carry their own deltas appends keyframes only. A replay
+//! hands them over instead of the store diffing again, one that knows the
+//! counter lines it wrote since the base ([`Written`]) has only those and
+//! the head compared, and a log whose records carry their own deltas
+//! appends keyframes only. A replay
 //! rebuilds a delta's payload in place, in a buffer with slack in front
 //! (`Image`), so it costs the delta's runs whatever the head's length.
 //!
@@ -73,6 +75,7 @@ use crate::faults::{DiskAction, DiskFaultPlan};
 use crate::frame::{self, Frame, FrameError, Header, Reader};
 use nitro_hash::xxhash::xxh64;
 use nitro_metrics::telemetry::ShardTelemetry;
+use nitro_sketches::checkpoint::DirtyLines;
 use std::fmt;
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Read as _, Write as _};
@@ -306,6 +309,34 @@ pub trait CheckpointSink: Send + Sync {
     /// did not become durable; the worker keeps measuring and retries at
     /// its next checkpoint.
     fn persist(&self, seq: u64, processed_at: u64, bytes: &[u8]) -> io::Result<()>;
+
+    /// [`CheckpointSink::persist`] of a checkpoint whose write history the
+    /// worker knows: which image it is and which lines were written since
+    /// an earlier one. The supervisor persists through this; a sink with no
+    /// use for the history keeps the default, which drops it.
+    fn persist_written(
+        &self,
+        seq: u64,
+        processed_at: u64,
+        bytes: &[u8],
+        written: Written<'_>,
+    ) -> io::Result<()> {
+        let _ = written;
+        self.persist(seq, processed_at, bytes)
+    }
+}
+
+/// A checkpoint payload's write history, as the worker that encoded it
+/// knows it.
+#[derive(Clone, Copy, Debug)]
+pub struct Written<'a> {
+    /// The payload's image id, unique in the process.
+    pub image: u64,
+    /// An earlier image's id and the counter lines written since it. The
+    /// payload ends in a counter array of `lines.counters()` counters, and
+    /// is that image's payload except for the bytes before the array (its
+    /// head, which may differ in length) and the lines marked.
+    pub since: Option<(u64, &'a DirtyLines)>,
 }
 
 /// Cloneable, `Debug`-friendly handle around a [`CheckpointSink`] so it
@@ -345,7 +376,11 @@ struct ShardLog {
     /// next frame is a keyframe.
     based: Option<(u64, usize)>,
     /// That payload's bytes, while `held`: what an append diffs against.
-    base: Vec<u8>,
+    /// After a keyframe, its frame's buffer, the payload in place.
+    base: Image,
+    /// That payload's image id, when its writer named one: an append of a
+    /// later image that names it compares only the lines written since.
+    base_image: Option<u64>,
     /// Whether `base` holds the `based` payload. An append of runs its
     /// caller cut, or of a keyframe it will never diff, leaves it behind.
     held: bool,
@@ -361,7 +396,8 @@ impl ShardLog {
             next_segment,
             frame: Vec::new(),
             based: None,
-            base: Vec::new(),
+            base: Image::default(),
+            base_image: None,
             held: false,
             runs: Vec::new(),
         })
@@ -670,6 +706,7 @@ impl CheckpointStore {
             frame: buf,
             based,
             base,
+            base_image,
             held,
             runs,
             ..
@@ -679,8 +716,35 @@ impl CheckpointStore {
         // one a keyframe.
         let based = based.take();
         let (delta, base_len, runs) = match encoding {
-            Encoding::Diff(payload) => {
-                let delta = based.is_some() && *held && diff_lines(base, payload, runs);
+            Encoding::Diff(payload, written) => {
+                let base = base.as_slice();
+                // Lines written since the base's image bound what can
+                // differ from it; other bases are compared whole.
+                let lines = written.and_then(|w| w.since).and_then(|(since, lines)| {
+                    let guides = *base_image == Some(since) && lines.is_sparse();
+                    (guides && fits(lines, base, payload)).then_some(lines)
+                });
+                let delta = based.is_some()
+                    && *held
+                    && match lines {
+                        Some(lines) => {
+                            let small = diff_marked(base, payload, lines, false, runs);
+                            if cfg!(debug_assertions) {
+                                // The differential oracle: the guided
+                                // compare is the whole one. A mismatch
+                                // aborts, as a sink panic would only fail
+                                // the worker and be retried.
+                                let mut whole = Vec::new();
+                                let again = diff_lines(base, payload, &mut whole);
+                                if again != small || (small && whole != *runs) {
+                                    eprintln!("shard {shard}'s lines-guided diff differs from a whole one");
+                                    std::process::abort();
+                                }
+                            }
+                            small
+                        }
+                        None => diff_lines(base, payload, runs),
+                    };
                 (delta, base.len(), &runs[..])
             }
             // Runs cut against the payload this segment's previous frame
@@ -702,10 +766,12 @@ impl CheckpointStore {
             delta,
         };
         frame::encode_into(buf, &header, |out| match encoding {
-            Encoding::Diff(payload) | Encoding::Cut(payload, _) if delta => {
+            Encoding::Diff(payload, _) | Encoding::Cut(payload, _) if delta => {
                 encode_delta(out, base_len, payload, runs)
             }
-            Encoding::Diff(payload) | Encoding::Cut(payload, _) => out.extend_from_slice(payload),
+            Encoding::Diff(payload, _) | Encoding::Cut(payload, _) => {
+                out.extend_from_slice(payload)
+            }
             Encoding::Whole(parts) => parts.iter().for_each(|p| out.extend_from_slice(p)),
         });
         let body = buf.len() - FRAME_HEADER - frame::TRAILER;
@@ -745,17 +811,25 @@ impl CheckpointStore {
             ));
         }
         let len = match encoding {
-            Encoding::Diff(payload) => {
+            Encoding::Diff(payload, written) => {
                 // The new base: patched in place where the runs are all
-                // that changed, copied whole where the length moved.
-                if delta && base.len() == payload.len() {
+                // that changed; a keyframe's own frame, the payload already
+                // in it, with the old base's buffer left to build the next
+                // frame in (unless a flipped bit made it differ); copied
+                // whole where a delta moved the length.
+                if delta && base.as_slice().len() == payload.len() {
+                    let bytes = &mut base.buf[base.start..];
                     for r in runs.iter() {
-                        base[r.clone()].copy_from_slice(&payload[r.clone()]);
+                        bytes[r.clone()].copy_from_slice(&payload[r.clone()]);
                     }
+                } else if !delta && action != DiskAction::BitFlip {
+                    std::mem::swap(&mut base.buf, buf);
+                    base.buf.truncate(FRAME_HEADER + payload.len());
+                    base.start = FRAME_HEADER;
                 } else {
-                    base.clear();
-                    base.extend_from_slice(payload);
+                    base.set(payload);
                 }
+                *base_image = written.map(|w| w.image);
                 *held = true;
                 payload.len()
             }
@@ -881,7 +955,17 @@ impl ShardWriter {
 
 impl CheckpointSink for ShardWriter {
     fn persist(&self, seq: u64, processed_at: u64, bytes: &[u8]) -> io::Result<()> {
-        self.persist_as(seq, processed_at, Encoding::Diff(bytes))
+        self.persist_as(seq, processed_at, Encoding::Diff(bytes, None))
+    }
+
+    fn persist_written(
+        &self,
+        seq: u64,
+        processed_at: u64,
+        bytes: &[u8],
+        written: Written<'_>,
+    ) -> io::Result<()> {
+        self.persist_as(seq, processed_at, Encoding::Diff(bytes, Some(written)))
     }
 }
 
@@ -902,8 +986,9 @@ pub(crate) struct Cut<'a> {
 #[derive(Clone, Copy)]
 enum Encoding<'a> {
     /// As a delta against the segment's previous frame, diffed by the
-    /// store, when that is smaller.
-    Diff(&'a [u8]),
+    /// store, when that is smaller: only the head and the lines written
+    /// since, when the previous frame is the image the history names.
+    Diff(&'a [u8], Option<Written<'a>>),
     /// As a delta of runs the caller cut, when the segment's previous
     /// frame is the payload they were cut against.
     Cut(&'a [u8], Cut<'a>),
@@ -1010,38 +1095,140 @@ fn decode_addressed(data: &[u8], shard: usize) -> Result<Frame<'_, LogHeader>, F
 /// (DESIGN.md, "Delta frames", has the measurement). The cluster wire cuts
 /// its delta seals with it too.
 pub(crate) fn diff_lines(base: &[u8], image: &[u8], runs: &mut Vec<Range<usize>>) -> bool {
-    runs.clear();
     let n = image.len();
-    // Image byte i lines up with base byte i + base.len() - n.
-    let fresh = n.saturating_sub(base.len());
-    let mut size = 8;
+    let mut diff = Diff::new(base, image, runs);
     let mut at = 0;
     let mut end = match n % LINE {
         0 => LINE.min(n),
         head => head,
     };
     while at < n {
-        let same = at >= fresh && {
-            let b = at + base.len() - n;
-            image[at..end] == base[b..b + end - at]
-        };
-        if !same {
-            match runs.last_mut() {
-                Some(run) if run.end == at => run.end = end,
-                _ => {
-                    runs.push(at..end);
-                    size += 8;
-                }
-            }
-            size += end - at;
-            if size >= n {
-                return false;
-            }
+        if !diff.line(at..end) {
+            return false;
         }
         at = end;
         end += LINE;
     }
-    size < n
+    diff.small()
+}
+
+/// Whether `lines` can guide a diff of `image` against `base`: the counter
+/// array it covers fits in both.
+pub(crate) fn fits(lines: &DirtyLines, base: &[u8], image: &[u8]) -> bool {
+    lines.counters() * 8 <= base.len().min(image.len())
+}
+
+/// [`diff_lines`] of an `image` that repeats `base` outside its head and
+/// the counter lines `lines` marks (see [`Written`]; the array must
+/// [`fits`]): the same runs and the same answer, for a compare of the head
+/// and the marked lines only. With `exact`, the marked lines are the ones
+/// whose counters changed, so they differ and are not compared either.
+///
+/// The counter array ends both payloads, and its lines are aligned at its
+/// end as the grid of `diff_lines` is at the payload's: each counter line
+/// is one grid line. Every grid line left out lies in an unmarked counter
+/// line, so it is equal, and `diff_lines` would have passed over it
+/// without a run or a byte of size.
+pub(crate) fn diff_marked(
+    base: &[u8],
+    image: &[u8],
+    lines: &DirtyLines,
+    exact: bool,
+    runs: &mut Vec<Range<usize>>,
+) -> bool {
+    let n = image.len();
+    let first = match n % LINE {
+        0 => LINE.min(n),
+        head => head,
+    };
+    // The bytes of grid line `g`, and the grid lines in all.
+    let span = |g: usize| match g {
+        0 => 0..first,
+        g => first + (g - 1) * LINE..first + g * LINE,
+    };
+    let grid = (n - first) / LINE + usize::from(n > 0);
+    // The head's grid lines, the one it shares with a short first counter
+    // line included, are compared whole; counter line `l` is grid line
+    // `grid - lines + l`.
+    let tail = n - lines.counters() * 8;
+    let head = if tail == 0 {
+        0
+    } else {
+        1 + (tail - first.min(tail)).div_ceil(LINE)
+    };
+    let offset = grid - lines.lines();
+    let mut diff = Diff::new(base, image, runs);
+    if (0..head).any(|g| !diff.line(span(g))) {
+        return false;
+    }
+    let mut small = true;
+    lines.for_each_line(|l| {
+        let g = offset + l;
+        if small && g >= head {
+            small = if exact {
+                diff.differs(span(g))
+            } else {
+                diff.line(span(g))
+            };
+        }
+    });
+    small && diff.small()
+}
+
+/// One pass of [`diff_lines`]' comparison, a grid line at a time, in
+/// increasing order: the runs found so far and the size of their delta.
+struct Diff<'a> {
+    base: &'a [u8],
+    image: &'a [u8],
+    runs: &'a mut Vec<Range<usize>>,
+    size: usize,
+}
+
+impl<'a> Diff<'a> {
+    fn new(base: &'a [u8], image: &'a [u8], runs: &'a mut Vec<Range<usize>>) -> Self {
+        runs.clear();
+        Self {
+            base,
+            image,
+            runs,
+            size: 8,
+        }
+    }
+
+    /// Compare grid line `at..end` of the image with its counterpart in
+    /// the base, aligned at the ends, adding it to the runs if it differs
+    /// (a line the base has no counterpart for differs). `false` once the
+    /// delta is no smaller than the image.
+    fn line(&mut self, line: Range<usize>) -> bool {
+        let (n, base) = (self.image.len(), self.base);
+        let fresh = n.saturating_sub(base.len());
+        let same = line.start >= fresh && {
+            let b = line.start + base.len() - n;
+            self.image[line.clone()] == base[b..b + line.len()]
+        };
+        if same {
+            self.small()
+        } else {
+            self.differs(line)
+        }
+    }
+
+    /// Add grid line `at..end`, known to differ, to the runs.
+    fn differs(&mut self, Range { start: at, end }: Range<usize>) -> bool {
+        match self.runs.last_mut() {
+            Some(run) if run.end == at => run.end = end,
+            _ => {
+                self.runs.push(at..end);
+                self.size += 8;
+            }
+        }
+        self.size += end - at;
+        self.small()
+    }
+
+    fn small(&self) -> bool {
+        self.size < self.image.len()
+    }
 }
 
 /// Append the payload of a delta frame: the image's length, its base's

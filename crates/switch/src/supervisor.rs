@@ -63,7 +63,7 @@ use crate::clock::{Clock, SystemClock};
 use crate::faults::ThreadFaultPlan;
 use crate::ovs::Measurement;
 use crate::spsc::SpscRing;
-use crate::store::SinkHandle;
+use crate::store::{SinkHandle, Written};
 use nitro_core::NitroSketch;
 use nitro_metrics::telemetry::{Event, MeasurementGauges, ShardTelemetry};
 use nitro_metrics::DaemonHealth;
@@ -116,6 +116,18 @@ pub trait Recoverable: Measurement {
         let _ = into;
     }
 
+    /// Whether the lines [`Recoverable::take_dirty`] hands over are lines
+    /// of a counter array that ends the checkpoint, counted from the
+    /// array's end as [`DirtyLines`] counts them, and the checkpoint
+    /// changes nowhere else but in the bytes before that array. Only then
+    /// do they travel with the checkpoint as its write history
+    /// ([`crate::store::Written`]), for the durable store and the epoch
+    /// view to compare and fold only them. The default, `false`, keeps
+    /// them to [`Recoverable::checkpoint_into`].
+    fn dirty_lines_end_checkpoint(&self) -> bool {
+        false
+    }
+
     /// Replace this measurement's state with a checkpoint taken from a
     /// compatible instance. Must leave `self` untouched on error.
     fn restore_bytes(&mut self, bytes: &[u8]) -> Result<(), CheckpointError>;
@@ -141,6 +153,10 @@ impl<S: RowSketch + Checkpoint> Recoverable for NitroSketch<S> {
 
     fn take_dirty(&mut self, into: &mut DirtyLines) {
         NitroSketch::take_dirty(self, into);
+    }
+
+    fn dirty_lines_end_checkpoint(&self) -> bool {
+        true
     }
 
     fn restore_bytes(&mut self, bytes: &[u8]) -> Result<(), CheckpointError> {
@@ -341,19 +357,21 @@ struct Shared {
     /// `processed` at the moment the stored checkpoint was taken — the
     /// basis of the query plane's per-shard staleness bound.
     checkpoint_processed: AtomicU64,
-    /// The latest checkpoint and its image sequence number. Readers clone
-    /// the `Arc`, never the bytes; the publisher swaps whole buffers in
-    /// (see `store_checkpoint`).
-    checkpoint: Mutex<Option<(Arc<Vec<u8>>, u64)>>,
-    /// Sequence numbers of encoded images, daemon-wide: unique across
-    /// worker incarnations, so a buffer from a dead incarnation never
-    /// matches a live worker's record of its own images.
-    images: AtomicU64,
+    /// The latest checkpoint and its write history. Readers clone the
+    /// `Arc`, never the bytes; the publisher swaps whole buffers in (see
+    /// `store_checkpoint`).
+    checkpoint: Mutex<Option<Slot>>,
     /// The hand-off to the writer thread; `None` without a sink, when the
     /// worker publishes inline.
     writer: Option<Writer>,
     high_water: f64,
 }
+
+/// Sequence numbers of encoded images, unique in the process: across
+/// worker incarnations, so a buffer from a dead incarnation never matches a
+/// live worker's record of its own images, and across daemons, so a reader
+/// that folded one daemon's image never takes another's for it.
+static IMAGES: AtomicU64 = AtomicU64::new(0);
 
 /// A checkpoint buffer, tagged with the sequence number of the image it
 /// holds (`None`: a fresh buffer, holding none).
@@ -368,11 +386,29 @@ struct Job {
     bytes: Vec<u8>,
     /// Image sequence number of `bytes`.
     seq: u64,
+    /// The image this incarnation took before `bytes` (`None` for its
+    /// first) and the counter lines written since: the write history the
+    /// sink and the slot pass on.
+    since: Option<u64>,
+    lines: DirtyLines,
     /// Observations processed when `bytes` was encoded.
     processed_at: u64,
     /// `snapshot_requests` read before encoding: every on-demand request
     /// up to this one is answered once the checkpoint is published.
     answers: u64,
+}
+
+/// The published checkpoint, with the lines written since the image a
+/// view last took from the slot.
+struct Slot {
+    bytes: Arc<Vec<u8>>,
+    /// Image sequence number of `bytes`.
+    image: u64,
+    /// The image [`SupervisedDaemon::checkpoint_now`] last handed out and
+    /// the lines written from it to `image`, while every image published
+    /// since named its predecessor; `None` once one did not.
+    anchor: Option<u64>,
+    written: DirtyLines,
 }
 
 impl Shared {
@@ -395,7 +431,6 @@ impl Shared {
             snapshot_acks: AtomicU64::new(0),
             checkpoint_processed: AtomicU64::new(0),
             checkpoint: Mutex::new(None),
-            images: AtomicU64::new(0),
             writer,
             high_water,
         }
@@ -417,44 +452,66 @@ impl Shared {
     /// retries. Returns the buffer the slot held before, to encode a later
     /// checkpoint into.
     fn publish_checkpoint(&self, job: Job, sink: Option<&SinkHandle>) -> Image {
-        let Job {
-            bytes,
-            seq: image,
-            processed_at,
-            answers,
-        } = job;
         if let Some(sink) = sink {
             let seq = self.tel.checkpoints.get() + 1;
             let started = Instant::now();
-            if sink.persist(seq, processed_at, &bytes).is_ok() {
+            let written = Written {
+                image: job.seq,
+                since: job.since.map(|since| (since, &job.lines)),
+            };
+            if sink
+                .persist_written(seq, job.processed_at, &job.bytes, written)
+                .is_ok()
+            {
                 self.tel
                     .persist_ns
                     .record(started.elapsed().as_nanos() as u64);
                 self.tel.persisted.incr();
-                self.tel.persisted_at.set(processed_at);
+                self.tel.persisted_at.set(job.processed_at);
                 self.tel.event(Event::CheckpointPersisted {
                     shard: self.tel.shard,
                     seq,
-                    processed_at,
+                    processed_at: job.processed_at,
                 });
             }
         }
-        let spare = self.store_checkpoint(bytes, image, processed_at);
+        let answers = job.answers;
+        let spare = self.store_checkpoint(job);
         self.snapshot_acks.fetch_max(answers, Ordering::AcqRel);
         spare
     }
 
-    /// Swap image `seq` into the slot and hand back the displaced buffer,
-    /// tagged — unless a reader still holds it, in which case the reader
-    /// keeps its bytes unchanged and the caller gets a fresh, empty one.
-    fn store_checkpoint(&self, bytes: Vec<u8>, seq: u64, processed_at: u64) -> Image {
-        let mut slot = self
-            .checkpoint
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        let displaced = slot.replace((Arc::new(bytes), seq));
+    /// Swap the job's image into the slot and hand back the displaced
+    /// buffer, tagged — unless a reader still holds it, in which case the
+    /// reader keeps its bytes unchanged and the caller gets a fresh, empty
+    /// one. The image's lines join those written since the slot's anchor
+    /// when it follows the image it replaces.
+    fn store_checkpoint(&self, job: Job) -> Image {
+        let mut slot = self.slot();
+        let bytes = Arc::new(job.bytes);
+        let displaced = match &mut *slot {
+            Some(s) => {
+                if job.since == Some(s.image) && s.anchor.is_some() {
+                    s.written.union(&job.lines);
+                } else {
+                    s.anchor = None;
+                }
+                let displaced = (std::mem::replace(&mut s.bytes, bytes), s.image);
+                s.image = job.seq;
+                Some(displaced)
+            }
+            None => {
+                *slot = Some(Slot {
+                    bytes,
+                    image: job.seq,
+                    anchor: None,
+                    written: DirtyLines::default(),
+                });
+                None
+            }
+        };
         self.checkpoint_processed
-            .store(processed_at, Ordering::Release);
+            .store(job.processed_at, Ordering::Release);
         self.tel.checkpoints.incr();
         drop(slot);
         displaced
@@ -467,33 +524,44 @@ impl Shared {
             .unwrap_or_default()
     }
 
-    /// The next image sequence number.
-    fn next_image(&self) -> u64 {
-        self.images.fetch_add(1, Ordering::Relaxed)
-    }
-
-    fn load_checkpoint(&self) -> Option<Arc<Vec<u8>>> {
+    fn slot(&self) -> MutexGuard<'_, Option<Slot>> {
         self.checkpoint
             .lock()
             .unwrap_or_else(|poisoned| poisoned.into_inner())
-            .as_ref()
-            .map(|(bytes, _)| Arc::clone(bytes))
     }
 
-    /// Load the stored checkpoint together with the `processed` count it
-    /// was taken at (read under the same lock ordering: bytes first, then
-    /// the release-published counter).
-    fn load_checkpoint_with_processed(&self) -> Option<(Arc<Vec<u8>>, u64)> {
-        let slot = self
-            .checkpoint
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        slot.as_ref().map(|(bytes, _)| {
-            (
-                Arc::clone(bytes),
-                self.checkpoint_processed.load(Ordering::Acquire),
-            )
-        })
+    /// The next image sequence number.
+    fn next_image(&self) -> u64 {
+        IMAGES.fetch_add(1, Ordering::Relaxed)
+    }
+
+    fn load_checkpoint(&self) -> Option<Arc<Vec<u8>>> {
+        self.slot().as_ref().map(|s| Arc::clone(&s.bytes))
+    }
+
+    /// Load the stored checkpoint as a view: its bytes, the `processed`
+    /// count it was taken at (read under the same lock ordering: bytes
+    /// first, then the release-published counter) and its write history.
+    /// With `anchor`, the lines written from here on count from this
+    /// image.
+    fn load_view(&self, anchor: bool) -> Option<CheckpointView> {
+        let mut slot = self.slot();
+        let s = slot.as_mut()?;
+        let view = CheckpointView {
+            bytes: Arc::clone(&s.bytes),
+            image: s.image,
+            written: s.anchor.map(|since| (since, s.written.clone())),
+            processed_at: self.checkpoint_processed.load(Ordering::Acquire),
+            lag: 0,
+            backlog: 0,
+            fresh: false,
+            degraded: false,
+        };
+        if anchor {
+            s.anchor = Some(s.image);
+            s.written.clear();
+        }
+        Some(view)
     }
 
     fn health(&self) -> DaemonHealth {
@@ -692,6 +760,13 @@ pub struct CheckpointView {
     /// shared with the daemon's slot by refcount: holding a view copies
     /// nothing and never blocks or is changed by the next checkpoint.
     pub bytes: Arc<Vec<u8>>,
+    /// The image's sequence number, unique in the process.
+    pub image: u64,
+    /// The image [`SupervisedDaemon::checkpoint_now`] last handed out and
+    /// the counter lines written from it to this one (see
+    /// [`crate::store::Written`]), or `None` when a worker restart or a
+    /// skipped publish broke the chain between them.
+    pub written: Option<(u64, DirtyLines)>,
     /// Observations processed when this checkpoint was taken.
     pub processed_at: u64,
     /// Observations processed since the checkpoint — updates this view has
@@ -769,15 +844,19 @@ impl<M: Recoverable + Send + 'static> SupervisedDaemon<M> {
     /// before [`spawn_supervised`] stored the pristine snapshot (i.e.
     /// never, for a daemon obtained from that constructor).
     pub fn latest_checkpoint(&self) -> Option<CheckpointView> {
-        let (bytes, processed_at) = self.shared.load_checkpoint_with_processed()?;
+        self.view(false)
+    }
+
+    /// The slot's checkpoint with its staleness, anchoring the write
+    /// history there when `anchor`.
+    fn view(&self, anchor: bool) -> Option<CheckpointView> {
+        let view = self.shared.load_view(anchor)?;
         let processed = self.shared.tel.processed.get();
         Some(CheckpointView {
-            bytes,
-            processed_at,
-            lag: processed.saturating_sub(processed_at),
+            lag: processed.saturating_sub(view.processed_at),
             backlog: self.backlog(),
-            fresh: false,
             degraded: self.is_failed(),
+            ..view
         })
     }
 
@@ -785,12 +864,14 @@ impl<M: Recoverable + Send + 'static> SupervisedDaemon<M> {
     /// for it; falls back to the latest periodic checkpoint (with
     /// `fresh == false` and the correspondingly larger staleness numbers)
     /// when the worker does not acknowledge in time — a crashed shard still
-    /// serves its last known-good state.
+    /// serves its last known-good state. The view's write history counts
+    /// from the image the previous call handed out, and the next call's
+    /// from this one: the epoch view folds only what changed between them.
     pub fn checkpoint_now(&self, timeout: Duration) -> Option<CheckpointView> {
         if self.is_failed() {
             // No worker will ever acknowledge: skip the wait and serve the
             // last durable state immediately, flagged as degraded.
-            return self.latest_checkpoint();
+            return self.view(true);
         }
         let target = self.shared.snapshot_requests.fetch_add(1, Ordering::AcqRel) + 1;
         let deadline = Instant::now() + timeout;
@@ -805,7 +886,7 @@ impl<M: Recoverable + Send + 'static> SupervisedDaemon<M> {
             }
             std::thread::yield_now();
         }
-        let mut view = self.latest_checkpoint()?;
+        let mut view = self.view(true)?;
         view.fresh = fresh;
         Some(view)
     }
@@ -983,6 +1064,17 @@ impl Intervals {
         self.ring.push_back((seq, lines));
     }
 
+    /// The image before the newest and the lines written since it: the
+    /// newest image's write history (`None` for an incarnation's first,
+    /// and for a measurement that tracks no lines).
+    fn last(&self) -> (Option<u64>, DirtyLines) {
+        let mut newest = self.ring.iter().rev();
+        let lines = newest.next().map(|(_, lines)| lines.clone());
+        let since = newest.next().map(|&(seq, _)| seq);
+        let lines = lines.unwrap_or_default();
+        (since.filter(|_| lines.lines() > 0), lines)
+    }
+
     /// The lines written since image `held`, or `None` — encode in full —
     /// when the buffer is fresh, holds an image this record does not reach
     /// back to (older, or another incarnation's), when the measurement
@@ -996,13 +1088,7 @@ impl Intervals {
         for lines in later {
             self.since.union(lines);
         }
-        // Each run of dirty lines is a copy of its own. On a 2 MiB
-        // five-row Count Sketch with uniformly scattered dirty lines
-        // (2-core Xeon VM), the patch beat the full encode up to about
-        // 30 % of lines (25 %: 158-172 µs against 174-195 µs) and lost
-        // above (40 %: 201-212 µs against 184-192 µs).
-        let (dirty, lines) = (self.since.count(), self.since.lines());
-        (lines > 0 && dirty * 10 <= lines * 3).then_some(&self.since)
+        self.since.is_sparse().then_some(&self.since)
     }
 }
 
@@ -1022,6 +1108,11 @@ fn take_checkpoint<M: Recoverable>(
         seq: held,
     } = spare;
     intervals.close(m, seq);
+    let (since, lines) = if m.dirty_lines_end_checkpoint() {
+        intervals.last()
+    } else {
+        (None, DirtyLines::default())
+    };
     let dirty = intervals.since(held);
     m.checkpoint_into(&mut bytes, dirty);
     if cfg!(debug_assertions) && dirty.is_some() {
@@ -1038,6 +1129,8 @@ fn take_checkpoint<M: Recoverable>(
     let job = Job {
         bytes,
         seq,
+        since,
+        lines,
         processed_at: shared.tel.processed.get(),
         answers,
     };
@@ -1133,6 +1226,8 @@ where
     let pristine = Job {
         bytes: pristine,
         seq: shared.next_image(),
+        since: None,
+        lines: DirtyLines::default(),
         processed_at: 0,
         answers: 0,
     };

@@ -124,6 +124,10 @@ fn aggregator_killed_mid_epoch_recovers_from_durable_log_behind_chaos_proxies() 
             seed: 0,
         };
         cfg.registry = Some(Arc::clone(&registry));
+        // The proxy accepts while its upstream is partitioned or dead, so
+        // a redial waits out the whole handshake bound: keep it well under
+        // the phase deadlines below.
+        cfg.handshake_timeout = Duration::from_millis(250);
         let mut agent = NodeAgent::open(fresh_dir(&format!("agent{n}")), cfg).expect("open agent");
         assert_eq!(agent.connect(proxy.local_addr()).expect("handshake"), 0);
         pipes.push(pipe);

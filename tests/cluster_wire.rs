@@ -1298,3 +1298,141 @@ fn a_node_id_above_u16_max_seals_deltas_and_backfills() {
     agg.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A sketch whose counter array, 3 × 50 001 counters, is no multiple of a
+/// 64-byte line: its first line is short.
+fn short_lined_template(sampler: u64) -> NitroSketch<CountMin> {
+    NitroSketch::new(CountMin::new(3, 50_001, 9), Mode::Fixed { p: 1.0 }, sampler).with_topk(16)
+}
+
+/// Every file under `dir`, by path relative to it.
+fn tree(dir: &Path) -> BTreeMap<PathBuf, Vec<u8>> {
+    let mut out = BTreeMap::new();
+    let mut stack = vec![dir.to_path_buf()];
+    while let Some(at) = stack.pop() {
+        for entry in std::fs::read_dir(&at).unwrap() {
+            let path = entry.unwrap().path();
+            if path.is_dir() {
+                stack.push(path);
+            } else {
+                let bytes = std::fs::read(&path).unwrap();
+                out.insert(path.strip_prefix(dir).unwrap().to_path_buf(), bytes);
+            }
+        }
+    }
+    out
+}
+
+/// Two agents seal the same epochs of a one-shard pipeline: one the
+/// pipeline's views, which patch, so the agent compares only the head and
+/// takes the lines they changed as its cut; the other standalone copies
+/// of the same sketches, which it diffs whole. Their
+/// epoch logs are the same bytes and their aggregators serve the same
+/// views — with heavy-hitter lists of changing length (heads that grow
+/// and shrink), a sever, seals while severed, and a redial that backfills.
+#[test]
+fn a_guided_cut_is_the_whole_diff() {
+    use nitrosketch::switch::{spawn_sharded, PipelineConfig, SupervisorConfig};
+    let fingerprint = short_lined_template(0).inner().fingerprint();
+    let no_redial = ReconnectPolicy {
+        base_backoff: Duration::from_secs(3600),
+        max_backoff: Duration::from_secs(3600),
+        ..Default::default()
+    };
+    let mut sides = Vec::new();
+    for tag in ["guided", "whole"] {
+        let agg = Aggregator::spawn(
+            short_lined_template(0),
+            "127.0.0.1:0",
+            AggregatorConfig::default(),
+        )
+        .expect("spawn aggregator");
+        let dir = log_dir(&format!("agent-{tag}"));
+        let mut cfg = NodeAgentConfig::new(7, fingerprint);
+        cfg.reconnect = no_redial;
+        let mut agent = NodeAgent::open(&dir, cfg).expect("open agent");
+        agent.connect(agg.local_addr()).expect("connect");
+        sides.push((agg, dir, agent));
+    }
+    let (mut tap, mut pipeline) = spawn_sharded(
+        |i| short_lined_template(i as u64),
+        PipelineConfig {
+            shards: 1,
+            supervisor: SupervisorConfig {
+                checkpoint_every: 700,
+                high_water: 2.0,
+                ..Default::default()
+            },
+            ..Default::default()
+        },
+    )
+    .expect("spawn pipeline");
+    let mut rng = SplitMix64::new(47);
+    let (mut offered, mut patched) = (0, 0);
+    let epochs = 12;
+    for epoch in 1..=epochs {
+        // Few enough packets that an epoch writes a sparse set of lines.
+        for _ in 0..100 + rng.next_u64() % 600 {
+            // A few heavy keys over a light tail.
+            let key = match rng.next_u64() % 4 {
+                0 => rng.next_u64() % 8,
+                _ => rng.next_u64() % 50_000,
+            };
+            tap.offer(key, offered);
+            offered += 1;
+        }
+        while pipeline.processed() < offered {
+            std::thread::yield_now();
+        }
+        let view = pipeline.epoch_view().expect("epoch view");
+        patched += view.changed().is_some() as usize;
+        let whole = MergedView::from_sketch(epoch, NitroSketch::clone(view.sketch()));
+        // Heavy-hitter lists of changing length: the head moves.
+        let threshold = [5.0, 400.0, 40.0, 1e9][epoch as usize % 4];
+        if epoch == 5 {
+            for (_, _, agent) in &mut sides {
+                agent.sever();
+            }
+        }
+        let [(_, _, a), (_, _, b)] = &mut sides[..] else {
+            unreachable!()
+        };
+        let sealed = a.seal_epoch(epoch, &view, threshold).expect("seal");
+        let twin = b.seal_epoch(epoch, &whole, threshold).expect("seal");
+        assert_eq!(sealed, twin, "epoch {epoch}");
+        assert_eq!(sealed.delivered, !(5..=6).contains(&epoch), "epoch {epoch}");
+        if epoch == 6 {
+            for (agg, _, agent) in &mut sides {
+                assert_eq!(agent.connect(agg.local_addr()).expect("redial"), 2);
+            }
+        }
+    }
+    assert!(patched >= epochs as usize - 2, "{patched} patched views");
+    drop(tap);
+    pipeline.finish().expect("clean run");
+    for epoch in 1..=epochs {
+        let views: Vec<_> = sides
+            .iter()
+            .map(|(agg, _, _)| {
+                let deadline = Instant::now() + Duration::from_secs(10);
+                while !agg.epoch_status(epoch).is_complete() {
+                    assert!(Instant::now() < deadline, "epoch {epoch} incomplete");
+                    std::thread::sleep(Duration::from_millis(5));
+                }
+                agg.view(epoch).expect("view").sketch().snapshot()
+            })
+            .collect();
+        assert!(
+            views[0] == views[1],
+            "epoch {epoch}'s aggregated views differ"
+        );
+    }
+    let [(agg_a, dir_a, a), (agg_b, dir_b, b)] = <[_; 2]>::try_from(sides).ok().unwrap();
+    a.close();
+    b.close();
+    agg_a.shutdown();
+    agg_b.shutdown();
+    assert!(tree(&dir_a) == tree(&dir_b), "the epoch logs differ");
+    let _ = std::fs::remove_dir_all(&dir_a);
+    let _ = std::fs::remove_dir_all(&dir_b);
+}

@@ -408,3 +408,163 @@ fn a_rescaled_view_is_the_merge_of_its_carryover_and_shards() {
     assert_eq!(fleet.unaccounted(), 0);
     assert_eq!(fleet.total().offered, (before.len() + after.len()) as u64);
 }
+
+/// The blank measurement of a fleet sampling at `p`.
+fn sampled(p: f64) -> impl Fn(usize) -> NitroSketch<CountSketch> + Send + Sync + 'static {
+    move |i| {
+        NitroSketch::new(
+            CountSketch::new(5, 1 << 15, 311),
+            Mode::Fixed { p },
+            900 + i as u64,
+        )
+        .with_topk(128)
+    }
+}
+
+/// A one-shard fleet at sampling probability `p`, with periodic
+/// checkpoints between views and failover on.
+fn lone_fleet(p: f64, plan: &ThreadFaultPlan) -> (ShardedTap, ShardedPipeline<CountSketch>) {
+    spawn_sharded(
+        sampled(p),
+        PipelineConfig {
+            failover: true,
+            fault_plans: vec![(0, plan.clone())],
+            supervisor: SupervisorConfig {
+                checkpoint_every: 400,
+                ..exact_fleet(1).supervisor
+            },
+            ..exact_fleet(1)
+        },
+    )
+    .expect("spawn")
+}
+
+/// `view` against the whole fold of the carryover (the image of a
+/// rescaled-away shard, if any) and the lone shard's image behind it, bit
+/// for bit: image bytes (counters, statistics, heavy keys in the tracker's
+/// order), every row's Σ C², the heavy-hitter answer. Returns the image.
+fn is_whole_fold(
+    p: f64,
+    pipeline: &ShardedPipeline<CountSketch>,
+    view: &MergedView<CountSketch>,
+    carry: Option<&[u8]>,
+) -> Vec<u8> {
+    let image = view_images(pipeline, view).pop().expect("one shard");
+    let mut expected = sampled(p)(0);
+    for bytes in carry.into_iter().chain([&image[..]]) {
+        let mut restored = sampled(p)(0);
+        restored.restore(bytes).unwrap();
+        expected.try_merge_from(&restored).unwrap();
+    }
+    same_view(view.sketch(), &expected);
+    for r in 0..expected.inner().depth() {
+        assert_eq!(
+            view.sketch().inner().row_sum_squares(r).to_bits(),
+            expected.inner().row_sum_squares(r).to_bits(),
+            "row {r}'s sum of squares"
+        );
+    }
+    image
+}
+
+/// Epochs of a Zipf stream offered to a lone shard, each closed by a view
+/// checked against the whole fold. An epoch of 1 000 keys writes few
+/// enough lines that the next view patches.
+struct Epochs {
+    p: f64,
+    keys: Vec<u64>,
+    offered: usize,
+    /// The carryover's image, once a rescale folded the shard behind it.
+    carry: Option<Vec<u8>>,
+    /// The image behind the last view.
+    image: Vec<u8>,
+}
+
+impl Epochs {
+    fn view(
+        &mut self,
+        tap: &mut ShardedTap,
+        pipeline: &mut ShardedPipeline<CountSketch>,
+    ) -> MergedView<CountSketch> {
+        let chunk = &self.keys[self.offered..self.offered + 1_000];
+        offer_all(tap, chunk);
+        self.offered += chunk.len();
+        wait_processed(pipeline, self.offered);
+        let view = pipeline.epoch_view().expect("epoch view");
+        self.image = is_whole_fold(self.p, pipeline, &view, self.carry.as_deref());
+        view
+    }
+}
+
+/// A lone shard's views patch the lines written since the view before,
+/// and every one, patched or folded whole, is the whole fold of its image
+/// to the bit — across a worker restart, a promotion, a view the caller
+/// still holds and a rescale that leaves a carryover, at p = 1, 0.1 and
+/// 0.01. The chain breaks where it must: the first view after a restart
+/// or a promotion, and one taken while the caller holds the last, fold
+/// whole; with a carryover every view does.
+#[test]
+fn a_patched_view_is_the_whole_fold_of_its_image() {
+    for p in [1.0, 0.1, 0.01] {
+        let plan = ThreadFaultPlan::new();
+        let (mut tap, mut pipeline) = lone_fleet(p, &plan);
+        let mut epochs = Epochs {
+            p,
+            keys: zipf_stream(12 * 1_000, 46),
+            offered: 0,
+            carry: None,
+            image: Vec::new(),
+        };
+        assert!(
+            epochs.view(&mut tap, &mut pipeline).changed().is_none(),
+            "p {p}: first view"
+        );
+        let view = epochs.view(&mut tap, &mut pipeline);
+        let (since, lines) = view.changed().expect("a view after a sparse epoch patches");
+        assert!(lines.count() < lines.lines(), "p {p}: only written lines");
+        assert!(since < view.id());
+
+        // Held by the caller, the last view's arena is not recycled.
+        let held = view.sketch().snapshot();
+        let after = epochs.view(&mut tap, &mut pipeline);
+        assert!(
+            after.changed().is_none(),
+            "p {p}: the last view is still held"
+        );
+        assert!(
+            view.sketch().snapshot() == held,
+            "p {p}: a held view changed"
+        );
+        drop((view, after));
+        assert!(epochs.view(&mut tap, &mut pipeline).changed().is_some());
+
+        // A worker restart restores the last checkpoint and starts a new
+        // write history.
+        plan.panic_after_checkpoints(0);
+        let view = epochs.view(&mut tap, &mut pipeline);
+        assert_eq!(pipeline.fleet_health().total().restarts, 1);
+        assert!(
+            view.changed().is_none(),
+            "p {p}: first view after a restart"
+        );
+        drop(view);
+        assert!(epochs.view(&mut tap, &mut pipeline).changed().is_some());
+
+        // A promotion replaces the daemon, and its images with it.
+        assert!(pipeline.promote(0).expect("promote"));
+        assert!(epochs.view(&mut tap, &mut pipeline).changed().is_none());
+        assert!(epochs.view(&mut tap, &mut pipeline).changed().is_some());
+
+        // A rescale folds the old shard, quiet since its last image, into
+        // a carryover: every view folds whole.
+        epochs.carry = Some(epochs.image.clone());
+        pipeline.rescale(1).expect("rescale 1 -> 1");
+        for _ in 0..2 {
+            let view = epochs.view(&mut tap, &mut pipeline);
+            assert!(view.changed().is_none(), "p {p}: a view with a carryover");
+        }
+        drop(tap);
+        let (_, fleet) = pipeline.finish().expect("clean run");
+        assert_eq!(fleet.unaccounted(), 0);
+    }
+}

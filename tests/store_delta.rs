@@ -473,3 +473,122 @@ fn persisted_bytes_count_the_delta_not_the_image() {
     assert_eq!(log.len() as usize, 2 * framing + image.len() + 80);
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+/// Every file of a store's directory, by path relative to it.
+fn files(dir: &std::path::Path) -> Vec<(PathBuf, Vec<u8>)> {
+    let mut out = Vec::new();
+    for shard in std::fs::read_dir(dir).unwrap() {
+        let shard = shard.unwrap().path();
+        if !shard.is_dir() {
+            continue;
+        }
+        for f in std::fs::read_dir(&shard).unwrap() {
+            let f = f.unwrap().path();
+            let name = f.strip_prefix(dir).unwrap().to_path_buf();
+            out.push((name, std::fs::read(&f).unwrap()));
+        }
+    }
+    out.sort();
+    out
+}
+
+/// One history appended twice: through `persist`, which diffs whole
+/// payloads, and through `persist_written`, which names the image each
+/// payload follows and the counter lines written since (a superset of
+/// those that changed, as a worker's write history is). `counters` need
+/// not be a multiple of 8: then the first counter line is short and
+/// shares a line of the store's grid with the head. Some steps name an
+/// image the store does not hold, or mark most lines, and must fall back
+/// to the whole diff.
+fn guided_history(tag: &str, counters: usize, seed: u64, steps: usize) {
+    use nitrosketch::sketches::checkpoint::{DirtyLines, LINE_COUNTERS};
+    use nitrosketch::switch::store::Written;
+    let cfg = StoreConfig {
+        fsync: false,
+        rotate_after: 5,
+        ..StoreConfig::default()
+    };
+    let (whole_dir, guided_dir) = (
+        tmp_dir(&format!("{tag}-whole")),
+        tmp_dir(&format!("{tag}-guided")),
+    );
+    let whole = CheckpointStore::create(&whole_dir, 1, cfg.clone()).unwrap();
+    let guided = CheckpointStore::create(&guided_dir, 1, cfg).unwrap();
+    let (whole_writer, guided_writer) = (whole.writer(0), guided.writer(0));
+    let mut rng = Rng(seed);
+    let mut head = rng.bytes(200);
+    let mut tail = vec![0u64; counters];
+    for seq in 1..=steps as u64 {
+        let mut lines = DirtyLines::new(counters);
+        match rng.below(8) {
+            // The head alone changes, in length and content.
+            0 => head = rng.bytes(200),
+            // Every line is rewritten.
+            1 => {
+                for c in tail.iter_mut() {
+                    *c = rng.next() & 0xff;
+                }
+                lines.mark_all();
+            }
+            // A few counters move, marked with lines that did not change.
+            _ => {
+                for _ in 0..1 + rng.below(6) {
+                    let i = rng.below(counters);
+                    tail[i] = rng.next() & 0xff;
+                    lines.mark(i);
+                }
+                for _ in 0..rng.below(4) {
+                    lines.mark(rng.below(counters));
+                }
+                // A counter written back to its value: marked, unchanged.
+                lines.mark(LINE_COUNTERS * rng.below(counters / LINE_COUNTERS));
+            }
+        }
+        let payload: Vec<u8> = head
+            .iter()
+            .copied()
+            .chain(tail.iter().flat_map(|c| c.to_le_bytes()))
+            .collect();
+        let since = match rng.below(10) {
+            0 => None,
+            1 => Some((seq + 1000, &lines)),
+            _ => Some((seq - 1, &lines)),
+        };
+        whole_writer.persist(seq, seq * 10, &payload).unwrap();
+        let written = Written { image: seq, since };
+        guided_writer
+            .persist_written(seq, seq * 10, &payload, written)
+            .unwrap();
+    }
+    assert_eq!(
+        files(&whole_dir),
+        files(&guided_dir),
+        "{tag}: segment files differ"
+    );
+    std::fs::remove_dir_all(&whole_dir).unwrap();
+    std::fs::remove_dir_all(&guided_dir).unwrap();
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// A lines-guided append writes the bytes the whole diff writes,
+    /// whatever the array's length modulo a line.
+    #[test]
+    fn a_lines_guided_append_writes_the_files_a_whole_diff_writes(
+        counters in 1usize..8 * 48,
+        seed in 0u64..u64::MAX,
+        steps in 2usize..16,
+    ) {
+        guided_history(&format!("guided-{seed}"), counters, seed, steps);
+    }
+}
+
+/// The short first line pinned: 8·k + 3 counters, so the first counter
+/// line holds three counters and the rest of its grid line is head.
+#[test]
+fn a_short_first_counter_line_is_compared_with_the_head() {
+    for seed in 0..8 {
+        guided_history(&format!("short-{seed}"), 8 * 200 + 3, seed, 12);
+    }
+}

@@ -11,6 +11,7 @@
 use nitrosketch::core::{Mode, NitroSketch};
 use nitrosketch::prelude::*;
 use nitrosketch::sketches::checkpoint::{CheckpointError, DirtyLines, LINE_COUNTERS};
+use nitrosketch::switch::store::Written;
 use nitrosketch::switch::{
     spawn_supervised, CheckpointSink, Measurement, Recoverable, SinkHandle, SupervisedDaemon,
     SupervisedTap, SupervisorConfig, ThreadFaultPlan,
@@ -431,4 +432,86 @@ fn a_recycled_buffer_is_patched_from_its_own_image() {
             assert_eq!(lines, &since, "patched {held} into {written}");
         }
     }
+}
+
+/// A sink that records, for every checkpoint, whether the supervisor
+/// handed it a write history.
+#[derive(Default)]
+struct HistoryLog(Mutex<Vec<bool>>);
+impl CheckpointSink for HistoryLog {
+    fn persist(&self, _seq: u64, _at: u64, _bytes: &[u8]) -> std::io::Result<()> {
+        Ok(())
+    }
+    fn persist_written(
+        &self,
+        _seq: u64,
+        _at: u64,
+        _bytes: &[u8],
+        written: Written<'_>,
+    ) -> std::io::Result<()> {
+        self.0.lock().unwrap().push(written.since.is_some());
+        Ok(())
+    }
+}
+
+/// Run `m` under a daemon persisting into a [`HistoryLog`] for 20
+/// checkpoints, and return which of them carried a write history and
+/// whether a final on-demand view did.
+fn histories<M: Recoverable + Send + 'static>(
+    m: M,
+    make: impl Fn() -> M + Send + Sync + 'static,
+) -> (Vec<bool>, bool) {
+    let log = Arc::new(HistoryLog::default());
+    let (mut tap, daemon) = spawn_supervised(
+        m,
+        make,
+        SupervisorConfig {
+            checkpoint_every: 16,
+            ring_capacity: 1 << 14,
+            high_water: 2.0,
+            sink: Some(SinkHandle(Arc::clone(&log) as Arc<dyn CheckpointSink>)),
+            ..Default::default()
+        },
+    );
+    let deadline = Instant::now() + Duration::from_secs(30);
+    for step in 0..20u64 {
+        let published = daemon.health().checkpoints;
+        offer_all(&mut tap, step * 32..(step + 1) * 32);
+        while daemon.health().checkpoints == published {
+            assert!(Instant::now() < deadline, "worker stopped checkpointing");
+            std::thread::yield_now();
+        }
+    }
+    daemon.checkpoint_now(Duration::from_secs(5)).unwrap();
+    let view = daemon.checkpoint_now(Duration::from_secs(5)).unwrap();
+    daemon.finish().unwrap();
+    let seen = log.0.lock().unwrap().clone();
+    (seen, view.written.is_some())
+}
+
+/// Dirty lines are a checkpoint's write history only for a measurement
+/// that declares them lines of a counter array ending its checkpoint.
+/// [`Generations`] tracks 64 lines its 8-byte image does not hold: the sink
+/// and the views never see them, so no store compares only those lines of
+/// its images. A sketch's checkpoints carry them.
+#[test]
+fn only_a_measurement_whose_lines_end_its_checkpoint_hands_them_on() {
+    let _serial = serial();
+    let make = || Generations {
+        closed: 0,
+        patches: PatchLog::default(),
+    };
+    let (seen, view) = histories(make(), make);
+    assert!(seen.len() >= 20, "{} checkpoints persisted", seen.len());
+    assert!(
+        seen.iter().all(|&h| !h) && !view,
+        "lines that are not the checkpoint's were handed on"
+    );
+
+    let sketch = || NitroSketch::new(CountMin::new(3, 1000, 5), Mode::Fixed { p: 1.0 }, 6);
+    let (seen, view) = histories(sketch(), sketch);
+    assert!(
+        seen.iter().filter(|&&h| h).count() >= 10 && view,
+        "a sketch's checkpoints carry their write history: {seen:?}"
+    );
 }
