@@ -2,7 +2,7 @@
 //! proves cannot work.
 //!
 //! "Entropy does not admit any constant factor approximation [from a
-//! uniform sample] even if p = 1/2!" (§8, citing McGregor et al. [60]).
+//! uniform sample] even if p = 1/2!" (§8, citing McGregor et al. \[60\]).
 //! This module implements the natural plug-in estimator over sampled
 //! packets so the claim is *measurable*: on streams whose entropy is
 //! carried by the tail (many small flows), the plug-in estimate is

@@ -11,8 +11,8 @@
 //!   unbiased and the multi-row median stays robust.
 //! - **Idea B** — replace the per-row coin flips with a single geometric
 //!   skip drawn once per sampled update ([`nitro_hash::GeometricSampler`]).
-//! - **Idea C** — adapt `p` at run time: [`Mode::AlwaysLineRate`](mode::Mode::AlwaysLineRate) tracks the
-//!   packet arrival rate; [`Mode::AlwaysCorrect`](mode::Mode::AlwaysCorrect) runs unsampled until the
+//! - **Idea C** — adapt `p` at run time: [`Mode::AlwaysLineRate`] tracks the
+//!   packet arrival rate; [`Mode::AlwaysCorrect`] runs unsampled until the
 //!   stream's L2 provably justifies sampling (Alg. 1 line 14).
 //! - **Idea D** — buffer sampled updates per packet batch and apply them
 //!   with lane-batched hashing ([`NitroSketch::process_batch`]).

@@ -11,7 +11,7 @@
 //! any stream.
 //!
 //! The derivation is *identical* to drawing seeds from
-//! [`crate::SplitMix64::new(master)`] one after another — which is exactly
+//! [`SplitMix64::new`](crate::SplitMix64::new)`(master)` one after another — which is exactly
 //! how `CountMin`/`CountSketch`/`Kary` have always derived their per-row
 //! seeds. That equivalence is load-bearing for the adversarial-traffic
 //! work: an attacker who leaks the master seed can re-derive every row seed

@@ -365,7 +365,7 @@ impl<'a> Parser<'a> {
 }
 
 /// Append `s` to `out` as a JSON string literal (quotes and all) — the
-/// escaping mirror of [`Parser::string`], used by the scrape recorder to
+/// escaping mirror of the parser's string reader, used by the scrape recorder to
 /// embed journal-event text.
 pub fn write_json_string(out: &mut String, s: &str) {
     out.push('"');

@@ -12,7 +12,7 @@
 //! recomputed: backfill re-sends the epoch payloads the log replays.
 //!
 //! All protocol decisions live in the sans-io
-//! [`AgentSession`](super::proto::AgentSession); this type is the TCP
+//! [`AgentSession`]; this type is the TCP
 //! driver — it dials, shuttles bytes, persists frames, and maps session
 //! outputs onto telemetry. The deterministic simulator drives the same
 //! session without any of this.
@@ -23,7 +23,7 @@ use super::wire::{encode_epoch_payload_into, EpochReport, Message};
 use super::ClusterError;
 use crate::clock::{Clock, SystemClock};
 use crate::pipeline::MergedView;
-use crate::store::{CheckpointStore, StoreConfig, StoreError};
+use crate::store::{CheckpointSink, CheckpointStore, StoreConfig, StoreError};
 use nitro_hash::xxhash::xxh64_u64;
 use nitro_metrics::telemetry::{ClusterTelemetry, Event, TelemetryRegistry};
 use nitro_sketches::checkpoint::Checkpoint;

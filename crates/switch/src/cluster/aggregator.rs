@@ -27,7 +27,7 @@
 //! CRC/version/geometry gauntlet as a fresh seal.
 //!
 //! All of that logic lives in the sans-io
-//! [`AggregatorSession`](super::proto::AggregatorSession); this type is
+//! [`AggregatorSession`]; this type is
 //! the TCP driver — accept loop, per-connection byte pumps, the durable
 //! [`AggLog`], the heartbeat monitor thread, and the mapping from session
 //! events onto telemetry. The deterministic simulator drives the same

@@ -21,7 +21,7 @@ use super::wire::{decode_epoch_payload, Message};
 use super::ClusterError;
 use crate::clock::Nanos;
 use crate::frame::{FrameError, Reader};
-use crate::store::{diff_lines, diff_marked, encode_delta, fits, Cut, Image, RecoveredFrame};
+use crate::store::{self, diff_lines, encode_delta, Cut, Image, RecoveredFrame};
 use nitro_core::NitroSketch;
 use nitro_metrics::NodeWatermark;
 use nitro_sketches::checkpoint::{Checkpoint, DirtyLines};
@@ -380,12 +380,8 @@ impl AgentSession {
     ///
     /// [`MergedView::changed`]: crate::pipeline::MergedView::changed
     pub(crate) fn cut(&mut self, payload: &[u8], changed: Option<&DirtyLines>) -> Option<Cut<'_>> {
-        let prev = &self.prev_bytes;
         let smaller = self.prev.is_some()
-            && match changed.filter(|lines| fits(lines, prev, payload)) {
-                Some(lines) => diff_marked(prev, payload, lines, true, &mut self.runs),
-                None => diff_lines(prev, payload, &mut self.runs),
-            };
+            && store::cut(&self.prev_bytes, payload, changed, true, &mut self.runs);
         self.cut = Some(smaller);
         Some(Cut {
             base_seq: self.prev?,

@@ -187,8 +187,8 @@ impl FaultInjector {
 
 /// Thread-level fault plan: inject a consumer-thread panic after a chosen
 /// number of processed observations. Shared (`Arc`-cloneable) so a test
-/// arms it from outside while the supervised worker calls [`check`]
-/// (`ThreadFaultPlan::check`) on its hot path.
+/// arms it from outside while the supervised worker calls
+/// [`check`](ThreadFaultPlan::check) on its hot path.
 ///
 /// The countdown is one-shot per arming: the panic fires exactly once when
 /// the counter crosses the trigger, then the plan goes quiet until armed
@@ -229,8 +229,8 @@ impl ThreadFaultPlan {
         }
     }
 
-    /// Arm: panic after `n` more observations pass through [`check`]
-    /// (`ThreadFaultPlan::check`).
+    /// Arm: panic after `n` more observations pass through
+    /// [`check`](ThreadFaultPlan::check).
     pub fn panic_after(&self, n: u64) {
         self.remaining.store(n, Ordering::Release);
     }

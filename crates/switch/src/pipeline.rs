@@ -270,7 +270,7 @@ impl Router {
 /// thread, hashes each flow key onto its shard, and never blocks — a full
 /// shard ring counts a drop on that shard while the others keep absorbing
 /// their slices. Failover and rescale re-steer it through the shared
-/// [`Router`]: each offer first applies any pending route update, so a
+/// router: each offer first applies any pending route update, so a
 /// promotion or rescale takes effect at a packet boundary.
 pub struct ShardedTap {
     taps: Vec<SupervisedTap>,

@@ -41,7 +41,7 @@ use crate::cluster::proto::{AgentOutput, AgentSession, AggEvent, AggOutput, Aggr
 use crate::cluster::wire::{encode_epoch_payload, EpochReport, Message};
 use crate::cluster::AggLog;
 use crate::cluster::ReconnectPolicy;
-use crate::store::{CheckpointStore, StoreConfig};
+use crate::store::{CheckpointSink, CheckpointStore, StoreConfig};
 use nitro_core::{Mode, NitroSketch};
 use nitro_hash::xxhash::xxh64_u64;
 use nitro_hash::{SplitMix64, Xoshiro256StarStar};

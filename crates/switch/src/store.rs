@@ -35,19 +35,22 @@
 //! payload, that differ from the previous frame of the same segment,
 //! whichever writer appended it. It is written under [`DELTA_VERSION`], so
 //! a build that reads only keyframes refuses it as a newer version instead
-//! of misreading it. An append writes a keyframe when it opens a segment,
-//! after an append that failed once it reached the file, and when a delta
-//! would be no smaller than the payload. So no frame is larger than the
-//! keyframe it replaces: a segment's replay reads no more bytes than a
-//! segment of keyframes would, and a corrupt byte at any offset of a
-//! segment ends it at a frame no older than it would have there. A writer
-//! that has cut the runs against the payload it appended last already
-//! hands them over instead of the store diffing again, one that knows the
-//! counter lines it wrote since the base ([`Written`]) has only those and
-//! the head compared, and a log whose records carry their own deltas
-//! appends keyframes only. A replay
-//! rebuilds a delta's payload in place, in a buffer with slack in front
-//! (`Image`), so it costs the delta's runs whatever the head's length.
+//! of misreading it.
+//!
+//! The store never diffs. The caller, who holds the payload it persisted
+//! before, cuts the runs ([`cut`]) and names that payload by sequence
+//! number and length ([`Cut`]); the store appends them as a delta only
+//! when they name the segment's previous durable frame, and a keyframe
+//! otherwise: when a segment opens, after an append that failed once it
+//! reached the file, for a cut against another frame, and without a cut
+//! (no earlier payload, or a delta no smaller than the payload). So no
+//! frame is larger than the keyframe it replaces: a segment's replay reads
+//! no more bytes than a segment of keyframes would, and a corrupt byte at
+//! any offset of a segment ends it at a frame no older than it would have
+//! there. A log whose records carry their own deltas appends keyframes
+//! only. A replay rebuilds a delta's payload in place, in a buffer with
+//! slack in front (`Image`), so it costs the delta's runs whatever the
+//! head's length.
 //!
 //! **Rotation.** After `rotate_after` frames the active segment is sealed
 //! by an atomic `rename(2)` to its numbered name and a directory fsync;
@@ -155,7 +158,7 @@ impl Header for StoreHeader {
 /// [`StoreHeader`] frame's, or a delta, whose payload holds the lines that
 /// differ from the previous frame of the same segment.
 ///
-/// A delta is written under [`DELTA_VERSION`] with [`DELTA_FLAG`] set, so
+/// A delta is written under [`DELTA_VERSION`] with its delta flag set, so
 /// a build that reads only [`StoreHeader`] frames refuses it as a newer
 /// version. Version 2 adds exactly that one kind: a version-2 frame without
 /// the flag is a newer keyframe format than this build reads.
@@ -304,39 +307,27 @@ impl Default for StoreConfig {
 /// [`ShardWriter`]; the indirection keeps `supervisor` free of any
 /// filesystem knowledge (and lets tests count persists without a disk).
 pub trait CheckpointSink: Send + Sync {
-    /// Persist one checkpoint. `seq` is the worker's checkpoint counter,
-    /// `processed_at` the observations covered. An error means the bytes
-    /// did not become durable; the worker keeps measuring and retries at
-    /// its next checkpoint.
+    /// Persist one checkpoint, whole. `seq` is the worker's checkpoint
+    /// counter, `processed_at` the observations covered. An error means the
+    /// bytes did not become durable; the worker keeps measuring and retries
+    /// at its next checkpoint.
     fn persist(&self, seq: u64, processed_at: u64, bytes: &[u8]) -> io::Result<()>;
 
-    /// [`CheckpointSink::persist`] of a checkpoint whose write history the
-    /// worker knows: which image it is and which lines were written since
-    /// an earlier one. The supervisor persists through this; a sink with no
-    /// use for the history keeps the default, which drops it.
-    fn persist_written(
+    /// [`CheckpointSink::persist`] of a checkpoint the caller has cut
+    /// against one it handed to this sink before, named by the cut. A sink
+    /// that uses the runs applies them only to that checkpoint, and only
+    /// if it is durable. The supervisor persists through this; a sink with
+    /// no use for the runs keeps the default, which drops them.
+    fn persist_cut(
         &self,
         seq: u64,
         processed_at: u64,
         bytes: &[u8],
-        written: Written<'_>,
+        cut: Option<Cut<'_>>,
     ) -> io::Result<()> {
-        let _ = written;
+        let _ = cut;
         self.persist(seq, processed_at, bytes)
     }
-}
-
-/// A checkpoint payload's write history, as the worker that encoded it
-/// knows it.
-#[derive(Clone, Copy, Debug)]
-pub struct Written<'a> {
-    /// The payload's image id, unique in the process.
-    pub image: u64,
-    /// An earlier image's id and the counter lines written since it. The
-    /// payload ends in a counter array of `lines.counters()` counters, and
-    /// is that image's payload except for the bytes before the array (its
-    /// head, which may differ in length) and the lines marked.
-    pub since: Option<(u64, &'a DirtyLines)>,
 }
 
 /// Cloneable, `Debug`-friendly handle around a [`CheckpointSink`] so it
@@ -371,21 +362,10 @@ struct ShardLog {
     /// instead of faulting in a fresh allocation per checkpoint.
     frame: Vec<u8>,
     /// Sequence number and length of the newest payload durable in the
-    /// active segment: what the next delta is cut against. Cleared by a
-    /// seal and by an append that failed after reaching the file, so the
-    /// next frame is a keyframe.
+    /// active segment: the only base a caller's cut is appended against.
+    /// Cleared by a seal and by an append that failed after reaching the
+    /// file, so the next frame is a keyframe.
     based: Option<(u64, usize)>,
-    /// That payload's bytes, while `held`: what an append diffs against.
-    /// After a keyframe, its frame's buffer, the payload in place.
-    base: Image,
-    /// That payload's image id, when its writer named one: an append of a
-    /// later image that names it compares only the lines written since.
-    base_image: Option<u64>,
-    /// Whether `base` holds the `based` payload. An append of runs its
-    /// caller cut, or of a keyframe it will never diff, leaves it behind.
-    held: bool,
-    /// The byte runs of the payload being appended that differ from `base`.
-    runs: Vec<Range<usize>>,
 }
 
 impl ShardLog {
@@ -396,10 +376,6 @@ impl ShardLog {
             next_segment,
             frame: Vec::new(),
             based: None,
-            base: Image::default(),
-            base_image: None,
-            held: false,
-            runs: Vec::new(),
         })
     }
 }
@@ -416,8 +392,6 @@ pub struct CheckpointStore {
     /// A frozen store drops every append — the chaos harness's simulated
     /// process death: writes after the "crash instant" never reach disk.
     frozen: AtomicBool,
-    /// Appends attempted (for fault-plan determinism and tests).
-    appends: AtomicU64,
     /// Appends that became durable.
     persisted: AtomicU64,
     fault_plan: Option<DiskFaultPlan>,
@@ -500,7 +474,6 @@ impl CheckpointStore {
             generation,
             shards: AtomicUsize::new(shards),
             frozen: AtomicBool::new(false),
-            appends: AtomicU64::new(0),
             persisted: AtomicU64::new(0),
             fault_plan: None,
             logs: RwLock::new(next_segments.into_iter().map(ShardLog::new).collect()),
@@ -657,11 +630,10 @@ impl CheckpointStore {
     }
 
     /// Append one checkpoint for `shard`, encoded as `encoding` says: a
-    /// delta against the segment's previous frame when the encoding allows
-    /// one and it is smaller than the payload, a keyframe otherwise.
-    /// Returns the payload bytes appended, or an error when the frame did
-    /// not become durable (frozen store, injected fault, or real I/O
-    /// failure).
+    /// delta of the caller's runs when they were cut against the segment's
+    /// previous frame, a keyframe otherwise. Returns the payload bytes
+    /// appended, or an error when the frame did not become durable (frozen
+    /// store, injected fault, or real I/O failure).
     fn append(
         &self,
         shard: usize,
@@ -669,7 +641,6 @@ impl CheckpointStore {
         processed_at: u64,
         encoding: Encoding<'_>,
     ) -> io::Result<usize> {
-        self.appends.fetch_add(1, Ordering::Relaxed);
         let frozen = || io::Error::new(io::ErrorKind::BrokenPipe, "checkpoint store frozen");
         if self.is_frozen() {
             return Err(frozen());
@@ -701,61 +672,12 @@ impl CheckpointStore {
         }
         let logs = self.logs.read().unwrap_or_else(|p| p.into_inner());
         let mut log = logs[shard].lock().unwrap_or_else(|p| p.into_inner());
-        let ShardLog {
-            file,
-            frame: buf,
-            based,
-            base,
-            base_image,
-            held,
-            runs,
-            ..
-        } = &mut *log;
         // The base is cleared here and set again only once this frame is
         // durable, so an append that fails from here on leaves the next
-        // one a keyframe.
-        let based = based.take();
-        let (delta, base_len, runs) = match encoding {
-            Encoding::Diff(payload, written) => {
-                let base = base.as_slice();
-                // Lines written since the base's image bound what can
-                // differ from it; other bases are compared whole.
-                let lines = written.and_then(|w| w.since).and_then(|(since, lines)| {
-                    let guides = *base_image == Some(since) && lines.is_sparse();
-                    (guides && fits(lines, base, payload)).then_some(lines)
-                });
-                let delta = based.is_some()
-                    && *held
-                    && match lines {
-                        Some(lines) => {
-                            let small = diff_marked(base, payload, lines, false, runs);
-                            if cfg!(debug_assertions) {
-                                // The differential oracle: the guided
-                                // compare is the whole one. A mismatch
-                                // aborts, as a sink panic would only fail
-                                // the worker and be retried.
-                                let mut whole = Vec::new();
-                                let again = diff_lines(base, payload, &mut whole);
-                                if again != small || (small && whole != *runs) {
-                                    eprintln!("shard {shard}'s lines-guided diff differs from a whole one");
-                                    std::process::abort();
-                                }
-                            }
-                            small
-                        }
-                        None => diff_lines(base, payload, runs),
-                    };
-                (delta, base.len(), &runs[..])
-            }
-            // Runs cut against the payload this segment's previous frame
-            // holds: its sequence number and length name it.
-            Encoding::Cut(_, cut) => (
-                based == Some((cut.base_seq, cut.base_len)),
-                cut.base_len,
-                cut.runs,
-            ),
-            Encoding::Whole(_) => (false, 0, &[][..]),
-        };
+        // one a keyframe. Runs apply only to the payload their cut names.
+        let based = log.based.take();
+        let delta = matches!(encoding, Encoding::Cut(_, cut)
+            if based == Some((cut.base_seq, cut.base_len)));
         let header = LogHeader {
             frame: StoreHeader {
                 shard: shard as u16,
@@ -765,13 +687,14 @@ impl CheckpointStore {
             },
             delta,
         };
+        let ShardLog {
+            file, frame: buf, ..
+        } = &mut *log;
         frame::encode_into(buf, &header, |out| match encoding {
-            Encoding::Diff(payload, _) | Encoding::Cut(payload, _) if delta => {
-                encode_delta(out, base_len, payload, runs)
+            Encoding::Cut(payload, cut) if delta => {
+                encode_delta(out, cut.base_len, payload, cut.runs)
             }
-            Encoding::Diff(payload, _) | Encoding::Cut(payload, _) => {
-                out.extend_from_slice(payload)
-            }
+            Encoding::Cut(payload, _) => out.extend_from_slice(payload),
             Encoding::Whole(parts) => parts.iter().for_each(|p| out.extend_from_slice(p)),
         });
         let body = buf.len() - FRAME_HEADER - frame::TRAILER;
@@ -811,36 +734,8 @@ impl CheckpointStore {
             ));
         }
         let len = match encoding {
-            Encoding::Diff(payload, written) => {
-                // The new base: patched in place where the runs are all
-                // that changed; a keyframe's own frame, the payload already
-                // in it, with the old base's buffer left to build the next
-                // frame in (unless a flipped bit made it differ); copied
-                // whole where a delta moved the length.
-                if delta && base.as_slice().len() == payload.len() {
-                    let bytes = &mut base.buf[base.start..];
-                    for r in runs.iter() {
-                        bytes[r.clone()].copy_from_slice(&payload[r.clone()]);
-                    }
-                } else if !delta && action != DiskAction::BitFlip {
-                    std::mem::swap(&mut base.buf, buf);
-                    base.buf.truncate(FRAME_HEADER + payload.len());
-                    base.start = FRAME_HEADER;
-                } else {
-                    base.set(payload);
-                }
-                *base_image = written.map(|w| w.image);
-                *held = true;
-                payload.len()
-            }
-            Encoding::Cut(payload, _) => {
-                *held = false;
-                payload.len()
-            }
-            Encoding::Whole(_) => {
-                *held = false;
-                body
-            }
+            Encoding::Cut(payload, _) => payload.len(),
+            Encoding::Whole(_) => body,
         };
         log.based = Some((seq, len));
         log.frames_in_active += 1;
@@ -905,33 +800,8 @@ impl ShardWriter {
 }
 
 impl ShardWriter {
-    /// [`CheckpointSink::persist`] of a payload whose runs against an
-    /// earlier payload of this writer's the caller has cut already: the
-    /// frame is a delta of those runs when that payload is the segment's
-    /// previous frame, a keyframe when the segment is new. Without a cut
-    /// (no earlier payload, or a delta no smaller) it is a keyframe.
-    pub(crate) fn persist_cut(
-        &self,
-        seq: u64,
-        processed_at: u64,
-        payload: &[u8],
-        cut: Option<Cut<'_>>,
-    ) -> io::Result<()> {
-        let encoding = match cut {
-            Some(cut) => Encoding::Cut(
-                payload,
-                Cut {
-                    base_seq: self.seq_base + cut.base_seq,
-                    ..cut
-                },
-            ),
-            None => Encoding::Whole(&[payload]),
-        };
-        self.persist_as(seq, processed_at, encoding)
-    }
-
-    /// Persist the concatenation of `parts` as a keyframe, never diffed:
-    /// for a log whose records carry their own deltas.
+    /// Persist the concatenation of `parts` as a keyframe: for a log whose
+    /// records carry their own deltas.
     pub(crate) fn persist_whole(
         &self,
         seq: u64,
@@ -954,43 +824,54 @@ impl ShardWriter {
 }
 
 impl CheckpointSink for ShardWriter {
+    /// A keyframe.
     fn persist(&self, seq: u64, processed_at: u64, bytes: &[u8]) -> io::Result<()> {
-        self.persist_as(seq, processed_at, Encoding::Diff(bytes, None))
+        self.persist_as(seq, processed_at, Encoding::Whole(&[bytes]))
     }
 
-    fn persist_written(
+    /// A delta of the cut's runs when the payload it names (its sequence
+    /// number in this writer's band, and its length) is the segment's
+    /// previous frame; a keyframe otherwise, and without a cut.
+    fn persist_cut(
         &self,
         seq: u64,
         processed_at: u64,
         bytes: &[u8],
-        written: Written<'_>,
+        cut: Option<Cut<'_>>,
     ) -> io::Result<()> {
-        self.persist_as(seq, processed_at, Encoding::Diff(bytes, Some(written)))
+        let encoding = match cut {
+            Some(cut) => Encoding::Cut(
+                bytes,
+                Cut {
+                    base_seq: self.seq_base + cut.base_seq,
+                    ..cut
+                },
+            ),
+            None => Encoding::Whole(&[bytes]),
+        };
+        self.persist_as(seq, processed_at, encoding)
     }
 }
 
 /// The runs of a payload that differ from an earlier payload, cut once by
-/// [`diff_lines`] and reused by every log and wire that payload goes to.
+/// the holder of both ([`cut`]) and reused by every log and wire that
+/// payload goes to.
 #[derive(Clone, Copy, Debug)]
-pub(crate) struct Cut<'a> {
-    /// Sequence number the earlier payload was appended under.
+pub struct Cut<'a> {
+    /// Sequence number the earlier payload was handed to the sink under.
     pub base_seq: u64,
     /// The earlier payload's length.
     pub base_len: usize,
-    /// The runs, as [`diff_lines`] gave them: a delta of them is smaller
-    /// than the payload.
+    /// The runs, as [`cut`] gave them: a delta of them is smaller than the
+    /// payload.
     pub runs: &'a [Range<usize>],
 }
 
 /// How [`CheckpointStore::append`] encodes a payload.
 #[derive(Clone, Copy)]
 enum Encoding<'a> {
-    /// As a delta against the segment's previous frame, diffed by the
-    /// store, when that is smaller: only the head and the lines written
-    /// since, when the previous frame is the image the history names.
-    Diff(&'a [u8], Option<Written<'a>>),
     /// As a delta of runs the caller cut, when the segment's previous
-    /// frame is the payload they were cut against.
+    /// frame is the payload they were cut against; else as a keyframe.
     Cut(&'a [u8], Cut<'a>),
     /// As a keyframe of these parts, in order.
     Whole(&'a [&'a [u8]]),
@@ -1092,8 +973,7 @@ fn decode_addressed(data: &[u8], shard: usize) -> Result<Frame<'_, LogHeader>, F
 /// after it. A line of `image` with no counterpart in `base` differs.
 /// Adjacent differing lines make one run. The size decides alone: a delta
 /// smaller than the image appends and replays faster at any density
-/// (DESIGN.md, "Delta frames", has the measurement). The cluster wire cuts
-/// its delta seals with it too.
+/// (DESIGN.md, "Delta frames", has the measurement).
 pub(crate) fn diff_lines(base: &[u8], image: &[u8], runs: &mut Vec<Range<usize>>) -> bool {
     let n = image.len();
     let mut diff = Diff::new(base, image, runs);
@@ -1112,16 +992,50 @@ pub(crate) fn diff_lines(base: &[u8], image: &[u8], runs: &mut Vec<Range<usize>>
     diff.small()
 }
 
-/// Whether `lines` can guide a diff of `image` against `base`: the counter
-/// array it covers fits in both.
-pub(crate) fn fits(lines: &DirtyLines, base: &[u8], image: &[u8]) -> bool {
-    lines.counters() * 8 <= base.len().min(image.len())
+/// Cut `payload` against `base`, a payload the caller persisted or sent
+/// before: fill `runs` with the byte runs of `payload` that differ from it,
+/// compared in 64-byte lines aligned at the payloads' ends (adjacent
+/// differing lines make one run), and say whether a delta of them is
+/// smaller than `payload`. The store appends such runs as they are
+/// ([`Cut`]), and the cluster wire ships them.
+///
+/// `lines`, when the caller knows them, are counter lines of an array that
+/// ends both payloads, counted from its end: those written since `base`
+/// (outside them only the head may differ), or with `exact` those whose
+/// counters changed. Then only the head and, unless `exact`, those lines
+/// are compared, for the same runs; lines covering more counters than
+/// either payload holds are ignored. Debug builds check the guided runs
+/// against a whole diff and abort on a difference.
+pub fn cut(
+    base: &[u8],
+    payload: &[u8],
+    lines: Option<&DirtyLines>,
+    exact: bool,
+    runs: &mut Vec<Range<usize>>,
+) -> bool {
+    let fits = |lines: &&DirtyLines| lines.counters() * 8 <= base.len().min(payload.len());
+    let Some(lines) = lines.filter(fits) else {
+        return diff_lines(base, payload, runs);
+    };
+    let small = diff_marked(base, payload, lines, exact, runs);
+    if cfg!(debug_assertions) {
+        // The differential oracle: the guided compare is the whole one. A
+        // mismatch aborts, as a panic in a sink or a seal would only be
+        // caught and retried.
+        let mut whole = Vec::new();
+        let again = diff_lines(base, payload, &mut whole);
+        if again != small || (small && whole != *runs) {
+            eprintln!("a lines-guided diff differs from a whole one");
+            std::process::abort();
+        }
+    }
+    small
 }
 
 /// [`diff_lines`] of an `image` that repeats `base` outside its head and
-/// the counter lines `lines` marks (see [`Written`]; the array must
-/// [`fits`]): the same runs and the same answer, for a compare of the head
-/// and the marked lines only. With `exact`, the marked lines are the ones
+/// the counter lines `lines` marks (see [`cut`]; the array must fit in
+/// both): the same runs and the same answer, for a compare of the head and
+/// the marked lines only. With `exact`, the marked lines are the ones
 /// whose counters changed, so they differ and are not compared either.
 ///
 /// The counter array ends both payloads, and its lines are aligned at its
@@ -1129,7 +1043,7 @@ pub(crate) fn fits(lines: &DirtyLines, base: &[u8], image: &[u8]) -> bool {
 /// is one grid line. Every grid line left out lies in an unmarked counter
 /// line, so it is equal, and `diff_lines` would have passed over it
 /// without a run or a byte of size.
-pub(crate) fn diff_marked(
+fn diff_marked(
     base: &[u8],
     image: &[u8],
     lines: &DirtyLines,
@@ -1530,6 +1444,38 @@ mod tests {
         (0..len).map(|i| tag ^ (i as u8)).collect()
     }
 
+    /// A caller that holds the payload it persisted last and cuts each
+    /// next one against it, as the supervisor and the agent do.
+    struct Cutting<'a> {
+        w: &'a ShardWriter,
+        prev: Option<(u64, Vec<u8>)>,
+        runs: Vec<Range<usize>>,
+    }
+
+    impl<'a> Cutting<'a> {
+        fn new(w: &'a ShardWriter) -> Self {
+            Self {
+                w,
+                prev: None,
+                runs: Vec::new(),
+            }
+        }
+
+        fn persist(&mut self, seq: u64, processed_at: u64, payload: &[u8]) -> io::Result<()> {
+            let runs = &mut self.runs;
+            let cut = self.prev.as_ref().and_then(|(base_seq, base)| {
+                cut(base, payload, None, false, runs).then_some(Cut {
+                    base_seq: *base_seq,
+                    base_len: base.len(),
+                    runs,
+                })
+            });
+            let result = self.w.persist_cut(seq, processed_at, payload, cut);
+            self.prev = result.is_ok().then(|| (seq, payload.to_vec()));
+            result
+        }
+    }
+
     /// One keyframe, encoded into a fresh buffer.
     fn keyframe(
         shard: u16,
@@ -1912,6 +1858,7 @@ mod tests {
         };
         let store = CheckpointStore::create(&dir, 1, cfg.clone()).unwrap();
         let w = store.writer(0);
+        let mut w = Cutting::new(&w);
         let tail = payload(7, 4096);
         let image = |head: &[u8], poke: Option<usize>| {
             let mut p = [head, &tail[..]].concat();
@@ -1962,6 +1909,7 @@ mod tests {
         };
         let store = CheckpointStore::create(&dir, 1, cfg).unwrap();
         let w = store.writer(0);
+        let mut w = Cutting::new(&w);
         let mut p = vec![0u8; 64 * 40];
         let mut history = Vec::new();
         // One line moves per append: every frame after a segment's first
@@ -2059,6 +2007,7 @@ mod tests {
         };
         let store = CheckpointStore::create(&dir, 1, cfg.clone()).unwrap();
         let w = store.writer(0);
+        let mut w = Cutting::new(&w);
         let mut p = payload(5, 2048);
         w.persist(1, 0, &p).unwrap();
         p[7] ^= 1;

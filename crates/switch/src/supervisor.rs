@@ -63,7 +63,7 @@ use crate::clock::{Clock, SystemClock};
 use crate::faults::ThreadFaultPlan;
 use crate::ovs::Measurement;
 use crate::spsc::SpscRing;
-use crate::store::{SinkHandle, Written};
+use crate::store::{self, Cut, SinkHandle};
 use nitro_core::NitroSketch;
 use nitro_metrics::telemetry::{Event, MeasurementGauges, ShardTelemetry};
 use nitro_metrics::DaemonHealth;
@@ -120,10 +120,10 @@ pub trait Recoverable: Measurement {
     /// of a counter array that ends the checkpoint, counted from the
     /// array's end as [`DirtyLines`] counts them, and the checkpoint
     /// changes nowhere else but in the bytes before that array. Only then
-    /// do they travel with the checkpoint as its write history
-    /// ([`crate::store::Written`]), for the durable store and the epoch
-    /// view to compare and fold only them. The default, `false`, keeps
-    /// them to [`Recoverable::checkpoint_into`].
+    /// do they travel with the checkpoint as its write history, for the
+    /// writer's cut against the image before it ([`crate::store::cut`])
+    /// and the epoch view to compare and fold only them. The default,
+    /// `false`, keeps them to [`Recoverable::checkpoint_into`].
     fn dirty_lines_end_checkpoint(&self) -> bool {
         false
     }
@@ -388,7 +388,7 @@ struct Job {
     seq: u64,
     /// The image this incarnation took before `bytes` (`None` for its
     /// first) and the counter lines written since: the write history the
-    /// sink and the slot pass on.
+    /// writer's cut and the slot use.
     since: Option<u64>,
     lines: DirtyLines,
     /// Observations processed when `bytes` was encoded.
@@ -451,18 +451,35 @@ impl Shared {
     /// by omission (`checkpoints - persisted`) and the next checkpoint
     /// retries. Returns the buffer the slot held before, to encode a later
     /// checkpoint into.
+    ///
+    /// The slot holds the checkpoint published before this one, handed to
+    /// the sink under the sequence number before this one's, so the delta
+    /// is cut here, against it: only the head and the lines written since
+    /// are compared when the job follows that image. The sink appends the
+    /// runs only if that checkpoint is its previous durable one.
     fn publish_checkpoint(&self, job: Job, sink: Option<&SinkHandle>) -> Image {
         if let Some(sink) = sink {
-            let seq = self.tel.checkpoints.get() + 1;
+            let base_seq = self.tel.checkpoints.get();
+            let seq = base_seq + 1;
             let started = Instant::now();
-            let written = Written {
-                image: job.seq,
-                since: job.since.map(|since| (since, &job.lines)),
-            };
-            if sink
-                .persist_written(seq, job.processed_at, &job.bytes, written)
-                .is_ok()
-            {
+            let base = self.slot().as_ref().map(|s| {
+                let lines =
+                    (job.since == Some(s.image) && job.lines.is_sparse()).then_some(&job.lines);
+                (Arc::clone(&s.bytes), lines)
+            });
+            let mut runs = Vec::new();
+            let cut = base.as_ref().and_then(|(bytes, lines)| {
+                store::cut(bytes, &job.bytes, *lines, false, &mut runs).then_some(Cut {
+                    base_seq,
+                    base_len: bytes.len(),
+                    runs: &runs,
+                })
+            });
+            let result = sink.persist_cut(seq, job.processed_at, &job.bytes, cut);
+            // Release the base before the slot displaces it, so the buffer
+            // comes back as a spare.
+            drop(base);
+            if result.is_ok() {
                 self.tel
                     .persist_ns
                     .record(started.elapsed().as_nanos() as u64);
@@ -763,9 +780,10 @@ pub struct CheckpointView {
     /// The image's sequence number, unique in the process.
     pub image: u64,
     /// The image [`SupervisedDaemon::checkpoint_now`] last handed out and
-    /// the counter lines written from it to this one (see
-    /// [`crate::store::Written`]), or `None` when a worker restart or a
-    /// skipped publish broke the chain between them.
+    /// the counter lines written from it to this one (lines of the
+    /// counter array that ends the checkpoint, counted from its end), or
+    /// `None` when a worker restart or a skipped publish broke the chain
+    /// between them.
     pub written: Option<(u64, DirtyLines)>,
     /// Observations processed when this checkpoint was taken.
     pub processed_at: u64,

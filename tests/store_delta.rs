@@ -1,8 +1,9 @@
 //! Delta frames in the checkpoint store.
 //!
-//! A log appends a delta, the lines that differ from the segment's
-//! previous frame, whenever that is smaller than the payload, and a
-//! keyframe otherwise. Every
+//! A caller cuts each payload against the one it persisted before
+//! (`store::cut`), and the log appends those runs as a delta when the
+//! payload they were cut against is the segment's previous frame and a
+//! delta is smaller than the payload, and a keyframe otherwise. Every
 //! reader must still get back exactly the payloads that were acknowledged,
 //! and a corrupt frame must cut exactly the frames it cuts from a log of
 //! keyframes: the rest of its segment. The property below drives random
@@ -12,12 +13,15 @@
 //! golden pins a delta frame's bytes, and that a reader of keyframes only
 //! refuses one as a newer version.
 
+use nitrosketch::metrics::telemetry::ShardTelemetry;
 use nitrosketch::switch::frame::{self, FrameError};
-use nitrosketch::switch::store::{LogHeader, StoreHeader, DELTA_VERSION};
+use nitrosketch::switch::store::{cut, Cut, LogHeader, StoreHeader, DELTA_VERSION};
 use nitrosketch::switch::{
-    CheckpointSink, CheckpointStore, DiskFaultPlan, RecoveredFrame, StoreConfig, STORE_VERSION,
+    CheckpointSink, CheckpointStore, DiskFaultPlan, RecoveredFrame, ShardWriter, StoreConfig,
+    STORE_VERSION,
 };
 use proptest::prelude::*;
+use std::ops::Range;
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -104,6 +108,48 @@ impl Model {
     }
 }
 
+/// A caller that holds the payload it persisted last, with its sequence
+/// number, and cuts the next one against it.
+#[derive(Default)]
+struct Base {
+    last: Option<(u64, Vec<u8>)>,
+    runs: Vec<Range<usize>>,
+}
+
+impl Base {
+    /// The cut of `payload` against the last payload, if a delta of it is
+    /// smaller.
+    fn cut(&mut self, payload: &[u8]) -> Option<Cut<'_>> {
+        let (base_seq, base) = self.last.as_ref()?;
+        cut(base, payload, None, false, &mut self.runs).then_some(Cut {
+            base_seq: *base_seq,
+            base_len: base.len(),
+            runs: &self.runs,
+        })
+    }
+
+    /// Persist `payload` through `w`, cut against the last payload, and
+    /// keep it as the next one's base once it is durable.
+    fn persist(&mut self, w: &ShardWriter, seq: u64, at: u64, payload: &[u8]) {
+        let cut = self.cut(payload);
+        w.persist_cut(seq, at, payload, cut).unwrap();
+        self.last = Some((seq, payload.to_vec()));
+    }
+}
+
+/// Whether each frame of shard 0's active segment is a delta.
+fn kinds(dir: &std::path::Path) -> Vec<bool> {
+    let data = std::fs::read(dir.join("shard-0000").join("active.log")).unwrap();
+    let mut kinds = Vec::new();
+    let mut at = 0;
+    while at < data.len() {
+        let f = frame::decode::<LogHeader>(&data[at..]).unwrap();
+        kinds.push(f.header.delta);
+        at += f.len;
+    }
+    kinds
+}
+
 /// A small deterministic generator for payload edits.
 struct Rng(u64);
 
@@ -186,9 +232,12 @@ const SECOND_BAND: u64 = 1 << 32;
 /// One history: `ops` are `(op, fault, entropy)`. Op 0 reopens the store;
 /// any other op edits the payload and appends it through one of two
 /// writers in different sequence bands (like a promoted writer next to
-/// the one it replaced). Faults: 4 I/O error, 5 torn write, 6 bit flip,
-/// 7 blocked disk, anything else none.
-fn run_history(tag: &str, rotate_after: u64, keep: usize, ops: &[(u8, u8, u64)]) {
+/// the one it replaced). Each writer's caller cuts against the payload it
+/// persisted last, which a reopen, the other writer or a rotation may have
+/// made stale; after a failed append it holds none. Faults: 4 I/O error,
+/// 5 torn write, 6 bit flip, 7 blocked disk, anything else none. Returns
+/// the number of frames appended as deltas.
+fn run_history(tag: &str, rotate_after: u64, keep: usize, ops: &[(u8, u8, u64)]) -> usize {
     let dir = tmp_dir(tag);
     let cfg = StoreConfig {
         rotate_after,
@@ -204,6 +253,9 @@ fn run_history(tag: &str, rotate_after: u64, keep: usize, ops: &[(u8, u8, u64)])
     let mut generation = 1;
     let mut frozen = false;
     let mut counters = [0u64; 2];
+    let mut bases = [Base::default(), Base::default()];
+    let tel = Arc::new(ShardTelemetry::detached(0));
+    let mut deltas = 0;
     let mut rng = Rng(ops.len() as u64 ^ rotate_after << 8);
     let mut image = Image {
         head: rng.bytes(24),
@@ -242,9 +294,12 @@ fn run_history(tag: &str, rotate_after: u64, keep: usize, ops: &[(u8, u8, u64)])
                 store.writer(0)
             } else {
                 store.writer_from(0, SECOND_BAND)
-            };
+            }
+            .with_telemetry(Arc::clone(&tel));
             let seq = writer.seq_base() + counters[w];
-            let persist = || writer.persist(counters[w], seq * 3, &payload);
+            let bytes_before = tel.bytes_persisted.get();
+            let cut = bases[w].cut(&payload);
+            let persist = || writer.persist_cut(counters[w], seq * 3, &payload, cut);
             if frozen {
                 prop_assert!(persist().is_err(), "a frozen store appends nothing");
                 continue;
@@ -278,6 +333,7 @@ fn run_history(tag: &str, rotate_after: u64, keep: usize, ops: &[(u8, u8, u64)])
                 }
                 _ => persist(),
             };
+            bases[w].last = result.is_ok().then(|| (counters[w], payload.clone()));
             match fault {
                 4 => prop_assert!(result.is_err()),
                 5 => {
@@ -287,6 +343,10 @@ fn run_history(tag: &str, rotate_after: u64, keep: usize, ops: &[(u8, u8, u64)])
                 }
                 _ => {
                     prop_assert!(result.is_ok(), "step {}: {:?}", step, result);
+                    // A delta is smaller than its payload, a keyframe not.
+                    if tel.bytes_persisted.get() - bytes_before < payload.len() as u64 {
+                        deltas += 1;
+                    }
                     let acked = Acked {
                         generation,
                         seq,
@@ -321,6 +381,7 @@ fn run_history(tag: &str, rotate_after: u64, keep: usize, ops: &[(u8, u8, u64)])
     prop_assert_eq!(report.corrupt_frames, expect_corrupt);
     prop_assert_eq!(report.recovered[0].clone().map(Acked::from), model.newest());
     let _ = std::fs::remove_dir_all(&dir);
+    deltas
 }
 
 proptest! {
@@ -341,10 +402,21 @@ proptest! {
 
 #[test]
 fn sparse_histories_write_deltas_and_still_read_back() {
-    // 40 small edits, no faults: most frames are deltas, and the chain is
-    // bounded by rotation.
+    // 40 small edits, no faults, one writer: every frame but the three
+    // that open a segment is a delta, and the chain is bounded by rotation.
     let ops: Vec<(u8, u8, u64)> = (0..40u64).map(|i| (1, 0, i * 7919)).collect();
-    run_history("sparse", 16, 2, &ops);
+    assert_eq!(run_history("sparse", 16, 2, &ops), 40 - 3);
+    // Both writers, interleaved, with a reopen and an I/O error: each
+    // writer's cut is stale after the other's frame, and a failed append
+    // leaves its caller no base, yet deltas remain.
+    let ops: Vec<(u8, u8, u64)> = (0..40u64)
+        .map(|i| match i {
+            20 => (0, 0, 0),
+            30 => (1, 4, 0),
+            _ => (1, 0, ((i / 5 % 2) << 40) | (i * 7919)),
+        })
+        .collect();
+    assert!(run_history("sparse-mixed", 16, 2, &ops) >= 20);
 }
 
 /// A head that grows and shrinks between frames, as an epoch payload's
@@ -362,6 +434,7 @@ fn heads_that_grow_and_shrink_are_deltas_that_read_back() {
     };
     let store = CheckpointStore::create(&dir, 1, cfg.clone()).unwrap();
     let w = store.writer(0);
+    let mut base = Base::default();
     let mut tail = vec![0u8; 256 * 1024];
     let mut history = Vec::new();
     let heads = [
@@ -370,17 +443,10 @@ fn heads_that_grow_and_shrink_are_deltas_that_read_back() {
     for (seq, head) in heads.into_iter().enumerate() {
         tail[(seq * 4099) % (256 * 1024)] = seq as u8 + 1;
         let payload = [&vec![seq as u8 + 1; head][..], &tail].concat();
-        w.persist(seq as u64 + 1, 0, &payload).unwrap();
+        base.persist(&w, seq as u64 + 1, 0, &payload);
         history.push(payload);
     }
-    let data = std::fs::read(dir.join("shard-0000/active.log")).unwrap();
-    let mut kinds = Vec::new();
-    let mut at = 0;
-    while at < data.len() {
-        let f = frame::decode::<LogHeader>(&data[at..]).unwrap();
-        kinds.push(f.header.delta);
-        at += f.len;
-    }
+    let kinds = kinds(&dir);
     assert_eq!(kinds.len(), heads.len());
     assert!(!kinds[0] && kinds[1..].iter().all(|&d| d), "{kinds:?}");
     let read: Vec<Vec<u8>> = store.frames(0).into_iter().map(|f| f.bytes).collect();
@@ -411,8 +477,9 @@ fn a_delta_frame_has_pinned_bytes_and_keyframe_readers_refuse_it() {
     let base: Vec<u8> = (0..1024).map(|i| i as u8).collect();
     let mut changed = base.clone();
     changed[0x108] = 0xC8;
-    store.writer(0).persist(1, 10, &base).unwrap();
-    store.writer(0).persist(2, 20, &changed).unwrap();
+    let mut caller = Base::default();
+    caller.persist(&store.writer(0), 1, 10, &base);
+    caller.persist(&store.writer(0), 2, 20, &changed);
     let log = std::fs::read(dir.join("shard-0000").join("active.log")).unwrap();
     drop(store);
 
@@ -448,10 +515,56 @@ fn a_delta_frame_has_pinned_bytes_and_keyframe_readers_refuse_it() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// The store appends a caller's runs only against the frame they name: the
+/// segment's previous frame, by sequence number in the writer's band and
+/// by length. Any other cut is written as a keyframe, and so is a payload
+/// persisted without one.
+#[test]
+fn a_cut_is_appended_only_against_the_frame_it_names() {
+    let dir = tmp_dir("named");
+    let cfg = StoreConfig {
+        fsync: false,
+        ..StoreConfig::default()
+    };
+    let store = CheckpointStore::create(&dir, 1, cfg).unwrap();
+    let (w, promoted) = (store.writer(0), store.writer_from(0, SECOND_BAND));
+    let mut history: Vec<Vec<u8>> = vec![(0..1024).map(|i| i as u8).collect()];
+    for at in [100, 200, 300, 400, 500, 600] {
+        let mut next = history.last().unwrap().clone();
+        next[at] ^= 1;
+        history.push(next);
+    }
+    // Append `history[i]` cut against `history[i - 1]`, naming `base`.
+    let append = |w: &ShardWriter, seq: u64, i: usize, (base_seq, base_len): (u64, usize)| {
+        let mut runs = Vec::new();
+        assert!(cut(&history[i - 1], &history[i], None, false, &mut runs));
+        let cut = Cut {
+            base_seq,
+            base_len,
+            runs: &runs,
+        };
+        w.persist_cut(seq, 0, &history[i], Some(cut)).unwrap();
+    };
+    w.persist(1, 0, &history[0]).unwrap();
+    // Named by the previous frame's sequence number and length: a delta.
+    append(&w, 2, 1, (1, 1024));
+    // Another frame's sequence number, or another length: keyframes.
+    append(&w, 3, 2, (1, 1024));
+    append(&w, 4, 3, (3, 1000));
+    // A writer's cut names a frame of its own band.
+    append(&promoted, 4, 4, (4, 1024));
+    append(&promoted, 5, 5, (4, 1024));
+    // `persist` writes a keyframe whatever came before.
+    promoted.persist(6, 0, &history[6]).unwrap();
+    assert_eq!(kinds(&dir), [false, true, false, false, false, true, false]);
+    let read: Vec<_> = store.frames(0).into_iter().map(|f| f.bytes).collect();
+    assert!(read == history);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 /// The bytes appended per checkpoint follow what changed, not what exists.
 #[test]
 fn persisted_bytes_count_the_delta_not_the_image() {
-    use nitrosketch::metrics::telemetry::ShardTelemetry;
     let dir = tmp_dir("bytes");
     let cfg = StoreConfig {
         fsync: false,
@@ -460,11 +573,12 @@ fn persisted_bytes_count_the_delta_not_the_image() {
     let store = CheckpointStore::create(&dir, 1, cfg).unwrap();
     let tel = Arc::new(ShardTelemetry::detached(0));
     let writer = store.writer(0).with_telemetry(Arc::clone(&tel));
+    let mut base = Base::default();
     let mut image = vec![0u8; 64 * 1024];
-    writer.persist(1, 1, &image).unwrap();
+    base.persist(&writer, 1, 1, &image);
     assert_eq!(tel.bytes_persisted.get(), image.len() as u64);
     image[1000] = 1;
-    writer.persist(2, 2, &image).unwrap();
+    base.persist(&writer, 2, 2, &image);
     // Image length, base length, one run header, one 64-byte line.
     assert_eq!(tel.bytes_persisted.get(), image.len() as u64 + 8 + 8 + 64);
     assert_eq!(tel.frames_persisted.get(), 2);
@@ -492,17 +606,15 @@ fn files(dir: &std::path::Path) -> Vec<(PathBuf, Vec<u8>)> {
     out
 }
 
-/// One history appended twice: through `persist`, which diffs whole
-/// payloads, and through `persist_written`, which names the image each
-/// payload follows and the counter lines written since (a superset of
-/// those that changed, as a worker's write history is). `counters` need
-/// not be a multiple of 8: then the first counter line is short and
-/// shares a line of the store's grid with the head. Some steps name an
-/// image the store does not hold, or mark most lines, and must fall back
-/// to the whole diff.
+/// One history appended twice, cut against the payload appended before:
+/// by a whole diff, and guided by the counter lines written since (a
+/// superset of those that changed, as a worker's write history is) when
+/// the caller's base is the image they were written from. `counters` need
+/// not be a multiple of 8: then the first counter line is short and shares
+/// a line of the store's grid with the head. Some steps name an image other
+/// than the base, or mark most lines, and must fall back to the whole diff.
 fn guided_history(tag: &str, counters: usize, seed: u64, steps: usize) {
     use nitrosketch::sketches::checkpoint::{DirtyLines, LINE_COUNTERS};
-    use nitrosketch::switch::store::Written;
     let cfg = StoreConfig {
         fsync: false,
         rotate_after: 5,
@@ -515,6 +627,8 @@ fn guided_history(tag: &str, counters: usize, seed: u64, steps: usize) {
     let whole = CheckpointStore::create(&whole_dir, 1, cfg.clone()).unwrap();
     let guided = CheckpointStore::create(&guided_dir, 1, cfg).unwrap();
     let (whole_writer, guided_writer) = (whole.writer(0), guided.writer(0));
+    let mut prev: Option<Vec<u8>> = None;
+    let (mut whole_runs, mut guided_runs) = (Vec::new(), Vec::new());
     let mut rng = Rng(seed);
     let mut head = rng.bytes(200);
     let mut tail = vec![0u64; counters];
@@ -549,16 +663,42 @@ fn guided_history(tag: &str, counters: usize, seed: u64, steps: usize) {
             .copied()
             .chain(tail.iter().flat_map(|c| c.to_le_bytes()))
             .collect();
+        // The image the lines were written since: the base, or another.
         let since = match rng.below(10) {
             0 => None,
-            1 => Some((seq + 1000, &lines)),
-            _ => Some((seq - 1, &lines)),
+            1 => Some(seq + 1000),
+            _ => Some(seq - 1),
         };
-        whole_writer.persist(seq, seq * 10, &payload).unwrap();
-        let written = Written { image: seq, since };
-        guided_writer
-            .persist_written(seq, seq * 10, &payload, written)
+        let guide = (since == Some(seq - 1) && lines.is_sparse()).then_some(&lines);
+        let cut_with = |lines, runs: &mut Vec<_>| {
+            let base = prev.as_deref()?;
+            cut(base, &payload, lines, false, runs).then_some(base.len())
+        };
+        let whole_cut = cut_with(None, &mut whole_runs);
+        let guided_cut = cut_with(guide, &mut guided_runs);
+        assert_eq!(whole_cut, guided_cut, "{tag}: step {seq}");
+        let named = |base_len, runs| Cut {
+            base_seq: seq - 1,
+            base_len,
+            runs,
+        };
+        whole_writer
+            .persist_cut(
+                seq,
+                seq * 10,
+                &payload,
+                whole_cut.map(|l| named(l, &whole_runs)),
+            )
             .unwrap();
+        guided_writer
+            .persist_cut(
+                seq,
+                seq * 10,
+                &payload,
+                guided_cut.map(|l| named(l, &guided_runs)),
+            )
+            .unwrap();
+        prev = Some(payload);
     }
     assert_eq!(
         files(&whole_dir),
@@ -572,7 +712,7 @@ fn guided_history(tag: &str, counters: usize, seed: u64, steps: usize) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// A lines-guided append writes the bytes the whole diff writes,
+    /// A lines-guided cut appends the bytes the whole diff appends,
     /// whatever the array's length modulo a line.
     #[test]
     fn a_lines_guided_append_writes_the_files_a_whole_diff_writes(
@@ -590,5 +730,130 @@ proptest! {
 fn a_short_first_counter_line_is_compared_with_the_head() {
     for seed in 0..8 {
         guided_history(&format!("short-{seed}"), 8 * 200 + 3, seed, 12);
+    }
+}
+
+/// A sink that persists through a real [`ShardWriter`] and records every
+/// payload it acknowledged, under the sequence number the store frames it
+/// with, and where an append failed.
+struct Recorder {
+    writer: ShardWriter,
+    acks: std::sync::Mutex<Acks>,
+}
+
+#[derive(Clone, Default)]
+struct Acks {
+    /// Sequence number and payload of each acknowledged append.
+    acked: Vec<(u64, Vec<u8>)>,
+    /// Acknowledged appends before each failed one.
+    failed: Vec<usize>,
+}
+
+impl CheckpointSink for Recorder {
+    fn persist(&self, seq: u64, at: u64, bytes: &[u8]) -> std::io::Result<()> {
+        self.persist_cut(seq, at, bytes, None)
+    }
+
+    fn persist_cut(
+        &self,
+        seq: u64,
+        at: u64,
+        bytes: &[u8],
+        cut: Option<Cut<'_>>,
+    ) -> std::io::Result<()> {
+        let result = self.writer.persist_cut(seq, at, bytes, cut);
+        let Acks { acked, failed } = &mut *self.acks.lock().unwrap();
+        match &result {
+            Ok(()) => acked.push((self.writer.seq_base() + seq, bytes.to_vec())),
+            Err(_) => failed.push(acked.len()),
+        }
+        result
+    }
+}
+
+/// The supervisor's writer cuts each checkpoint against the image in its
+/// slot, and the store appends the runs against the frame they name. Run a
+/// daemon over a real store at p = 1 and p = 0.01 through one worker
+/// restart and one failed append: every frame the store reads back is the
+/// payload the slot published under its sequence number, deltas among
+/// them, and the frame after the failed append is a keyframe (the slot's
+/// image was never durable, so nothing names it).
+#[test]
+fn a_daemons_frames_are_the_images_its_slot_published() {
+    use nitrosketch::core::{Mode, NitroSketch};
+    use nitrosketch::sketches::CountMin;
+    use nitrosketch::switch::{spawn_supervised, SinkHandle, SupervisorConfig, ThreadFaultPlan};
+
+    for (tag, p) in [("p1", 1.0), ("p001", 0.01)] {
+        let dir = tmp_dir(&format!("daemon-{tag}"));
+        let cfg = StoreConfig {
+            rotate_after: 1 << 20,
+            keep_segments: 1,
+            fsync: false,
+        };
+        let disk = DiskFaultPlan::new();
+        disk.io_error_after(6);
+        let store = CheckpointStore::create(&dir, 1, cfg)
+            .unwrap()
+            .with_fault_plan(disk.clone());
+        let recorder = Arc::new(Recorder {
+            writer: store.writer(0),
+            acks: Default::default(),
+        });
+        let threads = ThreadFaultPlan::new();
+        threads.panic_after(30_000);
+        let fresh = move || NitroSketch::new(CountMin::new(4, 4096, 11), Mode::Fixed { p }, 13);
+        let (mut tap, daemon) = spawn_supervised(
+            fresh(),
+            fresh,
+            SupervisorConfig {
+                ring_capacity: 1 << 14,
+                checkpoint_every: 2_000,
+                high_water: 2.0,
+                sink: Some(SinkHandle(Arc::clone(&recorder) as Arc<dyn CheckpointSink>)),
+                fault_plan: Some(threads.clone()),
+                ..Default::default()
+            },
+        );
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
+        let mut i = 0u64;
+        while daemon.health().checkpoints < 24 {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "{tag}: too few checkpoints"
+            );
+            // A hundred flows: at p = 1 a checkpoint's lines stay sparse.
+            for _ in 0..500 {
+                tap.offer(i * 7 % 100, i);
+                i += 1;
+            }
+            while tap.occupancy() > 0.25 {
+                std::thread::yield_now();
+            }
+        }
+        let (_, health) = daemon.finish().expect("the daemon recovers");
+        assert_eq!((threads.fired(), disk.fired()), (1, 1), "{tag}: {health}");
+        assert_eq!(health.restarts, 1, "{tag}: {health}");
+
+        let Acks { acked, failed } = recorder.acks.lock().unwrap().clone();
+        let frames = store.frames(0);
+        assert_eq!(frames.len(), acked.len(), "{tag}: frames read back");
+        for (f, (seq, bytes)) in frames.iter().zip(&acked) {
+            assert_eq!(f.seq, *seq, "{tag}");
+            assert!(
+                f.bytes == *bytes,
+                "{tag}: frame {seq} is not the image published"
+            );
+        }
+        let kinds = kinds(&dir);
+        assert_eq!(kinds.len(), acked.len());
+        // Keyframes open the log and follow the failed append; every
+        // other checkpoint, the restarted worker's first included, is cut
+        // against the image before it.
+        assert_eq!(failed.len(), 1, "{tag}");
+        let keyframes: Vec<usize> = (0..kinds.len()).filter(|&k| !kinds[k]).collect();
+        assert_eq!(keyframes, [0, failed[0]], "{tag}: {kinds:?}");
+        drop(store);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

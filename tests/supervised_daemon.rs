@@ -11,7 +11,7 @@
 use nitrosketch::core::{Mode, NitroSketch};
 use nitrosketch::prelude::*;
 use nitrosketch::sketches::checkpoint::{CheckpointError, DirtyLines, LINE_COUNTERS};
-use nitrosketch::switch::store::Written;
+use nitrosketch::switch::store::{cut, Cut};
 use nitrosketch::switch::{
     spawn_supervised, CheckpointSink, Measurement, Recoverable, SinkHandle, SupervisedDaemon,
     SupervisedTap, SupervisorConfig, ThreadFaultPlan,
@@ -434,29 +434,50 @@ fn a_recycled_buffer_is_patched_from_its_own_image() {
     }
 }
 
-/// A sink that records, for every checkpoint, whether the supervisor
-/// handed it a write history.
+/// A sink that holds the payload persisted last and checks every cut the
+/// supervisor hands it against a whole diff of the two. It records, for
+/// every checkpoint, whether it came with a cut.
 #[derive(Default)]
-struct HistoryLog(Mutex<Vec<bool>>);
+struct HistoryLog(Mutex<History>);
+
+#[derive(Default)]
+struct History {
+    /// Whether each checkpoint came with a cut.
+    seen: Vec<bool>,
+    /// The payload persisted last, with its sequence number.
+    prev: Option<(u64, Vec<u8>)>,
+}
 impl CheckpointSink for HistoryLog {
     fn persist(&self, _seq: u64, _at: u64, _bytes: &[u8]) -> std::io::Result<()> {
-        Ok(())
+        unreachable!("the supervisor persists through persist_cut")
     }
-    fn persist_written(
+    fn persist_cut(
         &self,
-        _seq: u64,
+        seq: u64,
         _at: u64,
-        _bytes: &[u8],
-        written: Written<'_>,
+        bytes: &[u8],
+        given: Option<Cut<'_>>,
     ) -> std::io::Result<()> {
-        self.0.lock().unwrap().push(written.since.is_some());
+        let History { seen, prev } = &mut *self.0.lock().unwrap();
+        let mut runs = Vec::new();
+        let smaller = prev
+            .as_ref()
+            .is_some_and(|(_, base)| cut(base, bytes, None, false, &mut runs));
+        let whole = prev
+            .as_ref()
+            .filter(|_| smaller)
+            .map(|(base_seq, base)| (*base_seq, base.len(), runs.clone()));
+        let given = given.map(|c| (c.base_seq, c.base_len, c.runs.to_vec()));
+        assert_eq!(given, whole, "checkpoint {seq}'s cut is not the whole diff");
+        seen.push(given.is_some());
+        *prev = Some((seq, bytes.to_vec()));
         Ok(())
     }
 }
 
 /// Run `m` under a daemon persisting into a [`HistoryLog`] for 20
-/// checkpoints, and return which of them carried a write history and
-/// whether a final on-demand view did.
+/// checkpoints, and return which of them came with a cut and whether a
+/// final on-demand view carried a write history.
 fn histories<M: Recoverable + Send + 'static>(
     m: M,
     make: impl Fn() -> M + Send + Sync + 'static,
@@ -485,15 +506,16 @@ fn histories<M: Recoverable + Send + 'static>(
     daemon.checkpoint_now(Duration::from_secs(5)).unwrap();
     let view = daemon.checkpoint_now(Duration::from_secs(5)).unwrap();
     daemon.finish().unwrap();
-    let seen = log.0.lock().unwrap().clone();
+    let seen = log.0.lock().unwrap().seen.clone();
     (seen, view.written.is_some())
 }
 
 /// Dirty lines are a checkpoint's write history only for a measurement
 /// that declares them lines of a counter array ending its checkpoint.
-/// [`Generations`] tracks 64 lines its 8-byte image does not hold: the sink
-/// and the views never see them, so no store compares only those lines of
-/// its images. A sketch's checkpoints carry them.
+/// [`Generations`] tracks 64 lines its 8-byte image does not hold: the
+/// views never see them, so no fold compares only those lines of its
+/// images. A sketch's checkpoints carry them, and every cut the writer
+/// makes with them is the whole diff (the sink checks each one).
 #[test]
 fn only_a_measurement_whose_lines_end_its_checkpoint_hands_them_on() {
     let _serial = serial();
@@ -512,6 +534,6 @@ fn only_a_measurement_whose_lines_end_its_checkpoint_hands_them_on() {
     let (seen, view) = histories(sketch(), sketch);
     assert!(
         seen.iter().filter(|&&h| h).count() >= 10 && view,
-        "a sketch's checkpoints carry their write history: {seen:?}"
+        "a sketch's checkpoints are cut and carry their write history: {seen:?}"
     );
 }
